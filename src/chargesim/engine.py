@@ -225,7 +225,6 @@ class Simulation:
                 home=home,
                 initial_soc_kwh=float(config.initial_soc_kwh),
             )
-        self.env.evs = {aid: agent.state for aid, agent in self.agents.items()}
 
         personas = {aid: agent.persona.to_dict() for aid, agent in self.agents.items()}
         (self.run_dir / "personas.json").write_text(
@@ -343,7 +342,7 @@ class Simulation:
         origin = agent.state.location
         multiplier = self.env.speed_multiplier(now % MINUTES_PER_DAY)
         estimate = self.env.router.route(origin, event.destination, multiplier)
-        self._set_state(agent, replace(agent.state, status=EvStatus.DRIVING))
+        agent.state = replace(agent.state, status=EvStatus.DRIVING)
         self._push(
             now + estimate.travel_minutes,
             agent.agent_id,
@@ -369,9 +368,7 @@ class Simulation:
         energy_kwh = agent.state.soc_kwh - drained.soc_kwh
         agent.consumed_kwh += energy_kwh
         agent.km_total += distance_km
-        self._set_state(
-            agent, replace(drained, location=event.destination, status=EvStatus.IDLE)
-        )
+        agent.state = replace(drained, location=event.destination, status=EvStatus.IDLE)
         record = BehaviorRecord(
             action=ActionType.TRAVEL,
             object_id=f"route-d{payload['day']}-{event.start:04d}",
@@ -437,7 +434,7 @@ class Simulation:
             )
             self._emit(agent, record, fallback=fallback, extras=extras, to_memory=True)
             agent.busy = True
-            self._set_state(agent, replace(agent.state, status=EvStatus.DRIVING))
+            agent.state = replace(agent.state, status=EvStatus.DRIVING)
             self._push(
                 now + station_entry.travel_minutes,
                 agent.agent_id,
@@ -475,7 +472,7 @@ class Simulation:
         approach_energy = agent.state.soc_kwh - drained.soc_kwh
         agent.consumed_kwh += approach_energy
         agent.km_total += distance_km
-        self._set_state(agent, replace(drained, location=station.location, status=EvStatus.QUEUED))
+        agent.state = replace(drained, location=station.location, status=EvStatus.QUEUED)
         try:
             ticket = begin_charge(
                 station,
@@ -506,7 +503,7 @@ class Simulation:
                 },
             )
             agent.busy = False
-            self._set_state(agent, replace(agent.state, status=EvStatus.IDLE))
+            agent.state = replace(agent.state, status=EvStatus.IDLE)
             self._advance(agent, now)
             return
         agent.current_station = station.station_id
@@ -543,7 +540,7 @@ class Simulation:
             raise AssertionError(
                 f"{station.station_id} would exceed its {station.pile_count} piles"
             )
-        self._set_state(agent, replace(agent.state, status=EvStatus.CHARGING))
+        agent.state = replace(agent.state, status=EvStatus.CHARGING)
 
     def _on_charge_end(self, agent: AgentRuntime, now: int, payload: dict) -> None:
         ticket: ChargeTicket = payload["ticket"]
@@ -556,7 +553,7 @@ class Simulation:
             new_soc = agent.state.capacity_kwh
         agent.charged_kwh += new_soc - agent.state.soc_kwh
         agent.cost_total += ticket.cost
-        self._set_state(agent, replace(agent.state, soc_kwh=new_soc, status=EvStatus.IDLE))
+        agent.state = replace(agent.state, soc_kwh=new_soc, status=EvStatus.IDLE)
         duration = ticket.end_charge - ticket.start_charge
         effective_price = round_currency(ticket.cost / ticket.energy_kwh) if ticket.energy_kwh else 0.0
         record = BehaviorRecord(
@@ -600,7 +597,7 @@ class Simulation:
         agent.stranded_today = True
         agent.busy = False
         agent.current_station = None
-        self._set_state(agent, replace(agent.state, status=EvStatus.IDLE))
+        agent.state = replace(agent.state, status=EvStatus.IDLE)
         record = BehaviorRecord(
             action=ActionType.IDLE,
             object_id="",
@@ -642,11 +639,8 @@ class Simulation:
                 reserve = TOW_RESERVE_FRACTION * agent.state.capacity_kwh
                 delta = reserve - agent.state.soc_kwh
                 agent.tow_delta_kwh += delta
-                self._set_state(
-                    agent,
-                    replace(
-                        agent.state, location=agent.home, soc_kwh=reserve, status=EvStatus.IDLE
-                    ),
+                agent.state = replace(
+                    agent.state, location=agent.home, soc_kwh=reserve, status=EvStatus.IDLE
                 )
                 record = BehaviorRecord(
                     action=ActionType.IDLE,
@@ -677,10 +671,6 @@ class Simulation:
             power_kw=0.0,
             price_per_kwh=0.0,
         )
-
-    def _set_state(self, agent: AgentRuntime, state: EvState) -> None:
-        agent.state = state
-        self.env.evs[agent.agent_id] = state
 
     def _finalize(self, elapsed_s: float) -> RunArtifacts:
         self._behavior_fh.close()

@@ -337,7 +337,6 @@ class Environment:
     tariffs: dict[str, TariffSchedule]
     router: OfflineRouter
     congestion: CongestionSchedule = FREE_FLOW
-    evs: dict[str, EvState] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for station in self.stations.values():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .config import load_config
 
-HOURS_PER_WEEK = 168
+HOURS_PER_DAY = 24
 
 SUMMARY_CSV_COLUMNS = (
     "agent_id",
@@ -102,17 +102,24 @@ def build_summary(
         "strand_count": sum(agents[a]["strand_count"] for a in sorted(agents)),
     }
 
-    hourly = [0.0] * HOURS_PER_WEEK
+    # One bucket per hour from minute 0, through the horizon or the end of
+    # the last charge, whichever is later: a charge begun before the horizon
+    # may finish after it, and its load belongs to those later hours.
+    hourly = [0.0] * (horizon_days * HOURS_PER_DAY)
     for entry in entries:
         if entry["record"]["action"] != "stop_charging":
             continue
         extras = entry["extras"]
         start, end = extras["start_charge"], extras["end_charge"]
+        if end <= start:
+            continue
         power = entry["record"]["quintuple"]["power_kw"]
-        for hour in range(start // 60, (end - 1) // 60 + 1):
+        last_hour = (end - 1) // 60
+        if last_hour >= len(hourly):
+            hourly.extend([0.0] * (last_hour + 1 - len(hourly)))
+        for hour in range(start // 60, last_hour + 1):
             overlap = min(end, (hour + 1) * 60) - max(start, hour * 60)
-            if overlap > 0:
-                hourly[hour % HOURS_PER_WEEK] += power * overlap / 60.0
+            hourly[hour] += power * overlap / 60.0
 
     return {
         "agents": agents,

@@ -6,19 +6,32 @@ three days, the long horizon the last seven, both as half-open intervals
 (now - window, now]. Persistence is a JSON-lines log, one entry per line,
 replayed verbatim on load so a reloaded store compares equal to the
 original.
+
+Records arrive in timestamp order, so the store keeps two sorted indexes
+as it appends: the timestamps of all records, and the completed charging
+decisions (start_charging records whose decision is true) with their
+timestamps. A window is then two bisections and a slice, and the daily
+aggregates walk only the charges inside the long window. Both cost
+O(log n + k) for a history of n records and a window of k, so the cost of
+a decision does not grow with the simulated horizon.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_right
 from pathlib import Path
 from typing import IO, Literal
 
-from .domain import MINUTES_PER_DAY, BehaviorRecord, ReflectionReport, SimClock
+from .domain import MINUTES_PER_DAY, ActionType, BehaviorRecord, ReflectionReport, SimClock
 
 SHORT_WINDOW_DAYS = 3
 LONG_WINDOW_DAYS = 7
+_WINDOW_MINUTES = {
+    "short": SHORT_WINDOW_DAYS * MINUTES_PER_DAY,
+    "long": LONG_WINDOW_DAYS * MINUTES_PER_DAY,
+}
 
 
 class OutOfOrderError(ValueError):
@@ -35,6 +48,9 @@ class MemoryStore:
     def __init__(self, log_path: Path | str | None = None, fsync: bool = False):
         self.records: list[BehaviorRecord] = []
         self.reflections: list[ReflectionReport] = []
+        self._times: list[int] = []  # records[i].timestamp, kept for bisection
+        self._charges: list[BehaviorRecord] = []  # start_charging records with decision true
+        self._charge_times: list[int] = []
         self._log_path = Path(log_path) if log_path is not None else None
         self._fsync = fsync
         self._fh: IO[str] | None = None
@@ -44,12 +60,19 @@ class MemoryStore:
 
     def append(self, record: BehaviorRecord) -> None:
         """Add a record; timestamps must be non-decreasing, ties keep insertion order."""
-        if self.records and record.timestamp < self.records[-1].timestamp:
-            raise OutOfOrderError(
-                f"record at t={record.timestamp} after t={self.records[-1].timestamp}"
-            )
-        self.records.append(record)
+        self._add(record)
         self._write({"type": "behavior", "data": record.to_dict()})
+
+    def _add(self, record: BehaviorRecord) -> None:
+        """Index one record; load replays through here, so a log is order-checked too."""
+        timestamp = record.timestamp
+        if self._times and timestamp < self._times[-1]:
+            raise OutOfOrderError(f"record at t={timestamp} after t={self._times[-1]}")
+        self.records.append(record)
+        self._times.append(timestamp)
+        if record.action is ActionType.START_CHARGING and record.quintuple.decision:
+            self._charges.append(record)
+            self._charge_times.append(timestamp)
 
     def append_reflection(self, report: ReflectionReport) -> None:
         if self.reflections and report.day_index < self.reflections[-1].day_index:
@@ -61,25 +84,27 @@ class MemoryStore:
 
     def retrieve(self, clock: SimClock, horizon: Literal["short", "long"]) -> list[BehaviorRecord]:
         """Records within the horizon window (now - days*1440, now], order preserved."""
-        if horizon == "short":
-            days = SHORT_WINDOW_DAYS
-        elif horizon == "long":
-            days = LONG_WINDOW_DAYS
-        else:
+        window = _WINDOW_MINUTES.get(horizon)
+        if window is None:
             raise ValueError(f"horizon must be 'short' or 'long', got {horizon!r}")
-        cutoff = clock.sim_time - days * MINUTES_PER_DAY
-        return [r for r in self.records if cutoff < r.timestamp <= clock.sim_time]
+        now = clock.sim_time
+        times = self._times
+        return self.records[bisect_right(times, now - window) : bisect_right(times, now)]
 
     def daily_aggregates(self, clock: SimClock) -> list[dict]:
         """Per-day charging summaries over the long window: count, kWh, mean price.
 
-        Derived on demand from start_charging records, never stored; meant to
-        keep long-horizon prompt payloads compact.
+        Derived on demand from the charge index, never stored; meant to keep
+        long-horizon prompt payloads compact. The oldest day is usually only
+        partly inside the window, so days are summed per call, in record
+        order, rather than cached.
         """
+        now = clock.sim_time
+        times = self._charge_times
+        first = bisect_right(times, now - _WINDOW_MINUTES["long"])
+        last = bisect_right(times, now)
         buckets: dict[int, dict] = {}
-        for record in self.retrieve(clock, "long"):
-            if record.action.value != "start_charging" or not record.quintuple.decision:
-                continue
+        for record in self._charges[first:last]:
             day = record.timestamp // MINUTES_PER_DAY
             bucket = buckets.setdefault(
                 day, {"day_index": day, "charge_count": 0, "total_kwh": 0.0, "_price_sum": 0.0}
@@ -99,12 +124,8 @@ class MemoryStore:
     def load(cls, log_path: Path | str, fsync: bool = False) -> "MemoryStore":
         """Rebuild a store by replaying its log; the result equals the original."""
         path = Path(log_path)
-        store = cls.__new__(cls)
-        store.records = []
-        store.reflections = []
+        store = cls(None, fsync=fsync)
         store._log_path = path
-        store._fsync = fsync
-        store._fh = None
         if path.exists():
             with path.open("r", encoding="utf-8") as fh:
                 for line in fh:
@@ -113,7 +134,7 @@ class MemoryStore:
                         continue
                     entry = json.loads(line)
                     if entry["type"] == "behavior":
-                        store.records.append(BehaviorRecord.from_dict(entry["data"]))
+                        store._add(BehaviorRecord.from_dict(entry["data"]))
                     elif entry["type"] == "reflection":
                         store.reflections.append(ReflectionReport.from_dict(entry["data"]))
                     else:

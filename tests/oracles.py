@@ -5,7 +5,8 @@ the distance oracle uses the Vincenty special-case formula instead of the
 haversine, the cost oracle integrates minute by minute instead of by band
 overlap, the station scorer is an explicit exhaustive loop, and the queue
 oracle is a minute-stepping FIFO simulation rather than greedy pile
-reservation.
+reservation. The memory oracles scan a store's whole record list and
+filter it record by record, where the store bisects indexes kept on append.
 """
 
 from __future__ import annotations
@@ -120,3 +121,45 @@ def oracle_fifo_starts(
                     progressed = True
         t += 1
     return starts
+
+
+def oracle_memory_window(records: list, now: int, days: int) -> list:
+    """Records with now - days*1440 < timestamp <= now, by a full scan in order."""
+    out = []
+    for record in records:
+        age = now - record.timestamp
+        if 0 <= age < days * MINUTES_PER_DAY:
+            out.append(record)
+    return out
+
+
+def oracle_daily_aggregates(records: list, now: int) -> list[dict]:
+    """Per-day charge count, kWh and mean price over the 7-day window, by a full scan.
+
+    Counts start_charging records whose decision is true. Each day's sums
+    add its charges in record order, so the result is exactly comparable.
+    """
+    charges_by_day: dict[int, list] = {}
+    for record in records:
+        age = now - record.timestamp
+        if not 0 <= age < 7 * MINUTES_PER_DAY:
+            continue
+        if record.action.value == "start_charging" and record.quintuple.decision:
+            charges_by_day.setdefault(record.timestamp // MINUTES_PER_DAY, []).append(record)
+    out = []
+    for day in sorted(charges_by_day):
+        charges = charges_by_day[day]
+        kwh = 0.0
+        price = 0.0
+        for record in charges:
+            kwh += record.quintuple.amount_kwh
+            price += record.quintuple.price_per_kwh
+        out.append(
+            {
+                "day_index": day,
+                "charge_count": len(charges),
+                "total_kwh": kwh,
+                "mean_price_per_kwh": price / len(charges),
+            }
+        )
+    return out

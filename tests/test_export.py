@@ -6,7 +6,7 @@ import pytest
 
 from chargesim.config import ScenarioConfig
 from chargesim.engine import run
-from chargesim.export import export_csv, export_geojson, export_html, read_log
+from chargesim.export import build_summary, export_csv, export_geojson, export_html, read_log
 from geojson_schema import validate_geojson
 
 
@@ -161,14 +161,57 @@ class TestSummary:
         ) / len(ordered)
 
     def test_hourly_load_shape_and_energy_bound(self, finished_run):
-        _config, artifacts = finished_run
+        config, artifacts = finished_run
         hourly = artifacts.summary["hourly_load_kw"]
-        assert len(hourly) == 168
+        ends = [
+            e["extras"]["end_charge"]
+            for e in read_log(artifacts.behavior_log)
+            if e["record"]["action"] == "stop_charging"
+        ]
+        # one bucket per hour, through the horizon or the last charge's end
+        assert len(hourly) == max([config.horizon_days * 24] + [-(-end // 60) for end in ends])
         assert all(value >= 0.0 for value in hourly)
         # nominal power over ceil-rounded windows can only overshoot the
         # delivered energy, never undershoot it
         assert sum(hourly) >= artifacts.summary["fleet"]["total_kwh_charged"] - 1e-9
         assert any(value > 0.0 for value in hourly)
+
+
+def _stop_charging(start: int, end: int, power_kw: float) -> dict:
+    return {
+        "agent_id": "agent-00",
+        "record": {"action": "stop_charging", "quintuple": {"power_kw": power_kw}},
+        "extras": {
+            "start_charge": start,
+            "end_charge": end,
+            "approach_distance_km": 0.0,
+            "energy_kwh": power_kw * (end - start) / 60.0,
+            "cost": 0.0,
+        },
+    }
+
+
+class TestHourlyLoad:
+    def _hourly(self, entries, horizon_days):
+        final_states = {"agent-00": {"strand_count": 0}}
+        return build_summary(entries, [], final_states, horizon_days)["hourly_load_kw"]
+
+    def test_one_bucket_per_hour_of_a_ten_day_horizon(self):
+        # hour 200 is on day 8: a weekly fold would have put it in hour 32
+        hourly = self._hourly([_stop_charging(200 * 60 + 30, 201 * 60 + 30, 60.0)], 10)
+        assert len(hourly) == 240
+        assert hourly[200] == 30.0 and hourly[201] == 30.0
+        assert sum(hourly) == 60.0
+
+    def test_charge_past_the_horizon_extends_the_series(self):
+        # a one-day run whose last charge starts at 23:30 and ends at 01:10
+        hourly = self._hourly([_stop_charging(23 * 60 + 30, 25 * 60 + 10, 12.0)], 1)
+        assert len(hourly) == 26
+        assert hourly[:23] == [0.0] * 23
+        assert hourly[23:] == [6.0, 12.0, 2.0]
+
+    def test_no_charges_leaves_an_empty_horizon(self):
+        assert self._hourly([], 3) == [0.0] * 72
 
 
 class TestHtml:

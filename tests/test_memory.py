@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chargesim.domain import (
@@ -16,6 +18,7 @@ from chargesim.domain import (
     SimClock,
 )
 from chargesim.memory import MemoryStore, OutOfOrderError
+from oracles import oracle_daily_aggregates, oracle_memory_window
 
 
 def _record(timestamp: int, amount: float = 0.0, action=ActionType.SKIP_CHARGING):
@@ -94,25 +97,88 @@ class TestRetrieveWindows:
         assert [r.timestamp for r in got] == [now - 3 * 1440 + 1]
 
 
-@given(
-    st.lists(st.integers(min_value=0, max_value=20 * 1440), min_size=0, max_size=60),
-    st.integers(min_value=0, max_value=21 * 1440),
+_memory_entries = st.lists(
+    st.tuples(
+        # a gap of 0 makes runs of equal timestamps
+        st.one_of(st.just(0), st.integers(min_value=0, max_value=2 * 1440)),
+        st.sampled_from(list(ActionType)),
+        st.booleans(),  # decision flag
+        st.floats(min_value=0.0, max_value=80.0, allow_nan=False),  # kWh
+        st.floats(min_value=0.0, max_value=2.0, allow_nan=False),  # price per kWh
+    ),
+    max_size=60,
 )
-@settings(max_examples=150)
-def test_short_is_subset_of_long_and_windows_are_half_open(timestamps, now):
+
+
+def _mixed_record(timestamp, action, decision, amount, price):
+    return BehaviorRecord(
+        action=action,
+        object_id="st-01" if decision else "",
+        timestamp=timestamp,
+        quintuple=DecisionQuintuple(
+            decision=decision,
+            scenario=ChargeScenario.PUBLIC,
+            time_minutes=timestamp,
+            station_id="st-01" if decision else None,
+            amount_kwh=amount if decision else 0.0,
+            power_kw=60.0 if decision else 0.0,
+            price_per_kwh=price,
+        ),
+        reason="test",
+    )
+
+
+@given(
+    _memory_entries,
+    st.integers(min_value=0, max_value=10 * 1440),  # first timestamp
+    st.integers(min_value=-2 * 1440, max_value=8 * 1440),  # clock offset from the last record
+    st.booleans(),  # rebuild the store from its log first
+)
+@example(
+    entries=[
+        (0, ActionType.START_CHARGING, True, 10.0, 0.7),
+        (0, ActionType.START_CHARGING, True, 20.0, 0.1),
+        (0, ActionType.START_CHARGING, False, 0.0, 0.0),
+        (1500, ActionType.SKIP_CHARGING, False, 0.0, 0.0),
+        (0, ActionType.START_CHARGING, True, 0.3, 0.2),
+    ],
+    first=100,
+    offset=-1,  # before the last record, cutoff not day-aligned
+    reload=True,
+)
+@example(
+    entries=[(0, ActionType.START_CHARGING, True, 1.0, 1.0)],
+    first=0,
+    offset=7 * 1440,  # the only charge sits exactly on the long cutoff
+    reload=False,
+)
+@settings(max_examples=150, deadline=None)
+def test_short_is_subset_of_long_and_windows_are_half_open(entries, first, offset, reload):
     store = MemoryStore()
-    for ts in sorted(timestamps):
-        store.append(_record(ts))
+    timestamp = first
+    for gap, action, decision, amount, price in entries:
+        timestamp += gap
+        store.append(_mixed_record(timestamp, action, decision, amount, price))
+    if reload:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "agent.log"
+            with MemoryStore(path) as written:
+                for record in store.records:
+                    written.append(record)
+            store = MemoryStore.load(path)
+            store.close()
+    now = max(0, timestamp + offset)
     clock = SimClock(now)
     short = store.retrieve(clock, "short")
     long = store.retrieve(clock, "long")
+    assert short == oracle_memory_window(store.records, now, 3)
+    assert long == oracle_memory_window(store.records, now, 7)
     assert set(id(r) for r in short) <= set(id(r) for r in long)
     for record in short:
         assert now - 3 * 1440 < record.timestamp <= now
     for record in long:
         assert now - 7 * 1440 < record.timestamp <= now
-    # nothing eligible was dropped
-    assert len(long) == sum(1 for ts in timestamps if now - 7 * 1440 < ts <= now)
+    assert store.daily_aggregates(clock) == oracle_daily_aggregates(store.records, now)
 
 
 def test_crash_recovery_replay(tmp_path):
@@ -160,3 +226,13 @@ def test_daily_aggregates_only_cover_charges():
         {"day_index": 0, "charge_count": 1, "total_kwh": 10.0, "mean_price_per_kwh": 0.62},
         {"day_index": 1, "charge_count": 2, "total_kwh": 50.0, "mean_price_per_kwh": 0.62},
     ]
+
+
+def test_load_rejects_an_out_of_order_log(tmp_path):
+    path = tmp_path / "m.log"
+    with MemoryStore(path) as store:
+        store.append(_record(20))
+    with MemoryStore(path) as store:  # a second writer restarts the timeline
+        store.append(_record(10))
+    with pytest.raises(OutOfOrderError):
+        MemoryStore.load(path)
