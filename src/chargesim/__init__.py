@@ -37,7 +37,7 @@ from .environment import (
     consume_energy,
     price_at,
 )
-from .georoute import OfflineRouter, RouteEstimate, estimate_route, great_circle_km, nearby_stations
+from .georoute import OfflineRouter, RouteEstimate, estimate_route, great_circle_km
 from .memory import MemoryStore, OutOfOrderError
 from .perception import PerceptionSnapshot, perceive
 from .providers import (
@@ -100,7 +100,6 @@ __all__ = [
     "estimate_route",
     "great_circle_km",
     "load_config",
-    "nearby_stations",
     "perceive",
     "price_at",
     "run",

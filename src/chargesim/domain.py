@@ -85,9 +85,6 @@ class SimClock:
     def time_of_day(self) -> int:
         return self.sim_time % MINUTES_PER_DAY
 
-    def plus(self, minutes: int) -> "SimClock":
-        return SimClock(self.sim_time + int(minutes))
-
 
 @dataclass(frozen=True)
 class GeoPoint:
@@ -101,10 +98,6 @@ class GeoPoint:
             raise ValueError(f"latitude out of [-90, 90]: {self.latitude}")
         if not -180.0 <= self.longitude <= 180.0:
             raise ValueError(f"longitude out of [-180, 180]: {self.longitude}")
-
-    def to_lonlat(self) -> list[float]:
-        """GeoJSON-style [longitude, latitude] pair."""
-        return [self.longitude, self.latitude]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Deterministic event-driven simulation engine.
 
 One simulated day per agent unfolds as a chain of events: trips start and
-end, charging detours insert station-arrival / charge-start / charge-end
-events, and a global day-boundary event at every midnight runs reflection,
-tows stranded vehicles home and schedules the next day's plan. Each agent
-event end runs the five-step pipeline: consume energy, perceive, retrieve
-memory, decide, execute, then append the decision to memory.
+end, charging detours insert station-arrival and charge-end events, and a
+global day-boundary event at every midnight runs reflection, tows stranded
+vehicles home and schedules the next day's plan. Each agent event end runs
+the five-step pipeline: consume energy, perceive, retrieve memory, decide,
+execute, then append the decision to memory.
 
 Everything is single-threaded and totally ordered by (time, push sequence),
 so a (config, seed) pair maps to byte-identical logs under the mock
@@ -51,7 +51,7 @@ from .environment import (
     begin_charge,
     consume_energy,
 )
-from .export import build_summary
+from .export import RunTotals, build_summary
 from .memory import MemoryStore
 from .perception import perceive
 from .providers.base import (
@@ -108,7 +108,6 @@ class AgentRuntime:
     tow_delta_kwh: float = 0.0
     cost_total: float = 0.0
     km_total: float = 0.0
-    current_station: str | None = None
 
     @property
     def next_event_start(self) -> int | None:
@@ -196,8 +195,7 @@ class Simulation:
         self.reflections_log_path = self.run_dir / "reflections.log"
         self._behavior_fh: IO[str] = self.behavior_log_path.open("w", encoding="utf-8")
         self._reflections_fh: IO[str] = self.reflections_log_path.open("w", encoding="utf-8")
-        self.log_entries: list[dict] = []
-        self.reflection_entries: list[dict] = []
+        self.totals = RunTotals()
 
         center = GeoPoint(*plan_template["center"])
         area_radius = float(plan_template["area_radius_km"])
@@ -274,17 +272,19 @@ class Simulation:
             self._on_trip_end(self.agents[agent_id], when, payload)
         elif kind == "station_arrival":
             self._on_station_arrival(self.agents[agent_id], when, payload)
-        elif kind == "charge_start":
-            self._on_charge_start(self.agents[agent_id], when, payload)
         elif kind == "charge_end":
             self._on_charge_end(self.agents[agent_id], when, payload)
         else:
             raise AssertionError(f"unknown event kind {kind!r}")
 
     def run(self) -> RunArtifacts:
+        """Step to the end and write the summary; on an error, close every log and re-raise."""
         started = _time.perf_counter()
-        while len(self.queue):
-            self.step()
+        try:
+            while len(self.queue):
+                self.step()
+        finally:
+            self._close_logs()
         return self._finalize(_time.perf_counter() - started)
 
     # -- record emission -----------------------------------------------------------
@@ -305,7 +305,7 @@ class Simulation:
         }
         self._behavior_fh.write(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
         self._behavior_fh.flush()
-        self.log_entries.append(entry)
+        self.totals.add(entry)
         agent.today_records.append(record)
         if to_memory:
             agent.memory.append(record)
@@ -506,14 +506,7 @@ class Simulation:
             agent.state = replace(agent.state, status=EvStatus.IDLE)
             self._advance(agent, now)
             return
-        agent.current_station = station.station_id
         approach = {"distance_km": distance_km, "energy_kwh": approach_energy}
-        self._push(
-            ticket.start_charge,
-            agent.agent_id,
-            "charge_start",
-            {"station_id": station.station_id, "ticket": ticket},
-        )
         self._push(
             ticket.end_charge,
             agent.agent_id,
@@ -525,22 +518,6 @@ class Simulation:
                 "approach": approach,
             },
         )
-
-    def _on_charge_start(self, agent: AgentRuntime, now: int, payload: dict) -> None:
-        station = self.env.stations[payload["station_id"]]
-        station.release_queued(agent.agent_id)
-        station.check_queue_order()
-        occupying = sum(
-            1
-            for other in self.agents.values()
-            if other.state.status is EvStatus.CHARGING
-            and other.current_station == station.station_id
-        )
-        if occupying + 1 > station.pile_count:
-            raise AssertionError(
-                f"{station.station_id} would exceed its {station.pile_count} piles"
-            )
-        agent.state = replace(agent.state, status=EvStatus.CHARGING)
 
     def _on_charge_end(self, agent: AgentRuntime, now: int, payload: dict) -> None:
         ticket: ChargeTicket = payload["ticket"]
@@ -588,7 +565,6 @@ class Simulation:
             },
             to_memory=True,
         )
-        agent.current_station = None
         agent.busy = False
         self._advance(agent, now)
 
@@ -596,7 +572,6 @@ class Simulation:
         agent.strand_count += 1
         agent.stranded_today = True
         agent.busy = False
-        agent.current_station = None
         agent.state = replace(agent.state, status=EvStatus.IDLE)
         record = BehaviorRecord(
             action=ActionType.IDLE,
@@ -633,7 +608,7 @@ class Simulation:
                 json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
             )
             self._reflections_fh.flush()
-            self.reflection_entries.append(entry)
+            self.totals.add_reflection(entry)
 
             if agent.stranded_today:
                 reserve = TOW_RESERVE_FRACTION * agent.state.capacity_kwh
@@ -672,12 +647,15 @@ class Simulation:
             price_per_kwh=0.0,
         )
 
-    def _finalize(self, elapsed_s: float) -> RunArtifacts:
+    def _close_logs(self) -> None:
         self._behavior_fh.close()
         self._reflections_fh.close()
+        for agent in self.agents.values():
+            agent.memory.close()
+
+    def _finalize(self, elapsed_s: float) -> RunArtifacts:
         final_states = {}
         for agent in self._agents_in_order():
-            agent.memory.close()
             final_states[agent.agent_id] = {
                 "location": [agent.state.location.latitude, agent.state.location.longitude],
                 "status": agent.state.status.value,
@@ -691,19 +669,13 @@ class Simulation:
                 "km_total": agent.km_total,
                 "strand_count": agent.strand_count,
             }
-        summary = build_summary(
-            self.log_entries,
-            self.reflection_entries,
-            final_states,
-            horizon_days=self.config.horizon_days,
-        )
+        summary = build_summary(self.totals, final_states, horizon_days=self.config.horizon_days)
         summary["fallbacks"] = {
             "decisions": self.fallback_decisions,
             "plans": self.fallback_plans,
             "personas": self.fallback_personas,
             "reflections": self.fallback_reflections,
         }
-        summary["elapsed_s"] = round(elapsed_s, 3)
         (self.run_dir / "summary.json").write_text(
             json.dumps(summary, sort_keys=True, indent=2), encoding="utf-8"
         )

@@ -43,8 +43,7 @@ class ZeroChargeError(Exception):
 class EvStatus(str, Enum):
     IDLE = "idle"
     DRIVING = "driving"
-    QUEUED = "queued"
-    CHARGING = "charging"
+    QUEUED = "queued"  # at a station, waiting or charging until the charge ends
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,6 @@ class ChargingStation:
     pile_power_kw: float
     tariff_id: str
     busy_until: list[int] = field(default_factory=list)  # absolute minutes, one per pile
-    queue: list[tuple[str, int]] = field(default_factory=list)  # (agent_id, enqueue_time)
 
     def __post_init__(self) -> None:
         if self.pile_count < 1:
@@ -216,14 +214,6 @@ class ChargingStation:
         not. Zero whenever any pile is free.
         """
         return max(0, min(self.busy_until) - now)
-
-    def release_queued(self, agent_id: str) -> None:
-        self.queue = [entry for entry in self.queue if entry[0] != agent_id]
-
-    def check_queue_order(self) -> None:
-        times = [enqueue for _, enqueue in self.queue]
-        if times != sorted(times):
-            raise AssertionError(f"{self.station_id} queue out of FIFO order: {self.queue}")
 
 
 @dataclass(frozen=True)
@@ -256,7 +246,8 @@ def begin_charge(
     The delivered energy clamps at remaining headroom, power at the lesser
     of pile and vehicle limits, and the duration rounds up to whole minutes.
     The earliest-freeing pile is taken (lowest index on ties), so FIFO order
-    over successive calls is guaranteed by construction.
+    over successive calls is guaranteed by construction, and a job starts no
+    earlier than its pile's busy_until, so at most pile_count charges overlap.
     """
     if target_kwh <= 0.0:
         raise ValueError("target_kwh must be > 0")
@@ -272,8 +263,6 @@ def begin_charge(
     start_charge = max(arrival, station.busy_until[pile])
     end_charge = start_charge + duration
     station.busy_until[pile] = end_charge
-    if start_charge > arrival:
-        station.queue.append((ev.agent_id, arrival))
 
     cost = charge_cost(start_charge, end_charge, energy_kwh, tariff)
     return ChargeTicket(
@@ -331,7 +320,10 @@ FREE_FLOW = CongestionSchedule((SpeedBand(0, MINUTES_PER_DAY, 1.0),))
 
 @dataclass
 class Environment:
-    """Everything physical the agents share: vehicles, stations, tariffs, roads."""
+    """What the agents share: stations, tariffs, the road model and its congestion.
+
+    Each vehicle's state lives on its agent, not here.
+    """
 
     stations: dict[str, ChargingStation]
     tariffs: dict[str, TariffSchedule]

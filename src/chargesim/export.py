@@ -1,8 +1,8 @@
 """Run summaries and static exports (GeoJSON, HTML map, CSV).
 
 Every export is a pure function of the artifacts under a run directory, so
-re-exporting yields byte-identical files. The CSV and the summary are
-computed from behavior.log in file order, which makes their totals exactly
+re-exporting yields byte-identical files. The CSV and the summary add up
+behavior.log in file order (RunTotals), which makes their totals exactly
 reconcilable against the log by any reader that sums the same way.
 """
 
@@ -35,51 +35,67 @@ def read_log(path: Path | str) -> list[dict]:
     return entries
 
 
-def agent_totals(entries: list[dict]) -> dict[str, dict]:
-    """Per-agent accumulations over behavior.log, in file order.
+def _zero_bucket() -> dict:
+    return {"total_km": 0.0, "total_kwh_charged": 0.0, "total_cost": 0.0, "charge_count": 0}
 
-    Distance comes from travel legs plus charging detours; energy, cost and
-    charge counts come from completed charges (stop_charging entries).
+
+class RunTotals:
+    """Running sums behind summary.json, fed one log entry at a time.
+
+    The engine adds each entry as it writes it; export_csv adds the entries
+    it reads back. Either way the terms arrive in behavior.log order, so
+    both give bit-identical floats. Distance comes from travel legs plus
+    charging detours; energy, cost, charge counts and the hourly load come
+    from completed charges (stop_charging entries).
     """
-    totals: dict[str, dict] = {}
-    for entry in entries:
-        agent_id = entry["agent_id"]
-        bucket = totals.setdefault(
-            agent_id,
-            {"total_km": 0.0, "total_kwh_charged": 0.0, "total_cost": 0.0, "charge_count": 0},
-        )
-        action = entry["record"]["action"]
+
+    def __init__(self) -> None:
+        self.agents: dict[str, dict] = {}
+        self.satisfaction: dict[str, list[float]] = {}
+        # one bucket per hour from minute 0 through the end of the last charge
+        self.hourly: list[float] = []
+
+    def add(self, entry: dict) -> None:
+        record = entry["record"]
+        action = record["action"]
         extras = entry["extras"]
         if action == "travel":
-            bucket["total_km"] += extras["distance_km"]
+            self._bucket(entry["agent_id"])["total_km"] += extras["distance_km"]
         elif action == "stop_charging":
+            bucket = self._bucket(entry["agent_id"])
             bucket["total_km"] += extras["approach_distance_km"]
             bucket["total_kwh_charged"] += extras["energy_kwh"]
             bucket["total_cost"] += extras["cost"]
             bucket["charge_count"] += 1
-    return totals
+            self._add_load(
+                extras["start_charge"], extras["end_charge"], record["quintuple"]["power_kw"]
+            )
 
-
-def build_summary(
-    entries: list[dict],
-    reflection_entries: list[dict],
-    final_states: dict,
-    horizon_days: int,
-) -> dict:
-    totals = agent_totals(entries)
-    satisfaction: dict[str, list[float]] = {}
-    for entry in reflection_entries:
-        satisfaction.setdefault(entry["agent_id"], []).append(
+    def add_reflection(self, entry: dict) -> None:
+        self.satisfaction.setdefault(entry["agent_id"], []).append(
             entry["report"]["satisfaction"]["score"]
         )
 
+    def _bucket(self, agent_id: str) -> dict:
+        return self.agents.setdefault(agent_id, _zero_bucket())
+
+    def _add_load(self, start: int, end: int, power_kw: float) -> None:
+        if end <= start:
+            return
+        hourly = self.hourly
+        last_hour = (end - 1) // 60
+        if last_hour >= len(hourly):
+            hourly.extend([0.0] * (last_hour + 1 - len(hourly)))
+        for hour in range(start // 60, last_hour + 1):
+            overlap = min(end, (hour + 1) * 60) - max(start, hour * 60)
+            hourly[hour] += power_kw * overlap / 60.0
+
+
+def build_summary(totals: RunTotals, final_states: dict, horizon_days: int) -> dict:
     agents = {}
     for agent_id in sorted(final_states):
-        bucket = totals.get(
-            agent_id,
-            {"total_km": 0.0, "total_kwh_charged": 0.0, "total_cost": 0.0, "charge_count": 0},
-        )
-        scores = satisfaction.get(agent_id, [])
+        bucket = totals.agents.get(agent_id) or _zero_bucket()
+        scores = totals.satisfaction.get(agent_id, [])
         agents[agent_id] = {
             "total_km": bucket["total_km"],
             "total_kwh_charged": bucket["total_kwh_charged"],
@@ -102,24 +118,10 @@ def build_summary(
         "strand_count": sum(agents[a]["strand_count"] for a in sorted(agents)),
     }
 
-    # One bucket per hour from minute 0, through the horizon or the end of
-    # the last charge, whichever is later: a charge begun before the horizon
-    # may finish after it, and its load belongs to those later hours.
-    hourly = [0.0] * (horizon_days * HOURS_PER_DAY)
-    for entry in entries:
-        if entry["record"]["action"] != "stop_charging":
-            continue
-        extras = entry["extras"]
-        start, end = extras["start_charge"], extras["end_charge"]
-        if end <= start:
-            continue
-        power = entry["record"]["quintuple"]["power_kw"]
-        last_hour = (end - 1) // 60
-        if last_hour >= len(hourly):
-            hourly.extend([0.0] * (last_hour + 1 - len(hourly)))
-        for hour in range(start // 60, last_hour + 1):
-            overlap = min(end, (hour + 1) * 60) - max(start, hour * 60)
-            hourly[hour] += power * overlap / 60.0
+    # The series runs through the horizon or the end of the last charge,
+    # whichever is later: a charge begun before the horizon may finish
+    # after it, and its load belongs to those later hours.
+    hourly = totals.hourly + [0.0] * (horizon_days * HOURS_PER_DAY - len(totals.hourly))
 
     return {
         "agents": agents,
@@ -412,10 +414,13 @@ def export_csv(run_dir: Path | str, out_path: Path | str | None = None) -> Path:
     from behavior.log so they reconcile exactly."""
     run_dir = Path(run_dir)
     out = Path(out_path) if out_path else run_dir / "summary.csv"
-    entries = read_log(_require(run_dir / "behavior.log"))
-    reflections = read_log(_require(run_dir / "reflections.log"))
+    totals = RunTotals()
+    for entry in read_log(_require(run_dir / "behavior.log")):
+        totals.add(entry)
+    for entry in read_log(_require(run_dir / "reflections.log")):
+        totals.add_reflection(entry)
     final_states = json.loads(_require(run_dir / "final_states.json").read_text(encoding="utf-8"))
-    summary = build_summary(entries, reflections, final_states, horizon_days=0)
+    summary = build_summary(totals, final_states, horizon_days=0)
 
     lines = [",".join(SUMMARY_CSV_COLUMNS)]
     for agent_id in sorted(summary["agents"]):

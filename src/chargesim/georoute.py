@@ -1,19 +1,16 @@
 """Distance and travel-time estimation.
 
-The offline model is great-circle distance scaled by a configurable detour
-factor at a constant mean speed, which keeps replays deterministic. A live
-HTTP routing service can be plugged in behind the same interface (keyed by
-the ROUTING_API_KEY environment variable) but is never required.
-
-Distances are straight-line-times-detour, not driving distances.
+The one routing model is offline: great-circle distance scaled by a
+configurable detour factor, at a constant mean speed that congestion
+scales, which keeps replays deterministic. Distances are
+straight-line-times-detour, not driving distances. Which stations are
+within reach is decided in perception.py.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from typing import Iterable, Protocol
 
 from .domain import GeoPoint
 
@@ -67,40 +64,8 @@ def estimate_route(
     return RouteEstimate(distance_km=distance_km, travel_minutes=travel_minutes)
 
 
-class StationLike(Protocol):
-    station_id: str
-    location: GeoPoint
-
-
-def nearby_stations(
-    origin: GeoPoint,
-    stations: Iterable[StationLike],
-    radius_km: float,
-    detour_factor: float = DEFAULT_DETOUR_FACTOR,
-    speed_kmh: float = DEFAULT_SPEED_KMH,
-) -> list[tuple[str, RouteEstimate]]:
-    """Stations within radius_km, nearest first, ties broken by station_id."""
-    if radius_km <= 0.0:
-        raise ValueError(f"radius_km must be > 0, got {radius_km}")
-    hits: list[tuple[str, RouteEstimate]] = []
-    for station in stations:
-        estimate = estimate_route(origin, station.location, detour_factor, speed_kmh)
-        if estimate.distance_km <= radius_km:
-            hits.append((station.station_id, estimate))
-    hits.sort(key=lambda item: (item[1].distance_km, item[0]))
-    return hits
-
-
-class RoutingProvider:
-    """Interface for route estimation; implementations must be deterministic
-    for the replay guarantee to hold (the offline one is, a live one is not)."""
-
-    def route(self, a: GeoPoint, b: GeoPoint, speed_multiplier: float = 1.0) -> RouteEstimate:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class OfflineRouter(RoutingProvider):
+class OfflineRouter:
     """Great-circle-times-detour routing at a constant mean urban speed.
 
     speed_multiplier scales the effective speed (values below 1 model
@@ -114,36 +79,3 @@ class OfflineRouter(RoutingProvider):
         if speed_multiplier <= 0.0:
             raise ValueError("speed_multiplier must be > 0")
         return estimate_route(a, b, self.detour_factor, self.speed_kmh * speed_multiplier)
-
-
-class OnlineRouter(RoutingProvider):
-    """Routing via an external HTTP service.
-
-    Expects a GET endpoint answering JSON {"distance_km": x, "travel_minutes": n}.
-    Never used by the test suite or the acceptance runs; exists so a real
-    service can replace the offline model without touching callers.
-    """
-
-    def __init__(self, base_url: str, api_key: str | None = None, timeout_s: float = 10.0):
-        self.base_url = base_url.rstrip("/")
-        self.api_key = api_key if api_key is not None else os.environ.get("ROUTING_API_KEY", "")
-        self.timeout_s = timeout_s
-
-    def route(self, a: GeoPoint, b: GeoPoint, speed_multiplier: float = 1.0) -> RouteEstimate:
-        import requests
-
-        response = requests.get(
-            self.base_url,
-            params={
-                "origin": f"{a.latitude},{a.longitude}",
-                "destination": f"{b.latitude},{b.longitude}",
-                "key": self.api_key,
-            },
-            timeout=self.timeout_s,
-        )
-        response.raise_for_status()
-        payload = response.json()
-        return RouteEstimate(
-            distance_km=float(payload["distance_km"]),
-            travel_minutes=int(payload["travel_minutes"]),
-        )

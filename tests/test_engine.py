@@ -8,6 +8,7 @@ import pytest
 from chargesim.config import ScenarioConfig
 from chargesim.domain import DailyPlan, Persona, ReflectionReport
 from chargesim.engine import EventQueue, Simulation, run
+from chargesim.export import RunTotals, build_summary
 from chargesim.providers import CognitionProvider, DecisionRequest, DecisionResponse, MockProvider
 
 
@@ -22,6 +23,10 @@ def small_config(**overrides) -> ScenarioConfig:
 
 def read_entries(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def run_files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +85,8 @@ class TestRun:
         second = run(config, tmp_path / "b")
         assert first.behavior_digest == second.behavior_digest
         assert first.reflections_digest == second.reflections_digest
-        assert (tmp_path / "a" / "behavior.log").read_bytes() == (
-            tmp_path / "b" / "behavior.log"
-        ).read_bytes()
+        # every artifact, summary.json included, carries no wall-clock value
+        assert run_files(tmp_path / "a") == run_files(tmp_path / "b")
 
     def test_different_seeds_differ(self, tmp_path):
         first = run(small_config(seed=1), tmp_path / "a")
@@ -206,27 +210,28 @@ class TestRun:
 # ---------------------------------------------------------------------------
 
 
-class TestStranding:
-    def _config(self):
-        config = ScenarioConfig()
-        config.num_agents = 1
-        config.horizon_days = 2
-        config.initial_soc_kwh = 8.0
-        config.station_radius_km = 0.5  # nothing reachable
-        config.persona_template = {
-            **config.persona_template,
-            "battery_capacity_choices": [10.0],
-            "consumption_range": [0.5, 0.5],
-            "range_anxiety_range": [0.2, 0.2],
-        }
-        config.stations = [
-            {"station_id": "st-far", "latitude": 31.9, "longitude": 121.9,
-             "pile_count": 2, "pile_power_kw": 60.0, "tariff_id": "shanghai-tou"},
-        ]
-        return config
+def stranding_config() -> ScenarioConfig:
+    config = ScenarioConfig()
+    config.num_agents = 1
+    config.horizon_days = 2
+    config.initial_soc_kwh = 8.0
+    config.station_radius_km = 0.5  # nothing reachable
+    config.persona_template = {
+        **config.persona_template,
+        "battery_capacity_choices": [10.0],
+        "consumption_range": [0.5, 0.5],
+        "range_anxiety_range": [0.2, 0.2],
+    }
+    config.stations = [
+        {"station_id": "st-far", "latitude": 31.9, "longitude": 121.9,
+         "pile_count": 2, "pile_power_kw": 60.0, "tariff_id": "shanghai-tou"},
+    ]
+    return config
 
+
+class TestStranding:
     def test_stranded_agent_is_flagged_towed_and_run_completes(self, tmp_path):
-        artifacts = run(self._config(), tmp_path / "run")
+        artifacts = run(stranding_config(), tmp_path / "run")
         state = artifacts.final_states["agent-00"]
         assert state["strand_count"] >= 1
         assert artifacts.summary["agents"]["agent-00"]["strand_count"] >= 1
@@ -242,7 +247,7 @@ class TestStranding:
         assert len(reflections) == 2  # the run continued to the horizon
 
     def test_conservation_includes_tow_adjustment(self, tmp_path):
-        artifacts = run(self._config(), tmp_path / "run")
+        artifacts = run(stranding_config(), tmp_path / "run")
         state = artifacts.final_states["agent-00"]
         assert state["tow_delta_kwh"] != 0.0
         drift = state["soc_kwh"] - (
@@ -259,7 +264,7 @@ class TestStranding:
 # ---------------------------------------------------------------------------
 
 
-def test_charge_spanning_midnight_completes_after_the_last_boundary(tmp_path):
+def overnight_charge_config() -> ScenarioConfig:
     config = ScenarioConfig()
     config.num_agents = 1
     config.horizon_days = 1
@@ -278,7 +283,11 @@ def test_charge_spanning_midnight_completes_after_the_last_boundary(tmp_path):
     }
     for station in config.stations:
         station["pile_power_kw"] = 7.0
-    artifacts = run(config, tmp_path / "run")
+    return config
+
+
+def test_charge_spanning_midnight_completes_after_the_last_boundary(tmp_path):
+    artifacts = run(overnight_charge_config(), tmp_path / "run")
 
     stops = [
         e
@@ -293,6 +302,78 @@ def test_charge_spanning_midnight_completes_after_the_last_boundary(tmp_path):
         state["initial_soc_kwh"] - state["consumed_kwh"] + state["charged_kwh"]
     )
     assert abs(drift) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The summary the engine adds up as it writes equals one rebuilt from disk
+# ---------------------------------------------------------------------------
+
+
+def _strands(entries, horizon_days):
+    return any("attempted_distance_km" in e["extras"] for e in entries)
+
+
+def _charges_past_the_horizon(entries, horizon_days):
+    return any(
+        e["extras"]["end_charge"] > horizon_days * 1440
+        for e in entries
+        if e["record"]["action"] == "stop_charging"
+    )
+
+
+@pytest.mark.parametrize(
+    "make_config, reaches",
+    [(stranding_config, _strands), (overnight_charge_config, _charges_past_the_horizon)],
+)
+def test_engine_summary_equals_summary_rebuilt_from_the_logs(tmp_path, make_config, reaches):
+    config = make_config()
+    artifacts = run(config, tmp_path / "run")
+    entries = read_entries(artifacts.behavior_log)
+    assert reaches(entries, config.horizon_days)
+
+    totals = RunTotals()
+    for entry in entries:
+        totals.add(entry)
+    for entry in read_entries(artifacts.reflections_log):
+        totals.add_reflection(entry)
+    rebuilt = build_summary(totals, artifacts.final_states, config.horizon_days)
+
+    written = json.loads((artifacts.run_dir / "summary.json").read_text(encoding="utf-8"))
+    del written["fallbacks"]
+    assert written == rebuilt  # exact float equality, term for term
+
+
+# ---------------------------------------------------------------------------
+# A provider that raises mid-run
+# ---------------------------------------------------------------------------
+
+
+class CrashingProvider(MockProvider):
+    """The mock policy, except that its nth decide call raises a non-provider error."""
+
+    def __init__(self, fail_at: int, **kwargs):
+        super().__init__(**kwargs)
+        self.fail_at = fail_at
+        self.decide_calls = 0
+
+    def decide(self, request):
+        self.decide_calls += 1
+        if self.decide_calls == self.fail_at:
+            raise RuntimeError("provider crashed")
+        return super().decide(request)
+
+
+def test_provider_crash_closes_every_log_and_propagates(tmp_path):
+    config = small_config()
+    provider = CrashingProvider(5, plan_template=config.effective_plan_template())
+    sim = Simulation(config, tmp_path / "run", provider=provider)
+    with pytest.raises(RuntimeError, match="provider crashed"):
+        sim.run()
+    assert provider.decide_calls == 5
+    assert sim._behavior_fh.closed and sim._reflections_fh.closed
+    assert all(agent.memory._fh is None for agent in sim.agents.values())
+    entries = read_entries(sim.behavior_log_path)  # every line parses
+    assert entries
 
 
 # ---------------------------------------------------------------------------

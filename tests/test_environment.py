@@ -126,7 +126,6 @@ class TestBeginCharge:
         ]
         assert [t.start_charge for t in tickets] == [0, 0, 30]
         assert tickets[2].start_wait == 0
-        assert station.queue == [("agent-02", 0)]
 
     def test_cost_across_band_boundary(self, two_band_tariff):
         # 30 min at 40 kW crossing the 0.5 -> 1.0 step at minute 720:

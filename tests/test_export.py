@@ -6,7 +6,14 @@ import pytest
 
 from chargesim.config import ScenarioConfig
 from chargesim.engine import run
-from chargesim.export import build_summary, export_csv, export_geojson, export_html, read_log
+from chargesim.export import (
+    RunTotals,
+    build_summary,
+    export_csv,
+    export_geojson,
+    export_html,
+    read_log,
+)
 from geojson_schema import validate_geojson
 
 
@@ -193,8 +200,11 @@ def _stop_charging(start: int, end: int, power_kw: float) -> dict:
 
 class TestHourlyLoad:
     def _hourly(self, entries, horizon_days):
+        totals = RunTotals()
+        for entry in entries:
+            totals.add(entry)
         final_states = {"agent-00": {"strand_count": 0}}
-        return build_summary(entries, [], final_states, horizon_days)["hourly_load_kw"]
+        return build_summary(totals, final_states, horizon_days)["hourly_load_kw"]
 
     def test_one_bucket_per_hour_of_a_ten_day_horizon(self):
         # hour 200 is on day 8: a weekly fold would have put it in hour 32

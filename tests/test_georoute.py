@@ -1,19 +1,11 @@
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargesim.domain import GeoPoint
-from chargesim.georoute import (
-    OfflineRouter,
-    RouteEstimate,
-    estimate_route,
-    great_circle_km,
-    nearby_stations,
-)
+from chargesim.georoute import OfflineRouter, RouteEstimate, estimate_route, great_circle_km
 from oracles import oracle_great_circle_km
 
 SHANGHAI = GeoPoint(31.2304, 121.4737)
@@ -24,12 +16,6 @@ points = st.builds(
     st.floats(min_value=-85, max_value=85),
     st.floats(min_value=-179, max_value=179),
 )
-
-
-@dataclass(frozen=True)
-class _Station:
-    station_id: str
-    location: GeoPoint
 
 
 def test_identical_points_are_zero():
@@ -88,95 +74,9 @@ def test_distance_against_oracle(a, b):
         assert got == pytest.approx(want, abs=1e-3)
 
 
-class TestNearbyStations:
-    def _stations_at_km(self, *distances_km):
-        # offset north: 1 km is about 0.0089932 degrees of latitude
-        return [
-            _Station(
-                f"st-{i:02d}",
-                GeoPoint(SHANGHAI.latitude + d * 0.0089932, SHANGHAI.longitude),
-            )
-            for i, d in enumerate(distances_km)
-        ]
-
-    def test_empty_radius(self):
-        stations = self._stations_at_km(5.0, 6.0)
-        assert nearby_stations(SHANGHAI, stations, radius_km=1.0, detour_factor=1.0) == []
-
-    def test_filter_and_order(self):
-        stations = self._stations_at_km(2.0, 1.0, 3.0)
-        hits = nearby_stations(SHANGHAI, stations, radius_km=2.5, detour_factor=1.0)
-        assert [sid for sid, _ in hits] == ["st-01", "st-00"]
-        assert hits[0][1].distance_km < hits[1][1].distance_km
-
-    def test_tie_breaks_by_station_id(self):
-        point = GeoPoint(SHANGHAI.latitude + 0.0089932, SHANGHAI.longitude)
-        stations = [_Station("st-b", point), _Station("st-a", point)]
-        hits = nearby_stations(SHANGHAI, stations, radius_km=5.0, detour_factor=1.0)
-        assert [sid for sid, _ in hits] == ["st-a", "st-b"]
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=-0.2, max_value=0.2),
-                st.floats(min_value=-0.2, max_value=0.2),
-            ),
-            max_size=12,
-        ),
-        st.floats(min_value=0.5, max_value=30.0),
-    )
-    def test_matches_brute_force_filter_sort(self, offsets, radius_km):
-        stations = [
-            _Station(f"st-{i:02d}", GeoPoint(SHANGHAI.latitude + dlat, SHANGHAI.longitude + dlon))
-            for i, (dlat, dlon) in enumerate(offsets)
-        ]
-        hits = nearby_stations(SHANGHAI, stations, radius_km, detour_factor=1.3)
-        expected = sorted(
-            (
-                (s.station_id, great_circle_km(SHANGHAI, s.location) * 1.3)
-                for s in stations
-                if great_circle_km(SHANGHAI, s.location) * 1.3 <= radius_km
-            ),
-            key=lambda item: (item[1], item[0]),
-        )
-        assert [sid for sid, _ in hits] == [sid for sid, _ in expected]
-        # subset of input, duplicate-free
-        ids = [sid for sid, _ in hits]
-        assert len(set(ids)) == len(ids)
-        assert set(ids) <= {s.station_id for s in stations}
-
-
 def test_offline_router_congestion_slows_travel():
     router = OfflineRouter(detour_factor=1.0, speed_kmh=30.0)
     free = router.route(SHANGHAI, PUDONG_AIRPORT, speed_multiplier=1.0)
     congested = router.route(SHANGHAI, PUDONG_AIRPORT, speed_multiplier=0.5)
     assert congested.travel_minutes > free.travel_minutes
     assert congested.distance_km == free.distance_km
-
-
-def test_online_router_speaks_http_get(monkeypatch):
-    from chargesim.georoute import OnlineRouter
-
-    seen = {}
-
-    class _Response:
-        status_code = 200
-
-        def raise_for_status(self):
-            pass
-
-        def json(self):
-            return {"distance_km": 12.5, "travel_minutes": 25}
-
-    def fake_get(url, params=None, timeout=None):
-        seen["url"] = url
-        seen["params"] = params
-        return _Response()
-
-    monkeypatch.setenv("ROUTING_API_KEY", "secret-key")
-    monkeypatch.setattr("requests.get", fake_get)
-    router = OnlineRouter("https://routes.test/v1/distance")
-    estimate = router.route(SHANGHAI, PUDONG_AIRPORT)
-    assert estimate == RouteEstimate(12.5, 25)
-    assert seen["params"]["key"] == "secret-key"
-    assert seen["params"]["origin"] == "31.2304,121.4737"

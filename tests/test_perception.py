@@ -2,6 +2,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from chargesim.domain import GeoPoint, Persona, SimClock
 from chargesim.environment import (
     ChargingStation,
@@ -13,7 +16,7 @@ from chargesim.environment import (
     TariffBand,
     TariffSchedule,
 )
-from chargesim.georoute import OfflineRouter
+from chargesim.georoute import OfflineRouter, great_circle_km
 from chargesim.perception import perceive
 from oracles import oracle_fifo_starts
 
@@ -29,11 +32,11 @@ class _Agent:
     next_destination: GeoPoint | None = None
 
 
-def _env(stations, congestion=None):
+def _env(stations, congestion=None, detour_factor=1.0):
     return Environment(
         stations={s.station_id: s for s in stations},
         tariffs={"t": TariffSchedule((TariffBand(0, 720, 0.5), TariffBand(720, 1440, 1.0)))},
-        router=OfflineRouter(detour_factor=1.0, speed_kmh=30.0),
+        router=OfflineRouter(detour_factor=detour_factor, speed_kmh=30.0),
         congestion=congestion
         or CongestionSchedule((SpeedBand(0, 1440, 1.0),)),
     )
@@ -80,7 +83,6 @@ def test_busy_pile_plus_queued_job_predicts_combined_wait(persona):
     now = 600
     # one pile busy for 20 more minutes, one accepted job needing 30 after that
     station.busy_until = [now + 20 + 30]
-    station.queue = [("other", now - 5)]
     env = _env([station])
     snapshot = perceive(_agent(persona), env, SimClock(now), radius_km=6.0)
     entry = snapshot.stations[0]
@@ -112,6 +114,39 @@ def test_stations_sorted_by_distance_then_id(persona):
     )
     snapshot = perceive(_agent(persona), env, SimClock(600), radius_km=6.0)
     assert [s.station_id for s in snapshot.stations] == ["st-c", "st-a", "st-b"]
+
+
+# the persona fixture is frozen, so sharing it across examples is safe
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=-0.2, max_value=0.2),
+            st.floats(min_value=-0.2, max_value=0.2),
+        ),
+        max_size=12,
+    ),
+    st.floats(min_value=0.5, max_value=30.0),
+)
+def test_perceive_matches_brute_force_filter_sort(persona, offsets, radius_km):
+    stations = [
+        ChargingStation(
+            station_id=f"st-{i:02d}",
+            location=GeoPoint(CENTER.latitude + dlat, CENTER.longitude + dlon),
+            pile_count=1,
+            pile_power_kw=60.0,
+            tariff_id="t",
+        )
+        for i, (dlat, dlon) in enumerate(offsets)
+    ]
+    env = _env(stations, detour_factor=1.3)
+    snapshot = perceive(_agent(persona), env, SimClock(600), radius_km)
+    expected = sorted(
+        (great_circle_km(CENTER, s.location) * 1.3, s.station_id)
+        for s in stations
+        if great_circle_km(CENTER, s.location) * 1.3 <= radius_km
+    )
+    assert [(e.distance_km, e.station_id) for e in snapshot.stations] == expected
 
 
 def test_snapshot_is_deterministic(persona):
