@@ -193,46 +193,55 @@ class Simulation:
         (self.run_dir / "config.yaml").write_text(config.to_yaml(), encoding="utf-8")
         self.behavior_log_path = self.run_dir / "behavior.log"
         self.reflections_log_path = self.run_dir / "reflections.log"
-        self._behavior_fh: IO[str] = self.behavior_log_path.open("w", encoding="utf-8")
-        self._reflections_fh: IO[str] = self.reflections_log_path.open("w", encoding="utf-8")
         self.totals = RunTotals()
-
-        center = GeoPoint(*plan_template["center"])
-        area_radius = float(plan_template["area_radius_km"])
         self.agents: dict[str, AgentRuntime] = {}
-        for index in range(config.num_agents):
-            agent_id = f"agent-{index:02d}"
-            persona = self._make_persona(agent_id)
-            home = home_point_for(agent_id, center, area_radius)
-            state = EvState(
-                agent_id=agent_id,
-                location=home,
-                soc_kwh=float(config.initial_soc_kwh),
-                status=EvStatus.IDLE,
-                capacity_kwh=persona.vehicle.battery_capacity_kwh,
-                max_charge_power_kw=persona.vehicle.max_charge_power_kw,
-            )
-            memory = MemoryStore(
-                self.run_dir / "memory" / f"{agent_id}.log", fsync=config.memory_fsync
-            )
-            self.agents[agent_id] = AgentRuntime(
-                agent_id=agent_id,
-                persona=persona,
-                state=state,
-                memory=memory,
-                home=home,
-                initial_soc_kwh=float(config.initial_soc_kwh),
+        self._behavior_fh: IO[str] = self.behavior_log_path.open("w", encoding="utf-8")
+        try:
+            self._reflections_fh: IO[str] = self.reflections_log_path.open("w", encoding="utf-8")
+        except BaseException:
+            self._behavior_fh.close()
+            raise
+        # a provider that raises, or EMFILE at the Nth memory log, must not leave
+        # the files opened so far to the garbage collector
+        try:
+            center = GeoPoint(*plan_template["center"])
+            area_radius = float(plan_template["area_radius_km"])
+            for index in range(config.num_agents):
+                agent_id = f"agent-{index:02d}"
+                persona = self._make_persona(agent_id)
+                home = home_point_for(agent_id, center, area_radius)
+                state = EvState(
+                    agent_id=agent_id,
+                    location=home,
+                    soc_kwh=float(config.initial_soc_kwh),
+                    status=EvStatus.IDLE,
+                    capacity_kwh=persona.vehicle.battery_capacity_kwh,
+                    max_charge_power_kw=persona.vehicle.max_charge_power_kw,
+                )
+                memory = MemoryStore(
+                    self.run_dir / "memory" / f"{agent_id}.log", fsync=config.memory_fsync
+                )
+                self.agents[agent_id] = AgentRuntime(
+                    agent_id=agent_id,
+                    persona=persona,
+                    state=state,
+                    memory=memory,
+                    home=home,
+                    initial_soc_kwh=float(config.initial_soc_kwh),
+                )
+
+            personas = {aid: agent.persona.to_dict() for aid, agent in self.agents.items()}
+            (self.run_dir / "personas.json").write_text(
+                json.dumps(personas, sort_keys=True, indent=2), encoding="utf-8"
             )
 
-        personas = {aid: agent.persona.to_dict() for aid, agent in self.agents.items()}
-        (self.run_dir / "personas.json").write_text(
-            json.dumps(personas, sort_keys=True, indent=2), encoding="utf-8"
-        )
-
-        self._plan_day(0)
-        for agent in self._agents_in_order():
-            self._advance(agent, 0)
-        self.queue.push(MINUTES_PER_DAY, "", "day_boundary", {})
+            self._plan_day(0)
+            for agent in self._agents_in_order():
+                self._advance(agent, 0)
+            self.queue.push(MINUTES_PER_DAY, "", "day_boundary", {})
+        except BaseException:
+            self.close()
+            raise
 
     # -- setup helpers --------------------------------------------------------
 
@@ -284,7 +293,7 @@ class Simulation:
             while len(self.queue):
                 self.step()
         finally:
-            self._close_logs()
+            self.close()
         return self._finalize(_time.perf_counter() - started)
 
     # -- record emission -----------------------------------------------------------
@@ -647,7 +656,8 @@ class Simulation:
             price_per_kwh=0.0,
         )
 
-    def _close_logs(self) -> None:
+    def close(self) -> None:
+        """Close both logs and every memory log; closing twice is harmless."""
         self._behavior_fh.close()
         self._reflections_fh.close()
         for agent in self.agents.values():

@@ -4,11 +4,20 @@ Every export is a pure function of the artifacts under a run directory, so
 re-exporting yields byte-identical files. The CSV and the summary add up
 behavior.log in file order (RunTotals), which makes their totals exactly
 reconcilable against the log by any reader that sums the same way.
+
+Each exporter streams behavior.log once (iter_log) and parses only the
+entries whose action it reads: about half the log is skip_charging
+decisions that no exporter uses. The engine writes every line with sorted
+keys and compact separators, so a line's action shows in its
+`"record":{"action":"..."` text and an unwanted line is skipped before
+json.loads. A line in any other layout is parsed and then filtered by its
+parsed action, which is the check that decides.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
 from .config import load_config
@@ -25,14 +34,51 @@ SUMMARY_CSV_COLUMNS = (
 )
 
 
-def read_log(path: Path | str) -> list[dict]:
-    entries = []
+# the compact text of an engine-written entry's action (sort_keys, (",", ":"))
+_ACTION_MARKER = '"record":{"action":"'
+
+
+def _skippable(line: str, actions: frozenset[str]) -> bool:
+    """True when the line's text alone shows its action is not in `actions`.
+
+    Only a plain action named by the one marker in the line counts; a line
+    with no marker, two markers or an escape in the name is parsed instead.
+    A skipped line is never parsed, so it is not checked for valid JSON.
+    """
+    at = line.find(_ACTION_MARKER)
+    if at < 0:
+        return False
+    start = at + len(_ACTION_MARKER)
+    end = line.find('"', start)
+    if end < 0:
+        return False
+    action = line[start:end]
+    return (
+        action not in actions
+        and "\\" not in action
+        and line.find(_ACTION_MARKER, end) < 0
+    )
+
+
+def iter_log(path: Path | str, actions: frozenset[str] | None = None) -> Iterator[dict]:
+    """Yield a JSON-lines log's entries in file order, skipping blank lines.
+
+    With `actions`, yield only the entries whose record action is in it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
+            if actions is not None and _skippable(line, actions):
+                continue
             line = line.strip()
-            if line:
-                entries.append(json.loads(line))
-    return entries
+            if not line:
+                continue
+            entry = json.loads(line)
+            if actions is None or entry["record"]["action"] in actions:
+                yield entry
+
+
+def read_log(path: Path | str) -> list[dict]:
+    return list(iter_log(path))
 
 
 def _zero_bucket() -> dict:
@@ -143,31 +189,21 @@ def _require(path: Path) -> Path:
     return path
 
 
-def _route_points(agent_entries: list[dict], fallback: list[float]) -> list[list[float]]:
-    """Chronological [lon, lat] waypoints for one agent's day-to-day movement."""
-    points: list[list[float]] = []
+def _push_point(points: list[list[float]], lat: float, lon: float) -> None:
+    """Append [lon, lat] unless it repeats the last waypoint."""
+    coordinate = [lon, lat]
+    if not points or points[-1] != coordinate:
+        points.append(coordinate)
 
-    def push(lat: float, lon: float) -> None:
-        coordinate = [lon, lat]
-        if not points or points[-1] != coordinate:
-            points.append(coordinate)
 
-    for entry in agent_entries:
-        action = entry["record"]["action"]
-        extras = entry["extras"]
-        if action == "travel":
-            push(*extras["origin"])
-            push(*extras["destination"])
-        elif action == "stop_charging":
-            push(*extras["station"])
-    while len(points) < 2:
-        points.append([fallback[1], fallback[0]])
-    return points
+# the actions build_geojson reads: routes from travel legs and completed
+# charges, charge markers from start_charging decisions
+_GEOJSON_ACTIONS = frozenset({"travel", "stop_charging", "start_charging"})
 
 
 def build_geojson(run_dir: Path | str) -> dict:
     run_dir = Path(run_dir)
-    entries = read_log(_require(run_dir / "behavior.log"))
+    behavior_log = _require(run_dir / "behavior.log")
     final_states = json.loads(_require(run_dir / "final_states.json").read_text(encoding="utf-8"))
     config = load_config(_require(run_dir / "config.yaml"))
 
@@ -191,14 +227,45 @@ def build_geojson(run_dir: Path | str) -> dict:
             }
         )
 
-    by_agent: dict[str, list[dict]] = {agent_id: [] for agent_id in final_states}
-    for entry in entries:
-        by_agent.setdefault(entry["agent_id"], []).append(entry)
+    # per agent, its chronological [lon, lat] waypoints and its charge markers
+    routes: dict[str, list[list[float]]] = {agent_id: [] for agent_id in final_states}
+    charges: dict[str, list[dict]] = {}
+    for entry in iter_log(behavior_log, _GEOJSON_ACTIONS):
+        agent_id = entry["agent_id"]
+        record = entry["record"]
+        action = record["action"]
+        points = routes.setdefault(agent_id, [])
+        if action == "travel":
+            _push_point(points, *entry["extras"]["origin"])
+            _push_point(points, *entry["extras"]["destination"])
+        elif action == "stop_charging":
+            _push_point(points, *entry["extras"]["station"])
+        else:
+            station = stations.get(record["object_id"])
+            if station is None:
+                continue
+            charges.setdefault(agent_id, []).append(
+                {
+                    "type": "Feature",
+                    "geometry": {
+                        "type": "Point",
+                        "coordinates": [station["longitude"], station["latitude"]],
+                    },
+                    "properties": {
+                        "kind": "charge",
+                        "agent_id": agent_id,
+                        "time": record["timestamp"],
+                        "reason": record["reason"],
+                        "station_id": record["object_id"],
+                    },
+                }
+            )
 
-    for agent_id in sorted(by_agent):
-        agent_entries = by_agent[agent_id]
+    for agent_id in sorted(routes):
+        points = routes[agent_id]
         fallback = final_states.get(agent_id, {}).get("location", [0.0, 0.0])
-        points = _route_points(agent_entries, fallback)
+        while len(points) < 2:
+            points.append([fallback[1], fallback[0]])
         features.append(
             {
                 "type": "Feature",
@@ -220,29 +287,7 @@ def build_geojson(run_dir: Path | str) -> dict:
                 "properties": {"kind": "end", "agent_id": agent_id},
             }
         )
-        for entry in agent_entries:
-            record = entry["record"]
-            if record["action"] != "start_charging":
-                continue
-            station = stations.get(record["object_id"])
-            if station is None:
-                continue
-            features.append(
-                {
-                    "type": "Feature",
-                    "geometry": {
-                        "type": "Point",
-                        "coordinates": [station["longitude"], station["latitude"]],
-                    },
-                    "properties": {
-                        "kind": "charge",
-                        "agent_id": agent_id,
-                        "time": record["timestamp"],
-                        "reason": record["reason"],
-                        "station_id": record["object_id"],
-                    },
-                }
-            )
+        features.extend(charges.get(agent_id, ()))
 
     return {"type": "FeatureCollection", "features": features}
 
@@ -315,8 +360,7 @@ def export_html(run_dir: Path | str, out_path: Path | str | None = None) -> Path
         geometry = feature["geometry"]
         if props["kind"] == "route":
             path = " ".join(
-                f"{project(lon, lat)[0]},{project(lon, lat)[1]}"
-                for lon, lat in geometry["coordinates"]
+                "{},{}".format(*project(lon, lat)) for lon, lat in geometry["coordinates"]
             )
             svg_parts.append(
                 f'<polyline points="{path}" fill="none" stroke="{color_of[props["agent_id"]]}" '
@@ -409,15 +453,19 @@ th {{ background: #eee; }}
 # ---------------------------------------------------------------------------
 
 
+# the actions RunTotals.add sums; it ignores every other one
+_CSV_ACTIONS = frozenset({"travel", "stop_charging"})
+
+
 def export_csv(run_dir: Path | str, out_path: Path | str | None = None) -> Path:
     """Summary table: one row per agent plus a fleet row, totals straight
     from behavior.log so they reconcile exactly."""
     run_dir = Path(run_dir)
     out = Path(out_path) if out_path else run_dir / "summary.csv"
     totals = RunTotals()
-    for entry in read_log(_require(run_dir / "behavior.log")):
+    for entry in iter_log(_require(run_dir / "behavior.log"), _CSV_ACTIONS):
         totals.add(entry)
-    for entry in read_log(_require(run_dir / "reflections.log")):
+    for entry in iter_log(_require(run_dir / "reflections.log")):
         totals.add_reflection(entry)
     final_states = json.loads(_require(run_dir / "final_states.json").read_text(encoding="utf-8"))
     summary = build_summary(totals, final_states, horizon_days=0)

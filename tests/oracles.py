@@ -7,12 +7,18 @@ overlap, the station scorer is an explicit exhaustive loop, and the queue
 oracle is a minute-stepping FIFO simulation rather than greedy pile
 reservation. The memory oracles scan a store's whole record list and
 filter it record by record, where the store bisects indexes kept on append.
+The export oracle parses every line of a run's logs and reads the parsed
+action of each, where the exporters skip unwanted lines by their text.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
+
+import yaml
 
 EARTH_RADIUS_KM = 6371.0088
 MINUTES_PER_DAY = 1440
@@ -163,3 +169,133 @@ def oracle_daily_aggregates(records: list, now: int) -> list[dict]:
             }
         )
     return out
+
+
+def _parse_lines(path: Path) -> list[dict]:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines if line.strip()]
+
+
+def oracle_exports(run_dir: Path) -> dict:
+    """What summary.csv, map.geojson and map.html must hold, from a full parse.
+
+    Returns "rows" (agent id or "fleet" -> [km, kWh, cost, charge count,
+    mean satisfaction]), "geojson" (the FeatureCollection) and "decisions"
+    (the HTML panel's [agent, time label, station, reason] rows).
+    """
+    behavior = _parse_lines(run_dir / "behavior.log")
+    reflections = _parse_lines(run_dir / "reflections.log")
+    final_states = json.loads((run_dir / "final_states.json").read_text(encoding="utf-8"))
+    stations = yaml.safe_load((run_dir / "config.yaml").read_text(encoding="utf-8"))["stations"]
+    agent_ids = sorted(final_states)
+
+    rows = {}
+    for agent_id in agent_ids:
+        km = kwh = cost = 0.0
+        count = 0
+        for entry in behavior:
+            if entry["agent_id"] != agent_id:
+                continue
+            action = entry["record"]["action"]
+            if action == "travel":
+                km += entry["extras"]["distance_km"]
+            elif action == "stop_charging":
+                km += entry["extras"]["approach_distance_km"]
+                kwh += entry["extras"]["energy_kwh"]
+                cost += entry["extras"]["cost"]
+                count += 1
+        scores = [
+            r["report"]["satisfaction"]["score"] for r in reflections if r["agent_id"] == agent_id
+        ]
+        mean = sum(scores) / len(scores) if scores else 0.0
+        rows[agent_id] = [km, kwh, cost, count, mean]
+    fleet = [sum(rows[a][column] for a in agent_ids) for column in range(5)]
+    fleet[4] = fleet[4] / len(agent_ids) if agent_ids else 0.0
+    rows["fleet"] = fleet
+
+    by_id = {station["station_id"]: station for station in stations}
+    features = []
+    for station_id in sorted(by_id):
+        station = by_id[station_id]
+        features.append(
+            {
+                "type": "Feature",
+                "geometry": {
+                    "type": "Point",
+                    "coordinates": [station["longitude"], station["latitude"]],
+                },
+                "properties": {
+                    "kind": "station",
+                    "station_id": station_id,
+                    "pile_count": station["pile_count"],
+                    "pile_power_kw": station["pile_power_kw"],
+                },
+            }
+        )
+    decisions = []
+    route_agents = set(final_states) | {
+        e["agent_id"]
+        for e in behavior
+        if e["record"]["action"] in ("travel", "stop_charging", "start_charging")
+    }
+    for agent_id in sorted(route_agents):
+        own = [e for e in behavior if e["agent_id"] == agent_id]
+        waypoints = []
+        for entry in own:
+            action = entry["record"]["action"]
+            if action == "travel":
+                stops = [entry["extras"]["origin"], entry["extras"]["destination"]]
+            elif action == "stop_charging":
+                stops = [entry["extras"]["station"]]
+            else:
+                stops = []
+            for lat, lon in stops:
+                if not waypoints or waypoints[-1] != [lon, lat]:
+                    waypoints.append([lon, lat])
+        lat, lon = final_states.get(agent_id, {}).get("location", [0.0, 0.0])
+        waypoints += [[lon, lat]] * max(0, 2 - len(waypoints))
+        features.append(
+            {
+                "type": "Feature",
+                "geometry": {"type": "LineString", "coordinates": waypoints},
+                "properties": {"kind": "route", "agent_id": agent_id},
+            }
+        )
+        for kind, point in (("start", waypoints[0]), ("end", waypoints[-1])):
+            features.append(
+                {
+                    "type": "Feature",
+                    "geometry": {"type": "Point", "coordinates": point},
+                    "properties": {"kind": kind, "agent_id": agent_id},
+                }
+            )
+        for entry in own:
+            record = entry["record"]
+            if record["action"] != "start_charging" or record["object_id"] not in by_id:
+                continue
+            station = by_id[record["object_id"]]
+            features.append(
+                {
+                    "type": "Feature",
+                    "geometry": {
+                        "type": "Point",
+                        "coordinates": [station["longitude"], station["latitude"]],
+                    },
+                    "properties": {
+                        "kind": "charge",
+                        "agent_id": agent_id,
+                        "time": record["timestamp"],
+                        "reason": record["reason"],
+                        "station_id": record["object_id"],
+                    },
+                }
+            )
+            day, minute = divmod(record["timestamp"], MINUTES_PER_DAY)
+            label = f"day {day} {minute // 60:02d}:{minute % 60:02d}"
+            decisions.append([agent_id, label, record["object_id"], record["reason"]])
+
+    return {
+        "rows": rows,
+        "geojson": {"type": "FeatureCollection", "features": features},
+        "decisions": decisions,
+    }

@@ -164,6 +164,7 @@ class TestRun:
         sim.step()
         assert seen, "trip end must run the decision pipeline"
         assert seen[0][0] == pytest.approx(soc_before - distance * rate, abs=1e-12)
+        sim.close()
 
     def test_reflection_cadence_and_timestamps(self, tmp_path):
         config = small_config(num_agents=2, horizon_days=3)
@@ -376,6 +377,25 @@ def test_provider_crash_closes_every_log_and_propagates(tmp_path):
     assert entries
 
 
+class PlanCrashingProvider(MockProvider):
+    """The mock policy, except that plan_day raises a non-provider error."""
+
+    def plan_day(self, persona, day_index, seed):
+        raise RuntimeError("planner crashed")
+
+
+def test_setup_crash_closes_every_log_and_propagates(tmp_path):
+    config = small_config(num_agents=3)
+    provider = PlanCrashingProvider(plan_template=config.effective_plan_template())
+    # __init__ called on its own, so the half-built object can be inspected
+    sim = Simulation.__new__(Simulation)
+    with pytest.raises(RuntimeError, match="planner crashed"):
+        sim.__init__(config, tmp_path / "run", provider=provider)
+    assert sim._behavior_fh.closed and sim._reflections_fh.closed
+    assert len(sim.agents) == 3
+    assert all(agent.memory._fh is None for agent in sim.agents.values())
+
+
 # ---------------------------------------------------------------------------
 # Provider-stream equivalence
 # ---------------------------------------------------------------------------
@@ -455,4 +475,5 @@ def test_step_processes_one_event_and_time_is_monotone(tmp_path):
         assert sim.now >= last
         last = sim.now
         steps += 1
+    sim.close()
     assert steps > 10

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -15,6 +17,7 @@ from chargesim.export import (
     read_log,
 )
 from geojson_schema import validate_geojson
+from oracles import oracle_exports
 
 
 @pytest.fixture(scope="module")
@@ -239,3 +242,169 @@ class TestHtml:
         first = export_html(artifacts.run_dir, tmp_path / "a.html").read_bytes()
         second = export_html(artifacts.run_dir, tmp_path / "b.html").read_bytes()
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# Every exporter against the full-parse oracle, and pinned bytes
+# ---------------------------------------------------------------------------
+
+MARKER_TEXT = '"record":{"action":"skip_charging"'
+
+
+def _entry(agent_id, action, timestamp, extras=None, object_id="", reason="", power_kw=0.0):
+    return {
+        "agent_id": agent_id,
+        "extras": extras or {},
+        "fallback": False,
+        "record": {
+            "action": action,
+            "object_id": object_id,
+            "quintuple": {"decision": action == "start_charging", "power_kw": power_kw},
+            "reason": reason,
+            "timestamp": timestamp,
+        },
+    }
+
+
+def _compact(entry):
+    return json.dumps(entry, sort_keys=True, separators=(",", ":"))
+
+
+def _travel(agent_id, timestamp, origin, destination, km, **extras):
+    return _entry(
+        agent_id,
+        "travel",
+        timestamp,
+        {"origin": origin, "destination": destination, "distance_km": km, **extras},
+    )
+
+
+def _hand_written_behavior_log() -> str:
+    station = [31.233, 121.469]  # st-01 of the default config
+    home = [31.2, 121.4]
+    work = [31.25, 121.45]
+    stop = _entry(
+        "agent-00",
+        "stop_charging",
+        700,
+        {
+            "station": station,
+            "approach_distance_km": 0.7,
+            "energy_kwh": 20.5,
+            "cost": 24.6,
+            "start_charge": 650,
+            "end_charge": 700,
+        },
+        object_id="st-01",
+        power_kw=60.0,
+    )
+    # keys in reverse order: "action" comes last, so no marker follows "record"
+    unsorted_skip = _entry("agent-01", "skip_charging", 800, object_id="st-01")
+    unsorted_skip["record"] = dict(reversed(list(unsorted_skip["record"].items())))
+    record_first = _travel("agent-01", 900, work, home, 5.25)
+    record_first = {"record": record_first.pop("record"), **record_first}
+    decoy = {"record": {"action": "skip_charging"}}
+    nested = _travel("agent-01", 950, home, station, 1.5, note=decoy)
+    escaped = _compact(_travel("agent-01", 990, station, work, 2.75)).replace(
+        '"action":"travel"', '"action":"\\u0074ravel"'
+    )
+    lines = [
+        # the engine's layout, with the marker text escaped inside strings
+        _compact(_travel("agent-00", 600, home, work, 3.5, note=MARKER_TEXT)),
+        _compact(_entry("agent-00", "skip_charging", 600, object_id="st-01")),
+        _compact(
+            _entry(
+                "agent-00",
+                "start_charging",
+                650,
+                object_id="st-01",
+                reason="chose to charge; did not log " + MARKER_TEXT,
+            )
+        ),
+        "",
+        # spaces after separators: parsed, then filtered by the parsed action
+        json.dumps(stop, sort_keys=True),
+        json.dumps(_entry("agent-01", "skip_charging", 700, object_id="st-01"), sort_keys=True),
+        json.dumps(_entry("agent-01", "teleport", 750, object_id="st-01"), sort_keys=True),
+        "   ",
+        # unsorted keys
+        json.dumps(unsorted_skip, separators=(",", ":")),
+        json.dumps(record_first, separators=(",", ":")),
+        # a second marker inside extras, and an escaped action name
+        _compact(nested),
+        escaped,
+        # an unknown action in the engine's layout
+        _compact(_entry("agent-01", "teleport", 1000, object_id="st-01")),
+    ]
+    return "\n".join(lines) + "\n\n"
+
+
+@pytest.fixture
+def hand_written_run(tmp_path):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "config.yaml").write_text(ScenarioConfig().to_yaml(), encoding="utf-8")
+    (run_dir / "behavior.log").write_text(_hand_written_behavior_log(), encoding="utf-8")
+    reflections = [
+        {"agent_id": agent_id, "timestamp": 1440, "report": {"satisfaction": {"score": score}}}
+        for agent_id, score in (("agent-00", 0.25), ("agent-01", 0.5), ("agent-00", 0.75))
+    ]
+    (run_dir / "reflections.log").write_text(
+        "\n".join(_compact(r) for r in reflections) + "\n\n", encoding="utf-8"
+    )
+    final_states = {
+        agent_id: {"location": [31.22, 121.41], "strand_count": 0}
+        for agent_id in ("agent-00", "agent-01", "agent-02")
+    }
+    (run_dir / "final_states.json").write_text(json.dumps(final_states), encoding="utf-8")
+    return run_dir
+
+
+def test_exporters_match_the_full_parse_oracle_on_a_hand_written_log(hand_written_run):
+    run_dir = hand_written_run
+    expected = oracle_exports(run_dir)
+    # the lines the pre-parse filter must not drop all count
+    assert expected["rows"]["agent-00"] == [3.5 + 0.7, 20.5, 24.6, 1, 0.5]
+    assert expected["rows"]["agent-01"][0] == 5.25 + 1.5 + 2.75
+    assert len(expected["decisions"]) == 1
+    assert MARKER_TEXT in expected["decisions"][0][3]
+
+    lines = export_csv(run_dir).read_text(encoding="utf-8").splitlines()
+    rows = {}
+    for line in lines[1:]:
+        cells = line.split(",")
+        rows[cells[0]] = [float(c) for c in cells[1:4]] + [int(cells[4]), float(cells[5])]
+    assert rows == expected["rows"]
+
+    collection = json.loads(export_geojson(run_dir).read_text(encoding="utf-8"))
+    assert collection == expected["geojson"]
+
+    html = export_html(run_dir).read_text(encoding="utf-8")
+    embedded = html.split('<script type="application/json" id="geojson">')[1].split("</script>")[0]
+    assert json.loads(embedded) == expected["geojson"]
+    table = re.findall(r"<tr><td>(.*?)</td><td>(.*?)</td><td>(.*?)</td><td>(.*?)</td></tr>", html)
+    assert [list(row) for row in table] == expected["decisions"]
+
+
+# sha256 of the exports of the seed-42 default run (10 agents x 7 days),
+# as written before behavior.log was streamed with a pre-parse filter
+EXPORT_PINS = {
+    "summary.csv": "1995d5ca7125d2805b333fed919a55cdaf88b498a49ffbbfdcb719aa9ea44e70",
+    "map.geojson": "c01fa88f78e66e35aec04094952f95aaad301924634f66007f623f243b85d988",
+    "map.html": "9931a194c784991e72f9f4abf5c4c1fd0e9b093a1cac529cdab2764e90130cc2",
+}
+
+
+def test_default_run_exports_match_their_pins(tmp_path):
+    config = ScenarioConfig()
+    assert (config.num_agents, config.horizon_days, config.seed) == (10, 7, 42)
+    artifacts = run(config, tmp_path / "run")
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (
+            export_csv(artifacts.run_dir),
+            export_geojson(artifacts.run_dir),
+            export_html(artifacts.run_dir),
+        )
+    }
+    assert written == EXPORT_PINS
