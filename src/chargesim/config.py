@@ -37,7 +37,6 @@ class ScenarioConfig:
     station_radius_km: float = 6.0
     detour_factor: float = 1.3
     base_speed_kmh: float = 30.0
-    memory_fsync: bool = False
     baseline_weights: dict = field(
         default_factory=lambda: {"distance": 0.5, "price": 0.3, "wait": 0.2}
     )

@@ -330,7 +330,8 @@ class BehaviorRecord:
     """One logged behavior: the action taken, its object, and when.
 
     This is the simulator's unit of output; the engine emits a stream of
-    these and the memory store persists them.
+    these to behavior.log, and each agent's memory store keeps its charging
+    records in RAM.
     """
 
     action: ActionType

@@ -161,7 +161,6 @@ class Simulation:
         self.config = config
         self.run_dir = Path(out_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        (self.run_dir / "memory").mkdir(exist_ok=True)
 
         self.weights = BaselineWeights(
             distance=float(config.baseline_weights["distance"]),
@@ -201,8 +200,7 @@ class Simulation:
         except BaseException:
             self._behavior_fh.close()
             raise
-        # a provider that raises, or EMFILE at the Nth memory log, must not leave
-        # the files opened so far to the garbage collector
+        # a provider that raises must not leave both logs to the garbage collector
         try:
             center = GeoPoint(*plan_template["center"])
             area_radius = float(plan_template["area_radius_km"])
@@ -218,14 +216,11 @@ class Simulation:
                     capacity_kwh=persona.vehicle.battery_capacity_kwh,
                     max_charge_power_kw=persona.vehicle.max_charge_power_kw,
                 )
-                memory = MemoryStore(
-                    self.run_dir / "memory" / f"{agent_id}.log", fsync=config.memory_fsync
-                )
                 self.agents[agent_id] = AgentRuntime(
                     agent_id=agent_id,
                     persona=persona,
                     state=state,
-                    memory=memory,
+                    memory=MemoryStore(),
                     home=home,
                     initial_soc_kwh=float(config.initial_soc_kwh),
                 )
@@ -657,11 +652,9 @@ class Simulation:
         )
 
     def close(self) -> None:
-        """Close both logs and every memory log; closing twice is harmless."""
+        """Close both logs; closing twice is harmless."""
         self._behavior_fh.close()
         self._reflections_fh.close()
-        for agent in self.agents.values():
-            agent.memory.close()
 
     def _finalize(self, elapsed_s: float) -> RunArtifacts:
         final_states = {}

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
+from html import escape
 from pathlib import Path
 
 from .config import load_config
@@ -350,6 +351,10 @@ def export_html(run_dir: Path | str, out_path: Path | str | None = None) -> Path
         y = (lat_max - lat) / (lat_max - lat_min) * height
         return round(x, 2), round(y, 2)
 
+    def text(value: str) -> str:
+        """Element text; agent ids, station ids and reasons may hold markup."""
+        return escape(value, quote=False)
+
     svg_parts: list[str] = []
     agent_ids = sorted(
         {f["properties"]["agent_id"] for f in collection["features"] if "agent_id" in f["properties"]}
@@ -364,7 +369,8 @@ def export_html(run_dir: Path | str, out_path: Path | str | None = None) -> Path
             )
             svg_parts.append(
                 f'<polyline points="{path}" fill="none" stroke="{color_of[props["agent_id"]]}" '
-                f'stroke-width="1.4" opacity="0.75"><title>{props["agent_id"]}</title></polyline>'
+                f'stroke-width="1.4" opacity="0.75">'
+                f'<title>{text(props["agent_id"])}</title></polyline>'
             )
     for feature in collection["features"]:
         props = feature["properties"]
@@ -375,18 +381,18 @@ def export_html(run_dir: Path | str, out_path: Path | str | None = None) -> Path
         if props["kind"] == "station":
             svg_parts.append(
                 f'<rect x="{x - 5}" y="{y - 5}" width="10" height="10" fill="#222" '
-                f'stroke="#fff"><title>{props["station_id"]} '
+                f'stroke="#fff"><title>{text(props["station_id"])} '
                 f'({props["pile_count"]} piles, {props["pile_power_kw"]} kW)</title></rect>'
             )
         elif props["kind"] == "start":
             svg_parts.append(
                 f'<circle cx="{x}" cy="{y}" r="4" fill="#2ca02c" stroke="#fff">'
-                f'<title>start {props["agent_id"]}</title></circle>'
+                f'<title>start {text(props["agent_id"])}</title></circle>'
             )
         elif props["kind"] == "end":
             svg_parts.append(
                 f'<circle cx="{x}" cy="{y}" r="4" fill="#d62728" stroke="#fff">'
-                f'<title>end {props["agent_id"]}</title></circle>'
+                f'<title>end {text(props["agent_id"])}</title></circle>'
             )
         elif props["kind"] == "charge":
             svg_parts.append(
@@ -401,12 +407,20 @@ def export_html(run_dir: Path | str, out_path: Path | str | None = None) -> Path
     ]
     rows = "\n".join(
         "<tr><td>{agent}</td><td>{time}</td><td>{station}</td><td>{reason}</td></tr>".format(
-            agent=f["properties"]["agent_id"],
+            agent=text(f["properties"]["agent_id"]),
             time=_minutes_label(f["properties"]["time"]),
-            station=f["properties"]["station_id"],
-            reason=f["properties"]["reason"],
+            station=text(f["properties"]["station_id"]),
+            reason=text(f["properties"]["reason"]),
         )
         for f in decisions
+    )
+    # "<", ">" and "&" as JSON escapes, so no string in the data can close the
+    # script element
+    embedded = (
+        json.dumps(collection, sort_keys=True)
+        .replace("<", "\\u003c")
+        .replace(">", "\\u003e")
+        .replace("&", "\\u0026")
     )
 
     html = f"""<!DOCTYPE html>
@@ -439,7 +453,7 @@ th {{ background: #eee; }}
 </table>
 </div>
 <script type="application/json" id="geojson">
-{json.dumps(collection, sort_keys=True)}
+{embedded}
 </script>
 </body>
 </html>

@@ -1,11 +1,12 @@
-"""Rolling behavior memory with append-only persistence.
+"""Rolling behavior memory, held in RAM.
 
 Each agent owns one store holding its behavior records plus end-of-day
 reflections. Retrieval is window-based: the short horizon covers the last
 three days, the long horizon the last seven, both as half-open intervals
-(now - window, now]. Persistence is a JSON-lines log, one entry per line,
-replayed verbatim on load so a reloaded store compares equal to the
-original.
+(now - window, now]. The store writes nothing: every record it holds is the
+`record` of a start_charging, skip_charging or stop_charging entry in
+behavior.log, and every reflection is the `report` of a reflections.log
+entry, so those two logs are the durable record of what an agent remembered.
 
 Records arrive in timestamp order, so the store keeps two sorted indexes
 as it appends: the timestamps of all records, and the completed charging
@@ -18,11 +19,8 @@ a decision does not grow with the simulated horizon.
 
 from __future__ import annotations
 
-import json
-import os
 from bisect import bisect_right
-from pathlib import Path
-from typing import IO, Literal
+from typing import Literal
 
 from .domain import MINUTES_PER_DAY, ActionType, BehaviorRecord, ReflectionReport, SimClock
 
@@ -39,32 +37,17 @@ class OutOfOrderError(ValueError):
 
 
 class MemoryStore:
-    """Append-only behavior and reflection memory for a single agent.
+    """Append-only behavior and reflection memory for a single agent."""
 
-    Pass a log path to persist every append before it returns; pass None
-    for a purely in-memory store (unit tests, scratch work).
-    """
-
-    def __init__(self, log_path: Path | str | None = None, fsync: bool = False):
+    def __init__(self):
         self.records: list[BehaviorRecord] = []
         self.reflections: list[ReflectionReport] = []
         self._times: list[int] = []  # records[i].timestamp, kept for bisection
         self._charges: list[BehaviorRecord] = []  # start_charging records with decision true
         self._charge_times: list[int] = []
-        self._log_path = Path(log_path) if log_path is not None else None
-        self._fsync = fsync
-        self._fh: IO[str] | None = None
-        if self._log_path is not None:
-            self._log_path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self._log_path.open("a", encoding="utf-8")
 
     def append(self, record: BehaviorRecord) -> None:
         """Add a record; timestamps must be non-decreasing, ties keep insertion order."""
-        self._add(record)
-        self._write({"type": "behavior", "data": record.to_dict()})
-
-    def _add(self, record: BehaviorRecord) -> None:
-        """Index one record; load replays through here, so a log is order-checked too."""
         timestamp = record.timestamp
         if self._times and timestamp < self._times[-1]:
             raise OutOfOrderError(f"record at t={timestamp} after t={self._times[-1]}")
@@ -80,7 +63,6 @@ class MemoryStore:
                 f"reflection for day {report.day_index} after day {self.reflections[-1].day_index}"
             )
         self.reflections.append(report)
-        self._write({"type": "reflection", "data": report.to_dict()})
 
     def retrieve(self, clock: SimClock, horizon: Literal["short", "long"]) -> list[BehaviorRecord]:
         """Records within the horizon window (now - days*1440, now], order preserved."""
@@ -120,43 +102,5 @@ class MemoryStore:
             out.append(bucket)
         return out
 
-    @classmethod
-    def load(cls, log_path: Path | str, fsync: bool = False) -> "MemoryStore":
-        """Rebuild a store by replaying its log; the result equals the original."""
-        path = Path(log_path)
-        store = cls(None, fsync=fsync)
-        store._log_path = path
-        if path.exists():
-            with path.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    entry = json.loads(line)
-                    if entry["type"] == "behavior":
-                        store._add(BehaviorRecord.from_dict(entry["data"]))
-                    elif entry["type"] == "reflection":
-                        store.reflections.append(ReflectionReport.from_dict(entry["data"]))
-                    else:
-                        raise ValueError(f"unknown memory log entry type {entry['type']!r}")
-        store._fh = path.open("a", encoding="utf-8")
-        return store
-
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def _write(self, entry: dict) -> None:
-        if self._fh is None:
-            return
-        self._fh.write(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
-        self._fh.flush()
-        if self._fsync:
-            os.fsync(self._fh.fileno())
-
-    def __enter__(self) -> "MemoryStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        """Nothing to release; kept so callers that close every store still work."""

@@ -36,6 +36,11 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
     path.write_text(yaml.safe_dump({"not_a_key": 1}), encoding="utf-8")
     assert main(["validate", "--config", str(path)]) == 1
 
+    # a removed key is rejected like any unknown one, with no compatibility shim
+    path.write_text(yaml.safe_dump({"memory_fsync": False}), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "memory_fsync" in capsys.readouterr().err
+
 
 def test_run_writes_artifacts(tmp_path, small_config_file, capsys):
     out_dir = tmp_path / "run"
@@ -62,7 +67,7 @@ def test_run_writes_artifacts(tmp_path, small_config_file, capsys):
         "personas.json",
     ):
         assert (out_dir / name).exists(), name
-    assert (out_dir / "memory" / "agent-00.log").exists()
+    assert not (out_dir / "memory").exists()  # agent memory is held in RAM only
     # the seed override is recorded in the config snapshot
     snapshot = yaml.safe_load((out_dir / "config.yaml").read_text(encoding="utf-8"))
     assert snapshot["seed"] == 7

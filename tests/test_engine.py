@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chargesim
 from chargesim.config import ScenarioConfig
-from chargesim.domain import DailyPlan, Persona, ReflectionReport
+from chargesim.domain import BehaviorRecord, DailyPlan, Persona, ReflectionReport
 from chargesim.engine import EventQueue, Simulation, run
 from chargesim.export import RunTotals, build_summary
 from chargesim.providers import CognitionProvider, DecisionRequest, DecisionResponse, MockProvider
@@ -372,7 +377,6 @@ def test_provider_crash_closes_every_log_and_propagates(tmp_path):
         sim.run()
     assert provider.decide_calls == 5
     assert sim._behavior_fh.closed and sim._reflections_fh.closed
-    assert all(agent.memory._fh is None for agent in sim.agents.values())
     entries = read_entries(sim.behavior_log_path)  # every line parses
     assert entries
 
@@ -393,7 +397,76 @@ def test_setup_crash_closes_every_log_and_propagates(tmp_path):
         sim.__init__(config, tmp_path / "run", provider=provider)
     assert sim._behavior_fh.closed and sim._reflections_fh.closed
     assert len(sim.agents) == 3
-    assert all(agent.memory._fh is None for agent in sim.agents.values())
+
+
+# ---------------------------------------------------------------------------
+# Agent memory lives in RAM; behavior.log and reflections.log are its record
+# ---------------------------------------------------------------------------
+
+MEMORY_ACTIONS = {"start_charging", "skip_charging", "stop_charging"}
+
+
+def charge_and_strand_config() -> ScenarioConfig:
+    """Small batteries over three days: agents charge, skip and strand."""
+    config = ScenarioConfig()
+    config.num_agents = 6
+    config.horizon_days = 3
+    config.initial_soc_kwh = 10.0
+    config.persona_template = {
+        **config.persona_template,
+        "battery_capacity_choices": [20.0],
+        "consumption_range": [0.15, 0.5],
+    }
+    return config
+
+
+def test_memory_holds_what_the_logs_hold(tmp_path):
+    sim = Simulation(charge_and_strand_config(), tmp_path / "run")
+    artifacts = sim.run()
+    entries = read_entries(artifacts.behavior_log)
+    assert MEMORY_ACTIONS <= {e["record"]["action"] for e in entries}
+    assert any("attempted_distance_km" in e["extras"] for e in entries)  # a strand
+    reflections = read_entries(artifacts.reflections_log)
+
+    for agent_id, agent in sim.agents.items():
+        assert agent.memory.records == [
+            BehaviorRecord.from_dict(e["record"])
+            for e in entries
+            if e["agent_id"] == agent_id and e["record"]["action"] in MEMORY_ACTIONS
+        ]
+        assert agent.memory.reflections == [
+            ReflectionReport.from_dict(e["report"])
+            for e in reflections
+            if e["agent_id"] == agent_id
+        ]
+
+
+_RUN_UNDER_64_DESCRIPTORS = """
+import resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
+from chargesim.config import ScenarioConfig
+from chargesim.engine import run
+config = ScenarioConfig()
+config.num_agents = 100
+config.horizon_days = 1
+run(config, sys.argv[1])
+"""
+
+
+def test_a_run_needs_no_descriptor_per_agent(tmp_path):
+    pytest.importorskip("resource")
+    paths = [str(Path(chargesim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run(
+        [sys.executable, "-c", _RUN_UNDER_64_DESCRIPTORS, str(tmp_path / "run")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "run" / "summary.json").exists()
 
 
 # ---------------------------------------------------------------------------

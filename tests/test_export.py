@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import html
 import json
 import re
 
@@ -249,6 +250,8 @@ class TestHtml:
 # ---------------------------------------------------------------------------
 
 MARKER_TEXT = '"record":{"action":"skip_charging"'
+# markup in a free-text reason; map.html must show it as text
+MARKUP_REASON = "cheap </script><b>&"
 
 
 def _entry(agent_id, action, timestamp, extras=None, object_id="", reason="", power_kw=0.0):
@@ -332,6 +335,9 @@ def _hand_written_behavior_log() -> str:
         json.dumps(record_first, separators=(",", ":")),
         # a second marker inside extras, and an escaped action name
         _compact(nested),
+        _compact(
+            _entry("agent-01", "start_charging", 960, object_id="st-01", reason=MARKUP_REASON)
+        ),
         escaped,
         # an unknown action in the engine's layout
         _compact(_entry("agent-01", "teleport", 1000, object_id="st-01")),
@@ -366,8 +372,9 @@ def test_exporters_match_the_full_parse_oracle_on_a_hand_written_log(hand_writte
     # the lines the pre-parse filter must not drop all count
     assert expected["rows"]["agent-00"] == [3.5 + 0.7, 20.5, 24.6, 1, 0.5]
     assert expected["rows"]["agent-01"][0] == 5.25 + 1.5 + 2.75
-    assert len(expected["decisions"]) == 1
+    assert len(expected["decisions"]) == 2
     assert MARKER_TEXT in expected["decisions"][0][3]
+    assert expected["decisions"][1][3] == MARKUP_REASON
 
     lines = export_csv(run_dir).read_text(encoding="utf-8").splitlines()
     rows = {}
@@ -379,11 +386,13 @@ def test_exporters_match_the_full_parse_oracle_on_a_hand_written_log(hand_writte
     collection = json.loads(export_geojson(run_dir).read_text(encoding="utf-8"))
     assert collection == expected["geojson"]
 
-    html = export_html(run_dir).read_text(encoding="utf-8")
-    embedded = html.split('<script type="application/json" id="geojson">')[1].split("</script>")[0]
+    page = export_html(run_dir).read_text(encoding="utf-8")
+    # the reason's markup is text: one closing script tag, no bold element
+    assert page.count("</script>") == 1 and "<b>" not in page
+    embedded = page.split('<script type="application/json" id="geojson">')[1].split("</script>")[0]
     assert json.loads(embedded) == expected["geojson"]
-    table = re.findall(r"<tr><td>(.*?)</td><td>(.*?)</td><td>(.*?)</td><td>(.*?)</td></tr>", html)
-    assert [list(row) for row in table] == expected["decisions"]
+    table = re.findall(r"<tr><td>(.*?)</td><td>(.*?)</td><td>(.*?)</td><td>(.*?)</td></tr>", page)
+    assert [[html.unescape(cell) for cell in row] for row in table] == expected["decisions"]
 
 
 # sha256 of the exports of the seed-42 default run (10 agents x 7 days),

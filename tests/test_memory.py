@@ -1,9 +1,5 @@
 from __future__ import annotations
 
-import random
-import tempfile
-from pathlib import Path
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,8 +9,6 @@ from chargesim.domain import (
     BehaviorRecord,
     ChargeScenario,
     DecisionQuintuple,
-    ReflectionReport,
-    ScoredNote,
     SimClock,
 )
 from chargesim.memory import MemoryStore, OutOfOrderError
@@ -132,7 +126,6 @@ def _mixed_record(timestamp, action, decision, amount, price):
     _memory_entries,
     st.integers(min_value=0, max_value=10 * 1440),  # first timestamp
     st.integers(min_value=-2 * 1440, max_value=8 * 1440),  # clock offset from the last record
-    st.booleans(),  # rebuild the store from its log first
 )
 @example(
     entries=[
@@ -144,29 +137,19 @@ def _mixed_record(timestamp, action, decision, amount, price):
     ],
     first=100,
     offset=-1,  # before the last record, cutoff not day-aligned
-    reload=True,
 )
 @example(
     entries=[(0, ActionType.START_CHARGING, True, 1.0, 1.0)],
     first=0,
     offset=7 * 1440,  # the only charge sits exactly on the long cutoff
-    reload=False,
 )
 @settings(max_examples=150, deadline=None)
-def test_short_is_subset_of_long_and_windows_are_half_open(entries, first, offset, reload):
+def test_short_is_subset_of_long_and_windows_are_half_open(entries, first, offset):
     store = MemoryStore()
     timestamp = first
     for gap, action, decision, amount, price in entries:
         timestamp += gap
         store.append(_mixed_record(timestamp, action, decision, amount, price))
-    if reload:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "agent.log"
-            with MemoryStore(path) as written:
-                for record in store.records:
-                    written.append(record)
-            store = MemoryStore.load(path)
-            store.close()
     now = max(0, timestamp + offset)
     clock = SimClock(now)
     short = store.retrieve(clock, "short")
@@ -181,40 +164,6 @@ def test_short_is_subset_of_long_and_windows_are_half_open(entries, first, offse
     assert store.daily_aggregates(clock) == oracle_daily_aggregates(store.records, now)
 
 
-def test_crash_recovery_replay(tmp_path):
-    path = tmp_path / "agent-00.log"
-    rng = random.Random(13)
-    store = MemoryStore(path)
-    t = 0
-    for _ in range(50):
-        t += rng.randint(0, 600)
-        store.append(_record(t, amount=rng.choice([0.0, 12.5])))
-    store.append_reflection(
-        ReflectionReport(
-            day_index=0,
-            plan_adherence=ScoredNote(1.0, "done"),
-            satisfaction=ScoredNote(0.8, "ok"),
-            persona_consistency=ScoredNote(0.9, "usual"),
-        )
-    )
-    store.close()
-
-    reloaded = MemoryStore.load(path)
-    assert reloaded.records == store.records
-    assert reloaded.reflections == store.reflections
-    reloaded.close()
-
-
-def test_reload_then_append_continues_the_log(tmp_path):
-    path = tmp_path / "m.log"
-    with MemoryStore(path) as store:
-        store.append(_record(10))
-    with MemoryStore.load(path) as store:
-        store.append(_record(20))
-    with MemoryStore.load(path) as store:
-        assert [r.timestamp for r in store.records] == [10, 20]
-
-
 def test_daily_aggregates_only_cover_charges():
     store = MemoryStore()
     store.append(_record(100, amount=10.0))
@@ -227,12 +176,3 @@ def test_daily_aggregates_only_cover_charges():
         {"day_index": 1, "charge_count": 2, "total_kwh": 50.0, "mean_price_per_kwh": 0.62},
     ]
 
-
-def test_load_rejects_an_out_of_order_log(tmp_path):
-    path = tmp_path / "m.log"
-    with MemoryStore(path) as store:
-        store.append(_record(20))
-    with MemoryStore(path) as store:  # a second writer restarts the timeline
-        store.append(_record(10))
-    with pytest.raises(OutOfOrderError):
-        MemoryStore.load(path)
