@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import chargesim
-from chargesim.config import ScenarioConfig
+from chargesim.config import ScenarioConfig, load_config
 from chargesim.domain import BehaviorRecord, DailyPlan, Persona, ReflectionReport
 from chargesim.engine import EventQueue, Simulation, run
 from chargesim.export import RunTotals, build_summary
@@ -92,6 +92,19 @@ class TestRun:
         assert first.reflections_digest == second.reflections_digest
         # every artifact, summary.json included, carries no wall-clock value
         assert run_files(tmp_path / "a") == run_files(tmp_path / "b")
+
+    def test_default_run_matches_its_pinned_digests(self, tmp_path):
+        # sha256 of the seed-42 default run's logs, unchanged since the first
+        # benchmark; a deliberate behaviour change re-pins these and says why
+        config = load_config(Path(__file__).resolve().parent.parent / "config" / "default.yaml")
+        assert (config.num_agents, config.horizon_days, config.seed) == (10, 7, 42)
+        artifacts = run(config, tmp_path / "run")
+        assert artifacts.behavior_digest == (
+            "62adca69be63b23f0289da02cf477c8412af84aa34d2e91c95b8b1f4f21a351c"
+        )
+        assert artifacts.reflections_digest == (
+            "82d6babe1c88cc36322c8a8b067b3d0dcc3c86c8b1ce37a46a81fa150400f40c"
+        )
 
     def test_different_seeds_differ(self, tmp_path):
         first = run(small_config(seed=1), tmp_path / "a")
@@ -445,7 +458,7 @@ _RUN_UNDER_64_DESCRIPTORS = """
 import resource, sys
 _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
 resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
-from chargesim.config import ScenarioConfig
+from chargesim.config import ScenarioConfig, load_config
 from chargesim.engine import run
 config = ScenarioConfig()
 config.num_agents = 100
