@@ -37,7 +37,7 @@ from .environment import (
     consume_energy,
     price_at,
 )
-from .georoute import OfflineRouter, RouteEstimate, estimate_route, great_circle_km
+from .georoute import OfflineRouter, RouteEstimate, great_circle_km
 from .memory import MemoryStore, OutOfOrderError
 from .perception import PerceptionSnapshot, perceive
 from .providers import (
@@ -97,7 +97,6 @@ __all__ = [
     "begin_charge",
     "charge_cost",
     "consume_energy",
-    "estimate_route",
     "great_circle_km",
     "load_config",
     "perceive",

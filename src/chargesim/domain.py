@@ -20,6 +20,10 @@ from enum import Enum
 MINUTES_PER_DAY = 1440
 CURRENCY_PLACES = 4
 
+# The one canonical layout (sorted keys, compact separators) of every log
+# line, snapshot digest and to_json; json.dumps would build an encoder per call.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 def round_currency(value: float) -> float:
     """Quantize a currency amount to the conventional 4 fractional digits."""
@@ -364,7 +368,7 @@ class BehaviorRecord:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +418,6 @@ class DailyPlan:
         starts = [event.start for event in self.events]
         if any(later <= earlier for earlier, later in zip(starts, starts[1:])):
             raise ValueError("plan events must have strictly increasing start times")
-
-    @property
-    def total_expected_km(self) -> float:
-        return sum(event.expected_distance_km for event in self.events)
 
     def to_dict(self) -> dict:
         return {

@@ -38,6 +38,7 @@ from .domain import (
     ReflectionReport,
     ScoredNote,
     SimClock,
+    canonical_json,
     round_currency,
     validate_persona,
 )
@@ -307,7 +308,7 @@ class Simulation:
             "record": record.to_dict(),
             "extras": extras or {},
         }
-        self._behavior_fh.write(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
+        self._behavior_fh.write(canonical_json(entry) + "\n")
         self._behavior_fh.flush()
         self.totals.add(entry)
         agent.today_records.append(record)
@@ -344,9 +345,9 @@ class Simulation:
     def _on_trip_start(self, agent: AgentRuntime, now: int, payload: dict) -> None:
         event: PlanEvent = payload["event"]
         origin = agent.state.location
-        multiplier = self.env.speed_multiplier(now % MINUTES_PER_DAY)
+        multiplier = self.env.congestion.multiplier_at(now % MINUTES_PER_DAY)
         estimate = self.env.router.route(origin, event.destination, multiplier)
-        agent.state = replace(agent.state, status=EvStatus.DRIVING)
+        agent.state.status = EvStatus.DRIVING
         self._push(
             now + estimate.travel_minutes,
             agent.agent_id,
@@ -365,14 +366,14 @@ class Simulation:
         distance_km = payload["distance_km"]
         rate = agent.persona.vehicle.consumption_kwh_per_km
         try:
-            drained = consume_energy(agent.state, distance_km, rate)
+            energy_kwh = consume_energy(agent.state, distance_km, rate)
         except StrandedError as err:
             self._strand(agent, now, f"stranded during a planned trip: {err}", distance_km)
             return
-        energy_kwh = agent.state.soc_kwh - drained.soc_kwh
         agent.consumed_kwh += energy_kwh
         agent.km_total += distance_km
-        agent.state = replace(drained, location=event.destination, status=EvStatus.IDLE)
+        agent.state.location = event.destination
+        agent.state.status = EvStatus.IDLE
         record = BehaviorRecord(
             action=ActionType.TRAVEL,
             object_id=f"route-d{payload['day']}-{event.start:04d}",
@@ -398,12 +399,13 @@ class Simulation:
     def _decision_pipeline(self, agent: AgentRuntime, now: int) -> None:
         """Perceive, retrieve, decide, execute, remember: one tick for one agent."""
         clock = SimClock(now)
+        today = clock.day_index
         snapshot = perceive(agent, self.env, clock, self.config.station_radius_km)
         short = agent.memory.retrieve(clock, "short")
         aggregates = agent.memory.daily_aggregates(clock)
         request = DecisionRequest(
             persona=agent.persona,
-            plan_events=tuple(e for d, e in agent.pending if d == clock.day_index),
+            plan_events=tuple(e for d, e in agent.pending if d == today),
             snapshot=snapshot,
             short_records=tuple(short),
             long_aggregates=tuple(aggregates),
@@ -438,7 +440,7 @@ class Simulation:
             )
             self._emit(agent, record, fallback=fallback, extras=extras, to_memory=True)
             agent.busy = True
-            agent.state = replace(agent.state, status=EvStatus.DRIVING)
+            agent.state.status = EvStatus.DRIVING
             self._push(
                 now + station_entry.travel_minutes,
                 agent.agent_id,
@@ -467,23 +469,23 @@ class Simulation:
         origin = agent.state.location
         rate = agent.persona.vehicle.consumption_kwh_per_km
         try:
-            drained = consume_energy(agent.state, distance_km, rate)
+            approach_energy = consume_energy(agent.state, distance_km, rate)
         except StrandedError as err:
             self._strand(
                 agent, now, f"stranded en route to {station.station_id}: {err}", distance_km
             )
             return
-        approach_energy = agent.state.soc_kwh - drained.soc_kwh
         agent.consumed_kwh += approach_energy
         agent.km_total += distance_km
-        agent.state = replace(drained, location=station.location, status=EvStatus.QUEUED)
+        agent.state.location = station.location
+        agent.state.status = EvStatus.QUEUED
         try:
             ticket = begin_charge(
                 station,
                 agent.state,
                 response.quintuple.amount_kwh,
                 SimClock(now),
-                self.env.tariff_for(station),
+                self.env.tariffs[station.tariff_id],
             )
         except ZeroChargeError:
             # cannot happen after a validated positive decision (driving only
@@ -507,7 +509,7 @@ class Simulation:
                 },
             )
             agent.busy = False
-            agent.state = replace(agent.state, status=EvStatus.IDLE)
+            agent.state.status = EvStatus.IDLE
             self._advance(agent, now)
             return
         approach = {"distance_km": distance_km, "energy_kwh": approach_energy}
@@ -534,7 +536,8 @@ class Simulation:
             new_soc = agent.state.capacity_kwh
         agent.charged_kwh += new_soc - agent.state.soc_kwh
         agent.cost_total += ticket.cost
-        agent.state = replace(agent.state, soc_kwh=new_soc, status=EvStatus.IDLE)
+        agent.state.set_soc(new_soc)
+        agent.state.status = EvStatus.IDLE
         duration = ticket.end_charge - ticket.start_charge
         effective_price = round_currency(ticket.cost / ticket.energy_kwh) if ticket.energy_kwh else 0.0
         record = BehaviorRecord(
@@ -576,7 +579,7 @@ class Simulation:
         agent.strand_count += 1
         agent.stranded_today = True
         agent.busy = False
-        agent.state = replace(agent.state, status=EvStatus.IDLE)
+        agent.state.status = EvStatus.IDLE
         record = BehaviorRecord(
             action=ActionType.IDLE,
             object_id="",
@@ -608,9 +611,7 @@ class Simulation:
                 self.fallback_reflections += 1
             agent.memory.append_reflection(report)
             entry = {"agent_id": agent.agent_id, "timestamp": now, "report": report.to_dict()}
-            self._reflections_fh.write(
-                json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
-            )
+            self._reflections_fh.write(canonical_json(entry) + "\n")
             self._reflections_fh.flush()
             self.totals.add_reflection(entry)
 
@@ -618,9 +619,9 @@ class Simulation:
                 reserve = TOW_RESERVE_FRACTION * agent.state.capacity_kwh
                 delta = reserve - agent.state.soc_kwh
                 agent.tow_delta_kwh += delta
-                agent.state = replace(
-                    agent.state, location=agent.home, soc_kwh=reserve, status=EvStatus.IDLE
-                )
+                agent.state.set_soc(reserve)
+                agent.state.location = agent.home
+                agent.state.status = EvStatus.IDLE
                 record = BehaviorRecord(
                     action=ActionType.IDLE,
                     object_id="",

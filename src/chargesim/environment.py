@@ -13,7 +13,7 @@ All mutation happens single-threaded inside the engine's event loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .domain import MINUTES_PER_DAY, GeoPoint, SimClock
@@ -46,12 +46,14 @@ class EvStatus(str, Enum):
     QUEUED = "queued"  # at a station, waiting or charging until the charge ends
 
 
-@dataclass(frozen=True)
+@dataclass
 class EvState:
-    """Battery and position of one vehicle.
+    """Battery and position of one vehicle, updated in place by the engine.
 
     Carries its own capacity and charging limit (copied from the owning
     persona) so the SoC invariant is checkable without a persona lookup.
+    soc_kwh changes only through set_soc(), which keeps it in [0, capacity];
+    location and status carry no invariant and are assigned directly.
     """
 
     agent_id: str
@@ -66,21 +68,24 @@ class EvState:
             raise ValueError("capacity_kwh must be > 0")
         if self.max_charge_power_kw <= 0.0:
             raise ValueError("max_charge_power_kw must be > 0")
-        if not 0.0 <= self.soc_kwh <= self.capacity_kwh:
+        self.set_soc(self.soc_kwh)
+
+    def set_soc(self, soc_kwh: float) -> None:
+        """Set the state of charge; a value outside [0, capacity] raises and changes nothing."""
+        if not 0.0 <= soc_kwh <= self.capacity_kwh:
             raise ValueError(
-                f"soc_kwh {self.soc_kwh} outside [0, {self.capacity_kwh}] for {self.agent_id}"
+                f"soc_kwh {soc_kwh} outside [0, {self.capacity_kwh}] for {self.agent_id}"
             )
-
-    @property
-    def soc_fraction(self) -> float:
-        return self.soc_kwh / self.capacity_kwh
+        self.soc_kwh = soc_kwh
 
 
-def consume_energy(ev: EvState, distance_km: float, rate_kwh_per_km: float) -> EvState:
-    """Drain the battery for a trip of distance_km; location is the caller's job.
+def consume_energy(ev: EvState, distance_km: float, rate_kwh_per_km: float) -> float:
+    """Drain ev's battery in place for a trip of distance_km; location is the caller's job.
 
-    Raises StrandedError when the trip needs more than the battery holds;
-    the SoC is never clamped.
+    Returns the kWh drawn as SoC before minus SoC after (not the product
+    distance_km * rate, which can differ in the last bit). Raises
+    StrandedError, leaving the SoC untouched, when the trip needs more than
+    the battery holds; the SoC is never clamped.
     """
     if distance_km < 0.0:
         raise ValueError("distance_km must be >= 0")
@@ -89,7 +94,9 @@ def consume_energy(ev: EvState, distance_km: float, rate_kwh_per_km: float) -> E
     required = distance_km * rate_kwh_per_km
     if required > ev.soc_kwh:
         raise StrandedError(ev.agent_id, required, ev.soc_kwh)
-    return replace(ev, soc_kwh=ev.soc_kwh - required)
+    soc_before = ev.soc_kwh
+    ev.set_soc(soc_before - required)
+    return soc_before - ev.soc_kwh
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +140,9 @@ class TariffSchedule:
             raise ValueError("tariff bands must end at minute 1440")
         object.__setattr__(self, "bands", tuple(ordered))
 
-    @property
-    def min_price(self) -> float:
-        return min(band.price_per_kwh for band in self.bands)
-
     def is_off_peak(self, time_of_day: int) -> bool:
         """Off-peak means the current band has the schedule's lowest price."""
-        return price_at(self, time_of_day) == self.min_price
+        return price_at(self, time_of_day) == min(band.price_per_kwh for band in self.bands)
 
 
 def price_at(tariff: TariffSchedule, time_of_day: int) -> float:
@@ -336,12 +339,3 @@ class Environment:
                 raise ValueError(
                     f"station {station.station_id} references unknown tariff {station.tariff_id!r}"
                 )
-
-    def tariff_for(self, station: ChargingStation) -> TariffSchedule:
-        return self.tariffs[station.tariff_id]
-
-    def speed_multiplier(self, time_of_day: int) -> float:
-        return self.congestion.multiplier_at(time_of_day)
-
-    def station_price_now(self, station: ChargingStation, clock: SimClock) -> float:
-        return price_at(self.tariff_for(station), clock.time_of_day)

@@ -78,10 +78,6 @@ def iter_log(path: Path | str, actions: frozenset[str] | None = None) -> Iterato
                 yield entry
 
 
-def read_log(path: Path | str) -> list[dict]:
-    return list(iter_log(path))
-
-
 def _zero_bucket() -> dict:
     return {"total_km": 0.0, "total_kwh_charged": 0.0, "total_cost": 0.0, "charge_count": 0}
 

@@ -16,9 +16,6 @@ from .domain import GeoPoint
 
 EARTH_RADIUS_KM = 6371.0088
 
-DEFAULT_DETOUR_FACTOR = 1.3
-DEFAULT_SPEED_KMH = 30.0
-
 
 @dataclass(frozen=True)
 class RouteEstimate:
@@ -34,48 +31,53 @@ class RouteEstimate:
             raise ValueError("zero distance implies zero travel time")
 
 
-def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Haversine distance in km on a spherical Earth.
+def haversine_km(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> float:
+    """Haversine distance in km on a spherical Earth, between raw degrees.
 
     Deltas go through abs() so that swapping the endpoints is bit-exact
     symmetric, which the routing contract promises.
     """
-    lat_a = math.radians(a.latitude)
-    lat_b = math.radians(b.latitude)
-    dlat = math.radians(abs(b.latitude - a.latitude))
-    dlon = math.radians(abs(b.longitude - a.longitude))
-    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat_a) * math.cos(lat_b) * math.sin(dlon / 2.0) ** 2
+    rad_a = math.radians(lat_a)
+    rad_b = math.radians(lat_b)
+    dlat = math.radians(abs(lat_b - lat_a))
+    dlon = math.radians(abs(lon_b - lon_a))
+    h = math.sin(dlat / 2.0) ** 2 + math.cos(rad_a) * math.cos(rad_b) * math.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(min(1.0, h)))
 
 
-def estimate_route(
-    a: GeoPoint,
-    b: GeoPoint,
-    detour_factor: float = DEFAULT_DETOUR_FACTOR,
-    speed_kmh: float = DEFAULT_SPEED_KMH,
-) -> RouteEstimate:
-    """Estimate the road distance and travel time between two points."""
-    if detour_factor < 1.0:
-        raise ValueError(f"detour_factor must be >= 1, got {detour_factor}")
-    if speed_kmh <= 0.0:
-        raise ValueError(f"speed_kmh must be > 0, got {speed_kmh}")
-    distance_km = great_circle_km(a, b) * detour_factor
-    travel_minutes = int(round(distance_km / speed_kmh * 60.0))
-    return RouteEstimate(distance_km=distance_km, travel_minutes=travel_minutes)
+def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
+    """Haversine distance in km between two validated points."""
+    return haversine_km(a.latitude, a.longitude, b.latitude, b.longitude)
 
 
 @dataclass(frozen=True)
 class OfflineRouter:
     """Great-circle-times-detour routing at a constant mean urban speed.
 
-    speed_multiplier scales the effective speed (values below 1 model
-    congestion, above 1 free-flowing traffic).
+    Its parameters are checked once, at construction. route() is built from
+    distance_km() and travel_minutes(), so a caller that filters by distance
+    first (perception) derives minutes only for the points it keeps.
+    speed_multiplier > 0 scales the speed (below 1 models congestion).
     """
 
-    detour_factor: float = DEFAULT_DETOUR_FACTOR
-    speed_kmh: float = DEFAULT_SPEED_KMH
+    detour_factor: float = 1.3
+    speed_kmh: float = 30.0
+
+    def __post_init__(self) -> None:
+        if self.detour_factor < 1.0:
+            raise ValueError(f"detour_factor must be >= 1, got {self.detour_factor}")
+        if self.speed_kmh <= 0.0:
+            raise ValueError(f"speed_kmh must be > 0, got {self.speed_kmh}")
+
+    def distance_km(self, a: GeoPoint, b: GeoPoint) -> float:
+        return great_circle_km(a, b) * self.detour_factor
+
+    def travel_minutes(self, distance_km: float, speed_multiplier: float = 1.0) -> int:
+        """Whole minutes to drive distance_km; speed_multiplier must be > 0."""
+        return int(round(distance_km / (self.speed_kmh * speed_multiplier) * 60.0))
 
     def route(self, a: GeoPoint, b: GeoPoint, speed_multiplier: float = 1.0) -> RouteEstimate:
         if speed_multiplier <= 0.0:
             raise ValueError("speed_multiplier must be > 0")
-        return estimate_route(a, b, self.detour_factor, self.speed_kmh * speed_multiplier)
+        distance_km = self.distance_km(a, b)
+        return RouteEstimate(distance_km, self.travel_minutes(distance_km, speed_multiplier))

@@ -10,13 +10,12 @@ to identical bytes; the cognition provider consumes the serialized form.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Protocol
 
-from .domain import GeoPoint, Persona, SimClock
-from .environment import Environment, EvState
+from .domain import GeoPoint, Persona, SimClock, canonical_json
+from .environment import Environment, EvState, price_at
 
 
 class PerceivingAgent(Protocol):
@@ -101,7 +100,7 @@ class PerceptionSnapshot:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
@@ -127,11 +126,13 @@ def perceive(
     """
     ev = agent.state
     persona = agent.persona
-    multiplier = env.speed_multiplier(clock.time_of_day)
+    router = env.router
+    time_of_day = clock.time_of_day
+    multiplier = env.congestion.multiplier_at(time_of_day)
 
     next_destination = agent.next_destination
     if next_destination is not None:
-        distance_to_next = env.router.route(ev.location, next_destination, multiplier).distance_km
+        distance_to_next = router.distance_km(ev.location, next_destination)
     else:
         distance_to_next = 0.0
 
@@ -143,28 +144,34 @@ def perceive(
         next_destination=next_destination,
         distance_to_next_km=distance_to_next,
         soc_kwh=ev.soc_kwh,
-        soc_fraction=ev.soc_fraction,
+        soc_fraction=ev.soc_kwh / ev.capacity_kwh,
     )
 
+    # (price, off-peak) of every tariff at this minute, looked up once per call
+    tariff_now = {
+        tariff_id: (price_at(tariff, time_of_day), tariff.is_off_peak(time_of_day))
+        for tariff_id, tariff in env.tariffs.items()
+    }
     target_kwh = max(0.0, persona.habits.typical_target_soc * ev.capacity_kwh - ev.soc_kwh)
     entries: list[StationPerception] = []
     for station in env.stations.values():
-        estimate = env.router.route(ev.location, station.location, multiplier)
-        if estimate.distance_km > radius_km:
+        distance_km = router.distance_km(ev.location, station.location)
+        if distance_km > radius_km:
             continue
         power_kw = min(station.pile_power_kw, ev.max_charge_power_kw)
         charge_minutes = math.ceil(target_kwh / power_kw * 60.0) if target_kwh > 0.0 else 0
+        price_per_kwh, off_peak = tariff_now[station.tariff_id]
         entries.append(
             StationPerception(
                 station_id=station.station_id,
                 free_piles=station.free_piles(clock.sim_time),
-                travel_minutes=estimate.travel_minutes,
+                travel_minutes=router.travel_minutes(distance_km, multiplier),
                 predicted_queue_minutes=station.predicted_wait(clock.sim_time),
                 charge_minutes=charge_minutes,
-                distance_km=estimate.distance_km,
+                distance_km=distance_km,
                 pile_power_kw=station.pile_power_kw,
-                price_per_kwh=env.station_price_now(station, clock),
-                off_peak=env.tariff_for(station).is_off_peak(clock.time_of_day),
+                price_per_kwh=price_per_kwh,
+                off_peak=off_peak,
             )
         )
     entries.sort(key=lambda entry: (entry.distance_km, entry.station_id))

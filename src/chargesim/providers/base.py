@@ -11,7 +11,6 @@ semantic check against the snapshot the decision was made from
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -23,6 +22,7 @@ from ..domain import (
     Persona,
     ReflectionReport,
     SimClock,
+    canonical_json,
 )
 from ..environment import EvState
 from ..perception import PerceptionSnapshot
@@ -62,7 +62,7 @@ class DecisionRequest:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_payload())
 
 
 @dataclass(frozen=True)

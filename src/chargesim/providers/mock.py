@@ -33,7 +33,7 @@ from ..domain import (
     VehicleSpec,
     validate_persona,
 )
-from ..georoute import great_circle_km
+from ..georoute import great_circle_km, haversine_km
 from .base import CognitionProvider, DecisionRequest, DecisionResponse, SchemaError
 from .baseline import BaselineWeights, baseline_decision
 
@@ -85,15 +85,15 @@ def home_point_for(persona_id: str, center: GeoPoint, area_radius_km: float) -> 
     rng = random.Random(f"home|{persona_id}")
     bearing = rng.uniform(0.0, 2.0 * math.pi)
     distance = rng.uniform(0.0, area_radius_km * 0.6)
-    return _offset(center, distance, bearing)
+    return GeoPoint(*_offset(center, distance, bearing))
 
 
-def _offset(origin: GeoPoint, distance_km: float, bearing_rad: float) -> GeoPoint:
+def _offset(origin: GeoPoint, distance_km: float, bearing_rad: float) -> tuple[float, float]:
     lat = origin.latitude + distance_km * math.cos(bearing_rad) * DEG_PER_KM
     lon = origin.longitude + distance_km * math.sin(bearing_rad) * DEG_PER_KM / math.cos(
         math.radians(origin.latitude)
     )
-    return GeoPoint(lat, lon)
+    return lat, lon
 
 
 def _random_point_near(
@@ -103,15 +103,16 @@ def _random_point_near(
     center: GeoPoint,
     max_radius_km: float,
 ) -> GeoPoint:
+    # candidates stay raw floats; only the accepted one becomes a (validated) GeoPoint
     for _ in range(20):
-        candidate = _offset(origin, distance_km, rng.uniform(0.0, 2.0 * math.pi))
-        if great_circle_km(candidate, center) <= max_radius_km:
-            return candidate
+        lat, lon = _offset(origin, distance_km, rng.uniform(0.0, 2.0 * math.pi))
+        if haversine_km(lat, lon, center.latitude, center.longitude) <= max_radius_km:
+            return GeoPoint(lat, lon)
     # Deep in a corner of the area: head back toward the center instead.
     bearing = math.atan2(
         center.longitude - origin.longitude, center.latitude - origin.latitude
     )
-    return _offset(origin, distance_km, bearing)
+    return GeoPoint(*_offset(origin, distance_km, bearing))
 
 
 def _clamp01(value: float) -> float:

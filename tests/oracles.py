@@ -171,8 +171,9 @@ def oracle_daily_aggregates(records: list, now: int) -> list[dict]:
     return out
 
 
-def _parse_lines(path: Path) -> list[dict]:
-    lines = path.read_text(encoding="utf-8").splitlines()
+def read_log(path: Path | str) -> list[dict]:
+    """Every entry of a JSON-lines log, blank lines skipped."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     return [json.loads(line) for line in lines if line.strip()]
 
 
@@ -183,8 +184,8 @@ def oracle_exports(run_dir: Path) -> dict:
     mean satisfaction]), "geojson" (the FeatureCollection) and "decisions"
     (the HTML panel's [agent, time label, station, reason] rows).
     """
-    behavior = _parse_lines(run_dir / "behavior.log")
-    reflections = _parse_lines(run_dir / "reflections.log")
+    behavior = read_log(run_dir / "behavior.log")
+    reflections = read_log(run_dir / "reflections.log")
     final_states = json.loads((run_dir / "final_states.json").read_text(encoding="utf-8"))
     stations = yaml.safe_load((run_dir / "config.yaml").read_text(encoding="utf-8"))["stations"]
     agent_ids = sorted(final_states)

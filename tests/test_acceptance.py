@@ -27,12 +27,12 @@ from chargesim.environment import (
     TariffSchedule,
     begin_charge,
 )
-from chargesim.export import export_csv, export_geojson, read_log
+from chargesim.export import export_csv, export_geojson
 from chargesim.georoute import great_circle_km
 from chargesim.memory import MemoryStore
 from chargesim.providers import FaultInjectingProvider, MockProvider
 from geojson_schema import validate_geojson
-from oracles import oracle_cost, oracle_fifo_starts, oracle_great_circle_km
+from oracles import oracle_cost, oracle_fifo_starts, oracle_great_circle_km, read_log
 from test_memory import _record
 
 HERE = GeoPoint(31.23, 121.47)

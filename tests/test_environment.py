@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -53,21 +54,48 @@ class TestEvState:
         with pytest.raises(ValueError):
             _ev(soc=-0.1)
 
+    def test_set_soc_out_of_bounds_raises_and_leaves_the_state_unchanged(self):
+        ev = _ev(soc=60.0, capacity=75.0)
+        before = dataclasses.replace(ev)
+        for bad in (75.0 + 1e-9, -1e-12, 80.0, float("nan")):
+            with pytest.raises(ValueError):
+                ev.set_soc(bad)
+            assert ev == before
+        ev.set_soc(75.0)
+        ev.set_soc(0.0)
+        assert ev.soc_kwh == 0.0
+
 
 class TestConsumeEnergy:
     def test_zero_distance_is_identity(self):
         ev = _ev(soc=60.0)
-        assert consume_energy(ev, 0.0, 0.15).soc_kwh == 60.0
+        before = dataclasses.replace(ev)
+        assert consume_energy(ev, 0.0, 0.15) == 0.0
+        assert ev == before
 
     def test_linear_drain(self):
         ev = _ev(soc=60.0)
-        assert consume_energy(ev, 20.0, 0.15).soc_kwh == pytest.approx(57.0, abs=1e-9)
+        drawn = consume_energy(ev, 20.0, 0.15)
+        assert ev.soc_kwh == 60.0 - 20.0 * 0.15
+        assert ev.soc_kwh == pytest.approx(57.0, abs=1e-9)
+        assert drawn == 3.0
+        # the energy drawn is SoC before minus SoC after, as the logs record
+        # it, which can differ from distance * rate in the last bit
+        ev = _ev(soc=57.3)
+        assert consume_energy(ev, 1.0, 0.13) == 57.3 - ev.soc_kwh != 1.0 * 0.13
 
     def test_stranding_rejects_without_clamping(self):
         ev = _ev(soc=1.0)
-        with pytest.raises(StrandedError):
+        before = dataclasses.replace(ev)
+        with pytest.raises(StrandedError) as err:
             consume_energy(ev, 10.0, 0.15)
-        assert ev.soc_kwh == 1.0
+        assert ev == before
+        assert err.value.available_kwh == 1.0
+
+    def test_draining_exactly_the_whole_battery_is_allowed(self):
+        ev = _ev(soc=1.5)
+        assert consume_energy(ev, 10.0, 0.15) == 1.5
+        assert ev.soc_kwh == 0.0
 
 
 class TestPriceAt:

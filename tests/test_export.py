@@ -15,10 +15,9 @@ from chargesim.export import (
     export_csv,
     export_geojson,
     export_html,
-    read_log,
 )
 from geojson_schema import validate_geojson
-from oracles import oracle_exports
+from oracles import oracle_exports, read_log
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargesim.domain import GeoPoint
-from chargesim.georoute import OfflineRouter, RouteEstimate, estimate_route, great_circle_km
+from chargesim.georoute import OfflineRouter, RouteEstimate, great_circle_km
 from oracles import oracle_great_circle_km
 
 SHANGHAI = GeoPoint(31.2304, 121.4737)
@@ -18,34 +18,40 @@ points = st.builds(
 )
 
 
+STRAIGHT = OfflineRouter(detour_factor=1.0, speed_kmh=30.0)
+
+
 def test_identical_points_are_zero():
-    estimate = estimate_route(SHANGHAI, SHANGHAI, detour_factor=1.0)
+    estimate = STRAIGHT.route(SHANGHAI, SHANGHAI)
     assert estimate == RouteEstimate(0.0, 0)
 
 
 def test_shanghai_pair_matches_independent_oracle():
-    got = estimate_route(SHANGHAI, PUDONG_AIRPORT, detour_factor=1.0).distance_km
+    got = STRAIGHT.route(SHANGHAI, PUDONG_AIRPORT).distance_km
     want = oracle_great_circle_km(31.2304, 121.4737, 31.1443, 121.8083).value
     assert abs(got - want) / want < 0.005
 
 
 def test_detour_factor_scales_linearly():
-    base = estimate_route(SHANGHAI, PUDONG_AIRPORT, detour_factor=1.0).distance_km
-    detoured = estimate_route(SHANGHAI, PUDONG_AIRPORT, detour_factor=1.3).distance_km
+    base = STRAIGHT.route(SHANGHAI, PUDONG_AIRPORT).distance_km
+    detoured = OfflineRouter(detour_factor=1.3).route(SHANGHAI, PUDONG_AIRPORT).distance_km
     assert detoured == pytest.approx(1.3 * base, abs=1e-12)
 
 
 def test_travel_minutes_rounding():
     # 33.2375 km at 30 km/h is 66.475 min -> 66
-    estimate = estimate_route(SHANGHAI, PUDONG_AIRPORT, detour_factor=1.0, speed_kmh=30.0)
+    estimate = STRAIGHT.route(SHANGHAI, PUDONG_AIRPORT)
     assert estimate.travel_minutes == int(round(estimate.distance_km / 30.0 * 60.0))
 
 
 def test_invalid_parameters_rejected():
+    # checked once, when the router is built
     with pytest.raises(ValueError):
-        estimate_route(SHANGHAI, PUDONG_AIRPORT, detour_factor=0.9)
+        OfflineRouter(detour_factor=0.9)
     with pytest.raises(ValueError):
-        estimate_route(SHANGHAI, PUDONG_AIRPORT, speed_kmh=0.0)
+        OfflineRouter(speed_kmh=0.0)
+    with pytest.raises(ValueError):
+        OfflineRouter().route(SHANGHAI, PUDONG_AIRPORT, speed_multiplier=0.0)
 
 
 def test_route_estimate_invariant():
@@ -80,3 +86,13 @@ def test_offline_router_congestion_slows_travel():
     congested = router.route(SHANGHAI, PUDONG_AIRPORT, speed_multiplier=0.5)
     assert congested.travel_minutes > free.travel_minutes
     assert congested.distance_km == free.distance_km
+
+
+@given(points, points, st.sampled_from([0.5, 0.7, 0.9, 1.0, 1.2]))
+def test_route_is_built_from_distance_then_minutes(a, b, multiplier):
+    router = OfflineRouter(detour_factor=1.3, speed_kmh=30.0)
+    distance_km = great_circle_km(a, b) * 1.3
+    assert router.distance_km(a, b) == distance_km
+    assert router.route(a, b, multiplier) == RouteEstimate(
+        distance_km, int(round(distance_km / (30.0 * multiplier) * 60.0))
+    )

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from chargesim.config import ScenarioConfig
 from chargesim.domain import GeoPoint, Persona, SimClock
 from chargesim.environment import (
     ChargingStation,
@@ -15,8 +16,9 @@ from chargesim.environment import (
     SpeedBand,
     TariffBand,
     TariffSchedule,
+    price_at,
 )
-from chargesim.georoute import OfflineRouter, great_circle_km
+from chargesim.georoute import OfflineRouter
 from chargesim.perception import perceive
 from oracles import oracle_fifo_starts
 
@@ -116,6 +118,15 @@ def test_stations_sorted_by_distance_then_id(persona):
     assert [s.station_id for s in snapshot.stations] == ["st-c", "st-a", "st-b"]
 
 
+DEFAULTS = ScenarioConfig()
+DEFAULT_TARIFFS = {
+    **DEFAULTS.build_tariffs(),
+    "t": TariffSchedule((TariffBand(0, 720, 0.5), TariffBand(720, 1440, 1.0))),
+}
+# one minute inside each band of the default congestion schedule
+BAND_MINUTES = [band.start for band in DEFAULTS.build_congestion().bands]
+
+
 # the persona fixture is frozen, so sharing it across examples is safe
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
@@ -123,30 +134,58 @@ def test_stations_sorted_by_distance_then_id(persona):
         st.tuples(
             st.floats(min_value=-0.2, max_value=0.2),
             st.floats(min_value=-0.2, max_value=0.2),
+            st.sampled_from(sorted(DEFAULT_TARIFFS)),
         ),
-        max_size=12,
+        max_size=50,
     ),
     st.floats(min_value=0.5, max_value=30.0),
+    st.sampled_from(BAND_MINUTES),
+    st.one_of(st.none(), st.integers(min_value=0)),
 )
-def test_perceive_matches_brute_force_filter_sort(persona, offsets, radius_km):
+@example(
+    offsets=[(0.03, 0.0, "t"), (0.0, 0.05, "shanghai-tou"), (-0.03, 0.0, "t")],
+    radius_km=1.0,
+    minute=BAND_MINUTES[1],
+    on_radius=0,
+)
+def test_perceive_matches_brute_force_filter_sort(persona, offsets, radius_km, minute, on_radius):
     stations = [
         ChargingStation(
             station_id=f"st-{i:02d}",
             location=GeoPoint(CENTER.latitude + dlat, CENTER.longitude + dlon),
             pile_count=1,
             pile_power_kw=60.0,
-            tariff_id="t",
+            tariff_id=tariff_id,
         )
-        for i, (dlat, dlon) in enumerate(offsets)
+        for i, (dlat, dlon, tariff_id) in enumerate(offsets)
     ]
-    env = _env(stations, detour_factor=1.3)
-    snapshot = perceive(_agent(persona), env, SimClock(600), radius_km)
-    expected = sorted(
-        (great_circle_km(CENTER, s.location) * 1.3, s.station_id)
-        for s in stations
-        if great_circle_km(CENTER, s.location) * 1.3 <= radius_km
+    env = Environment(
+        stations={s.station_id: s for s in stations},
+        tariffs=DEFAULT_TARIFFS,
+        router=OfflineRouter(detour_factor=1.3, speed_kmh=30.0),
+        congestion=DEFAULTS.build_congestion(),
     )
-    assert [(e.distance_km, e.station_id) for e in snapshot.stations] == expected
+    multiplier = env.congestion.multiplier_at(minute)
+    if on_radius is not None and stations:
+        # the radius is exactly one station's distance, which stays in
+        edge = stations[on_radius % len(stations)]
+        radius_km = env.router.route(CENTER, edge.location).distance_km
+    clock = SimClock(3 * 1440 + minute)
+    snapshot = perceive(_agent(persona), env, clock, radius_km)
+
+    expected = []
+    for s in stations:
+        estimate = env.router.route(CENTER, s.location, multiplier)
+        if estimate.distance_km <= radius_km:
+            expected.append((estimate.distance_km, estimate.travel_minutes, s.station_id))
+    expected.sort()
+    assert [(e.distance_km, e.travel_minutes, e.station_id) for e in snapshot.stations] == expected
+    if on_radius is not None and stations:
+        assert radius_km in [e.distance_km for e in snapshot.stations]
+    for entry in snapshot.stations:
+        tariff = DEFAULT_TARIFFS[env.stations[entry.station_id].tariff_id]
+        assert entry.price_per_kwh == price_at(tariff, minute)
+        assert entry.off_peak == tariff.is_off_peak(minute)
 
 
 def test_snapshot_is_deterministic(persona):

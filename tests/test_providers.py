@@ -141,9 +141,8 @@ class TestMockPlan:
         provider = MockProvider()
         for seed in range(100):
             plan = provider.plan_day(persona, 0, seed)
-            assert 100.0 <= plan.total_expected_km <= 400.0, (
-                f"seed {seed}: {plan.total_expected_km:.1f} km"
-            )
+            total_km = sum(event.expected_distance_km for event in plan.events)
+            assert 100.0 <= total_km <= 400.0, f"seed {seed}: {total_km:.1f} km"
 
 
 # ---------------------------------------------------------------------------
