@@ -46,29 +46,41 @@ class EvStatus(str, Enum):
     QUEUED = "queued"  # at a station, waiting or charging until the charge ends
 
 
-@dataclass
 class EvState:
     """Battery and position of one vehicle, updated in place by the engine.
 
     Carries its own capacity and charging limit (copied from the owning
     persona) so the SoC invariant is checkable without a persona lookup.
-    soc_kwh changes only through set_soc(), which keeps it in [0, capacity];
-    location and status carry no invariant and are assigned directly.
+    soc_kwh is read-only: it changes only through set_soc(), which keeps it
+    in [0, capacity]. location and status carry no invariant and are
+    assigned directly.
     """
 
-    agent_id: str
-    location: GeoPoint
-    soc_kwh: float
-    status: EvStatus
-    capacity_kwh: float
-    max_charge_power_kw: float
+    __slots__ = ("agent_id", "location", "status", "capacity_kwh", "max_charge_power_kw", "_soc")
 
-    def __post_init__(self) -> None:
-        if self.capacity_kwh <= 0.0:
+    def __init__(
+        self,
+        agent_id: str,
+        location: GeoPoint,
+        soc_kwh: float,
+        status: EvStatus,
+        capacity_kwh: float,
+        max_charge_power_kw: float,
+    ) -> None:
+        if capacity_kwh <= 0.0:
             raise ValueError("capacity_kwh must be > 0")
-        if self.max_charge_power_kw <= 0.0:
+        if max_charge_power_kw <= 0.0:
             raise ValueError("max_charge_power_kw must be > 0")
-        self.set_soc(self.soc_kwh)
+        self.agent_id = agent_id
+        self.location = location
+        self.status = status
+        self.capacity_kwh = capacity_kwh
+        self.max_charge_power_kw = max_charge_power_kw
+        self.set_soc(soc_kwh)
+
+    @property
+    def soc_kwh(self) -> float:
+        return self._soc
 
     def set_soc(self, soc_kwh: float) -> None:
         """Set the state of charge; a value outside [0, capacity] raises and changes nothing."""
@@ -76,7 +88,7 @@ class EvState:
             raise ValueError(
                 f"soc_kwh {soc_kwh} outside [0, {self.capacity_kwh}] for {self.agent_id}"
             )
-        self.soc_kwh = soc_kwh
+        self._soc = soc_kwh
 
 
 def consume_energy(ev: EvState, distance_km: float, rate_kwh_per_km: float) -> float:

@@ -72,8 +72,12 @@ class OfflineRouter:
     def distance_km(self, a: GeoPoint, b: GeoPoint) -> float:
         return great_circle_km(a, b) * self.detour_factor
 
-    def travel_minutes(self, distance_km: float, speed_multiplier: float = 1.0) -> int:
-        """Whole minutes to drive distance_km; speed_multiplier must be > 0."""
+    def travel_minutes(self, distance_km: float, speed_multiplier: float) -> int:
+        """Whole minutes to drive distance_km; speed_multiplier must be > 0.
+
+        route() checks the multiplier; perception passes one from the
+        CongestionSchedule, whose bands reject a multiplier <= 0.
+        """
         return int(round(distance_km / (self.speed_kmh * speed_multiplier) * 60.0))
 
     def route(self, a: GeoPoint, b: GeoPoint, speed_multiplier: float = 1.0) -> RouteEstimate:

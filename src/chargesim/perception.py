@@ -147,11 +147,6 @@ def perceive(
         soc_fraction=ev.soc_kwh / ev.capacity_kwh,
     )
 
-    # (price, off-peak) of every tariff at this minute, looked up once per call
-    tariff_now = {
-        tariff_id: (price_at(tariff, time_of_day), tariff.is_off_peak(time_of_day))
-        for tariff_id, tariff in env.tariffs.items()
-    }
     target_kwh = max(0.0, persona.habits.typical_target_soc * ev.capacity_kwh - ev.soc_kwh)
     entries: list[StationPerception] = []
     for station in env.stations.values():
@@ -160,7 +155,7 @@ def perceive(
             continue
         power_kw = min(station.pile_power_kw, ev.max_charge_power_kw)
         charge_minutes = math.ceil(target_kwh / power_kw * 60.0) if target_kwh > 0.0 else 0
-        price_per_kwh, off_peak = tariff_now[station.tariff_id]
+        tariff = env.tariffs[station.tariff_id]
         entries.append(
             StationPerception(
                 station_id=station.station_id,
@@ -170,8 +165,8 @@ def perceive(
                 charge_minutes=charge_minutes,
                 distance_km=distance_km,
                 pile_power_kw=station.pile_power_kw,
-                price_per_kwh=price_per_kwh,
-                off_peak=off_peak,
+                price_per_kwh=price_at(tariff, time_of_day),
+                off_peak=tariff.is_off_peak(time_of_day),
             )
         )
     entries.sort(key=lambda entry: (entry.distance_km, entry.station_id))

@@ -458,7 +458,7 @@ _RUN_UNDER_64_DESCRIPTORS = """
 import resource, sys
 _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
 resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
-from chargesim.config import ScenarioConfig, load_config
+from chargesim.config import ScenarioConfig
 from chargesim.engine import run
 config = ScenarioConfig()
 config.num_agents = 100
