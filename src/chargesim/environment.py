@@ -51,9 +51,8 @@ class EvState:
 
     Carries its own capacity and charging limit (copied from the owning
     persona) so the SoC invariant is checkable without a persona lookup.
-    soc_kwh is read-only: it changes only through set_soc(), which keeps it
-    in [0, capacity]. location and status carry no invariant and are
-    assigned directly.
+    soc_kwh is read-only and changes only through set_soc(), which keeps it
+    in [0, capacity]; location and status are assigned directly.
     """
 
     __slots__ = ("agent_id", "location", "status", "capacity_kwh", "max_charge_power_kw", "_soc")
@@ -67,10 +66,8 @@ class EvState:
         capacity_kwh: float,
         max_charge_power_kw: float,
     ) -> None:
-        if capacity_kwh <= 0.0:
-            raise ValueError("capacity_kwh must be > 0")
-        if max_charge_power_kw <= 0.0:
-            raise ValueError("max_charge_power_kw must be > 0")
+        if capacity_kwh <= 0.0 or max_charge_power_kw <= 0.0:
+            raise ValueError("capacity_kwh and max_charge_power_kw must be > 0")
         self.agent_id = agent_id
         self.location = location
         self.status = status

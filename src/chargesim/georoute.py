@@ -73,11 +73,8 @@ class OfflineRouter:
         return great_circle_km(a, b) * self.detour_factor
 
     def travel_minutes(self, distance_km: float, speed_multiplier: float) -> int:
-        """Whole minutes to drive distance_km; speed_multiplier must be > 0.
-
-        route() checks the multiplier; perception passes one from the
-        CongestionSchedule, whose bands reject a multiplier <= 0.
-        """
+        """Whole minutes to drive distance_km at a speed_multiplier > 0, which
+        route() checks and every CongestionSchedule band (perception's source) holds."""
         return int(round(distance_km / (self.speed_kmh * speed_multiplier) * 60.0))
 
     def route(self, a: GeoPoint, b: GeoPoint, speed_multiplier: float = 1.0) -> RouteEstimate:
