@@ -14,15 +14,34 @@ with four fractional digits by convention.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as json_string
 
 MINUTES_PER_DAY = 1440
 CURRENCY_PLACES = 4
 
-# The one canonical layout (sorted keys, compact separators) of every log
-# line, snapshot digest and to_json; json.dumps would build an encoder per call.
+# The one canonical layout (sorted keys, compact separators, ASCII) of every
+# log line, snapshot digest and to_json. The per-decision records write it
+# straight from their fields, keys spelled out in sorted order, through
+# json_string and json_number: the same bytes, without building a dict first.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_isfinite = math.isfinite
+
+
+def json_number(value: float) -> str:
+    """An int or float as canonical_json writes it, NaN and the infinities included."""
+    if isinstance(value, float):
+        if _isfinite(value):
+            return _float_repr(value)
+        if value != value:
+            return "NaN"
+        return "Infinity" if value > 0.0 else "-Infinity"
+    return _int_repr(value)
 
 
 def round_currency(value: float) -> float:
@@ -305,16 +324,20 @@ class DecisionQuintuple:
             if self.amount_kwh != 0.0:
                 raise ValueError("amount_kwh must be 0 when decision is false")
 
+    def to_json(self) -> str:
+        station_id = self.station_id
+        return (
+            f'{{"amount_kwh":{json_number(self.amount_kwh)},'
+            f'"decision":{"true" if self.decision else "false"},'
+            f'"power_kw":{json_number(self.power_kw)},'
+            f'"price_per_kwh":{json_number(self.price_per_kwh)},'
+            f'"scenario":{json_string(self.scenario.value)},'
+            f'"station_id":{"null" if station_id is None else json_string(station_id)},'
+            f'"time_minutes":{json_number(self.time_minutes)}}}'
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "decision": self.decision,
-            "scenario": self.scenario.value,
-            "time_minutes": self.time_minutes,
-            "station_id": self.station_id,
-            "amount_kwh": self.amount_kwh,
-            "power_kw": self.power_kw,
-            "price_per_kwh": self.price_per_kwh,
-        }
+        return json.loads(self.to_json())
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionQuintuple":
@@ -348,14 +371,17 @@ class BehaviorRecord:
         if self.timestamp < 0:
             raise ValueError(f"timestamp must be >= 0, got {self.timestamp}")
 
+    def to_json(self) -> str:
+        return (
+            f'{{"action":{json_string(self.action.value)},'
+            f'"object_id":{json_string(self.object_id)},'
+            f'"quintuple":{self.quintuple.to_json()},'
+            f'"reason":{json_string(self.reason)},'
+            f'"timestamp":{json_number(self.timestamp)}}}'
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "action": self.action.value,
-            "object_id": self.object_id,
-            "timestamp": self.timestamp,
-            "quintuple": self.quintuple.to_dict(),
-            "reason": self.reason,
-        }
+        return json.loads(self.to_json())
 
     @classmethod
     def from_dict(cls, data: dict) -> "BehaviorRecord":
@@ -366,9 +392,6 @@ class BehaviorRecord:
             quintuple=DecisionQuintuple.from_dict(data["quintuple"]),
             reason=str(data["reason"]),
         )
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .domain import (
     ScoredNote,
     SimClock,
     canonical_json,
+    json_string,
     round_currency,
     validate_persona,
 )
@@ -283,14 +284,22 @@ class Simulation:
             raise AssertionError(f"unknown event kind {kind!r}")
 
     def run(self) -> RunArtifacts:
-        """Step to the end and write the summary; on an error, close every log and re-raise."""
+        """Step to the end and write the summary.
+
+        On an error, close both logs, write a summary.json that says "failed"
+        and names the error, and re-raise.
+        """
         started = _time.perf_counter()
         try:
             while len(self.queue):
                 self.step()
-        finally:
             self.close()
-        return self._finalize(_time.perf_counter() - started)
+            return self._finalize(_time.perf_counter() - started)
+        except BaseException as exc:
+            self.close()
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            self._write_json("summary.json", {"status": "failed", "error": error})
+            raise
 
     # -- record emission -----------------------------------------------------------
 
@@ -302,15 +311,14 @@ class Simulation:
         extras: dict | None = None,
         to_memory: bool = False,
     ) -> None:
-        entry = {
-            "agent_id": agent.agent_id,
-            "fallback": fallback,
-            "record": record.to_dict(),
-            "extras": extras or {},
-        }
-        self._behavior_fh.write(canonical_json(entry) + "\n")
+        extras = extras or {}
+        # the canonical layout of {"agent_id", "extras", "fallback", "record"}
+        self._behavior_fh.write(
+            f'{{"agent_id":{json_string(agent.agent_id)},"extras":{canonical_json(extras)},'
+            f'"fallback":{"true" if fallback else "false"},"record":{record.to_json()}}}\n'
+        )
         self._behavior_fh.flush()
-        self.totals.add(entry)
+        self.totals.add(agent.agent_id, record.action.value, record.quintuple.power_kw, extras)
         agent.today_records.append(record)
         if to_memory:
             agent.memory.append(record)
@@ -657,6 +665,10 @@ class Simulation:
         self._behavior_fh.close()
         self._reflections_fh.close()
 
+    def _write_json(self, name: str, data: dict) -> None:
+        text = json.dumps(data, sort_keys=True, indent=2)
+        (self.run_dir / name).write_text(text, encoding="utf-8")
+
     def _finalize(self, elapsed_s: float) -> RunArtifacts:
         final_states = {}
         for agent in self._agents_in_order():
@@ -680,12 +692,8 @@ class Simulation:
             "personas": self.fallback_personas,
             "reflections": self.fallback_reflections,
         }
-        (self.run_dir / "summary.json").write_text(
-            json.dumps(summary, sort_keys=True, indent=2), encoding="utf-8"
-        )
-        (self.run_dir / "final_states.json").write_text(
-            json.dumps(final_states, sort_keys=True, indent=2), encoding="utf-8"
-        )
+        self._write_json("summary.json", summary)
+        self._write_json("final_states.json", final_states)
         return RunArtifacts(
             run_dir=self.run_dir,
             behavior_log=self.behavior_log_path,

@@ -98,21 +98,17 @@ class RunTotals:
         # one bucket per hour from minute 0 through the end of the last charge
         self.hourly: list[float] = []
 
-    def add(self, entry: dict) -> None:
-        record = entry["record"]
-        action = record["action"]
-        extras = entry["extras"]
+    def add(self, agent_id: str, action: str, power_kw: float, extras: dict) -> None:
+        """Sum one behavior.log entry: its agent, record action, quintuple power and extras."""
         if action == "travel":
-            self._bucket(entry["agent_id"])["total_km"] += extras["distance_km"]
+            self._bucket(agent_id)["total_km"] += extras["distance_km"]
         elif action == "stop_charging":
-            bucket = self._bucket(entry["agent_id"])
+            bucket = self._bucket(agent_id)
             bucket["total_km"] += extras["approach_distance_km"]
             bucket["total_kwh_charged"] += extras["energy_kwh"]
             bucket["total_cost"] += extras["cost"]
             bucket["charge_count"] += 1
-            self._add_load(
-                extras["start_charge"], extras["end_charge"], record["quintuple"]["power_kw"]
-            )
+            self._add_load(extras["start_charge"], extras["end_charge"], power_kw)
 
     def add_reflection(self, entry: dict) -> None:
         self.satisfaction.setdefault(entry["agent_id"], []).append(
@@ -474,7 +470,9 @@ def export_csv(run_dir: Path | str, out_path: Path | str | None = None) -> Path:
     out = Path(out_path) if out_path else run_dir / "summary.csv"
     totals = RunTotals()
     for entry in iter_log(_require(run_dir / "behavior.log"), _CSV_ACTIONS):
-        totals.add(entry)
+        record = entry["record"]
+        power_kw = record["quintuple"]["power_kw"]
+        totals.add(entry["agent_id"], record["action"], power_kw, entry["extras"])
     for entry in iter_log(_require(run_dir / "reflections.log")):
         totals.add_reflection(entry)
     final_states = json.loads(_require(run_dir / "final_states.json").read_text(encoding="utf-8"))

@@ -4,17 +4,20 @@ A snapshot groups what the agent knows about its own travel situation
 (scenario, time, space, energy) and about each reachable charging station
 (scenario, time, space, energy, price). It is a pure function of the
 environment, the clock and the agent, so identical inputs always serialize
-to identical bytes; the cognition provider consumes the serialized form.
+to identical bytes. Each snapshot writes its canonical JSON text once,
+straight from its fields (to_json); that text feeds both the digest logged
+with every decision and the live provider's payload. to_dict parses it back.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import dataclass
 from typing import Protocol
 
-from .domain import GeoPoint, Persona, SimClock, canonical_json
+from .domain import GeoPoint, Persona, SimClock, json_number, json_string
 from .environment import Environment, EvState, price_at
 
 
@@ -45,19 +48,21 @@ class StationPerception:
     price_per_kwh: float  # price, at the current tariff band
     off_peak: bool  # price context: current band is the day's cheapest
 
+    def to_json(self) -> str:
+        return (
+            f'{{"energy":{{"pile_power_kw":{json_number(self.pile_power_kw)}}},'
+            f'"price":{{"off_peak":{"true" if self.off_peak else "false"},'
+            f'"price_per_kwh":{json_number(self.price_per_kwh)}}},'
+            f'"scenario":{{"free_piles":{json_number(self.free_piles)}}},'
+            f'"space":{{"distance_km":{json_number(self.distance_km)}}},'
+            f'"station_id":{json_string(self.station_id)},'
+            f'"time":{{"charge_minutes":{json_number(self.charge_minutes)},'
+            f'"predicted_queue_minutes":{json_number(self.predicted_queue_minutes)},'
+            f'"travel_minutes":{json_number(self.travel_minutes)}}}}}'
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "station_id": self.station_id,
-            "scenario": {"free_piles": self.free_piles},
-            "time": {
-                "travel_minutes": self.travel_minutes,
-                "predicted_queue_minutes": self.predicted_queue_minutes,
-                "charge_minutes": self.charge_minutes,
-            },
-            "space": {"distance_km": self.distance_km},
-            "energy": {"pile_power_kw": self.pile_power_kw},
-            "price": {"price_per_kwh": self.price_per_kwh, "off_peak": self.off_peak},
-        }
+        return json.loads(self.to_json())
 
 
 @dataclass(frozen=True)
@@ -71,21 +76,28 @@ class TravelPerception:
     soc_kwh: float  # energy
     soc_fraction: float  # energy
 
+    def to_json(self) -> str:
+        next_start = self.next_event_start
+        next_start_json = "null" if next_start is None else json_number(next_start)
+        return (
+            f'{{"energy":{{"soc_fraction":{json_number(self.soc_fraction)},'
+            f'"soc_kwh":{json_number(self.soc_kwh)}}},'
+            f'"scenario":{{"congestion_multiplier":{json_number(self.congestion_multiplier)}}},'
+            f'"space":{{"distance_to_next_km":{json_number(self.distance_to_next_km)},'
+            f'"location":{_point_json(self.location)},'
+            f'"next_destination":{_point_json(self.next_destination)}}},'
+            f'"time":{{"next_event_start":{next_start_json},'
+            f'"now":{json_number(self.now)}}}}}'
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "scenario": {"congestion_multiplier": self.congestion_multiplier},
-            "time": {"now": self.now, "next_event_start": self.next_event_start},
-            "space": {
-                "location": [self.location.latitude, self.location.longitude],
-                "next_destination": (
-                    [self.next_destination.latitude, self.next_destination.longitude]
-                    if self.next_destination is not None
-                    else None
-                ),
-                "distance_to_next_km": self.distance_to_next_km,
-            },
-            "energy": {"soc_kwh": self.soc_kwh, "soc_fraction": self.soc_fraction},
-        }
+        return json.loads(self.to_json())
+
+
+def _point_json(point: GeoPoint | None) -> str:
+    if point is None:
+        return "null"
+    return f"[{json_number(point.latitude)},{json_number(point.longitude)}]"
 
 
 @dataclass(frozen=True)
@@ -93,17 +105,22 @@ class PerceptionSnapshot:
     travel: TravelPerception
     stations: tuple[StationPerception, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "travel": self.travel.to_dict(),
-            "stations": [station.to_dict() for station in self.stations],
-        }
-
     def to_json(self) -> str:
-        return canonical_json(self.to_dict())
+        """The canonical JSON text, written on the first call and kept."""
+        text = self.__dict__.get("_json")
+        if text is None:
+            stations = ",".join([station.to_json() for station in self.stations])
+            text = f'{{"stations":[{stations}],"travel":{self.travel.to_json()}}}'
+            # kept beside the fields as functools.cached_property keeps its
+            # value, minus the lock that property takes before Python 3.12
+            self.__dict__["_json"] = text
+        return text
+
+    def to_dict(self) -> dict:
+        return json.loads(self.to_json())
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        return hashlib.sha256(self.to_json().encode("ascii")).hexdigest()
 
     def station(self, station_id: str) -> StationPerception | None:
         for entry in self.stations:

@@ -11,6 +11,7 @@ semantic check against the snapshot the decision was made from
 
 from __future__ import annotations
 
+import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -47,22 +48,22 @@ class DecisionRequest:
     long_aggregates: tuple[dict, ...]
     clock: SimClock
 
-    def to_payload(self) -> dict:
-        return {
-            "persona": self.persona.to_dict(),
-            "plan_events": [event.to_dict() for event in self.plan_events],
-            "perception": self.snapshot.to_dict(),
-            "short_memory": [record.to_dict() for record in self.short_records],
-            "long_memory_daily": list(self.long_aggregates),
-            "clock": {
-                "sim_time": self.clock.sim_time,
-                "day_index": self.clock.day_index,
-                "time_of_day": self.clock.time_of_day,
-            },
-        }
-
     def to_json(self) -> str:
-        return canonical_json(self.to_payload())
+        """The canonical request text; the perception part is the snapshot's own text."""
+        clock = self.clock
+        short_memory = ",".join([record.to_json() for record in self.short_records])
+        return (
+            f'{{"clock":{{"day_index":{clock.day_index},"sim_time":{clock.sim_time},'
+            f'"time_of_day":{clock.time_of_day}}},'
+            f'"long_memory_daily":{canonical_json(list(self.long_aggregates))},'
+            f'"perception":{self.snapshot.to_json()},'
+            f'"persona":{canonical_json(self.persona.to_dict())},'
+            f'"plan_events":{canonical_json([event.to_dict() for event in self.plan_events])},'
+            f'"short_memory":[{short_memory}]}}'
+        )
+
+    def to_payload(self) -> dict:
+        return json.loads(self.to_json())
 
 
 @dataclass(frozen=True)
@@ -75,11 +76,6 @@ class DecisionResponse:
     @property
     def decision(self) -> bool:
         return self.quintuple.decision
-
-    def to_dict(self) -> dict:
-        data = self.quintuple.to_dict()
-        data["reason"] = self.reason
-        return data
 
 
 _REQUIRED_DECISION_KEYS = (

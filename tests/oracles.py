@@ -9,6 +9,8 @@ reservation. The memory oracles scan a store's whole record list and
 filter it record by record, where the store bisects indexes kept on append.
 The export oracle parses every line of a run's logs and reads the parsed
 action of each, where the exporters skip unwanted lines by their text.
+The serialization oracles build each record's dict field by field, in the
+layout the to_json writers spell out key by key in text.
 """
 
 from __future__ import annotations
@@ -300,3 +302,80 @@ def oracle_exports(run_dir: Path) -> dict:
         "geojson": {"type": "FeatureCollection", "features": features},
         "decisions": decisions,
     }
+
+
+def oracle_station_dict(entry) -> dict:
+    """A StationPerception as a dict, grouped by perception dimension."""
+    return {
+        "station_id": entry.station_id,
+        "scenario": {"free_piles": entry.free_piles},
+        "time": {
+            "travel_minutes": entry.travel_minutes,
+            "predicted_queue_minutes": entry.predicted_queue_minutes,
+            "charge_minutes": entry.charge_minutes,
+        },
+        "space": {"distance_km": entry.distance_km},
+        "energy": {"pile_power_kw": entry.pile_power_kw},
+        "price": {"price_per_kwh": entry.price_per_kwh, "off_peak": entry.off_peak},
+    }
+
+
+def oracle_travel_dict(travel) -> dict:
+    """A TravelPerception as a dict; points become [latitude, longitude]."""
+    destination = travel.next_destination
+    return {
+        "scenario": {"congestion_multiplier": travel.congestion_multiplier},
+        "time": {"now": travel.now, "next_event_start": travel.next_event_start},
+        "space": {
+            "location": [travel.location.latitude, travel.location.longitude],
+            "next_destination": (
+                [destination.latitude, destination.longitude] if destination is not None else None
+            ),
+            "distance_to_next_km": travel.distance_to_next_km,
+        },
+        "energy": {"soc_kwh": travel.soc_kwh, "soc_fraction": travel.soc_fraction},
+    }
+
+
+def oracle_snapshot_dict(snapshot) -> dict:
+    return {
+        "travel": oracle_travel_dict(snapshot.travel),
+        "stations": [oracle_station_dict(entry) for entry in snapshot.stations],
+    }
+
+
+def oracle_quintuple_dict(quintuple) -> dict:
+    return {
+        "decision": quintuple.decision,
+        "scenario": quintuple.scenario.value,
+        "time_minutes": quintuple.time_minutes,
+        "station_id": quintuple.station_id,
+        "amount_kwh": quintuple.amount_kwh,
+        "power_kw": quintuple.power_kw,
+        "price_per_kwh": quintuple.price_per_kwh,
+    }
+
+
+def oracle_record_dict(record) -> dict:
+    return {
+        "action": record.action.value,
+        "object_id": record.object_id,
+        "timestamp": record.timestamp,
+        "quintuple": oracle_quintuple_dict(record.quintuple),
+        "reason": record.reason,
+    }
+
+
+def same_json_tree(a, b) -> bool:
+    """Equal values of equal types all the way down, with NaN equal to NaN and -0.0 not 0.0."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_json_tree(a[key], b[key]) for key in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(same_json_tree(x, y) for x, y in zip(a, b))
+    if isinstance(a, float):
+        if math.isnan(a) or math.isnan(b):
+            return math.isnan(a) and math.isnan(b)
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a == b

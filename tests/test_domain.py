@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chargesim.domain import (
@@ -18,8 +19,10 @@ from chargesim.domain import (
     ReflectionReport,
     ScoredNote,
     SimClock,
+    canonical_json,
     validate_persona,
 )
+from oracles import oracle_quintuple_dict, oracle_record_dict, same_json_tree
 
 SHANGHAI = GeoPoint(31.2304, 121.4737)
 PUDONG = GeoPoint(31.1443, 121.8083)
@@ -164,6 +167,69 @@ class TestBehaviorRecord:
             reason="below comfort threshold",
         )
         assert BehaviorRecord.from_dict(record.to_dict()) == record
+
+
+# text the JSON escaper must handle: quotes, backslashes, control characters,
+# non-ASCII text and lone surrogates. Code points are drawn directly, ASCII
+# half the time: st.text() builds Hypothesis's Unicode tables on first use,
+# which in a fresh checkout takes longer than its too_slow health check allows.
+awkward_text = st.one_of(
+    st.lists(st.one_of(st.integers(0, 0x7F), st.integers(0x80, 0x10FFFF)).map(chr)).map("".join),
+    st.sampled_from(['st-"01"', "back\\slash", "\x00\x1f\x7f\n\t", "café ☃ 𝄞", "\ud800", ""]),
+)
+# the quintuple's amounts may not be negative; NaN and +inf pass that check
+non_negative_float = st.one_of(
+    st.floats(min_value=0.0),
+    st.sampled_from([-0.0, 5e-324, 1e22, math.nan, math.inf]),
+)
+minutes = st.integers(min_value=0, max_value=2**63)
+
+
+@st.composite
+def quintuples(draw):
+    decision = draw(st.booleans())
+    return DecisionQuintuple(
+        decision=decision,
+        scenario=draw(st.sampled_from(ChargeScenario)),
+        time_minutes=draw(minutes),
+        station_id=draw(st.none() | awkward_text) if decision else None,
+        amount_kwh=draw(non_negative_float) if decision else draw(st.sampled_from([0.0, -0.0])),
+        power_kw=draw(non_negative_float),
+        price_per_kwh=draw(non_negative_float),
+    )
+
+
+records = st.builds(
+    BehaviorRecord,
+    action=st.sampled_from(ActionType),
+    object_id=awkward_text,
+    timestamp=minutes,
+    quintuple=quintuples(),
+    reason=awkward_text,
+)
+
+
+class TestCanonicalWriters:
+    @given(quintuples())
+    def test_quintuple_writer_matches_the_oracle(self, quintuple):
+        expected = oracle_quintuple_dict(quintuple)
+        assert quintuple.to_json() == canonical_json(expected)
+        assert same_json_tree(quintuple.to_dict(), expected)
+
+    @given(records)
+    @example(
+        BehaviorRecord(
+            action=ActionType.STOP_CHARGING,
+            object_id='st-"01"\\',
+            timestamp=0,
+            quintuple=DecisionQuintuple(True, ChargeScenario.HOME, 0, None, 1e22, -0.0, 5e-324),
+            reason="\x00 café",
+        )
+    )
+    def test_record_writer_matches_the_oracle(self, record):
+        expected = oracle_record_dict(record)
+        assert record.to_json() == canonical_json(expected)
+        assert same_json_tree(record.to_dict(), expected)
 
 
 class TestDailyPlan:

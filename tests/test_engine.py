@@ -11,10 +11,22 @@ import pytest
 
 import chargesim
 from chargesim.config import ScenarioConfig, load_config
-from chargesim.domain import BehaviorRecord, DailyPlan, Persona, ReflectionReport
+from chargesim.domain import (
+    BehaviorRecord,
+    DailyPlan,
+    Persona,
+    ReflectionReport,
+    canonical_json,
+)
 from chargesim.engine import EventQueue, Simulation, run
 from chargesim.export import RunTotals, build_summary
-from chargesim.providers import CognitionProvider, DecisionRequest, DecisionResponse, MockProvider
+from chargesim.providers import (
+    CognitionProvider,
+    DecisionRequest,
+    DecisionResponse,
+    FaultInjectingProvider,
+    MockProvider,
+)
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -83,6 +95,7 @@ class TestRun:
         assert len(agents_seen) == config.num_agents
         for agent_id in agents_seen:
             assert sum(1 for e in entries if e["agent_id"] == agent_id) >= 1
+        assert "status" not in artifacts.summary  # only a failed run's summary has one
 
     def test_same_seed_is_byte_identical(self, tmp_path):
         config = small_config()
@@ -352,7 +365,8 @@ def test_engine_summary_equals_summary_rebuilt_from_the_logs(tmp_path, make_conf
 
     totals = RunTotals()
     for entry in entries:
-        totals.add(entry)
+        power_kw = entry["record"]["quintuple"]["power_kw"]
+        totals.add(entry["agent_id"], entry["record"]["action"], power_kw, entry["extras"])
     for entry in read_entries(artifacts.reflections_log):
         totals.add_reflection(entry)
     rebuilt = build_summary(totals, artifacts.final_states, config.horizon_days)
@@ -392,6 +406,12 @@ def test_provider_crash_closes_every_log_and_propagates(tmp_path):
     assert sim._behavior_fh.closed and sim._reflections_fh.closed
     entries = read_entries(sim.behavior_log_path)  # every line parses
     assert entries
+    summary = json.loads((sim.run_dir / "summary.json").read_text(encoding="utf-8"))
+    assert summary == {
+        "status": "failed",
+        "error": {"type": "RuntimeError", "message": "provider crashed"},
+    }
+    assert not (sim.run_dir / "final_states.json").exists()
 
 
 class PlanCrashingProvider(MockProvider):
@@ -452,6 +472,33 @@ def test_memory_holds_what_the_logs_hold(tmp_path):
             for e in reflections
             if e["agent_id"] == agent_id
         ]
+
+
+def test_fault_injected_run_writes_canonical_lines_and_matches_its_pins(tmp_path):
+    # faults make fallback decisions (start and skip), and the small batteries
+    # make strands, overnight tows and charges with approach legs
+    config = charge_and_strand_config()
+    inner = MockProvider(plan_template=config.effective_plan_template())
+    provider = FaultInjectingProvider(inner, rate=0.3, seed=7)
+    artifacts = run(config, tmp_path / "run", provider=provider)
+
+    lines = artifacts.behavior_log.read_text(encoding="utf-8").splitlines(keepends=True)
+    entries = [json.loads(line) for line in lines]
+    fallback_actions = {e["record"]["action"] for e in entries if e["fallback"]}
+    assert fallback_actions == {"start_charging", "skip_charging"}
+    assert any("attempted_distance_km" in e["extras"] for e in entries)
+    assert any("tow_energy_delta_kwh" in e["extras"] for e in entries)
+    assert any(e["extras"].get("approach_distance_km", 0.0) > 0.0 for e in entries)
+    reflection_lines = artifacts.reflections_log.read_text(encoding="utf-8")
+    for line in lines + reflection_lines.splitlines(keepends=True):
+        assert line == canonical_json(json.loads(line)) + "\n"
+
+    assert artifacts.behavior_digest == (
+        "377f110a316f86fb88684f316f8b13f4e6c91a132ff62c89c4a8b85005200fe9"
+    )
+    assert artifacts.reflections_digest == (
+        "58a119e046c81c109326b25bdd3bd5fef2a95aab9ab9c2ade55904d0417b4472"
+    )
 
 
 _RUN_UNDER_64_DESCRIPTORS = """

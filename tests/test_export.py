@@ -205,7 +205,8 @@ class TestHourlyLoad:
     def _hourly(self, entries, horizon_days):
         totals = RunTotals()
         for entry in entries:
-            totals.add(entry)
+            power_kw = entry["record"]["quintuple"]["power_kw"]
+            totals.add(entry["agent_id"], entry["record"]["action"], power_kw, entry["extras"])
         final_states = {"agent-00": {"strand_count": 0}}
         return build_summary(totals, final_states, horizon_days)["hourly_load_kw"]
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+import math
 from dataclasses import dataclass
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from chargesim.config import ScenarioConfig
-from chargesim.domain import GeoPoint, Persona, SimClock
+from chargesim.domain import GeoPoint, Persona, SimClock, canonical_json
 from chargesim.environment import (
     ChargingStation,
     CongestionSchedule,
@@ -19,8 +21,19 @@ from chargesim.environment import (
     price_at,
 )
 from chargesim.georoute import OfflineRouter
-from chargesim.perception import perceive
-from oracles import oracle_fifo_starts
+from chargesim.perception import (
+    PerceptionSnapshot,
+    StationPerception,
+    TravelPerception,
+    perceive,
+)
+from oracles import (
+    oracle_fifo_starts,
+    oracle_snapshot_dict,
+    oracle_station_dict,
+    oracle_travel_dict,
+    same_json_tree,
+)
 
 CENTER = GeoPoint(31.2304, 121.4737)
 KM = 0.0089932  # degrees latitude per km
@@ -229,3 +242,86 @@ def test_congestion_multiplier_scales_travel_time(persona):
     assert fast.travel.congestion_multiplier == 1.0
     assert slow.stations[0].travel_minutes > fast.stations[0].travel_minutes
     assert slow.stations[0].distance_km == fast.stations[0].distance_km
+
+
+# ---------------------------------------------------------------------------
+# The canonical writers against the field-by-field oracle dicts
+# ---------------------------------------------------------------------------
+
+# text the JSON escaper must handle: quotes, backslashes, control characters,
+# non-ASCII text and lone surrogates. Code points are drawn directly, ASCII
+# half the time: st.text() builds Hypothesis's Unicode tables on first use,
+# which in a fresh checkout takes longer than its too_slow health check allows.
+awkward_text = st.one_of(
+    st.lists(st.one_of(st.integers(0, 0x7F), st.integers(0x80, 0x10FFFF)).map(chr)).map("".join),
+    st.sampled_from(['st-"01"', "back\\slash", "\x00\x1f\x7f\n\t", "café ☃ 𝄞", "\ud800", ""]),
+)
+# every float the encoder writes in its own way, next to ordinary ones
+any_float = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, 1e22, math.nan, math.inf, -math.inf]),
+)
+plain_int = st.integers(min_value=-(2**63), max_value=2**63)
+coordinates = st.builds(
+    GeoPoint,
+    st.one_of(st.floats(-90.0, 90.0), st.sampled_from([-0.0, 5e-324])),
+    st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-0.0, 1e-22])),
+)
+station_perceptions = st.builds(
+    StationPerception,
+    station_id=awkward_text,
+    free_piles=plain_int,
+    travel_minutes=plain_int,
+    predicted_queue_minutes=plain_int,
+    charge_minutes=plain_int,
+    distance_km=any_float,
+    pile_power_kw=any_float,
+    price_per_kwh=any_float,
+    off_peak=st.booleans(),
+)
+travel_perceptions = st.builds(
+    TravelPerception,
+    congestion_multiplier=any_float,
+    now=plain_int,
+    next_event_start=st.none() | plain_int,
+    location=coordinates,
+    next_destination=st.none() | coordinates,
+    distance_to_next_km=any_float,
+    soc_kwh=any_float,
+    soc_fraction=any_float,
+)
+snapshots = st.builds(
+    PerceptionSnapshot,
+    travel=travel_perceptions,
+    stations=st.lists(station_perceptions, max_size=4).map(tuple),
+)
+
+
+@given(station_perceptions)
+def test_station_writer_matches_the_oracle(entry):
+    expected = oracle_station_dict(entry)
+    assert entry.to_json() == canonical_json(expected)
+    assert same_json_tree(entry.to_dict(), expected)
+
+
+@given(travel_perceptions)
+def test_travel_writer_matches_the_oracle(travel):
+    expected = oracle_travel_dict(travel)
+    assert travel.to_json() == canonical_json(expected)
+    assert same_json_tree(travel.to_dict(), expected)
+
+
+@given(snapshots)
+@example(
+    PerceptionSnapshot(
+        travel=TravelPerception(1.0, 0, None, CENTER, None, -0.0, 5e-324, 1e22),
+        stations=(),
+    )
+)
+def test_snapshot_writer_matches_the_oracle(snapshot):
+    expected = oracle_snapshot_dict(snapshot)
+    text = snapshot.to_json()
+    assert text == canonical_json(expected)
+    assert text is snapshot.to_json()  # written once, then kept
+    assert same_json_tree(snapshot.to_dict(), expected)
+    assert snapshot.digest() == hashlib.sha256(text.encode("utf-8")).hexdigest()

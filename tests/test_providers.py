@@ -1,11 +1,21 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
 import pytest
 
-from chargesim.domain import ChargeScenario, GeoPoint, SimClock
+from chargesim.domain import (
+    ActionType,
+    BehaviorRecord,
+    ChargeScenario,
+    DecisionQuintuple,
+    GeoPoint,
+    PlanEvent,
+    PlanEventKind,
+    SimClock,
+)
 from chargesim.environment import EvState, EvStatus
 from chargesim.perception import PerceptionSnapshot, StationPerception, TravelPerception
 from chargesim.providers import (
@@ -418,6 +428,48 @@ class TestDecisionRequestSerialization:
         # serialized form sorts keys, so equal requests serialize identically
         assert request.to_json() == json.dumps(
             json.loads(request.to_json()), sort_keys=True, separators=(",", ":")
+        )
+
+    def test_fixed_request_text_matches_its_pin(self, persona):
+        # sha256 of one request that touches every part of the payload:
+        # plan events, two stations, a set destination, a short-memory record
+        # whose reason needs escaping, and a long-memory aggregate
+        travel = TravelPerception(
+            congestion_multiplier=1.3,
+            now=600,
+            next_event_start=720,
+            location=CENTER,
+            next_destination=GeoPoint(31.25, 121.5),
+            distance_to_next_km=3.2,
+            soc_kwh=30.0,
+            soc_fraction=0.4,
+        )
+        stations = (
+            make_station("st-01", distance_km=1.25, price=0.35, wait=0),
+            make_station("st-02", distance_km=2.5, price=0.42, wait=5, power=120.0, off_peak=False),
+        )
+        record = BehaviorRecord(
+            action=ActionType.START_CHARGING,
+            object_id="st-01",
+            timestamp=540,
+            quintuple=DecisionQuintuple(True, ChargeScenario.PUBLIC, 560, "st-01", 12.5, 60.0, 0.35),
+            reason='cheap "off-peak" \\ café\n',
+        )
+        request = DecisionRequest(
+            persona=persona,
+            plan_events=(PlanEvent(PlanEventKind.TRIP, CENTER, GeoPoint(31.25, 121.5), 720, 3.2),),
+            snapshot=PerceptionSnapshot(travel=travel, stations=stations),
+            short_records=(record,),
+            long_aggregates=(
+                {"day_index": 0, "charge_count": 1, "total_kwh": 12.5, "mean_price_per_kwh": 0.35},
+            ),
+            clock=SimClock(600),
+        )
+        text = request.to_json()
+        assert f'"perception":{request.snapshot.to_json()},' in text
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == (
+            "04a7b3bf7a08839e2d693f7a7a2021ef1d9dd234ce95d61d1919922100922174"
         )
 
 
