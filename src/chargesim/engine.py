@@ -202,7 +202,8 @@ class Simulation:
         except BaseException:
             self._behavior_fh.close()
             raise
-        # a provider that raises must not leave both logs to the garbage collector
+        # a provider that raises must not leave both logs to the garbage collector,
+        # nor the run directory without a summary.json that records the failure
         try:
             center = GeoPoint(*plan_template["center"])
             area_radius = float(plan_template["area_radius_km"])
@@ -236,8 +237,8 @@ class Simulation:
             for agent in self._agents_in_order():
                 self._advance(agent, 0)
             self.queue.push(MINUTES_PER_DAY, "", "day_boundary", {})
-        except BaseException:
-            self.close()
+        except BaseException as exc:
+            self._fail(exc)
             raise
 
     # -- setup helpers --------------------------------------------------------
@@ -296,9 +297,7 @@ class Simulation:
             self.close()
             return self._finalize(_time.perf_counter() - started)
         except BaseException as exc:
-            self.close()
-            error = {"type": type(exc).__name__, "message": str(exc)}
-            self._write_json("summary.json", {"status": "failed", "error": error})
+            self._fail(exc)
             raise
 
     # -- record emission -----------------------------------------------------------
@@ -664,6 +663,12 @@ class Simulation:
         """Close both logs; closing twice is harmless."""
         self._behavior_fh.close()
         self._reflections_fh.close()
+
+    def _fail(self, exc: BaseException) -> None:
+        """Close both logs and write a summary.json that says "failed" and names exc."""
+        self.close()
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        self._write_json("summary.json", {"status": "failed", "error": error})
 
     def _write_json(self, name: str, data: dict) -> None:
         text = json.dumps(data, sort_keys=True, indent=2)

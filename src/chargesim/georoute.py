@@ -5,6 +5,11 @@ configurable detour factor, at a constant mean speed that congestion
 scales, which keeps replays deterministic. Distances are
 straight-line-times-detour, not driving distances. Which stations are
 within reach is decided in perception.py.
+
+bounding_box_deg bounds the points within a radius of a centre by a
+latitude/longitude box. A point outside it would fail the haversine test
+too, so a caller rejects it with two comparisons and no result changes;
+the mock planner filters its destination candidates this way.
 """
 
 from __future__ import annotations
@@ -43,6 +48,53 @@ def haversine_km(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> floa
     dlon = math.radians(abs(lon_b - lon_a))
     h = math.sin(dlat / 2.0) ** 2 + math.cos(rad_a) * math.cos(rad_b) * math.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(min(1.0, h)))
+
+
+def bounding_box_deg(lat: float, lon: float, radius_km: float) -> tuple[float, float] | None:
+    """Half-widths (dlat, dlon) in degrees of a box around (lat, lon) that
+    holds every point within radius_km of it, or None.
+
+    A point (p_lat, p_lon) with p_lat in [-90, 90] and p_lon in [-180, 180]
+    whose |p_lat - lat| > dlat or |p_lon - lon| > dlon has
+    haversine_km(p_lat, p_lon, lat, lon) > radius_km, so it can be rejected
+    without computing the distance. Why, with the angle d = radius_km / R:
+
+    - Latitude: no path between two latitudes is shorter than the meridian
+      arc, so the distance is at least R * |p_lat - lat| in radians; a gap
+      above degrees(d) is farther than the radius.
+    - Longitude (J. Matuschek, "Finding Points Within a Distance of a
+      Latitude/Longitude Using Bounding Coordinates",
+      http://janmatuschek.de/LatitudeLongitudeBoundingCoordinates): a circle
+      of angular radius d that holds no pole lies between the two meridians
+      tangent to it, asin(sin(d) / cos(lat)) either side of its centre, so a
+      point beyond them is outside the circle.
+
+    Both half-widths are widened by a relative 1e-9, far above the few-ulp
+    error of these formulas and of haversine_km, plus 1e-13 degrees (about
+    10 nm), so that radius 0 and gaps too small for haversine_km to resolve
+    (a tiny gap in degrees can underflow to 0 in radians) still go to the
+    exact test.
+
+    None means there is no box, and the caller tests every point exactly:
+    - d is above 1 radian, negative or NaN: toward the antipode
+      haversine_km's asin loses more accuracy than the widening covers;
+    - the box comes within a degree of a pole: the circle may hold the
+      pole, and near it cos(lat) and the asin are ill-conditioned;
+    - the box reaches the +-180 meridian: haversine_km takes the raw
+      abs(p_lon - lon), which is small again for a point across the
+      meridian, so a raw gap above dlon no longer means "far".
+    """
+    angle = radius_km / EARTH_RADIUS_KM
+    if not 0.0 <= angle <= 1.0:
+        return None
+    dlat = math.degrees(angle) * (1.0 + 1e-9) + 1e-13
+    if not abs(lat) + dlat < 89.0:
+        return None
+    dlon = math.degrees(math.asin(math.sin(angle) / math.cos(math.radians(lat))))
+    dlon = dlon * (1.0 + 1e-9) + 1e-13
+    if not abs(lon) + dlon < 180.0:
+        return None
+    return dlat, dlon
 
 
 def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:

@@ -33,7 +33,7 @@ from ..domain import (
     VehicleSpec,
     validate_persona,
 )
-from ..georoute import great_circle_km, haversine_km
+from ..georoute import bounding_box_deg, great_circle_km, haversine_km
 from .base import CognitionProvider, DecisionRequest, DecisionResponse, SchemaError
 from .baseline import BaselineWeights, baseline_decision
 
@@ -103,10 +103,47 @@ def _random_point_near(
     center: GeoPoint,
     max_radius_km: float,
 ) -> GeoPoint:
-    # candidates stay raw floats; only the accepted one becomes a (validated) GeoPoint
+    """A point distance_km from origin at a random bearing that lies within
+    max_radius_km of center, after at most 20 bearings; else the point
+    distance_km toward center.
+
+    Candidates stay raw floats, computed as _offset does; only the accepted
+    one becomes a (validated) GeoPoint. A candidate outside the
+    bounding_box_deg box around center is rejected without its haversine,
+    which rejects exactly the candidates the haversine test would, so the
+    result and the rng draws are those of testing every candidate.
+    """
+    olat, olon = origin.latitude, origin.longitude
+    clat, clon = center.latitude, center.longitude
+    cos_olat = math.cos(math.radians(olat))
+    box = bounding_box_deg(clat, clon, max_radius_km)
+    # The box is sound only for points in [-90, 90] x [-180, 180]; a candidate
+    # can pass a pole or the +-180 meridian (haversine_km then measures its
+    # wrapped position), so then every candidate takes the exact test.
+    reach = abs(distance_km) * DEG_PER_KM
+    if (
+        box is not None
+        and -90.0 <= olat - reach
+        and olat + reach <= 90.0
+        and abs(olon) + reach / cos_olat <= 180.0
+    ):
+        dlat, dlon = box
+        lat_lo, lat_hi = clat - dlat, clat + dlat
+        lon_lo, lon_hi = clon - dlon, clon + dlon
+    else:
+        lat_lo = lon_lo = -math.inf
+        lat_hi = lon_hi = math.inf
     for _ in range(20):
-        lat, lon = _offset(origin, distance_km, rng.uniform(0.0, 2.0 * math.pi))
-        if haversine_km(lat, lon, center.latitude, center.longitude) <= max_radius_km:
+        # rng.uniform(0.0, 2.0 * math.pi) inlined: it returns
+        # 0.0 + (2.0 * math.pi - 0.0) * rng.random(), the same float
+        bearing = math.tau * rng.random()
+        lat = olat + distance_km * math.cos(bearing) * DEG_PER_KM
+        if lat < lat_lo or lat > lat_hi:
+            continue
+        lon = olon + distance_km * math.sin(bearing) * DEG_PER_KM / cos_olat
+        if lon < lon_lo or lon > lon_hi:
+            continue
+        if haversine_km(lat, lon, clat, clon) <= max_radius_km:
             return GeoPoint(lat, lon)
     # Deep in a corner of the area: head back toward the center instead.
     bearing = math.atan2(

@@ -10,17 +10,26 @@ filter it record by record, where the store bisects indexes kept on append.
 The export oracle parses every line of a run's logs and reads the parsed
 action of each, where the exporters skip unwanted lines by their text.
 The serialization oracles build each record's dict field by field, in the
-layout the to_json writers spell out key by key in text.
+layout the to_json writers spell out key by key in text. The sampler
+oracle is the mock planner's candidate loop without its bounding-box
+prefilter: it haversines every candidate. It shares _offset and
+haversine_km with the production code, since it must reproduce their
+floats bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
+
+from chargesim.domain import GeoPoint
+from chargesim.georoute import haversine_km
+from chargesim.providers.mock import _offset
 
 EARTH_RADIUS_KM = 6371.0088
 MINUTES_PER_DAY = 1440
@@ -379,3 +388,22 @@ def same_json_tree(a, b) -> bool:
             return math.isnan(a) and math.isnan(b)
         return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
     return a == b
+
+
+def oracle_random_point_near(
+    rng: random.Random,
+    origin: GeoPoint,
+    distance_km: float,
+    center: GeoPoint,
+    max_radius_km: float,
+) -> GeoPoint:
+    # candidates stay raw floats; only the accepted one becomes a (validated) GeoPoint
+    for _ in range(20):
+        lat, lon = _offset(origin, distance_km, rng.uniform(0.0, 2.0 * math.pi))
+        if haversine_km(lat, lon, center.latitude, center.longitude) <= max_radius_km:
+            return GeoPoint(lat, lon)
+    # Deep in a corner of the area: head back toward the center instead.
+    bearing = math.atan2(
+        center.longitude - origin.longitude, center.latitude - origin.latitude
+    )
+    return GeoPoint(*_offset(origin, distance_km, bearing))

@@ -430,6 +430,12 @@ def test_setup_crash_closes_every_log_and_propagates(tmp_path):
         sim.__init__(config, tmp_path / "run", provider=provider)
     assert sim._behavior_fh.closed and sim._reflections_fh.closed
     assert len(sim.agents) == 3
+    summary = json.loads((sim.run_dir / "summary.json").read_text(encoding="utf-8"))
+    assert summary == {
+        "status": "failed",
+        "error": {"type": "RuntimeError", "message": "planner crashed"},
+    }
+    assert not (sim.run_dir / "final_states.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chargesim.domain import GeoPoint
-from chargesim.georoute import OfflineRouter, RouteEstimate, great_circle_km
+from chargesim.georoute import (
+    EARTH_RADIUS_KM,
+    OfflineRouter,
+    RouteEstimate,
+    bounding_box_deg,
+    great_circle_km,
+    haversine_km,
+)
 from oracles import oracle_great_circle_km
 
 SHANGHAI = GeoPoint(31.2304, 121.4737)
@@ -96,3 +105,91 @@ def test_route_is_built_from_distance_then_minutes(a, b, multiplier):
     assert router.route(a, b, multiplier) == RouteEstimate(
         distance_km, int(round(distance_km / (30.0 * multiplier) * 60.0))
     )
+
+
+# ---------------------------------------------------------------------------
+# The bounding box rejects only points the haversine test would reject
+# ---------------------------------------------------------------------------
+
+
+def rim_extremes_nudged_out(lat, lon, radius_km, box):
+    """The points of the radius circle farthest north, south, east and west,
+    each moved 1 to 3 ulps past the box edge it is nearest to."""
+    dlat, dlon = box
+    angle = radius_km / EARTH_RADIUS_KM
+    # the latitude at which the meridians tangent to the circle touch it
+    tangent_lat = math.degrees(
+        math.asin(min(1.0, math.sin(math.radians(lat)) / math.cos(angle)))
+    )
+    edges = [
+        (lat + dlat, lon, 1, 0),
+        (lat - dlat, lon, -1, 0),
+        (tangent_lat, lon + dlon, 0, 1),
+        (tangent_lat, lon - dlon, 0, -1),
+    ]
+    points = []
+    for p_lat, p_lon, up, east in edges:
+        for _ in range(3):
+            if up:
+                p_lat = math.nextafter(p_lat, up * math.inf)
+            if east:
+                p_lon = math.nextafter(p_lon, east * math.inf)
+            points.append((p_lat, p_lon))
+    return points
+
+
+@given(
+    st.floats(min_value=-90, max_value=90),
+    st.floats(min_value=-180, max_value=180),
+    st.one_of(
+        st.floats(min_value=0, max_value=1e-6),
+        st.floats(min_value=0, max_value=50),
+        st.floats(min_value=0, max_value=7000),
+    ),
+    st.floats(min_value=-1.5, max_value=1.5),
+    st.floats(min_value=-1.5, max_value=1.5),
+)
+@settings(max_examples=300)
+# relative widening: at this tangent point the unwidened dlon falls a few ulps short
+@example(61.017100896128426, -45.10358196197548, 3100.1911580538626, 0.0, 0.0)
+@example(79.66224623189422, -6.889911029730484, 1003.4061443334722, 0.0, 0.0)
+@example(0.0, 0.0, 0.0, 1.2, -1.2)  # radius 0: every other point is rejected
+@example(1e-300, -1e-300, 1e-9, 1.0, 1.0)  # sub-ulp gaps near (0, 0)
+@example(88.0, 179.0, 10.0, 1.01, 1.01)  # the box would touch a pole and the meridian
+def test_a_point_outside_the_box_is_farther_than_the_radius(lat, lon, radius_km, u, v):
+    box = bounding_box_deg(lat, lon, radius_km)
+    if box is None:
+        return
+    dlat, dlon = box
+    candidates = rim_extremes_nudged_out(lat, lon, radius_km, box)
+    candidates.append((lat + u * dlat, lon + v * dlon))
+    for p_lat, p_lon in candidates:
+        if not (-90.0 <= p_lat <= 90.0 and -180.0 <= p_lon <= 180.0):
+            continue
+        if lat - dlat <= p_lat <= lat + dlat and lon - dlon <= p_lon <= lon + dlon:
+            continue
+        assert haversine_km(p_lat, p_lon, lat, lon) > radius_km, (p_lat, p_lon)
+
+
+@pytest.mark.parametrize(
+    "lat, lon, radius_km",
+    [
+        (90.0, 0.0, 1.0),  # at a pole
+        (88.95, 0.0, 10.0),  # within a degree of a pole
+        (-88.5, 10.0, 100.0),
+        (0.0, 180.0, 1.0),  # on the meridian
+        (0.0, -179.99, 10.0),  # reaching across it
+        (0.0, 0.0, EARTH_RADIUS_KM * 1.01),  # more than a radian
+        (0.0, 0.0, math.pi * EARTH_RADIUS_KM),
+        (0.0, 0.0, -1.0),
+        (0.0, 0.0, math.nan),
+    ],
+)
+def test_no_box_where_it_would_not_be_exact(lat, lon, radius_km):
+    assert bounding_box_deg(lat, lon, radius_km) is None
+
+
+def test_box_half_widths_near_shanghai():
+    dlat, dlon = bounding_box_deg(SHANGHAI.latitude, SHANGHAI.longitude, 8.0)
+    assert dlat == pytest.approx(8.0 / EARTH_RADIUS_KM * 180.0 / math.pi, rel=1e-8)
+    assert dlon == pytest.approx(dlat / math.cos(math.radians(SHANGHAI.latitude)), rel=1e-5)

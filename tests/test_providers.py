@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chargesim.domain import (
     ActionType,
@@ -15,8 +18,10 @@ from chargesim.domain import (
     PlanEvent,
     PlanEventKind,
     SimClock,
+    canonical_json,
 )
 from chargesim.environment import EvState, EvStatus
+from chargesim.georoute import EARTH_RADIUS_KM
 from chargesim.perception import PerceptionSnapshot, StationPerception, TravelPerception
 from chargesim.providers import (
     BaselineWeights,
@@ -32,7 +37,8 @@ from chargesim.providers import (
     validate_decision,
 )
 from chargesim.providers.live import LiveSettings
-from oracles import NoCandidateError, oracle_station_choice
+from chargesim.providers.mock import _random_point_near
+from oracles import NoCandidateError, oracle_random_point_near, oracle_station_choice
 
 CENTER = GeoPoint(31.2304, 121.4737)
 
@@ -153,6 +159,101 @@ class TestMockPlan:
             plan = provider.plan_day(persona, 0, seed)
             total_km = sum(event.expected_distance_km for event in plan.events)
             assert 100.0 <= total_km <= 400.0, f"seed {seed}: {total_km:.1f} km"
+
+    # sha256 of canonical_json([plan.to_dict()]) for 3 personas x days 0-2, seed 42
+    @pytest.mark.parametrize(
+        "template, digest",
+        [
+            pytest.param(
+                {},
+                "86553e1e37d3dcc10cefadeb3cbf7712e884c9b28459fa2d1212057620f4a3b4",
+                id="default",
+            ),
+            pytest.param(
+                {"area_radius_km": 60.0},
+                "4591f82f12ce3d7fe6fe47d40c92223398ec56eb316e4b1d5c2b45525d4e943b",
+                id="area-60km",
+            ),
+            pytest.param(
+                {"area_radius_km": 0.5},
+                "e7eaeab5f70817a207b30f10f28f6128923d69405e1210b03cce753161e53cf4",
+                id="area-0.5km",
+            ),
+            pytest.param(
+                {"center": [69.65, 18.96]},
+                "162cb6f44cf12345878fb84292ed66fed6e499108fb5c9dd8f84d54b9557b095",
+                id="tromso",
+            ),
+        ],
+    )
+    def test_plans_match_their_pinned_digests(self, template, digest):
+        provider = MockProvider(plan_template=template)
+        personas = [MockProvider().generate_persona(seed, {}) for seed in range(3)]
+        plans = [provider.plan_day(p, day, 42) for p in personas for day in range(3)]
+        text = canonical_json([plan.to_dict() for plan in plans])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _wrap_lon(lon: float) -> float:
+    return lon if -180.0 <= lon <= 180.0 else (lon + 180.0) % 360.0 - 180.0
+
+
+@st.composite
+def sampler_calls(draw):
+    """(origin, hop_km, center, radius_km): centres anywhere, many of them
+    within 5 degrees of a pole or 1 degree of the +-180 meridian, and
+    origins either anywhere or within 0.3 degrees of the centre."""
+    lat = st.one_of(
+        st.floats(-90, 90), st.floats(85, 90), st.floats(-90, -85), st.sampled_from([90.0, -90.0])
+    )
+    lon = st.one_of(st.floats(-180, 180), st.floats(179, 180), st.floats(-180, -179))
+    center = GeoPoint(draw(lat), draw(lon))
+    if draw(st.booleans()):
+        origin = GeoPoint(draw(lat), draw(lon))
+    else:
+        near = st.floats(-0.3, 0.3)
+        origin = GeoPoint(
+            min(90.0, max(-90.0, center.latitude + draw(near))),
+            _wrap_lon(center.longitude + draw(near)),
+        )
+    hop_km = draw(st.one_of(st.just(0.0), st.floats(0, 30), st.floats(0, 500)))
+    radius_km = draw(
+        st.one_of(
+            st.sampled_from([0.0, 1e-9, math.pi * EARTH_RADIUS_KM, 25_000.0]),
+            st.floats(0, 50),
+            st.floats(0, 25_000),
+        )
+    )
+    return origin, hop_km, center, radius_km
+
+
+def _sample(sampler, seed, call):
+    rng = random.Random(seed)
+    try:
+        outcome = sampler(rng, *call)
+    except ValueError as exc:  # an accepted candidate off the globe
+        outcome = (type(exc), str(exc))
+    return outcome, rng.getstate()
+
+
+SHANGHAI_EDGE = GeoPoint(31.2304 + 7.5 * 0.008993, 121.4737)
+
+
+@given(sampler_calls(), st.integers(0, 2**32))
+@settings(max_examples=400)
+@example((SHANGHAI_EDGE, 12.0, CENTER, 8.0), 1)  # the plan area: most candidates land outside
+@example((GeoPoint(89.9, 30.0), 5.0, GeoPoint(90.0, 0.0), 20.0), 2)  # centre on the pole
+@example((GeoPoint(-86.05, 45.2), 3.0, GeoPoint(-86.0, 45.0), 10.0), 3)  # |lat| >= 85, boxed
+@example((GeoPoint(0.0, -179.99), 1.0, GeoPoint(0.0, 179.9999), 10.0), 4)  # across +-180
+@example((GeoPoint(89.0, -100.0), 300.0, GeoPoint(88.3, 80.0), 30.0), 1)  # a hop past the pole
+@example((CENTER, 0.0, CENTER, 0.0), 5)  # hop 0, radius 0: the first candidate is the centre
+@example((CENTER, 0.0, CENTER, 1e-9), 6)
+@example((SHANGHAI_EDGE, 0.0, CENTER, 1.0), 7)  # hop 0 outside the radius: the fallback
+@example((GeoPoint(-30.0, 100.0), 300.0, GeoPoint(10.0, 20.0), math.pi * EARTH_RADIUS_KM), 8)
+def test_random_point_near_matches_the_unfiltered_oracle(call, seed):
+    """Same point (or exception type and message) and same rng state as
+    haversining every candidate, whatever the box does."""
+    assert _sample(_random_point_near, seed, call) == _sample(oracle_random_point_near, seed, call)
 
 
 # ---------------------------------------------------------------------------
