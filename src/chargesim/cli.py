@@ -93,10 +93,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     exporters = {"geojson": export_geojson, "html": export_html, "csv": export_csv}
     try:
         out = exporters[args.format](args.run, args.out)
-    except FileNotFoundError as exc:
-        print(f"export failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except Exception as exc:  # noqa: BLE001
+    except Exception as exc:  # noqa: BLE001 - a missing artifact or a failed run
         print(f"export failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"wrote {out}")

@@ -26,6 +26,9 @@ from .georoute import OfflineRouter
 from .providers.live import LiveSettings
 from .providers.mock import DEFAULT_PERSONA_TEMPLATE, DEFAULT_PLAN_TEMPLATE
 
+# plan_template keys the scenario's routing settings always overwrite
+_ROUTING_KEYS = {"detour_factor": "detour_factor", "speed_kmh": "base_speed_kmh"}
+
 
 @dataclass
 class ScenarioConfig:
@@ -80,7 +83,11 @@ class ScenarioConfig:
         ]
     )
     persona_template: dict = field(default_factory=lambda: dict(DEFAULT_PERSONA_TEMPLATE))
-    plan_template: dict = field(default_factory=lambda: dict(DEFAULT_PLAN_TEMPLATE))
+    plan_template: dict = field(
+        default_factory=lambda: {
+            k: v for k, v in DEFAULT_PLAN_TEMPLATE.items() if k not in _ROUTING_KEYS
+        }
+    )
     live: dict = field(
         default_factory=lambda: {
             "base_url": "https://api.openai.com/v1",
@@ -168,6 +175,9 @@ class ScenarioConfig:
             problems.append("detour_factor must be >= 1")
         if self.base_speed_kmh <= 0:
             problems.append("base_speed_kmh must be > 0")
+        for key, setting in _ROUTING_KEYS.items():
+            if key in self.plan_template:
+                problems.append(f"plan_template.{key} has no effect; set {setting} instead")
         for key in ("distance", "price", "wait"):
             if float(self.baseline_weights.get(key, -1.0)) < 0.0:
                 problems.append(f"baseline_weights.{key} must be >= 0")

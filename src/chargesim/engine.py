@@ -12,6 +12,11 @@ so a (config, seed) pair maps to byte-identical logs under the mock
 provider. Provider responses are validated before they can touch the
 environment; invalid ones are replaced by the rule-based baseline and the
 resulting records carry fallback=true.
+
+The engine also owns the run's accounting: RunTotals sums each log entry as
+it is written, build_summary turns the sums into summary.json (which
+export_csv renders as summary.csv), and final_states.json takes each agent's
+km and cost from the same sums.
 """
 
 from __future__ import annotations
@@ -53,7 +58,6 @@ from .environment import (
     begin_charge,
     consume_energy,
 )
-from .export import RunTotals, build_summary
 from .memory import MemoryStore
 from .perception import perceive
 from .providers.base import (
@@ -69,6 +73,92 @@ from .providers.live import LiveProvider
 from .providers.mock import MockProvider, home_point_for
 
 TOW_RESERVE_FRACTION = 0.05
+HOURS_PER_DAY = 24
+
+
+def _zero_bucket() -> dict:
+    return {"total_km": 0.0, "total_kwh_charged": 0.0, "total_cost": 0.0, "charge_count": 0}
+
+
+class RunTotals:
+    """The run's accounting, fed each behavior.log entry as the engine writes it.
+
+    The terms arrive in behavior.log order, so a reader that sums the log in
+    file order gets bit-identical floats. Distance comes from travel legs
+    plus charging detours; energy, cost, charge counts and the hourly load
+    come from completed charges (stop_charging entries). summary.json and
+    final_states.json's km_total and cost_total are read from these sums.
+    """
+
+    def __init__(self) -> None:
+        self.agents: dict[str, dict] = {}
+        self.satisfaction: dict[str, list[float]] = {}
+        # one bucket per hour from minute 0 through the end of the last charge
+        self.hourly: list[float] = []
+
+    def add(self, agent_id: str, action: str, power_kw: float, extras: dict) -> None:
+        """Sum one behavior.log entry: its agent, record action, quintuple power and extras."""
+        if action == "travel":
+            self._bucket(agent_id)["total_km"] += extras["distance_km"]
+        elif action == "stop_charging":
+            bucket = self._bucket(agent_id)
+            bucket["total_km"] += extras["approach_distance_km"]
+            bucket["total_kwh_charged"] += extras["energy_kwh"]
+            bucket["total_cost"] += extras["cost"]
+            bucket["charge_count"] += 1
+            self._add_load(extras["start_charge"], extras["end_charge"], power_kw)
+
+    def add_reflection(self, entry: dict) -> None:
+        self.satisfaction.setdefault(entry["agent_id"], []).append(
+            entry["report"]["satisfaction"]["score"]
+        )
+
+    def _bucket(self, agent_id: str) -> dict:
+        return self.agents.setdefault(agent_id, _zero_bucket())
+
+    def _add_load(self, start: int, end: int, power_kw: float) -> None:
+        if end <= start:
+            return
+        hourly = self.hourly
+        last_hour = (end - 1) // 60
+        if last_hour >= len(hourly):
+            hourly.extend([0.0] * (last_hour + 1 - len(hourly)))
+        for hour in range(start // 60, last_hour + 1):
+            overlap = min(end, (hour + 1) * 60) - max(start, hour * 60)
+            hourly[hour] += power_kw * overlap / 60.0
+
+
+def build_summary(totals: RunTotals, final_states: dict, horizon_days: int) -> dict:
+    agents = {}
+    for agent_id in sorted(final_states):
+        scores = totals.satisfaction.get(agent_id, [])
+        agents[agent_id] = {
+            **(totals.agents.get(agent_id) or _zero_bucket()),
+            "mean_satisfaction": sum(scores) / len(scores) if scores else 0.0,
+            "strand_count": final_states[agent_id]["strand_count"],
+        }
+
+    rows = list(agents.values())  # in agent id order
+    fleet = {
+        key: sum(row[key] for row in rows)
+        for key in ("total_km", "total_kwh_charged", "total_cost", "charge_count", "strand_count")
+    }
+    fleet["mean_satisfaction"] = (
+        sum(row["mean_satisfaction"] for row in rows) / len(rows) if rows else 0.0
+    )
+
+    # The series runs through the horizon or the end of the last charge,
+    # whichever is later: a charge begun before the horizon may finish
+    # after it, and its load belongs to those later hours.
+    hourly = totals.hourly + [0.0] * (horizon_days * HOURS_PER_DAY - len(totals.hourly))
+
+    return {
+        "agents": agents,
+        "fleet": fleet,
+        "hourly_load_kw": hourly,
+        "horizon_days": horizon_days,
+        "num_agents": len(agents),
+    }
 
 
 class EventQueue:
@@ -108,8 +198,6 @@ class AgentRuntime:
     consumed_kwh: float = 0.0
     charged_kwh: float = 0.0
     tow_delta_kwh: float = 0.0
-    cost_total: float = 0.0
-    km_total: float = 0.0
 
     @property
     def next_event_start(self) -> int | None:
@@ -378,7 +466,6 @@ class Simulation:
             self._strand(agent, now, f"stranded during a planned trip: {err}", distance_km)
             return
         agent.consumed_kwh += energy_kwh
-        agent.km_total += distance_km
         agent.state.location = event.destination
         agent.state.status = EvStatus.IDLE
         record = BehaviorRecord(
@@ -483,7 +570,6 @@ class Simulation:
             )
             return
         agent.consumed_kwh += approach_energy
-        agent.km_total += distance_km
         agent.state.location = station.location
         agent.state.status = EvStatus.QUEUED
         try:
@@ -542,7 +628,6 @@ class Simulation:
                 raise AssertionError("charge overshot battery capacity")
             new_soc = agent.state.capacity_kwh
         agent.charged_kwh += new_soc - agent.state.soc_kwh
-        agent.cost_total += ticket.cost
         agent.state.set_soc(new_soc)
         agent.state.status = EvStatus.IDLE
         duration = ticket.end_charge - ticket.start_charge
@@ -677,6 +762,8 @@ class Simulation:
     def _finalize(self, elapsed_s: float) -> RunArtifacts:
         final_states = {}
         for agent in self._agents_in_order():
+            # the sums behind the agent's total_km and total_cost in summary.json
+            bucket = self.totals.agents.get(agent.agent_id) or _zero_bucket()
             final_states[agent.agent_id] = {
                 "location": [agent.state.location.latitude, agent.state.location.longitude],
                 "status": agent.state.status.value,
@@ -686,8 +773,8 @@ class Simulation:
                 "consumed_kwh": agent.consumed_kwh,
                 "charged_kwh": agent.charged_kwh,
                 "tow_delta_kwh": agent.tow_delta_kwh,
-                "cost_total": agent.cost_total,
-                "km_total": agent.km_total,
+                "cost_total": bucket["total_cost"],
+                "km_total": bucket["total_km"],
                 "strand_count": agent.strand_count,
             }
         summary = build_summary(self.totals, final_states, horizon_days=self.config.horizon_days)

@@ -1,13 +1,12 @@
-"""Run summaries and static exports (GeoJSON, HTML map, CSV).
+"""Static exports of a finished run: GeoJSON, HTML map and CSV.
 
 Every export is a pure function of the artifacts under a run directory, so
-re-exporting yields byte-identical files. The CSV and the summary add up
-behavior.log in file order (RunTotals), which makes their totals exactly
-reconcilable against the log by any reader that sums the same way.
+re-exporting yields byte-identical files. summary.csv renders the totals
+the engine wrote to summary.json, so the two cannot disagree.
 
-Each exporter streams behavior.log once (iter_log) and parses only the
-entries whose action it reads: about half the log is skip_charging
-decisions that no exporter uses. The engine writes every line with sorted
+The map exporters stream behavior.log once (iter_log) and parse only the
+entries whose action they read: about half the log is skip_charging
+decisions that neither uses. The engine writes every line with sorted
 keys and compact separators, so a line's action shows in its
 `"record":{"action":"..."` text and an unwanted line is skipped before
 json.loads. A line in any other layout is parsed and then filtered by its
@@ -22,8 +21,6 @@ from html import escape
 from pathlib import Path
 
 from .config import load_config
-
-HOURS_PER_DAY = 24
 
 SUMMARY_CSV_COLUMNS = (
     "agent_id",
@@ -61,114 +58,19 @@ def _skippable(line: str, actions: frozenset[str]) -> bool:
     )
 
 
-def iter_log(path: Path | str, actions: frozenset[str] | None = None) -> Iterator[dict]:
-    """Yield a JSON-lines log's entries in file order, skipping blank lines.
-
-    With `actions`, yield only the entries whose record action is in it.
-    """
+def iter_log(path: Path | str, actions: frozenset[str]) -> Iterator[dict]:
+    """Yield the entries of a JSON-lines log whose record action is in
+    `actions`, in file order, skipping blank lines."""
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            if actions is not None and _skippable(line, actions):
+            if _skippable(line, actions):
                 continue
             line = line.strip()
             if not line:
                 continue
             entry = json.loads(line)
-            if actions is None or entry["record"]["action"] in actions:
+            if entry["record"]["action"] in actions:
                 yield entry
-
-
-def _zero_bucket() -> dict:
-    return {"total_km": 0.0, "total_kwh_charged": 0.0, "total_cost": 0.0, "charge_count": 0}
-
-
-class RunTotals:
-    """Running sums behind summary.json, fed one log entry at a time.
-
-    The engine adds each entry as it writes it; export_csv adds the entries
-    it reads back. Either way the terms arrive in behavior.log order, so
-    both give bit-identical floats. Distance comes from travel legs plus
-    charging detours; energy, cost, charge counts and the hourly load come
-    from completed charges (stop_charging entries).
-    """
-
-    def __init__(self) -> None:
-        self.agents: dict[str, dict] = {}
-        self.satisfaction: dict[str, list[float]] = {}
-        # one bucket per hour from minute 0 through the end of the last charge
-        self.hourly: list[float] = []
-
-    def add(self, agent_id: str, action: str, power_kw: float, extras: dict) -> None:
-        """Sum one behavior.log entry: its agent, record action, quintuple power and extras."""
-        if action == "travel":
-            self._bucket(agent_id)["total_km"] += extras["distance_km"]
-        elif action == "stop_charging":
-            bucket = self._bucket(agent_id)
-            bucket["total_km"] += extras["approach_distance_km"]
-            bucket["total_kwh_charged"] += extras["energy_kwh"]
-            bucket["total_cost"] += extras["cost"]
-            bucket["charge_count"] += 1
-            self._add_load(extras["start_charge"], extras["end_charge"], power_kw)
-
-    def add_reflection(self, entry: dict) -> None:
-        self.satisfaction.setdefault(entry["agent_id"], []).append(
-            entry["report"]["satisfaction"]["score"]
-        )
-
-    def _bucket(self, agent_id: str) -> dict:
-        return self.agents.setdefault(agent_id, _zero_bucket())
-
-    def _add_load(self, start: int, end: int, power_kw: float) -> None:
-        if end <= start:
-            return
-        hourly = self.hourly
-        last_hour = (end - 1) // 60
-        if last_hour >= len(hourly):
-            hourly.extend([0.0] * (last_hour + 1 - len(hourly)))
-        for hour in range(start // 60, last_hour + 1):
-            overlap = min(end, (hour + 1) * 60) - max(start, hour * 60)
-            hourly[hour] += power_kw * overlap / 60.0
-
-
-def build_summary(totals: RunTotals, final_states: dict, horizon_days: int) -> dict:
-    agents = {}
-    for agent_id in sorted(final_states):
-        bucket = totals.agents.get(agent_id) or _zero_bucket()
-        scores = totals.satisfaction.get(agent_id, [])
-        agents[agent_id] = {
-            "total_km": bucket["total_km"],
-            "total_kwh_charged": bucket["total_kwh_charged"],
-            "total_cost": bucket["total_cost"],
-            "charge_count": bucket["charge_count"],
-            "mean_satisfaction": sum(scores) / len(scores) if scores else 0.0,
-            "strand_count": final_states[agent_id]["strand_count"],
-        }
-
-    fleet = {
-        "total_km": sum(agents[a]["total_km"] for a in sorted(agents)),
-        "total_kwh_charged": sum(agents[a]["total_kwh_charged"] for a in sorted(agents)),
-        "total_cost": sum(agents[a]["total_cost"] for a in sorted(agents)),
-        "charge_count": sum(agents[a]["charge_count"] for a in sorted(agents)),
-        "mean_satisfaction": (
-            sum(agents[a]["mean_satisfaction"] for a in sorted(agents)) / len(agents)
-            if agents
-            else 0.0
-        ),
-        "strand_count": sum(agents[a]["strand_count"] for a in sorted(agents)),
-    }
-
-    # The series runs through the horizon or the end of the last charge,
-    # whichever is later: a charge begun before the horizon may finish
-    # after it, and its load belongs to those later hours.
-    hourly = totals.hourly + [0.0] * (horizon_days * HOURS_PER_DAY - len(totals.hourly))
-
-    return {
-        "agents": agents,
-        "fleet": fleet,
-        "hourly_load_kw": hourly,
-        "horizon_days": horizon_days,
-        "num_agents": len(agents),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -459,52 +361,23 @@ th {{ background: #eee; }}
 # ---------------------------------------------------------------------------
 
 
-# the actions RunTotals.add sums; it ignores every other one
-_CSV_ACTIONS = frozenset({"travel", "stop_charging"})
-
-
 def export_csv(run_dir: Path | str, out_path: Path | str | None = None) -> Path:
-    """Summary table: one row per agent plus a fleet row, totals straight
-    from behavior.log so they reconcile exactly."""
+    """Summary table: summary.json's row for each agent, then its fleet row.
+
+    A failed run has no totals to render, so its summary raises ValueError.
+    """
     run_dir = Path(run_dir)
     out = Path(out_path) if out_path else run_dir / "summary.csv"
-    totals = RunTotals()
-    for entry in iter_log(_require(run_dir / "behavior.log"), _CSV_ACTIONS):
-        record = entry["record"]
-        power_kw = record["quintuple"]["power_kw"]
-        totals.add(entry["agent_id"], record["action"], power_kw, entry["extras"])
-    for entry in iter_log(_require(run_dir / "reflections.log")):
-        totals.add_reflection(entry)
-    final_states = json.loads(_require(run_dir / "final_states.json").read_text(encoding="utf-8"))
-    summary = build_summary(totals, final_states, horizon_days=0)
-
+    summary = json.loads(_require(run_dir / "summary.json").read_text(encoding="utf-8"))
+    if summary.get("status") == "failed":
+        error = summary["error"]
+        raise ValueError(f"run failed, no totals to export: {error['type']}: {error['message']}")
+    agents = summary["agents"]
+    rows = [(agent_id, agents[agent_id]) for agent_id in sorted(agents)]
+    rows.append(("fleet", summary["fleet"]))
     lines = [",".join(SUMMARY_CSV_COLUMNS)]
-    for agent_id in sorted(summary["agents"]):
-        a = summary["agents"][agent_id]
-        lines.append(
-            ",".join(
-                [
-                    agent_id,
-                    repr(a["total_km"]),
-                    repr(a["total_kwh_charged"]),
-                    repr(a["total_cost"]),
-                    str(a["charge_count"]),
-                    repr(a["mean_satisfaction"]),
-                ]
-            )
-        )
-    fleet = summary["fleet"]
-    lines.append(
-        ",".join(
-            [
-                "fleet",
-                repr(fleet["total_km"]),
-                repr(fleet["total_kwh_charged"]),
-                repr(fleet["total_cost"]),
-                str(fleet["charge_count"]),
-                repr(fleet["mean_satisfaction"]),
-            ]
-        )
-    )
+    for name, totals in rows:
+        # repr writes each float so that it reads back bit-identical
+        lines.append(",".join([name, *(repr(totals[key]) for key in SUMMARY_CSV_COLUMNS[1:])]))
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out

@@ -11,7 +11,6 @@ semantic check against the snapshot the decision was made from
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -61,9 +60,6 @@ class DecisionRequest:
             f'"plan_events":{canonical_json([event.to_dict() for event in self.plan_events])},'
             f'"short_memory":[{short_memory}]}}'
         )
-
-    def to_payload(self) -> dict:
-        return json.loads(self.to_json())
 
 
 @dataclass(frozen=True)

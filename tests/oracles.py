@@ -7,8 +7,9 @@ overlap, the station scorer is an explicit exhaustive loop, and the queue
 oracle is a minute-stepping FIFO simulation rather than greedy pile
 reservation. The memory oracles scan a store's whole record list and
 filter it record by record, where the store bisects indexes kept on append.
-The export oracle parses every line of a run's logs and reads the parsed
-action of each, where the exporters skip unwanted lines by their text.
+The export oracle parses every line of a run's behavior.log and reads the
+parsed action of each, where the map exporters skip unwanted lines by their
+text.
 The serialization oracles build each record's dict field by field, in the
 layout the to_json writers spell out key by key in text. The sampler
 oracle is the mock planner's candidate loop without its bounding-box
@@ -189,41 +190,14 @@ def read_log(path: Path | str) -> list[dict]:
 
 
 def oracle_exports(run_dir: Path) -> dict:
-    """What summary.csv, map.geojson and map.html must hold, from a full parse.
+    """What map.geojson and map.html must hold, from a full parse.
 
-    Returns "rows" (agent id or "fleet" -> [km, kWh, cost, charge count,
-    mean satisfaction]), "geojson" (the FeatureCollection) and "decisions"
-    (the HTML panel's [agent, time label, station, reason] rows).
+    Returns "geojson" (the FeatureCollection) and "decisions" (the HTML
+    panel's [agent, time label, station, reason] rows).
     """
     behavior = read_log(run_dir / "behavior.log")
-    reflections = read_log(run_dir / "reflections.log")
     final_states = json.loads((run_dir / "final_states.json").read_text(encoding="utf-8"))
     stations = yaml.safe_load((run_dir / "config.yaml").read_text(encoding="utf-8"))["stations"]
-    agent_ids = sorted(final_states)
-
-    rows = {}
-    for agent_id in agent_ids:
-        km = kwh = cost = 0.0
-        count = 0
-        for entry in behavior:
-            if entry["agent_id"] != agent_id:
-                continue
-            action = entry["record"]["action"]
-            if action == "travel":
-                km += entry["extras"]["distance_km"]
-            elif action == "stop_charging":
-                km += entry["extras"]["approach_distance_km"]
-                kwh += entry["extras"]["energy_kwh"]
-                cost += entry["extras"]["cost"]
-                count += 1
-        scores = [
-            r["report"]["satisfaction"]["score"] for r in reflections if r["agent_id"] == agent_id
-        ]
-        mean = sum(scores) / len(scores) if scores else 0.0
-        rows[agent_id] = [km, kwh, cost, count, mean]
-    fleet = [sum(rows[a][column] for a in agent_ids) for column in range(5)]
-    fleet[4] = fleet[4] / len(agent_ids) if agent_ids else 0.0
-    rows["fleet"] = fleet
 
     by_id = {station["station_id"]: station for station in stations}
     features = []
@@ -307,7 +281,6 @@ def oracle_exports(run_dir: Path) -> dict:
             decisions.append([agent_id, label, record["object_id"], record["reason"]])
 
     return {
-        "rows": rows,
         "geojson": {"type": "FeatureCollection", "features": features},
         "decisions": decisions,
     }

@@ -42,6 +42,19 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
     assert "memory_fsync" in capsys.readouterr().err
 
 
+def test_validate_rejects_plan_template_routing_keys(tmp_path, capsys):
+    # the planner's detour factor and speed are the routing model's, so these
+    # keys would be recorded in config.yaml and then ignored
+    assert not any("plan_template" in p for p in ScenarioConfig().validate())
+    path = tmp_path / "knobs.yaml"
+    plan = {"speed_kmh": 50.0, "detour_factor": 2.0}
+    path.write_text(yaml.safe_dump({"plan_template": plan}), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "plan_template.speed_kmh" in err and "base_speed_kmh" in err
+    assert "plan_template.detour_factor" in err
+
+
 def test_run_writes_artifacts(tmp_path, small_config_file, capsys):
     out_dir = tmp_path / "run"
     code = main(
@@ -94,6 +107,16 @@ def test_export_subcommands(tmp_path, small_config_file):
     assert (out_dir / "summary.csv").exists()
     assert (out_dir / "map.geojson").exists()
     assert (out_dir / "map.html").exists()
+
+
+def test_csv_export_of_a_failed_run_exits_2(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    failed = {"status": "failed", "error": {"type": "ProviderError", "message": "endpoint down"}}
+    (run_dir / "summary.json").write_text(json.dumps(failed), encoding="utf-8")
+    assert main(["export", "--run", str(run_dir), "--format", "csv"]) == 2
+    assert "ProviderError: endpoint down" in capsys.readouterr().err
+    assert not (run_dir / "summary.csv").exists()
 
 
 def test_export_missing_run_dir_exits_2(tmp_path, capsys):

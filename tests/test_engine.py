@@ -18,8 +18,7 @@ from chargesim.domain import (
     ReflectionReport,
     canonical_json,
 )
-from chargesim.engine import EventQueue, Simulation, run
-from chargesim.export import RunTotals, build_summary
+from chargesim.engine import EventQueue, RunTotals, Simulation, build_summary, run
 from chargesim.providers import (
     CognitionProvider,
     DecisionRequest,
@@ -176,26 +175,28 @@ class TestRun:
     def test_soc_is_reduced_before_decision(self, tmp_path):
         config = small_config(num_agents=1, horizon_days=1)
         sim = Simulation(config, tmp_path / "run")
-        agent = sim.agents["agent-00"]
-        rate = agent.persona.vehicle.consumption_kwh_per_km
+        try:
+            agent = sim.agents["agent-00"]
+            rate = agent.persona.vehicle.consumption_kwh_per_km
 
-        seen = []
-        original = sim._decision_pipeline
+            seen = []
+            original = sim._decision_pipeline
 
-        def spy(agent_arg, now):
-            seen.append((agent_arg.state.soc_kwh, now))
-            return original(agent_arg, now)
+            def spy(agent_arg, now):
+                seen.append((agent_arg.state.soc_kwh, now))
+                return original(agent_arg, now)
 
-        sim._decision_pipeline = spy
-        # first two events: trip_start then trip_end of the first leg
-        sim.step()
-        trip_end = sim.queue._heap[0]
-        distance = trip_end[4]["distance_km"]
-        soc_before = agent.state.soc_kwh
-        sim.step()
-        assert seen, "trip end must run the decision pipeline"
-        assert seen[0][0] == pytest.approx(soc_before - distance * rate, abs=1e-12)
-        sim.close()
+            sim._decision_pipeline = spy
+            # first two events: trip_start then trip_end of the first leg
+            sim.step()
+            trip_end = sim.queue._heap[0]
+            distance = trip_end[4]["distance_km"]
+            soc_before = agent.state.soc_kwh
+            sim.step()
+            assert seen, "trip end must run the decision pipeline"
+            assert seen[0][0] == pytest.approx(soc_before - distance * rate, abs=1e-12)
+        finally:
+            sim.close()
 
     def test_reflection_cadence_and_timestamps(self, tmp_path):
         config = small_config(num_agents=2, horizon_days=3)
@@ -374,6 +375,25 @@ def test_engine_summary_equals_summary_rebuilt_from_the_logs(tmp_path, make_conf
     written = json.loads((artifacts.run_dir / "summary.json").read_text(encoding="utf-8"))
     del written["fallbacks"]
     assert written == rebuilt  # exact float equality, term for term
+
+
+def test_final_states_take_km_and_cost_from_the_summary_totals(tmp_path):
+    artifacts = run(charge_and_strand_config(), tmp_path / "run")
+    agents = artifacts.summary["agents"]
+    assert any(agents[a]["charge_count"] for a in agents)
+    for agent_id, state in artifacts.final_states.items():
+        assert state["km_total"] == agents[agent_id]["total_km"]
+        assert state["cost_total"] == agents[agent_id]["total_cost"]
+
+
+def test_engine_does_not_import_the_exporter():
+    paths = [str(Path(chargesim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    code = "import sys, chargesim.engine; sys.exit('chargesim.export' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr or "chargesim.engine loaded chargesim.export"
 
 
 # ---------------------------------------------------------------------------
@@ -609,10 +629,12 @@ def test_step_processes_one_event_and_time_is_monotone(tmp_path):
     sim = Simulation(small_config(num_agents=2, horizon_days=1), tmp_path / "run")
     last = 0
     steps = 0
-    while len(sim.queue):
-        sim.step()
-        assert sim.now >= last
-        last = sim.now
-        steps += 1
-    sim.close()
+    try:
+        while len(sim.queue):
+            sim.step()
+            assert sim.now >= last
+            last = sim.now
+            steps += 1
+    finally:
+        sim.close()
     assert steps > 10

@@ -8,14 +8,9 @@ import re
 import pytest
 
 from chargesim.config import ScenarioConfig
-from chargesim.engine import run
-from chargesim.export import (
-    RunTotals,
-    build_summary,
-    export_csv,
-    export_geojson,
-    export_html,
-)
+from chargesim.engine import RunTotals, Simulation, build_summary, run
+from chargesim.export import export_csv, export_geojson, export_html
+from chargesim.providers import MockProvider
 from geojson_schema import validate_geojson
 from oracles import oracle_exports, read_log
 
@@ -85,7 +80,48 @@ class TestGeojson:
             export_geojson(tmp_path / "nope")
 
 
+class PlannerDown(MockProvider):
+    def plan_day(self, persona, day_index, seed):
+        raise RuntimeError("planner down")
+
+
+def _csv_rows(path):
+    """CSV rows by agent id: [km, kWh, cost, charge count, mean satisfaction]."""
+    rows = {}
+    for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+        cells = line.split(",")
+        rows[cells[0]] = [float(c) for c in cells[1:4]] + [int(cells[4]), float(cells[5])]
+    return rows
+
+
 class TestCsv:
+    def test_rows_are_the_summary_json_values(self, finished_run):
+        _config, artifacts = finished_run
+        summary = json.loads((artifacts.run_dir / "summary.json").read_text(encoding="utf-8"))
+        columns = ("total_km", "total_kwh_charged", "total_cost", "charge_count",
+                   "mean_satisfaction")
+        expected = {aid: [totals[c] for c in columns] for aid, totals in summary["agents"].items()}
+        expected["fleet"] = [summary["fleet"][c] for c in columns]
+        assert _csv_rows(export_csv(artifacts.run_dir)) == expected  # bit-identical floats
+
+    def test_needs_only_summary_json(self, finished_run, tmp_path):
+        _config, artifacts = finished_run
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        (bare / "summary.json").write_bytes((artifacts.run_dir / "summary.json").read_bytes())
+        full = export_csv(artifacts.run_dir, tmp_path / "full.csv").read_bytes()
+        assert export_csv(bare).read_bytes() == full
+
+    def test_failed_run_raises_its_recorded_error(self, tmp_path):
+        config = ScenarioConfig()
+        config.num_agents = 1
+        config.horizon_days = 1
+        with pytest.raises(RuntimeError, match="planner down"):
+            Simulation(config, tmp_path / "run", provider=PlannerDown())
+        with pytest.raises(ValueError, match="RuntimeError: planner down"):
+            export_csv(tmp_path / "run")
+        assert not (tmp_path / "run" / "summary.csv").exists()
+
     def test_row_count_is_agents_plus_fleet(self, finished_run):
         config, artifacts = finished_run
         lines = export_csv(artifacts.run_dir).read_text(encoding="utf-8").splitlines()
@@ -351,13 +387,6 @@ def hand_written_run(tmp_path):
     run_dir.mkdir()
     (run_dir / "config.yaml").write_text(ScenarioConfig().to_yaml(), encoding="utf-8")
     (run_dir / "behavior.log").write_text(_hand_written_behavior_log(), encoding="utf-8")
-    reflections = [
-        {"agent_id": agent_id, "timestamp": 1440, "report": {"satisfaction": {"score": score}}}
-        for agent_id, score in (("agent-00", 0.25), ("agent-01", 0.5), ("agent-00", 0.75))
-    ]
-    (run_dir / "reflections.log").write_text(
-        "\n".join(_compact(r) for r in reflections) + "\n\n", encoding="utf-8"
-    )
     final_states = {
         agent_id: {"location": [31.22, 121.41], "strand_count": 0}
         for agent_id in ("agent-00", "agent-01", "agent-02")
@@ -369,19 +398,18 @@ def hand_written_run(tmp_path):
 def test_exporters_match_the_full_parse_oracle_on_a_hand_written_log(hand_written_run):
     run_dir = hand_written_run
     expected = oracle_exports(run_dir)
-    # the lines the pre-parse filter must not drop all count
-    assert expected["rows"]["agent-00"] == [3.5 + 0.7, 20.5, 24.6, 1, 0.5]
-    assert expected["rows"]["agent-01"][0] == 5.25 + 1.5 + 2.75
+    # the lines the pre-parse filter must not drop all count: agent-01's travel
+    # legs are record-first, carry a second marker and escape their action
+    routes = {
+        f["properties"]["agent_id"]: f["geometry"]["coordinates"]
+        for f in expected["geojson"]["features"]
+        if f["properties"]["kind"] == "route"
+    }
+    work, home, station = [121.45, 31.25], [121.4, 31.2], [121.469, 31.233]
+    assert routes["agent-01"] == [work, home, station, work]
     assert len(expected["decisions"]) == 2
     assert MARKER_TEXT in expected["decisions"][0][3]
     assert expected["decisions"][1][3] == MARKUP_REASON
-
-    lines = export_csv(run_dir).read_text(encoding="utf-8").splitlines()
-    rows = {}
-    for line in lines[1:]:
-        cells = line.split(",")
-        rows[cells[0]] = [float(c) for c in cells[1:4]] + [int(cells[4]), float(cells[5])]
-    assert rows == expected["rows"]
 
     collection = json.loads(export_geojson(run_dir).read_text(encoding="utf-8"))
     assert collection == expected["geojson"]

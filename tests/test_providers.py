@@ -517,7 +517,7 @@ class TestDecisionRequestSerialization:
         request = make_request(persona, soc_kwh=30.0, stations=[make_station()])
         twin = make_request(persona, soc_kwh=30.0, stations=[make_station()])
         assert request.to_json() == twin.to_json()
-        payload = request.to_payload()
+        payload = json.loads(request.to_json())
         assert set(payload) == {
             "persona",
             "plan_events",
