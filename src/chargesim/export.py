@@ -2,15 +2,24 @@
 
 Every export is a pure function of the artifacts under a run directory, so
 re-exporting yields byte-identical files. summary.csv renders the totals
-the engine wrote to summary.json, so the two cannot disagree.
+the engine wrote to summary.json, so the two cannot disagree. No export
+renders a run whose summary.json records a failure: each raises ValueError
+naming the recorded error.
 
-The map exporters stream behavior.log once (iter_log) and parse only the
-entries whose action they read: about half the log is skip_charging
-decisions that neither uses. The engine writes every line with sorted
-keys and compact separators, so a line's action shows in its
-`"record":{"action":"..."` text and an unwanted line is skipped before
-json.loads. A line in any other layout is parsed and then filtered by its
-parsed action, which is the check that decides.
+The map exporters stream behavior.log once each (_map_entries) and decode
+only what the map draws: a travel leg's extras, a completed charge's
+extras, a start_charging decision's record. The engine writes every line
+in one layout, sorted keys and compact separators, with the action near
+the end (Simulation._emit). About half the log is skip_charging decisions
+that no map uses; such a line is known by its `"record":{"action":"..."`
+text and skipped before any decoding. A kept line in the engine's layout
+is read by prefix: its agent id, extras and action are decoded in place,
+and its record only when the action is start_charging. A line in any
+other layout is parsed whole and then filtered by its parsed action.
+
+map.geojson is json.dumps(collection, sort_keys=True, indent=2) byte for
+byte, written by a direct writer for the five feature kinds instead of the
+pure-Python indenting encoder; map.html embeds the compact, C-encoded form.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from html import escape
 from pathlib import Path
 
 from .config import load_config
+from .domain import json_number, json_string
 
 SUMMARY_CSV_COLUMNS = (
     "agent_id",
@@ -32,12 +42,42 @@ SUMMARY_CSV_COLUMNS = (
 )
 
 
+def _require(path: Path) -> Path:
+    if not path.exists():
+        raise FileNotFoundError(f"missing run artifact: {path}")
+    return path
+
+
+def _read_summary(run_dir: Path, required: bool) -> dict | None:
+    """summary.json's content, None when it is absent and not `required`.
+
+    A failed run has nothing to export, so its summary raises ValueError
+    naming the recorded error type and message.
+    """
+    path = run_dir / "summary.json"
+    if not required and not path.exists():
+        return None
+    summary = json.loads(_require(path).read_text(encoding="utf-8"))
+    if summary.get("status") == "failed":
+        error = summary["error"]
+        raise ValueError(f"run failed, nothing to export: {error['type']}: {error['message']}")
+    return summary
+
+
+# ---------------------------------------------------------------------------
+# Reading behavior.log
+# ---------------------------------------------------------------------------
+
+# the actions the maps read: routes from travel legs and completed charges,
+# charge markers from start_charging decisions
+_MAP_ACTIONS = frozenset({"travel", "stop_charging", "start_charging"})
+
 # the compact text of an engine-written entry's action (sort_keys, (",", ":"))
 _ACTION_MARKER = '"record":{"action":"'
 
 
-def _skippable(line: str, actions: frozenset[str]) -> bool:
-    """True when the line's text alone shows its action is not in `actions`.
+def _skippable(line: str) -> bool:
+    """True when the line's text alone shows its action is not one the maps read.
 
     Only a plain action named by the one marker in the line counts; a line
     with no marker, two markers or an escape in the name is parsed instead.
@@ -52,36 +92,85 @@ def _skippable(line: str, actions: frozenset[str]) -> bool:
         return False
     action = line[start:end]
     return (
-        action not in actions
+        action not in _MAP_ACTIONS
         and "\\" not in action
         and line.find(_ACTION_MARKER, end) < 0
     )
 
 
-def iter_log(path: Path | str, actions: frozenset[str]) -> Iterator[dict]:
-    """Yield the entries of a JSON-lines log whose record action is in
-    `actions`, in file order, skipping blank lines."""
+_decode = json.JSONDecoder().raw_decode
+
+# the engine's line layout, {"agent_id","extras","fallback","record"}, piece
+# by piece; the id's opening quote is at _ID_AT
+_LINE_HEAD = '{"agent_id":"'
+_ID_AT = len(_LINE_HEAD) - 1
+_EXTRAS_HEAD = ',"extras":{'
+_FALLBACK_FALSE = ',"fallback":false'
+_FALLBACK_TRUE = ',"fallback":true'
+_RECORD_HEAD = ',"record":{"action":"'
+
+
+def _prefix_fields(text: str) -> tuple[str, str, dict, dict | None]:
+    """(agent_id, action, extras, record) of a stripped line in the engine's
+    layout, decoded in place; record is None unless the action is
+    start_charging. Raises ValueError for a line in any other layout.
+
+    What this does not do, unlike json.loads of the whole line:
+    - it does not validate a travel or stop_charging line past its action
+      (an unwanted line is skipped unparsed in any case, see _skippable);
+    - it reads a key given twice by its first occurrence.
+    A line that does not end in "}}", such as one cut short by a crash, is
+    left to json.loads, which parses it whole and so raises on a cut line.
+    """
+    if not (text.startswith(_LINE_HEAD) and text.endswith("}}")):
+        raise ValueError("not the engine's line layout")
+    agent_id, at = _decode(text, _ID_AT)
+    if not text.startswith(_EXTRAS_HEAD, at):
+        raise ValueError("no extras after the agent id")
+    extras, at = _decode(text, at + len(_EXTRAS_HEAD) - 1)
+    if text.startswith(_FALLBACK_FALSE, at):
+        at += len(_FALLBACK_FALSE)
+    elif text.startswith(_FALLBACK_TRUE, at):
+        at += len(_FALLBACK_TRUE)
+    else:
+        raise ValueError("no fallback flag after the extras")
+    if not text.startswith(_RECORD_HEAD, at):
+        raise ValueError("no record action after the fallback flag")
+    action, _ = _decode(text, at + len(_RECORD_HEAD) - 1)
+    if action != "start_charging":
+        return agent_id, action, extras, None
+    record, end = _decode(text, at + len(',"record":'))
+    if end != len(text) - 1:
+        raise ValueError("text after the record")
+    return agent_id, action, extras, record
+
+
+def _map_entries(path: Path) -> Iterator[tuple[str, str, dict, dict | None]]:
+    """(agent_id, action, extras, record) of each behavior.log line whose
+    action the maps read, in file order; record is None for a travel or
+    stop_charging line read by prefix. Blank lines are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            if _skippable(line, actions):
+            if _skippable(line):
                 continue
-            line = line.strip()
-            if not line:
+            text = line.strip()
+            if not text:
                 continue
-            entry = json.loads(line)
-            if entry["record"]["action"] in actions:
-                yield entry
+            try:
+                fields = _prefix_fields(text)
+            except ValueError:
+                entry = json.loads(text)
+                record = entry["record"]
+                if record["action"] not in _MAP_ACTIONS:
+                    continue
+                fields = (entry["agent_id"], record["action"], entry.get("extras", {}), record)
+            if fields[1] in _MAP_ACTIONS:
+                yield fields
 
 
 # ---------------------------------------------------------------------------
 # GeoJSON
 # ---------------------------------------------------------------------------
-
-
-def _require(path: Path) -> Path:
-    if not path.exists():
-        raise FileNotFoundError(f"missing run artifact: {path}")
-    return path
 
 
 def _push_point(points: list[list[float]], lat: float, lon: float) -> None:
@@ -91,13 +180,15 @@ def _push_point(points: list[list[float]], lat: float, lon: float) -> None:
         points.append(coordinate)
 
 
-# the actions build_geojson reads: routes from travel legs and completed
-# charges, charge markers from start_charging decisions
-_GEOJSON_ACTIONS = frozenset({"travel", "stop_charging", "start_charging"})
-
-
 def build_geojson(run_dir: Path | str) -> dict:
+    """The FeatureCollection of a run: its stations, then per agent its
+    route, start and end points and charge markers.
+
+    A run whose summary.json records a failure raises ValueError naming
+    the error; a directory without summary.json is read as it stands.
+    """
     run_dir = Path(run_dir)
+    _read_summary(run_dir, required=False)
     behavior_log = _require(run_dir / "behavior.log")
     final_states = json.loads(_require(run_dir / "final_states.json").read_text(encoding="utf-8"))
     config = load_config(_require(run_dir / "config.yaml"))
@@ -125,16 +216,13 @@ def build_geojson(run_dir: Path | str) -> dict:
     # per agent, its chronological [lon, lat] waypoints and its charge markers
     routes: dict[str, list[list[float]]] = {agent_id: [] for agent_id in final_states}
     charges: dict[str, list[dict]] = {}
-    for entry in iter_log(behavior_log, _GEOJSON_ACTIONS):
-        agent_id = entry["agent_id"]
-        record = entry["record"]
-        action = record["action"]
+    for agent_id, action, extras, record in _map_entries(behavior_log):
         points = routes.setdefault(agent_id, [])
         if action == "travel":
-            _push_point(points, *entry["extras"]["origin"])
-            _push_point(points, *entry["extras"]["destination"])
+            _push_point(points, *extras["origin"])
+            _push_point(points, *extras["destination"])
         elif action == "stop_charging":
-            _push_point(points, *entry["extras"]["station"])
+            _push_point(points, *extras["station"])
         else:
             station = stations.get(record["object_id"])
             if station is None:
@@ -187,13 +275,72 @@ def build_geojson(run_dir: Path | str) -> dict:
     return {"type": "FeatureCollection", "features": features}
 
 
+def _indented(value, depth: int) -> str:
+    """`value` as json.dumps(sort_keys=True, indent=2) writes it when it
+    starts on a line indented `depth` levels."""
+    kind = type(value)
+    if kind is float or kind is int:
+        return json_number(value)
+    if kind is str:
+        return json_string(value)
+    # anything else (true, false, null or a container, which only a
+    # hand-written log puts in a property) through the encoder itself; it
+    # escapes newlines in strings, so each newline in its text starts a line
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _position(value: list, depth: int) -> str:
+    """A [lon, lat] position, as _indented writes it."""
+    inner = "\n" + "  " * (depth + 1)
+    lon = _indented(value[0], depth + 1)
+    lat = _indented(value[1], depth + 1)
+    return f"[{inner}{lon},{inner}{lat}\n{'  ' * depth}]"
+
+
+def _geojson_text(collection: dict) -> str:
+    """json.dumps(collection, sort_keys=True, indent=2), byte for byte, for a
+    FeatureCollection as build_geojson returns it.
+
+    Each of its five feature kinds (station, route, start, end, charge) is
+    {"geometry", "properties", "type"}: a Point's [lon, lat] or a
+    LineString's list of them, and properties that always hold "kind".
+    Property keys are sorted and each value is written at its depth, so a
+    property read from a hand-written log is written as the encoder would.
+    """
+    parts = []
+    for feature in collection["features"]:
+        geometry = feature["geometry"]
+        if geometry["type"] == "Point":
+            coordinates = _position(geometry["coordinates"], 4)
+        else:
+            inner = "\n" + "  " * 5
+            positions = ("," + inner).join(
+                [_position(point, 5) for point in geometry["coordinates"]]
+            )
+            coordinates = f"[{inner}{positions}\n        ]"
+        properties = feature["properties"]
+        body = ",\n        ".join(
+            f"{json_string(key)}: {_indented(properties[key], 4)}" for key in sorted(properties)
+        )
+        parts.append(
+            "{\n"
+            '      "geometry": {\n'
+            f'        "coordinates": {coordinates},\n'
+            f'        "type": {json_string(geometry["type"])}\n'
+            "      },\n"
+            f'      "properties": {{\n        {body}\n      }},\n'
+            f'      "type": {json_string(feature["type"])}\n'
+            "    }"
+        )
+    features = "[\n    " + ",\n    ".join(parts) + "\n  ]" if parts else "[]"
+    return f'{{\n  "features": {features},\n  "type": {json_string(collection["type"])}\n}}'
+
+
 def export_geojson(run_dir: Path | str, out_path: Path | str | None = None) -> Path:
     run_dir = Path(run_dir)
     out = Path(out_path) if out_path else run_dir / "map.geojson"
     collection = build_geojson(run_dir)
-    out.write_text(
-        json.dumps(collection, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    out.write_text(_geojson_text(collection) + "\n", encoding="utf-8")
     return out
 
 
@@ -368,10 +515,7 @@ def export_csv(run_dir: Path | str, out_path: Path | str | None = None) -> Path:
     """
     run_dir = Path(run_dir)
     out = Path(out_path) if out_path else run_dir / "summary.csv"
-    summary = json.loads(_require(run_dir / "summary.json").read_text(encoding="utf-8"))
-    if summary.get("status") == "failed":
-        error = summary["error"]
-        raise ValueError(f"run failed, no totals to export: {error['type']}: {error['message']}")
+    summary = _read_summary(run_dir, required=True)
     agents = summary["agents"]
     rows = [(agent_id, agents[agent_id]) for agent_id in sorted(agents)]
     rows.append(("fleet", summary["fleet"]))

@@ -11,7 +11,9 @@ The export oracle parses every line of a run's behavior.log and reads the
 parsed action of each, where the map exporters skip unwanted lines by their
 text.
 The serialization oracles build each record's dict field by field, in the
-layout the to_json writers spell out key by key in text. The sampler
+layout the to_json writers spell out key by key in text; the persona
+oracle is the other way round: dataclasses.asdict, where Persona.to_dict
+spells out each field. The sampler
 oracle is the mock planner's candidate loop without its bounding-box
 prefilter: it haversines every candidate. It shares _offset and
 haversine_km with the production code, since it must reproduce their
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import yaml
@@ -346,6 +348,16 @@ def oracle_record_dict(record) -> dict:
         "quintuple": oracle_quintuple_dict(record.quintuple),
         "reason": record.reason,
     }
+
+
+def oracle_persona_dict(persona) -> dict:
+    """A Persona as a dict through dataclasses.asdict, enums as their values."""
+    data = asdict(persona)
+    data["demographics"]["gender"] = persona.demographics.gender.value
+    data["economics"]["income_level"] = persona.economics.income_level.value
+    data["habits"]["preferred_scenario"] = persona.habits.preferred_scenario.value
+    data["habits"]["preferred_window"] = list(persona.habits.preferred_window)
+    return data
 
 
 def same_json_tree(a, b) -> bool:

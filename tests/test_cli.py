@@ -8,6 +8,8 @@ import yaml
 
 from chargesim.cli import main
 from chargesim.config import ScenarioConfig
+from chargesim.engine import Simulation
+from chargesim.providers import MockProvider
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -117,6 +119,25 @@ def test_csv_export_of_a_failed_run_exits_2(tmp_path, capsys):
     assert main(["export", "--run", str(run_dir), "--format", "csv"]) == 2
     assert "ProviderError: endpoint down" in capsys.readouterr().err
     assert not (run_dir / "summary.csv").exists()
+
+
+class PlannerDown(MockProvider):
+    def plan_day(self, persona, day_index, seed):
+        raise RuntimeError("planner down")
+
+
+@pytest.mark.parametrize("fmt", ["geojson", "html"])
+def test_map_export_of_a_failed_run_exits_2(tmp_path, capsys, fmt):
+    run_dir = tmp_path / "run"
+    config = ScenarioConfig()
+    config.num_agents = 1
+    with pytest.raises(RuntimeError, match="planner down"):
+        Simulation(config, run_dir, provider=PlannerDown())
+    assert (run_dir / "behavior.log").exists() and (run_dir / "summary.json").exists()
+    written = sorted(path.name for path in run_dir.iterdir())
+    assert main(["export", "--run", str(run_dir), "--format", fmt]) == 2
+    assert "RuntimeError: planner down" in capsys.readouterr().err
+    assert sorted(path.name for path in run_dir.iterdir()) == written
 
 
 def test_export_missing_run_dir_exits_2(tmp_path, capsys):

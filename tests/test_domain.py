@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
@@ -11,18 +12,31 @@ from chargesim.domain import (
     ActionType,
     BehaviorRecord,
     ChargeScenario,
+    ChargingHabits,
     DailyPlan,
     DecisionQuintuple,
+    Demographics,
+    Economics,
+    Gender,
     GeoPoint,
+    IncomeLevel,
+    Persona,
     PlanEvent,
     PlanEventKind,
+    Psychology,
     ReflectionReport,
     ScoredNote,
     SimClock,
+    VehicleSpec,
     canonical_json,
     validate_persona,
 )
-from oracles import oracle_quintuple_dict, oracle_record_dict, same_json_tree
+from oracles import (
+    oracle_persona_dict,
+    oracle_quintuple_dict,
+    oracle_record_dict,
+    same_json_tree,
+)
 
 SHANGHAI = GeoPoint(31.2304, 121.4737)
 PUDONG = GeoPoint(31.1443, 121.8083)
@@ -209,7 +223,34 @@ records = st.builds(
 )
 
 
+any_float = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e22]))
+personas = st.builds(
+    Persona,
+    id=awkward_text,
+    demographics=st.builds(
+        Demographics, st.integers(), st.sampled_from(Gender), awkward_text
+    ),
+    economics=st.builds(Economics, st.sampled_from(IncomeLevel), any_float),
+    psychology=st.builds(Psychology, any_float, any_float, any_float),
+    vehicle=st.builds(VehicleSpec, any_float, any_float, any_float),
+    habits=st.builds(
+        ChargingHabits,
+        st.tuples(st.integers(), st.integers()),
+        st.sampled_from(ChargeScenario),
+        any_float,
+    ),
+)
+
+
 class TestCanonicalWriters:
+    @given(personas)
+    def test_persona_dict_matches_the_asdict_oracle(self, persona):
+        expected = oracle_persona_dict(persona)
+        got = persona.to_dict()
+        assert same_json_tree(got, expected)
+        # key order too: personas.json sorts its keys, a payload may not
+        assert json.dumps(got) == json.dumps(expected)
+
     @given(quintuples())
     def test_quintuple_writer_matches_the_oracle(self, quintuple):
         expected = oracle_quintuple_dict(quintuple)

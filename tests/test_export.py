@@ -4,15 +4,22 @@ import hashlib
 import html
 import json
 import re
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chargesim.config import ScenarioConfig
+from chargesim.domain import canonical_json
 from chargesim.engine import RunTotals, Simulation, build_summary, run
-from chargesim.export import export_csv, export_geojson, export_html
-from chargesim.providers import MockProvider
+from chargesim.export import _geojson_text, build_geojson, export_csv, export_geojson, export_html
+from chargesim.providers import FaultInjectingProvider, MockProvider
 from geojson_schema import validate_geojson
-from oracles import oracle_exports, read_log
+from oracles import oracle_exports, read_log, same_json_tree
+from test_engine import charge_and_strand_config
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +85,22 @@ class TestGeojson:
     def test_missing_run_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             export_geojson(tmp_path / "nope")
+
+    @pytest.mark.parametrize("share", [0.25, 0.5, 0.75, None])
+    def test_a_truncated_final_line_still_raises(self, finished_run, tmp_path, share):
+        # a crash can cut the last line short; the map must not be drawn from
+        # what is left of it. The cut line is a travel leg, which the map reads.
+        _config, artifacts = finished_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(artifacts.run_dir, run_dir)
+        lines = (run_dir / "behavior.log").read_text(encoding="utf-8").splitlines()
+        last = max(i for i, line in enumerate(lines) if '"record":{"action":"travel"' in line)
+        line = lines[last]
+        cut = line[: int(len(line) * share)] if share else line[:-1]
+        assert not cut.endswith("}}")
+        (run_dir / "behavior.log").write_text("\n".join(lines[:last] + [cut]), encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError):
+            export_geojson(run_dir)
 
 
 class PlannerDown(MockProvider):
@@ -286,6 +309,7 @@ class TestHtml:
 # ---------------------------------------------------------------------------
 
 MARKER_TEXT = '"record":{"action":"skip_charging"'
+QUOTED_AGENT = 'agent-"03"'
 # markup in a free-text reason; map.html must show it as text
 MARKUP_REASON = "cheap </script><b>&"
 
@@ -347,9 +371,12 @@ def _hand_written_behavior_log() -> str:
     escaped = _compact(_travel("agent-01", 990, station, work, 2.75)).replace(
         '"action":"travel"', '"action":"\\u0074ravel"'
     )
+    # a fallback decision by an agent whose id holds a quote
+    fallback = {**_travel(QUOTED_AGENT, 620, work, station, 1.25), "fallback": True}
     lines = [
         # the engine's layout, with the marker text escaped inside strings
         _compact(_travel("agent-00", 600, home, work, 3.5, note=MARKER_TEXT)),
+        _compact(fallback),
         _compact(_entry("agent-00", "skip_charging", 600, object_id="st-01")),
         _compact(
             _entry(
@@ -395,6 +422,20 @@ def hand_written_run(tmp_path):
     return run_dir
 
 
+def _maps_match_the_oracle(run_dir) -> str:
+    """Check map.geojson, map.html's embedded GeoJSON and its decision table
+    against the full-parse oracle; return the page."""
+    expected = oracle_exports(run_dir)
+    collection = json.loads(export_geojson(run_dir).read_text(encoding="utf-8"))
+    assert same_json_tree(collection, expected["geojson"])
+    page = export_html(run_dir).read_text(encoding="utf-8")
+    embedded = page.split('<script type="application/json" id="geojson">')[1].split("</script>")[0]
+    assert same_json_tree(json.loads(embedded), expected["geojson"])
+    table = re.findall(r"<tr><td>(.*?)</td><td>(.*?)</td><td>(.*?)</td><td>(.*?)</td></tr>", page)
+    assert [[html.unescape(cell) for cell in row] for row in table] == expected["decisions"]
+    return page
+
+
 def test_exporters_match_the_full_parse_oracle_on_a_hand_written_log(hand_written_run):
     run_dir = hand_written_run
     expected = oracle_exports(run_dir)
@@ -407,20 +448,173 @@ def test_exporters_match_the_full_parse_oracle_on_a_hand_written_log(hand_writte
     }
     work, home, station = [121.45, 31.25], [121.4, 31.2], [121.469, 31.233]
     assert routes["agent-01"] == [work, home, station, work]
+    assert routes[QUOTED_AGENT] == [work, station]
     assert len(expected["decisions"]) == 2
     assert MARKER_TEXT in expected["decisions"][0][3]
     assert expected["decisions"][1][3] == MARKUP_REASON
 
-    collection = json.loads(export_geojson(run_dir).read_text(encoding="utf-8"))
-    assert collection == expected["geojson"]
-
-    page = export_html(run_dir).read_text(encoding="utf-8")
+    page = _maps_match_the_oracle(run_dir)
     # the reason's markup is text: one closing script tag, no bold element
     assert page.count("</script>") == 1 and "<b>" not in page
-    embedded = page.split('<script type="application/json" id="geojson">')[1].split("</script>")[0]
-    assert json.loads(embedded) == expected["geojson"]
-    table = re.findall(r"<tr><td>(.*?)</td><td>(.*?)</td><td>(.*?)</td><td>(.*?)</td></tr>", page)
-    assert [[html.unescape(cell) for cell in row] for row in table] == expected["decisions"]
+
+
+def test_maps_match_the_oracle_on_a_fault_injected_run(tmp_path):
+    # faults make fallback decisions, so the log holds "fallback":true lines
+    config = charge_and_strand_config()
+    inner = MockProvider(plan_template=config.effective_plan_template())
+    provider = FaultInjectingProvider(inner, rate=0.3, seed=7)
+    artifacts = run(config, tmp_path / "run", provider=provider)
+    log = artifacts.behavior_log.read_text(encoding="utf-8")
+    assert '"fallback":true,"record":{"action":"start_charging"' in log
+    _maps_match_the_oracle(artifacts.run_dir)
+
+
+# text the prefix reader must decode in place rather than find by position:
+# quotes, backslashes, non-ASCII text, lone surrogates and the layout's own
+# separators. Code points are drawn directly (see test_domain.awkward_text).
+LAYOUT_TEXT = [
+    MARKER_TEXT,
+    '","extras":{',
+    ',"fallback":false,"record":{"action":"',
+    ',"fallback":true}}',
+    'st-"01"',
+    "back\\slash",
+    "café ☃ 𝄞",
+    "\ud800",
+    "",
+]
+tricky_text = st.one_of(
+    st.sampled_from(LAYOUT_TEXT),
+    st.lists(
+        st.one_of(st.integers(0, 0x7F), st.integers(0x80, 0x10FFFF)).map(chr), max_size=6
+    ).map("".join),
+)
+STATION_IDS = [spec["station_id"] for spec in ScenarioConfig().stations]
+MAP_ACTIONS = ["start_charging", "stop_charging", "skip_charging", "travel", "idle"]
+position = st.lists(st.floats(), min_size=2, max_size=2)
+
+
+@st.composite
+def engine_lines(draw) -> str:
+    """One behavior.log line in Simulation._emit's layout."""
+    action = draw(st.sampled_from(MAP_ACTIONS))
+    extras = draw(
+        st.dictionaries(
+            tricky_text,
+            st.one_of(tricky_text, st.integers(), st.just({"record": {"action": "travel"}})),
+            max_size=3,
+        )
+    )
+    if action == "travel":
+        extras.update(origin=draw(position), destination=draw(position))
+    elif action == "stop_charging":
+        extras["station"] = draw(position)
+    record = {
+        "action": action,
+        "object_id": draw(st.one_of(st.sampled_from(STATION_IDS), tricky_text)),
+        "quintuple": {"decision": action == "start_charging", "power_kw": draw(st.floats())},
+        "reason": draw(tricky_text),
+        "timestamp": draw(st.integers(0, 10**7)),
+    }
+    agent_id = draw(st.one_of(st.sampled_from(["agent-00", "agent-01"]), tricky_text))
+    # canonical_json sorts the four keys: the engine's agent_id, extras,
+    # fallback, record
+    return canonical_json(
+        {"agent_id": agent_id, "extras": extras, "fallback": draw(st.booleans()), "record": record}
+    )
+
+
+CONFIG_YAML = ScenarioConfig().to_yaml()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(engine_lines(), max_size=10), st.lists(tricky_text, max_size=3))
+def test_prefix_reader_matches_the_full_parse_oracle(lines, listed_agents):
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp)
+        (run_dir / "config.yaml").write_text(CONFIG_YAML, encoding="utf-8")
+        (run_dir / "behavior.log").write_text(
+            "".join(line + "\n" for line in lines), encoding="utf-8"
+        )
+        final_states = {agent_id: {"location": [31.22, 121.41]} for agent_id in listed_agents}
+        (run_dir / "final_states.json").write_text(json.dumps(final_states), encoding="utf-8")
+        assert same_json_tree(build_geojson(run_dir), oracle_exports(run_dir)["geojson"])
+
+
+# numbers the writer must spell as the encoder does
+numbers = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.sampled_from([-0.0, 5e-324, 1e22, 2**64 + 1, -(2**63)]),
+)
+points = st.lists(numbers, min_size=2, max_size=2)
+
+
+def _feature(geometry_type, coordinates, properties) -> dict:
+    return {
+        "type": "Feature",
+        "geometry": {"type": geometry_type, "coordinates": coordinates},
+        "properties": properties,
+    }
+
+
+stations = st.builds(
+    lambda point, station_id, count, power: _feature(
+        "Point",
+        point,
+        {"kind": "station", "station_id": station_id, "pile_count": count, "pile_power_kw": power},
+    ),
+    points,
+    tricky_text,
+    st.integers(),
+    st.one_of(st.integers(), st.floats()),
+)
+routes = st.builds(
+    lambda line, agent_id: _feature("LineString", line, {"kind": "route", "agent_id": agent_id}),
+    st.lists(points, min_size=2, max_size=4),
+    tricky_text,
+)
+ends = st.builds(
+    lambda point, kind, agent_id: _feature("Point", point, {"kind": kind, "agent_id": agent_id}),
+    points,
+    st.sampled_from(["start", "end"]),
+    tricky_text,
+)
+charges = st.builds(
+    lambda point, agent_id, time, reason, station_id: _feature(
+        "Point",
+        point,
+        {
+            "kind": "charge",
+            "agent_id": agent_id,
+            "time": time,
+            "reason": reason,
+            "station_id": station_id,
+        },
+    ),
+    points,
+    tricky_text,
+    st.integers(0, 10**7),
+    tricky_text,
+    tricky_text,
+)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.one_of(stations, routes, ends, charges), max_size=6))
+@example([])
+@example(
+    [
+        _feature(
+            "Point",
+            [-0.0, 5e-324],
+            {"kind": "station", "station_id": 'st-"1"', "pile_count": 2**64, "pile_power_kw": 7},
+        )
+    ]
+)
+def test_geojson_writer_matches_the_indenting_encoder(features):
+    collection = {"type": "FeatureCollection", "features": features}
+    assert _geojson_text(collection) == json.dumps(collection, sort_keys=True, indent=2)
 
 
 # sha256 of the exports of the seed-42 default run (10 agents x 7 days),
