@@ -9,7 +9,7 @@ starting at 60 of 75 kWh.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -28,6 +28,8 @@ from .providers.mock import DEFAULT_PERSONA_TEMPLATE, DEFAULT_PLAN_TEMPLATE
 
 # plan_template keys the scenario's routing settings always overwrite
 _ROUTING_KEYS = {"detour_factor": "detour_factor", "speed_kmh": "base_speed_kmh"}
+# the values each field annotation accepts; an int is a float too, a bool is neither
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict, "list": list}
 
 
 @dataclass
@@ -163,6 +165,12 @@ class ScenarioConfig:
     def validate(self) -> list[str]:
         """Collect every configuration problem; an empty list means runnable."""
         problems: list[str] = []
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[spec.type]):
+                problems.append(f"{spec.name} must be of type {spec.type}, got {value!r}")
+        if problems:  # the range checks below assume the annotated types
+            return problems
         if self.num_agents < 1:
             problems.append("num_agents must be >= 1")
         if self.horizon_days < 1:
@@ -179,18 +187,24 @@ class ScenarioConfig:
             if key in self.plan_template:
                 problems.append(f"plan_template.{key} has no effect; set {setting} instead")
         for key in ("distance", "price", "wait"):
-            if float(self.baseline_weights.get(key, -1.0)) < 0.0:
-                problems.append(f"baseline_weights.{key} must be >= 0")
+            try:
+                if float(self.baseline_weights.get(key, -1.0)) < 0.0:
+                    problems.append(f"baseline_weights.{key} must be >= 0")
+            except (TypeError, ValueError) as exc:
+                problems.append(f"baseline_weights.{key} invalid: {exc}")
 
-        capacities = [float(c) for c in self.persona_template.get(
-            "battery_capacity_choices", DEFAULT_PERSONA_TEMPLATE["battery_capacity_choices"]
-        )]
-        if not capacities:
-            problems.append("persona_template.battery_capacity_choices must be non-empty")
-        elif not 0.0 <= self.initial_soc_kwh <= min(capacities):
-            problems.append(
-                f"initial_soc_kwh {self.initial_soc_kwh} outside [0, {min(capacities)}]"
-            )
+        try:
+            capacities = [float(c) for c in self.persona_template.get(
+                "battery_capacity_choices", DEFAULT_PERSONA_TEMPLATE["battery_capacity_choices"]
+            )]
+            if not capacities:
+                problems.append("persona_template.battery_capacity_choices must be non-empty")
+            elif not 0.0 <= self.initial_soc_kwh <= min(capacities):
+                problems.append(
+                    f"initial_soc_kwh {self.initial_soc_kwh} outside [0, {min(capacities)}]"
+                )
+        except (TypeError, ValueError) as exc:
+            problems.append(f"persona_template.battery_capacity_choices invalid: {exc}")
 
         tariffs: dict[str, TariffSchedule] = {}
         try:

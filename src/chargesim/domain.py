@@ -348,6 +348,11 @@ class DecisionQuintuple:
             if self.amount_kwh != 0.0:
                 raise ValueError("amount_kwh must be 0 when decision is false")
 
+    @classmethod
+    def no_charge(cls, scenario: ChargeScenario, time_minutes: int) -> "DecisionQuintuple":
+        """The quintuple of every record that charges nothing: no station, all amounts 0."""
+        return cls(False, scenario, time_minutes, None, 0.0, 0.0, 0.0)
+
     def to_json(self) -> str:
         station_id = self.station_id
         return (
@@ -358,21 +363,6 @@ class DecisionQuintuple:
             f'"scenario":{json_string(self.scenario.value)},'
             f'"station_id":{"null" if station_id is None else json_string(station_id)},'
             f'"time_minutes":{json_number(self.time_minutes)}}}'
-        )
-
-    def to_dict(self) -> dict:
-        return json.loads(self.to_json())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DecisionQuintuple":
-        return cls(
-            decision=bool(data["decision"]),
-            scenario=ChargeScenario(data["scenario"]),
-            time_minutes=int(data["time_minutes"]),
-            station_id=data["station_id"],
-            amount_kwh=float(data["amount_kwh"]),
-            power_kw=float(data["power_kw"]),
-            price_per_kwh=float(data["price_per_kwh"]),
         )
 
 
@@ -406,16 +396,6 @@ class BehaviorRecord:
 
     def to_dict(self) -> dict:
         return json.loads(self.to_json())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BehaviorRecord":
-        return cls(
-            action=ActionType(data["action"]),
-            object_id=str(data["object_id"]),
-            timestamp=int(data["timestamp"]),
-            quintuple=DecisionQuintuple.from_dict(data["quintuple"]),
-            reason=str(data["reason"]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -515,16 +495,3 @@ class ReflectionReport:
             "persona_consistency": self.persona_consistency.to_dict(),
             "fallback": self.fallback,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReflectionReport":
-        def note(key: str) -> ScoredNote:
-            return ScoredNote(float(data[key]["score"]), str(data[key]["text"]))
-
-        return cls(
-            day_index=int(data["day_index"]),
-            plan_adherence=note("plan_adherence"),
-            satisfaction=note("satisfaction"),
-            persona_consistency=note("persona_consistency"),
-            fallback=bool(data.get("fallback", False)),
-        )

@@ -225,6 +225,19 @@ class RunArtifacts:
     elapsed_s: float
 
 
+def _leg(
+    origin: GeoPoint, destination: GeoPoint, distance_km: float, energy_kwh: float, minutes: int
+) -> dict:
+    """The extras of a travel record: the leg's ends, length, energy and duration."""
+    return {
+        "origin": [origin.latitude, origin.longitude],
+        "destination": [destination.latitude, destination.longitude],
+        "distance_km": distance_km,
+        "energy_kwh": energy_kwh,
+        "travel_minutes": minutes,
+    }
+
+
 def _fallback_reflection(day_index: int) -> ReflectionReport:
     note = ScoredNote(0.5, "unavailable")
     return ReflectionReport(
@@ -410,6 +423,19 @@ class Simulation:
         if to_memory:
             agent.memory.append(record)
 
+    def _emit_no_charge(
+        self,
+        agent: AgentRuntime,
+        now: int,
+        action: ActionType,
+        object_id: str,
+        reason: str,
+        extras: dict,
+    ) -> None:
+        """Emit a travel or idle record: it charges nothing and stays out of memory."""
+        quintuple = DecisionQuintuple.no_charge(agent.persona.habits.preferred_scenario, now)
+        self._emit(agent, BehaviorRecord(action, object_id, now, quintuple, reason), extras=extras)
+
     # -- plan scheduling --------------------------------------------------------
 
     def _plan_day(self, day_index: int) -> None:
@@ -468,24 +494,14 @@ class Simulation:
         agent.consumed_kwh += energy_kwh
         agent.state.location = event.destination
         agent.state.status = EvStatus.IDLE
-        record = BehaviorRecord(
-            action=ActionType.TRAVEL,
-            object_id=f"route-d{payload['day']}-{event.start:04d}",
-            timestamp=now,
-            quintuple=self._empty_quintuple(agent, now),
-            reason=f"completed planned trip of {distance_km:.1f} km",
-        )
-        origin: GeoPoint = payload["origin"]
-        self._emit(
+        minutes = payload["travel_minutes"]
+        self._emit_no_charge(
             agent,
-            record,
-            extras={
-                "origin": [origin.latitude, origin.longitude],
-                "destination": [event.destination.latitude, event.destination.longitude],
-                "distance_km": distance_km,
-                "energy_kwh": energy_kwh,
-                "travel_minutes": payload["travel_minutes"],
-            },
+            now,
+            ActionType.TRAVEL,
+            f"route-d{payload['day']}-{event.start:04d}",
+            f"completed planned trip of {distance_km:.1f} km",
+            _leg(payload["origin"], event.destination, distance_km, energy_kwh, minutes),
         )
         agent.busy = False
         self._decision_pipeline(agent, now)
@@ -581,25 +597,17 @@ class Simulation:
                 self.env.tariffs[station.tariff_id],
             )
         except ZeroChargeError:
-            # cannot happen after a validated positive decision (driving only
-            # grows headroom), but keep the approach leg on the books anyway
-            record = BehaviorRecord(
-                action=ActionType.TRAVEL,
-                object_id=f"approach-{station.station_id}",
-                timestamp=now,
-                quintuple=self._empty_quintuple(agent, now),
-                reason=f"arrived at {station.station_id} with a full battery; nothing to deliver",
-            )
-            self._emit(
+            # reachable: validate_decision accepts up to 1e-9 kWh above the
+            # headroom, so a tiny positive decision on a full battery for a
+            # station 0 km away arrives with nothing to deliver; the approach
+            # leg stays on the books as a travel record
+            self._emit_no_charge(
                 agent,
-                record,
-                extras={
-                    "origin": [origin.latitude, origin.longitude],
-                    "destination": [station.location.latitude, station.location.longitude],
-                    "distance_km": distance_km,
-                    "energy_kwh": approach_energy,
-                    "travel_minutes": 0,
-                },
+                now,
+                ActionType.TRAVEL,
+                f"approach-{station.station_id}",
+                f"arrived at {station.station_id} with a full battery; nothing to deliver",
+                _leg(origin, station.location, distance_km, approach_energy, 0),
             )
             agent.busy = False
             agent.state.status = EvStatus.IDLE
@@ -672,18 +680,8 @@ class Simulation:
         agent.stranded_today = True
         agent.busy = False
         agent.state.status = EvStatus.IDLE
-        record = BehaviorRecord(
-            action=ActionType.IDLE,
-            object_id="",
-            timestamp=now,
-            quintuple=self._empty_quintuple(agent, now),
-            reason=reason,
-        )
-        self._emit(
-            agent,
-            record,
-            extras={"attempted_distance_km": attempted_km, "soc_kwh": agent.state.soc_kwh},
-        )
+        extras = {"attempted_distance_km": attempted_km, "soc_kwh": agent.state.soc_kwh}
+        self._emit_no_charge(agent, now, ActionType.IDLE, "", reason, extras)
         today = now // MINUTES_PER_DAY
         agent.pending = deque(entry for entry in agent.pending if entry[0] > today)
 
@@ -714,14 +712,9 @@ class Simulation:
                 agent.state.set_soc(reserve)
                 agent.state.location = agent.home
                 agent.state.status = EvStatus.IDLE
-                record = BehaviorRecord(
-                    action=ActionType.IDLE,
-                    object_id="",
-                    timestamp=now,
-                    quintuple=self._empty_quintuple(agent, now),
-                    reason="towed to home point overnight; battery reset to reserve level",
-                )
-                self._emit(agent, record, extras={"tow_energy_delta_kwh": delta})
+                reason = "towed to home point overnight; battery reset to reserve level"
+                extras = {"tow_energy_delta_kwh": delta}
+                self._emit_no_charge(agent, now, ActionType.IDLE, "", reason, extras)
                 agent.stranded_today = False
 
         next_day = now // MINUTES_PER_DAY
@@ -732,17 +725,6 @@ class Simulation:
             self.queue.push(now + MINUTES_PER_DAY, "", "day_boundary", {})
 
     # -- helpers ------------------------------------------------------------------
-
-    def _empty_quintuple(self, agent: AgentRuntime, now: int) -> DecisionQuintuple:
-        return DecisionQuintuple(
-            decision=False,
-            scenario=agent.persona.habits.preferred_scenario,
-            time_minutes=now,
-            station_id=None,
-            amount_kwh=0.0,
-            power_kw=0.0,
-            price_per_kwh=0.0,
-        )
 
     def close(self) -> None:
         """Close both logs; closing twice is harmless."""

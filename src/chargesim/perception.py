@@ -4,15 +4,14 @@ A snapshot groups what the agent knows about its own travel situation
 (scenario, time, space, energy) and about each reachable charging station
 (scenario, time, space, energy, price). It is a pure function of the
 environment, the clock and the agent, so identical inputs always serialize
-to identical bytes. Each snapshot writes its canonical JSON text once,
-straight from its fields (to_json); that text feeds both the digest logged
-with every decision and the live provider's payload. to_dict parses it back.
+to identical bytes. A snapshot writes its canonical JSON text straight
+from its fields (to_json); that text feeds both the digest logged with every
+decision and the live provider's payload.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Protocol
@@ -61,9 +60,6 @@ class StationPerception:
             f'"travel_minutes":{json_number(self.travel_minutes)}}}}}'
         )
 
-    def to_dict(self) -> dict:
-        return json.loads(self.to_json())
-
 
 @dataclass(frozen=True)
 class TravelPerception:
@@ -90,9 +86,6 @@ class TravelPerception:
             f'"now":{json_number(self.now)}}}}}'
         )
 
-    def to_dict(self) -> dict:
-        return json.loads(self.to_json())
-
 
 def _point_json(point: GeoPoint | None) -> str:
     if point is None:
@@ -106,18 +99,8 @@ class PerceptionSnapshot:
     stations: tuple[StationPerception, ...]
 
     def to_json(self) -> str:
-        """The canonical JSON text, written on the first call and kept."""
-        text = self.__dict__.get("_json")
-        if text is None:
-            stations = ",".join([station.to_json() for station in self.stations])
-            text = f'{{"stations":[{stations}],"travel":{self.travel.to_json()}}}'
-            # kept beside the fields as functools.cached_property keeps its
-            # value, minus the lock that property takes before Python 3.12
-            self.__dict__["_json"] = text
-        return text
-
-    def to_dict(self) -> dict:
-        return json.loads(self.to_json())
+        stations = ",".join([station.to_json() for station in self.stations])
+        return f'{{"stations":[{stations}],"travel":{self.travel.to_json()}}}'
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_json().encode("ascii")).hexdigest()

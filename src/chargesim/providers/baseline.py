@@ -60,15 +60,7 @@ def baseline_decision(request: DecisionRequest, weights: BaselineWeights) -> Dec
     capacity = persona.vehicle.battery_capacity_kwh
 
     def skip(reason: str) -> DecisionResponse:
-        quintuple = DecisionQuintuple(
-            decision=False,
-            scenario=persona.habits.preferred_scenario,
-            time_minutes=now,
-            station_id=None,
-            amount_kwh=0.0,
-            power_kw=0.0,
-            price_per_kwh=0.0,
-        )
+        quintuple = DecisionQuintuple.no_charge(persona.habits.preferred_scenario, now)
         return DecisionResponse(quintuple=quintuple, reason=reason)
 
     station = choose_station(request.snapshot.stations, weights)

@@ -102,21 +102,22 @@ def _random_point_near(
     distance_km: float,
     center: GeoPoint,
     max_radius_km: float,
+    box: tuple[float, float] | None,
 ) -> GeoPoint:
     """A point distance_km from origin at a random bearing that lies within
     max_radius_km of center, after at most 20 bearings; else the point
     distance_km toward center.
 
     Candidates stay raw floats, computed as _offset does; only the accepted
-    one becomes a (validated) GeoPoint. A candidate outside the
-    bounding_box_deg box around center is rejected without its haversine,
-    which rejects exactly the candidates the haversine test would, so the
-    result and the rng draws are those of testing every candidate.
+    one becomes a (validated) GeoPoint. box is bounding_box_deg(center,
+    max_radius_km), which the caller computes once for all its hops. A
+    candidate outside it is rejected without its haversine, which rejects
+    exactly the candidates the haversine test would, so the result and the
+    rng draws are those of testing every candidate.
     """
     olat, olon = origin.latitude, origin.longitude
     clat, clon = center.latitude, center.longitude
     cos_olat = math.cos(math.radians(olat))
-    box = bounding_box_deg(clat, clon, max_radius_km)
     # The box is sound only for points in [-90, 90] x [-180, 180]; a candidate
     # can pass a pole or the +-180 meridian (haversine_km then measures its
     # wrapped position), so then every candidate takes the exact test.
@@ -212,6 +213,7 @@ class MockProvider(CognitionProvider):
         rng = random.Random(f"plan|{seed}|{persona.id}|{day_index}")
         center = GeoPoint(*template["center"])
         area_radius = float(template["area_radius_km"])
+        box = bounding_box_deg(center.latitude, center.longitude, area_radius)
         detour = float(template["detour_factor"])
         speed = float(template["speed_kmh"])
 
@@ -225,7 +227,7 @@ class MockProvider(CognitionProvider):
             t = int(shift_start)
             while True:
                 hop_km = rng.uniform(*template["trip_km_range"])
-                destination = _random_point_near(rng, location, hop_km, center, area_radius)
+                destination = _random_point_near(rng, location, hop_km, center, area_radius, box)
                 route_km = great_circle_km(location, destination) * detour
                 travel_minutes = int(round(route_km / speed * 60.0))
                 if t + travel_minutes > shift_end or travel_minutes == 0:

@@ -57,6 +57,31 @@ def test_validate_rejects_plan_template_routing_keys(tmp_path, capsys):
     assert "plan_template.detour_factor" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "num_agents: ten",
+        "station_radius_km: null",
+        "baseline_weights: 3",
+        "baseline_weights: {distance: null}",
+        "persona_template: {battery_capacity_choices: 75}",
+        "horizon_days: 1.5",
+        "plan_template: [1]",
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_wrongly_typed_config_is_a_config_error(tmp_path, capsys, text, command):
+    path = tmp_path / "typed.yaml"
+    path.write_text(text + "\n", encoding="utf-8")
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_writes_artifacts(tmp_path, small_config_file, capsys):
     out_dir = tmp_path / "run"
     code = main(

@@ -24,7 +24,6 @@ from chargesim.domain import (
     PlanEvent,
     PlanEventKind,
     Psychology,
-    ReflectionReport,
     ScoredNote,
     SimClock,
     VehicleSpec,
@@ -164,24 +163,6 @@ class TestDecisionQuintuple:
         with pytest.raises(ValueError):
             DecisionQuintuple(True, ChargeScenario.PUBLIC, 0, "st-01", -1.0, 10.0, 0.5)
 
-    def test_roundtrip(self):
-        q = DecisionQuintuple(True, ChargeScenario.EN_ROUTE, 100, "st-02", 12.5, 60.0, 0.62)
-        assert DecisionQuintuple.from_dict(q.to_dict()) == q
-
-
-class TestBehaviorRecord:
-    def test_roundtrip(self):
-        record = BehaviorRecord(
-            action=ActionType.START_CHARGING,
-            object_id="st-01",
-            timestamp=500,
-            quintuple=DecisionQuintuple(
-                True, ChargeScenario.PUBLIC, 510, "st-01", 20.0, 60.0, 0.62
-            ),
-            reason="below comfort threshold",
-        )
-        assert BehaviorRecord.from_dict(record.to_dict()) == record
-
 
 # text the JSON escaper must handle: quotes, backslashes, control characters,
 # non-ASCII text and lone surrogates. Code points are drawn directly, ASCII
@@ -255,7 +236,7 @@ class TestCanonicalWriters:
     def test_quintuple_writer_matches_the_oracle(self, quintuple):
         expected = oracle_quintuple_dict(quintuple)
         assert quintuple.to_json() == canonical_json(expected)
-        assert same_json_tree(quintuple.to_dict(), expected)
+        assert same_json_tree(json.loads(quintuple.to_json()), expected)
 
     @given(records)
     @example(
@@ -296,12 +277,3 @@ class TestReflectionReport:
             ScoredNote(1.2, "too good")
         with pytest.raises(ValueError):
             ScoredNote(-0.1, "too bad")
-
-    def test_roundtrip(self):
-        report = ReflectionReport(
-            day_index=2,
-            plan_adherence=ScoredNote(1.0, "all trips done"),
-            satisfaction=ScoredNote(0.8, "fine"),
-            persona_consistency=ScoredNote(0.9, "as usual"),
-        )
-        assert ReflectionReport.from_dict(report.to_dict()) == report

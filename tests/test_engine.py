@@ -12,9 +12,13 @@ import pytest
 import chargesim
 from chargesim.config import ScenarioConfig, load_config
 from chargesim.domain import (
-    BehaviorRecord,
+    ChargeScenario,
     DailyPlan,
+    DecisionQuintuple,
+    GeoPoint,
     Persona,
+    PlanEvent,
+    PlanEventKind,
     ReflectionReport,
     canonical_json,
 )
@@ -26,6 +30,7 @@ from chargesim.providers import (
     FaultInjectingProvider,
     MockProvider,
 )
+from chargesim.providers.mock import home_point_for
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -293,6 +298,71 @@ class TestStranding:
 
 
 # ---------------------------------------------------------------------------
+# A positive decision that reaches its station with a full battery
+# ---------------------------------------------------------------------------
+
+
+def _home(template: dict) -> GeoPoint:
+    return home_point_for("agent-00", GeoPoint(*template["center"]), template["area_radius_km"])
+
+
+class FullBatteryChargeProvider(MockProvider):
+    """One trip from home to home, then a 1e-10 kWh charge at the nearest station.
+
+    validate_decision accepts up to 1e-9 kWh above the headroom, so this
+    decision passes on a full battery.
+    """
+
+    def plan_day(self, persona, day_index, seed):
+        home = _home(self.plan_template)
+        trip = PlanEvent(PlanEventKind.TRIP, home, home, start=600, expected_distance_km=0.0)
+        return DailyPlan(day_index, (trip,))
+
+    def decide(self, request):
+        station = request.snapshot.stations[0]
+        quintuple = DecisionQuintuple(
+            True, ChargeScenario.HOME, request.clock.sim_time, station.station_id,
+            1e-10, station.pile_power_kw, station.price_per_kwh,
+        )
+        return DecisionResponse(quintuple=quintuple, reason="top up a full battery")
+
+
+def test_full_battery_arrival_logs_the_approach_as_travel(tmp_path):
+    config = small_config(num_agents=1, horizon_days=1, initial_soc_kwh=40.0)
+    config.persona_template = {**config.persona_template, "battery_capacity_choices": [40.0]}
+    home = _home(config.effective_plan_template())
+    config.stations = [
+        {"station_id": "st-home", "latitude": home.latitude, "longitude": home.longitude,
+         "pile_count": 1, "pile_power_kw": 60.0, "tariff_id": "shanghai-tou"},
+    ]
+    provider = FullBatteryChargeProvider(plan_template=config.effective_plan_template())
+    artifacts = run(config, tmp_path / "run", provider=provider)
+
+    entries = read_entries(artifacts.behavior_log)
+    assert [(e["record"]["action"], e["record"]["object_id"]) for e in entries] == [
+        ("travel", "route-d0-0600"),
+        ("start_charging", "st-home"),
+        ("travel", "approach-st-home"),
+    ]
+    approach = entries[-1]
+    personas = json.loads((artifacts.run_dir / "personas.json").read_text(encoding="utf-8"))
+    scenario = ChargeScenario(personas["agent-00"]["habits"]["preferred_scenario"])
+    no_charge = DecisionQuintuple.no_charge(scenario, 600)
+    assert canonical_json(approach["record"]["quintuple"]) == no_charge.to_json()
+    assert "full battery" in approach["record"]["reason"]
+    assert approach["extras"] == {
+        "origin": [home.latitude, home.longitude],
+        "destination": [home.latitude, home.longitude],
+        "distance_km": 0.0,
+        "energy_kwh": 0.0,
+        "travel_minutes": 0,
+    }
+    assert not approach["fallback"]
+    assert artifacts.summary["fleet"]["charge_count"] == 0
+    assert artifacts.final_states["agent-00"]["soc_kwh"] == 40.0
+
+
+# ---------------------------------------------------------------------------
 # Charges spanning midnight and the horizon edge
 # ---------------------------------------------------------------------------
 
@@ -488,15 +558,13 @@ def test_memory_holds_what_the_logs_hold(tmp_path):
     reflections = read_entries(artifacts.reflections_log)
 
     for agent_id, agent in sim.agents.items():
-        assert agent.memory.records == [
-            BehaviorRecord.from_dict(e["record"])
+        assert [record.to_json() for record in agent.memory.records] == [
+            canonical_json(e["record"])
             for e in entries
             if e["agent_id"] == agent_id and e["record"]["action"] in MEMORY_ACTIONS
         ]
-        assert agent.memory.reflections == [
-            ReflectionReport.from_dict(e["report"])
-            for e in reflections
-            if e["agent_id"] == agent_id
+        assert [report.to_dict() for report in agent.memory.reflections] == [
+            e["report"] for e in reflections if e["agent_id"] == agent_id
         ]
 
 

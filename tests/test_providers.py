@@ -21,7 +21,7 @@ from chargesim.domain import (
     canonical_json,
 )
 from chargesim.environment import EvState, EvStatus
-from chargesim.georoute import EARTH_RADIUS_KM
+from chargesim.georoute import EARTH_RADIUS_KM, bounding_box_deg
 from chargesim.perception import PerceptionSnapshot, StationPerception, TravelPerception
 from chargesim.providers import (
     BaselineWeights,
@@ -227,6 +227,12 @@ def sampler_calls(draw):
     return origin, hop_km, center, radius_km
 
 
+def _boxed_random_point_near(rng, origin, distance_km, center, max_radius_km):
+    """_random_point_near with the box that plan_day computes once per centre and radius."""
+    box = bounding_box_deg(center.latitude, center.longitude, max_radius_km)
+    return _random_point_near(rng, origin, distance_km, center, max_radius_km, box)
+
+
 def _sample(sampler, seed, call):
     rng = random.Random(seed)
     try:
@@ -253,7 +259,8 @@ SHANGHAI_EDGE = GeoPoint(31.2304 + 7.5 * 0.008993, 121.4737)
 def test_random_point_near_matches_the_unfiltered_oracle(call, seed):
     """Same point (or exception type and message) and same rng state as
     haversining every candidate, whatever the box does."""
-    assert _sample(_random_point_near, seed, call) == _sample(oracle_random_point_near, seed, call)
+    boxed = _sample(_boxed_random_point_near, seed, call)
+    assert boxed == _sample(oracle_random_point_near, seed, call)
 
 
 # ---------------------------------------------------------------------------
