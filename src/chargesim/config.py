@@ -24,12 +24,22 @@ from .environment import (
 )
 from .georoute import OfflineRouter
 from .providers.live import LiveSettings
-from .providers.mock import DEFAULT_PERSONA_TEMPLATE, DEFAULT_PLAN_TEMPLATE
+from .providers.mock import (
+    DEFAULT_PERSONA_TEMPLATE,
+    DEFAULT_PLAN_TEMPLATE,
+    PERSONA_TEMPLATE_SHAPES,
+    PLAN_TEMPLATE_SHAPES,
+    template_problems,
+)
 
 # plan_template keys the scenario's routing settings always overwrite
 _ROUTING_KEYS = {"detour_factor": "detour_factor", "speed_kmh": "base_speed_kmh"}
 # the values each field annotation accepts; an int is a float too, a bool is neither
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict, "list": list}
+# libyaml's classes where this PyYAML build has them: the same text and data
+# as the pure-Python ones, several times faster
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 @dataclass
@@ -193,18 +203,19 @@ class ScenarioConfig:
             except (TypeError, ValueError) as exc:
                 problems.append(f"baseline_weights.{key} invalid: {exc}")
 
-        try:
-            capacities = [float(c) for c in self.persona_template.get(
-                "battery_capacity_choices", DEFAULT_PERSONA_TEMPLATE["battery_capacity_choices"]
-            )]
-            if not capacities:
-                problems.append("persona_template.battery_capacity_choices must be non-empty")
-            elif not 0.0 <= self.initial_soc_kwh <= min(capacities):
-                problems.append(
-                    f"initial_soc_kwh {self.initial_soc_kwh} outside [0, {min(capacities)}]"
-                )
-        except (TypeError, ValueError) as exc:
-            problems.append(f"persona_template.battery_capacity_choices invalid: {exc}")
+        persona_problems = template_problems(self.persona_template, PERSONA_TEMPLATE_SHAPES)
+        plan_problems = template_problems(self.plan_template, PLAN_TEMPLATE_SHAPES)
+        problems.extend(f"persona_template.{key} {text}" for key, text in persona_problems.items())
+        problems.extend(f"plan_template.{key} {text}" for key, text in plan_problems.items())
+        capacities = self.persona_template.get(
+            "battery_capacity_choices", DEFAULT_PERSONA_TEMPLATE["battery_capacity_choices"]
+        )
+        if "battery_capacity_choices" not in persona_problems and not (
+            0.0 <= self.initial_soc_kwh <= min(capacities)
+        ):
+            problems.append(
+                f"initial_soc_kwh {self.initial_soc_kwh} outside [0, {min(capacities)}]"
+            )
 
         tariffs: dict[str, TariffSchedule] = {}
         try:
@@ -242,13 +253,19 @@ class ScenarioConfig:
         return cls(**data)
 
     def to_yaml(self) -> str:
-        return yaml.safe_dump(self.to_dict(), sort_keys=True, default_flow_style=False)
+        return yaml.dump(self.to_dict(), Dumper=_Dumper, sort_keys=True, default_flow_style=False)
 
 
 def load_config(path: Path | str) -> ScenarioConfig:
-    """Load a YAML scenario file; missing keys fall back to the defaults."""
+    """Load a YAML scenario file; missing keys fall back to the defaults.
+
+    Malformed YAML raises ValueError with the parser's position in the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.load(fh, Loader=_Loader)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"invalid YAML: {exc}") from exc
     if data is None:
         data = {}
     if not isinstance(data, dict):

@@ -76,6 +76,88 @@ DEFAULT_PLAN_TEMPLATE: dict = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
+
+
+def _is_list(value, item) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(item, value))
+
+
+# What generate_persona and plan_day need of each template entry: a shape
+# name (rng.uniform takes a "pair", rng.randint an "int_range", rng.choice a
+# non-empty list), or an enum whose values a non-empty list must hold.
+_SHAPES = {
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "number": (_is_number, "a number"),
+    "pair": (_is_pair, "a pair of numbers"),
+    "int_range": (
+        lambda v: _is_pair(v) and all(isinstance(x, int) for x in v) and v[0] <= v[1],
+        "an ascending pair of integers",
+    ),
+    "point": (
+        lambda v: _is_pair(v) and -90.0 <= v[0] <= 90.0 and -180.0 <= v[1] <= 180.0,
+        "a [latitude, longitude] pair within [-90, 90] x [-180, 180]",
+    ),
+    "pairs": (lambda v: _is_list(v, _is_pair), "a list of number pairs"),
+    "strings+": (lambda v: bool(v) and _is_list(v, lambda x: isinstance(x, str)),
+                 "a non-empty list of strings"),
+    "numbers+": (lambda v: bool(v) and _is_list(v, _is_number), "a non-empty list of numbers"),
+    "pairs+": (lambda v: bool(v) and _is_list(v, _is_pair), "a non-empty list of number pairs"),
+}
+PERSONA_TEMPLATE_SHAPES: dict = {
+    "id_prefix": "string",
+    "occupations": "strings+",
+    "age_range": "int_range",
+    "genders": Gender,
+    "income_levels": IncomeLevel,
+    "price_sensitivity_range": "pair",
+    "risk_aversion_range": "pair",
+    "range_anxiety_range": "pair",
+    "patience_range": "pair",
+    "battery_capacity_choices": "numbers+",
+    "consumption_range": "pair",
+    "max_charge_power_choices": "numbers+",
+    "preferred_windows": "pairs+",
+    "preferred_scenarios": ChargeScenario,
+    "target_soc_range": "pair",
+}
+PLAN_TEMPLATE_SHAPES: dict = {
+    "center": "point",
+    "area_radius_km": "number",
+    "shifts": "pairs",
+    "evening_shift": "pair",
+    "evening_shift_probability": "number",
+    "trip_km_range": "pair",
+    "gap_minutes_range": "int_range",
+    "detour_factor": "number",
+    "speed_kmh": "number",
+}
+
+
+def template_problems(template: dict, shapes: dict) -> dict[str, str]:
+    """Each entry of template that is not of its shape, mapped to the problem."""
+    problems = {}
+    for key, shape in shapes.items():
+        if key not in template:
+            continue
+        value = template[key]
+        if isinstance(shape, str):
+            accepts, expected = _SHAPES[shape]
+            ok = accepts(value)
+        else:
+            names = [member.value for member in shape]
+            expected = f"a non-empty list of {', '.join(names)}"
+            ok = bool(value) and _is_list(value, lambda v: isinstance(v, str) and v in names)
+        if not ok:
+            problems[key] = f"must be {expected}, got {value!r}"
+    return problems
+
+
 def home_point_for(persona_id: str, center: GeoPoint, area_radius_km: float) -> GeoPoint:
     """Deterministic home location near the scenario center.
 

@@ -67,6 +67,20 @@ def test_validate_rejects_plan_template_routing_keys(tmp_path, capsys):
         "persona_template: {battery_capacity_choices: 75}",
         "horizon_days: 1.5",
         "plan_template: [1]",
+        # each family of nested template entries
+        "persona_template: {consumption_range: 3}",
+        "persona_template: {age_range: [58, 26]}",
+        "persona_template: {max_charge_power_choices: [fast]}",
+        "persona_template: {occupations: []}",
+        "persona_template: {genders: [robot]}",
+        "persona_template: {income_levels: mid}",
+        "persona_template: {preferred_windows: [[0, night]]}",
+        "persona_template: {preferred_scenarios: [7]}",
+        "plan_template: {area_radius_km: fast}",
+        "plan_template: {center: [31.2, east]}",
+        "plan_template: {shifts: [[420, noon]]}",
+        "plan_template: {trip_km_range: [5]}",
+        "plan_template: {gap_minutes_range: [4.5, 15]}",
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -79,6 +93,29 @@ def test_wrongly_typed_config_is_a_config_error(tmp_path, capsys, text, command)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("loader", [
+    pytest.param(
+        getattr(yaml, "CSafeLoader", None),
+        marks=pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="no libyaml"),
+        id="libyaml",
+    ),
+    pytest.param(yaml.SafeLoader, id="pure"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_malformed_yaml_is_a_config_error(tmp_path, capsys, monkeypatch, loader, command):
+    monkeypatch.setattr("chargesim.config._Loader", loader)
+    path = tmp_path / "broken.yaml"
+    path.write_text("num_agents: [1, 2\n", encoding="utf-8")
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid YAML") and "Traceback" not in err
+    assert "line 2" in err  # the parser's position in the file
     assert not (tmp_path / "run").exists()
 
 

@@ -1,0 +1,117 @@
+"""config.yaml written and read through libyaml gives what the pure-Python
+PyYAML classes give: the same text and the same ScenarioConfig. Validation
+knows the shape of every template entry."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+import yaml
+
+from chargesim import config as config_module
+from chargesim.config import ScenarioConfig, load_config
+from chargesim.providers.mock import (
+    DEFAULT_PERSONA_TEMPLATE,
+    DEFAULT_PLAN_TEMPLATE,
+    PERSONA_TEMPLATE_SHAPES,
+    PLAN_TEMPLATE_SHAPES,
+)
+from test_engine import (
+    charge_and_strand_config,
+    overnight_charge_config,
+    small_config,
+    stranding_config,
+)
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+HAS_LIBYAML = hasattr(yaml, "CSafeLoader") and hasattr(yaml, "CSafeDumper")
+needs_libyaml = pytest.mark.skipif(not HAS_LIBYAML, reason="PyYAML built without libyaml")
+
+
+def awkward_config() -> ScenarioConfig:
+    """Text the two emitters could fold or escape differently."""
+    config = ScenarioConfig()
+    config.stations = [
+        *config.stations,
+        {"station_id": "站-café ☃ 𝄞", "latitude": 31.25, "longitude": 121.45,
+         "pile_count": 1, "pile_power_kw": 7.0, "tariff_id": "shanghai-tou"},
+    ]
+    config.persona_template = {
+        **config.persona_template,
+        "occupations": ["a night-shift taxi driver who covers the airport, the railway "
+                        "stations and the ferry piers along the river until dawn"],
+        "consumption_range": [1e-05, 0.1 + 0.2],
+    }
+    config.tariffs = {
+        **config.tariffs,
+        "tiny": [{"start": 0, "end": 1440, "price_per_kwh": 1.5e-07, "label": "yes"}],
+    }
+    config.initial_soc_kwh = 1e16
+    return config
+
+
+CONFIGS = {
+    "defaults": ScenarioConfig,
+    "shipped": lambda: load_config(REPO_ROOT / "config" / "default.yaml"),
+    "small": small_config,
+    "stranding": stranding_config,
+    "overnight": overnight_charge_config,
+    "charge_and_strand": charge_and_strand_config,
+    "awkward": awkward_config,
+}
+
+
+def _use(monkeypatch, loader, dumper) -> None:
+    monkeypatch.setattr(config_module, "_Loader", loader)
+    monkeypatch.setattr(config_module, "_Dumper", dumper)
+
+
+def test_the_module_picks_libyaml_when_pyyaml_has_it():
+    chosen = (config_module._Loader, config_module._Dumper)
+    if HAS_LIBYAML:
+        assert chosen == (yaml.CSafeLoader, yaml.CSafeDumper)
+    else:
+        assert chosen == (yaml.SafeLoader, yaml.SafeDumper)
+
+
+@needs_libyaml
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_libyaml_and_pure_python_agree(name, tmp_path, monkeypatch):
+    config = CONFIGS[name]()
+    texts, loaded = {}, {}
+    for label, loader, dumper in (
+        ("c", yaml.CSafeLoader, yaml.CSafeDumper),
+        ("pure", yaml.SafeLoader, yaml.SafeDumper),
+    ):
+        _use(monkeypatch, loader, dumper)
+        texts[label] = config.to_yaml()
+        path = tmp_path / f"{label}.yaml"
+        path.write_text(texts[label], encoding="utf-8")
+        loaded[label] = load_config(path)
+    assert texts["c"] == texts["pure"]
+    if name == "awkward":  # the text holds what the two emitters could differ on
+        occupation = config.persona_template["occupations"][0]
+        assert len(occupation) > 80 and occupation not in texts["c"]  # folded
+        assert "1.0e-05" in texts["c"] and "\\u7AD9" in texts["c"]  # exponent, escaped
+    assert loaded["c"] == loaded["pure"] == config
+    # the independent reader the test oracles use sees the same data
+    assert yaml.safe_load(texts["c"]) == config.to_dict()
+
+
+@pytest.mark.parametrize("name", ["shipped", "awkward"])
+def test_pure_python_fallback_writes_and_loads_the_same_config(name, tmp_path, monkeypatch):
+    config = CONFIGS[name]()
+    text = config.to_yaml()
+    _use(monkeypatch, yaml.SafeLoader, yaml.SafeDumper)
+    assert config.to_yaml() == text
+    path = tmp_path / "fallback.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert load_config(path) == config
+
+
+def test_every_template_key_has_a_shape():
+    # a key missing from the shape table would pass validation unchecked
+    assert PERSONA_TEMPLATE_SHAPES.keys() == DEFAULT_PERSONA_TEMPLATE.keys()
+    assert PLAN_TEMPLATE_SHAPES.keys() == DEFAULT_PLAN_TEMPLATE.keys()
+    assert ScenarioConfig().validate() == []

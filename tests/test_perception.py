@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 from dataclasses import dataclass
 
 from hypothesis import HealthCheck, example, given, settings
@@ -141,8 +142,24 @@ DEFAULT_TARIFFS = {
 BAND_MINUTES = [band.start for band in DEFAULTS.build_congestion().bands]
 
 
+# Agent centres: the default city, anywhere up to +-88 degrees latitude, and
+# within a degree of the +-180 meridian, where perceive has no box and tests
+# every station exactly.
+CENTRES = st.one_of(
+    st.just((CENTER.latitude, CENTER.longitude)),
+    st.tuples(st.floats(-88.0, 88.0), st.floats(-180.0, 180.0)),
+    st.tuples(st.floats(-88.0, 88.0), st.floats(179.0, 180.0) | st.floats(-180.0, -179.0)),
+)
+# a deterministic 1,000-station set for the largest example
+_spread = random.Random(1000)
+THOUSAND_OFFSETS = [
+    (_spread.uniform(-0.2, 0.2), _spread.uniform(-0.2, 0.2), tariff_id)
+    for tariff_id in sorted(DEFAULT_TARIFFS) * 500
+]
+
+
 # the persona fixture is frozen, so sharing it across examples is safe
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
 @given(
     st.lists(
         st.tuples(
@@ -150,23 +167,53 @@ BAND_MINUTES = [band.start for band in DEFAULTS.build_congestion().bands]
             st.floats(min_value=-0.2, max_value=0.2),
             st.sampled_from(sorted(DEFAULT_TARIFFS)),
         ),
-        max_size=50,
+        max_size=1000,
     ),
-    st.floats(min_value=0.5, max_value=30.0),
+    st.one_of(st.sampled_from([0.0, 1e-9, 1e4]), st.floats(min_value=0.0, max_value=30.0)),
     st.sampled_from(BAND_MINUTES),
     st.one_of(st.none(), st.integers(min_value=0)),
+    CENTRES,
 )
 @example(
     offsets=[(0.03, 0.0, "t"), (0.0, 0.05, "shanghai-tou"), (-0.03, 0.0, "t")],
     radius_km=1.0,
     minute=BAND_MINUTES[1],
     on_radius=0,
+    centre=(CENTER.latitude, CENTER.longitude),
 )
-def test_perceive_matches_brute_force_filter_sort(persona, offsets, radius_km, minute, on_radius):
+@example(
+    offsets=[(0.0, 0.0, "t"), (1e-12, 0.0, "t"), (0.0, -1e-12, "t")],
+    radius_km=0.0,
+    minute=BAND_MINUTES[0],
+    on_radius=None,
+    centre=(CENTER.latitude, CENTER.longitude),
+)
+@example(
+    offsets=THOUSAND_OFFSETS,
+    radius_km=6.0,
+    minute=BAND_MINUTES[2],
+    on_radius=None,
+    centre=(CENTER.latitude, CENTER.longitude),
+)
+@example(
+    offsets=THOUSAND_OFFSETS[:50],
+    radius_km=6.0,
+    minute=BAND_MINUTES[2],
+    on_radius=7,
+    centre=(-87.9, 179.95),
+)
+def test_perceive_matches_brute_force_filter_sort(
+    persona, offsets, radius_km, minute, on_radius, centre
+):
+    origin = GeoPoint(*centre)
     stations = [
         ChargingStation(
             station_id=f"st-{i:02d}",
-            location=GeoPoint(CENTER.latitude + dlat, CENTER.longitude + dlon),
+            # across the +-180 meridian a station wraps to the other side
+            location=GeoPoint(
+                min(90.0, max(-90.0, origin.latitude + dlat)),
+                (origin.longitude + dlon + 180.0) % 360.0 - 180.0,
+            ),
             pile_count=1,
             pile_power_kw=60.0,
             tariff_id=tariff_id,
@@ -183,13 +230,15 @@ def test_perceive_matches_brute_force_filter_sort(persona, offsets, radius_km, m
     if on_radius is not None and stations:
         # the radius is exactly one station's distance, which stays in
         edge = stations[on_radius % len(stations)]
-        radius_km = env.router.route(CENTER, edge.location).distance_km
+        radius_km = env.router.route(origin, edge.location).distance_km
     clock = SimClock(3 * 1440 + minute)
-    snapshot = perceive(_agent(persona), env, clock, radius_km)
+    agent = _agent(persona)
+    agent.state.location = origin
+    snapshot = perceive(agent, env, clock, radius_km)
 
     expected = []
     for s in stations:
-        estimate = env.router.route(CENTER, s.location, multiplier)
+        estimate = env.router.route(origin, s.location, multiplier)
         if estimate.distance_km <= radius_km:
             expected.append((estimate.distance_km, estimate.travel_minutes, s.station_id))
     expected.sort()
