@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as json_string
 
 MINUTES_PER_DAY = 1440
@@ -26,7 +27,20 @@ CURRENCY_PLACES = 4
 # log line, snapshot digest and to_json. The per-decision records write it
 # straight from their fields, keys spelled out in sorted order, through
 # json_string and json_number: the same bytes, without building a dict first.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_canonical_encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+if c_make_encoder is None:
+    canonical_json = _canonical_encoder.encode
+else:
+    # JSONEncoder.encode builds a new C encoder on every call; this one is
+    # built once, with encode's settings but no check for circular
+    # containers (markers=None), which the values written here never are.
+    _canonical_chunks = c_make_encoder(
+        None, _canonical_encoder.default, json_string, None, ":", ",", True, False, True
+    )
+
+    def canonical_json(value) -> str:
+        """value as canonical JSON text, as _canonical_encoder.encode writes it."""
+        return "".join(_canonical_chunks(value, 0))
 
 _float_repr = float.__repr__
 _int_repr = int.__repr__

@@ -4,8 +4,11 @@ One simulated day per agent unfolds as a chain of events: trips start and
 end, charging detours insert station-arrival and charge-end events, and a
 global day-boundary event at every midnight runs reflection, tows stranded
 vehicles home and schedules the next day's plan. Each agent event end runs
-the five-step pipeline: consume energy, perceive, retrieve memory, decide,
-execute, then append the decision to memory.
+the decision pipeline: consume energy, perceive, decide, execute, then
+append the decision to memory. The decision request hands the provider the
+agent's memory windows and the day's remaining plan, but builds each only
+when it is read, as of the moment the request was made; the mock provider
+reads none of them, so a mock run does no retrieval.
 
 Everything is single-threaded and totally ordered by (time, push sequence),
 so a (config, seed) pair maps to byte-identical logs under the mock
@@ -507,19 +510,16 @@ class Simulation:
         self._decision_pipeline(agent, now)
 
     def _decision_pipeline(self, agent: AgentRuntime, now: int) -> None:
-        """Perceive, retrieve, decide, execute, remember: one tick for one agent."""
+        """Perceive, decide, execute, remember: one tick for one agent.
+
+        The request carries the agent's memory and plan backlog as they
+        stand now; the memory windows and the day's remaining events are
+        built only if the provider reads them.
+        """
         clock = SimClock(now)
-        today = clock.day_index
         snapshot = perceive(agent, self.env, clock, self.config.station_radius_km)
-        short = agent.memory.retrieve(clock, "short")
-        aggregates = agent.memory.daily_aggregates(clock)
-        request = DecisionRequest(
-            persona=agent.persona,
-            plan_events=tuple(e for d, e in agent.pending if d == today),
-            snapshot=snapshot,
-            short_records=tuple(short),
-            long_aggregates=tuple(aggregates),
-            clock=clock,
+        request = DecisionRequest.from_history(
+            agent.persona, snapshot, clock, agent.memory, agent.pending
         )
         fallback = False
         try:

@@ -334,13 +334,19 @@ FREE_FLOW = CongestionSchedule((SpeedBand(0, MINUTES_PER_DAY, 1.0),))
 class Environment:
     """What the agents share: stations, tariffs, the road model and its congestion.
 
-    Each vehicle's state lives on its agent, not here.
+    Each vehicle's state lives on its agent, not here. The station set and
+    each station's location are fixed once the environment is built: sites
+    holds, per station in stations order, its latitude, longitude and
+    cos(radians(latitude)), which perception's distance loop reads.
     """
 
     stations: dict[str, ChargingStation]
     tariffs: dict[str, TariffSchedule]
     router: OfflineRouter
     congestion: CongestionSchedule = FREE_FLOW
+    sites: tuple[tuple[ChargingStation, float, float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for station in self.stations.values():
@@ -348,3 +354,12 @@ class Environment:
                 raise ValueError(
                     f"station {station.station_id} references unknown tariff {station.tariff_id!r}"
                 )
+        self.sites = tuple(
+            (
+                station,
+                station.location.latitude,
+                station.location.longitude,
+                math.cos(math.radians(station.location.latitude)),
+            )
+            for station in self.stations.values()
+        )

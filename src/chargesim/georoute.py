@@ -40,7 +40,8 @@ def haversine_km(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> floa
     """Haversine distance in km on a spherical Earth, between raw degrees.
 
     Deltas go through abs() so that swapping the endpoints is bit-exact
-    symmetric, which the routing contract promises.
+    symmetric, which the routing contract promises. perception.perceive
+    repeats these operations inline for its station loop; change both.
     """
     rad_a = math.radians(lat_a)
     rad_b = math.radians(lat_b)

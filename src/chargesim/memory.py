@@ -9,17 +9,20 @@ behavior.log, and every reflection is the `report` of a reflections.log
 entry, so those two logs are the durable record of what an agent remembered.
 
 Records arrive in timestamp order, so the store keeps two sorted indexes
-as it appends: the timestamps of all records, and the completed charging
-decisions (start_charging records whose decision is true) with their
-timestamps. A window is then two bisections and a slice, and the daily
-aggregates walk only the charges inside the long window. Both cost
-O(log n + k) for a history of n records and a window of k, so the cost of
-a decision does not grow with the simulated horizon.
+as it appends: the timestamps of all records, and the positions and
+timestamps of the completed charging decisions (start_charging records
+whose decision is true). A window is then two bisections and a slice, and
+the daily aggregates walk only the charges inside the long window. Both
+cost O(log n + k) for a history of n records and a window of k, so the
+cost of a read does not grow with the simulated horizon. Both take an
+optional record count, hi, and then read the store as it was when it held
+that many records, which is how a decision request reads its history
+after later records have arrived.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Literal
 
 from .domain import MINUTES_PER_DAY, ActionType, BehaviorRecord, ReflectionReport, SimClock
@@ -43,7 +46,7 @@ class MemoryStore:
         self.records: list[BehaviorRecord] = []
         self.reflections: list[ReflectionReport] = []
         self._times: list[int] = []  # records[i].timestamp, kept for bisection
-        self._charges: list[BehaviorRecord] = []  # start_charging records with decision true
+        self._charge_at: list[int] = []  # positions of start_charging records with decision true
         self._charge_times: list[int] = []
 
     def append(self, record: BehaviorRecord) -> None:
@@ -54,7 +57,7 @@ class MemoryStore:
         self.records.append(record)
         self._times.append(timestamp)
         if record.action is ActionType.START_CHARGING and record.quintuple.decision:
-            self._charges.append(record)
+            self._charge_at.append(len(self._times) - 1)
             self._charge_times.append(timestamp)
 
     def append_reflection(self, report: ReflectionReport) -> None:
@@ -64,17 +67,24 @@ class MemoryStore:
             )
         self.reflections.append(report)
 
-    def retrieve(self, clock: SimClock, horizon: Literal["short", "long"]) -> list[BehaviorRecord]:
-        """Records within the horizon window (now - days*1440, now], order preserved."""
+    def retrieve(
+        self, clock: SimClock, horizon: Literal["short", "long"], hi: int | None = None
+    ) -> list[BehaviorRecord]:
+        """Records within the horizon window (now - days*1440, now], order preserved,
+        among the first hi records (all of them when hi is None)."""
         window = _WINDOW_MINUTES.get(horizon)
         if window is None:
             raise ValueError(f"horizon must be 'short' or 'long', got {horizon!r}")
         now = clock.sim_time
         times = self._times
-        return self.records[bisect_right(times, now - window) : bisect_right(times, now)]
+        if hi is None:
+            hi = len(times)
+        first = bisect_right(times, now - window, 0, hi)
+        return self.records[first : bisect_right(times, now, 0, hi)]
 
-    def daily_aggregates(self, clock: SimClock) -> list[dict]:
-        """Per-day charging summaries over the long window: count, kWh, mean price.
+    def daily_aggregates(self, clock: SimClock, hi: int | None = None) -> list[dict]:
+        """Per-day charging summaries over the long window: count, kWh, mean price,
+        among the first hi records (all of them when hi is None).
 
         Derived on demand from the charge index, never stored; meant to keep
         long-horizon prompt payloads compact. The oldest day is usually only
@@ -83,10 +93,13 @@ class MemoryStore:
         """
         now = clock.sim_time
         times = self._charge_times
-        first = bisect_right(times, now - _WINDOW_MINUTES["long"])
-        last = bisect_right(times, now)
+        charges = len(times) if hi is None else bisect_left(self._charge_at, hi)
+        first = bisect_right(times, now - _WINDOW_MINUTES["long"], 0, charges)
+        last = bisect_right(times, now, 0, charges)
+        records = self.records
         buckets: dict[int, dict] = {}
-        for record in self._charges[first:last]:
+        for position in self._charge_at[first:last]:
+            record = records[position]
             day = record.timestamp // MINUTES_PER_DAY
             bucket = buckets.setdefault(
                 day, {"day_index": day, "charge_count": 0, "total_kwh": 0.0, "_price_sum": 0.0}

@@ -14,10 +14,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from math import asin, cos, radians, sin, sqrt
 from typing import Protocol
 
 from .domain import GeoPoint, Persona, SimClock, json_number, json_string
 from .environment import Environment, EvState, price_at
+from .georoute import EARTH_RADIUS_KM
+
+_DIAMETER_KM = 2.0 * EARTH_RADIUS_KM  # haversine_km's leading 2.0 * EARTH_RADIUS_KM
 
 
 class PerceivingAgent(Protocol):
@@ -149,8 +153,19 @@ def perceive(
 
     target_kwh = max(0.0, persona.habits.typical_target_soc * ev.capacity_kwh - ev.soc_kwh)
     entries: list[StationPerception] = []
-    for station in env.stations.values():
-        distance_km = router.distance_km(ev.location, station.location)
+    # router.distance_km(ev.location, station.location), one float operation
+    # for one in georoute.haversine_km, with each cosine computed once: the
+    # station's with the environment, the agent's here.
+    lat = ev.location.latitude
+    lon = ev.location.longitude
+    cos_lat = cos(radians(lat))
+    detour = router.detour_factor
+    for station, station_lat, station_lon, station_cos in env.sites:
+        h = (
+            sin(radians(abs(station_lat - lat)) / 2.0) ** 2
+            + cos_lat * station_cos * sin(radians(abs(station_lon - lon)) / 2.0) ** 2
+        )
+        distance_km = _DIAMETER_KM * asin(sqrt(h if h < 1.0 else 1.0)) * detour
         if distance_km > radius_km:
             continue
         power_kw = min(station.pile_power_kw, ev.max_charge_power_kw)

@@ -12,7 +12,9 @@ semantic check against the snapshot the decision was made from
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..domain import (
     BehaviorRecord,
@@ -20,11 +22,13 @@ from ..domain import (
     DailyPlan,
     DecisionQuintuple,
     Persona,
+    PlanEvent,
     ReflectionReport,
     SimClock,
     canonical_json,
 )
 from ..environment import EvState
+from ..memory import MemoryStore
 from ..perception import PerceptionSnapshot
 
 
@@ -36,16 +40,68 @@ class SchemaError(ValueError):
     """A provider response that does not conform to the expected schema."""
 
 
-@dataclass(frozen=True)
 class DecisionRequest:
-    """Everything a provider may consider when making one charging decision."""
+    """Everything a provider may consider when making one charging decision.
 
-    persona: Persona
-    plan_events: tuple  # remaining PlanEvents for the current day
-    snapshot: PerceptionSnapshot
-    short_records: tuple[BehaviorRecord, ...]
-    long_aggregates: tuple[dict, ...]
-    clock: SimClock
+    persona, snapshot and clock are the present. The history is three
+    tuples: plan_events (the day's remaining PlanEvents), short_records (the
+    short memory window) and long_aggregates (per-day charge summaries over
+    the long window). A caller may pass them in. The engine builds its
+    requests with from_history instead: then each tuple is built the first
+    time something reads it, from the agent's memory and plan backlog as
+    they were when the request was made, and kept. The mock provider reads
+    none of them, so a mock run builds none of them.
+    """
+
+    def __init__(
+        self,
+        persona: Persona,
+        plan_events: tuple,
+        snapshot: PerceptionSnapshot,
+        short_records: tuple[BehaviorRecord, ...],
+        long_aggregates: tuple[dict, ...],
+        clock: SimClock,
+    ) -> None:
+        self.persona = persona
+        self.snapshot = snapshot
+        self.clock = clock
+        # given values shadow the cached properties below, which then never run
+        self.plan_events = plan_events
+        self.short_records = short_records
+        self.long_aggregates = long_aggregates
+
+    @classmethod
+    def from_history(
+        cls,
+        persona: Persona,
+        snapshot: PerceptionSnapshot,
+        clock: SimClock,
+        memory: MemoryStore,
+        pending: Iterable[tuple[int, PlanEvent]],
+    ) -> DecisionRequest:
+        """A request whose history is read, when first needed, from memory and
+        the (day, PlanEvent) backlog pending as they stand now."""
+        request = cls.__new__(cls)
+        request.persona = persona
+        request.snapshot = snapshot
+        request.clock = clock
+        request._memory = memory
+        request._memory_size = len(memory.records)
+        request._pending = tuple(pending)
+        return request
+
+    @cached_property
+    def plan_events(self) -> tuple:
+        today = self.clock.day_index
+        return tuple(event for day, event in self._pending if day == today)
+
+    @cached_property
+    def short_records(self) -> tuple[BehaviorRecord, ...]:
+        return tuple(self._memory.retrieve(self.clock, "short", self._memory_size))
+
+    @cached_property
+    def long_aggregates(self) -> tuple[dict, ...]:
+        return tuple(self._memory.daily_aggregates(self.clock, self._memory_size))
 
     def to_json(self) -> str:
         """The canonical request text; the perception part is the snapshot's own text."""

@@ -88,6 +88,15 @@ def _is_list(value, item) -> bool:
     return isinstance(value, (list, tuple)) and all(map(item, value))
 
 
+def _is_window(value) -> bool:
+    return (
+        _is_pair(value)
+        and 0 <= value[0] <= MINUTES_PER_DAY
+        and 0 <= value[1] <= MINUTES_PER_DAY
+        and int(value[0]) < int(value[1])
+    )
+
+
 # What generate_persona and plan_day need of each template entry: a shape
 # name (rng.uniform takes a "pair", rng.randint an "int_range", rng.choice a
 # non-empty list), or an enum whose values a non-empty list must hold.
@@ -107,45 +116,69 @@ _SHAPES = {
     "strings+": (lambda v: bool(v) and _is_list(v, lambda x: isinstance(x, str)),
                  "a non-empty list of strings"),
     "numbers+": (lambda v: bool(v) and _is_list(v, _is_number), "a non-empty list of numbers"),
-    "pairs+": (lambda v: bool(v) and _is_list(v, _is_pair), "a non-empty list of number pairs"),
+    # generate_persona truncates a window's ends to int, and validate_persona
+    # wants them ascending within [0, 1440]
+    "windows+": (lambda v: bool(v) and _is_list(v, _is_window),
+                 "a non-empty list of ascending [start, end] minutes within [0, 1440]"),
+}
+# A shape may carry a bound that every number in the entry must meet: the
+# range validate_persona accepts for the persona field the entry samples
+# (rng.uniform returns a value between a pair's ends, rng.choice one of the
+# items), or what keeps a plan's event starts ascending within the day.
+_BOUNDS = {
+    "unit": (lambda x: 0.0 <= x <= 1.0, "within [0, 1]"),
+    "open_unit": (lambda x: 0.0 < x < 1.0, "within (0, 1)"),
+    "soc": (lambda x: 0.0 < x <= 1.0, "within (0, 1]"),
+    "positive": (lambda x: x > 0, "above 0"),
+    "non_negative": (lambda x: x >= 0, "at least 0"),
+    "minute": (lambda x: 0 <= x <= MINUTES_PER_DAY, "within [0, 1440]"),
 }
 PERSONA_TEMPLATE_SHAPES: dict = {
     "id_prefix": "string",
     "occupations": "strings+",
-    "age_range": "int_range",
+    "age_range": ("int_range", "positive"),
     "genders": Gender,
     "income_levels": IncomeLevel,
-    "price_sensitivity_range": "pair",
-    "risk_aversion_range": "pair",
-    "range_anxiety_range": "pair",
-    "patience_range": "pair",
-    "battery_capacity_choices": "numbers+",
-    "consumption_range": "pair",
-    "max_charge_power_choices": "numbers+",
-    "preferred_windows": "pairs+",
+    "price_sensitivity_range": ("pair", "unit"),
+    "risk_aversion_range": ("pair", "unit"),
+    "range_anxiety_range": ("pair", "open_unit"),
+    "patience_range": ("pair", "unit"),
+    "battery_capacity_choices": ("numbers+", "positive"),
+    "consumption_range": ("pair", "positive"),
+    "max_charge_power_choices": ("numbers+", "positive"),
+    "preferred_windows": "windows+",
     "preferred_scenarios": ChargeScenario,
-    "target_soc_range": "pair",
+    "target_soc_range": ("pair", "soc"),
 }
 PLAN_TEMPLATE_SHAPES: dict = {
     "center": "point",
     "area_radius_km": "number",
-    "shifts": "pairs",
-    "evening_shift": "pair",
+    "shifts": ("pairs", "minute"),
+    "evening_shift": ("pair", "minute"),
     "evening_shift_probability": "number",
     "trip_km_range": "pair",
-    "gap_minutes_range": "int_range",
+    "gap_minutes_range": ("int_range", "non_negative"),
     "detour_factor": "number",
     "speed_kmh": "number",
 }
 
 
+def _numbers(value) -> list:
+    """Every number in a number, a pair, or a list of numbers or pairs."""
+    if _is_number(value):
+        return [value]
+    return [number for item in value for number in _numbers(item)]
+
+
 def template_problems(template: dict, shapes: dict) -> dict[str, str]:
-    """Each entry of template that is not of its shape, mapped to the problem."""
+    """Each entry of template that is not of its shape or out of its bound,
+    mapped to the problem."""
     problems = {}
     for key, shape in shapes.items():
         if key not in template:
             continue
         value = template[key]
+        shape, bound = shape if isinstance(shape, tuple) else (shape, None)
         if isinstance(shape, str):
             accepts, expected = _SHAPES[shape]
             ok = accepts(value)
@@ -155,6 +188,10 @@ def template_problems(template: dict, shapes: dict) -> dict[str, str]:
             ok = bool(value) and _is_list(value, lambda v: isinstance(v, str) and v in names)
         if not ok:
             problems[key] = f"must be {expected}, got {value!r}"
+        elif bound is not None:
+            within, text = _BOUNDS[bound]
+            if not all(map(within, _numbers(value))):
+                problems[key] = f"must hold numbers {text}, got {value!r}"
     return problems
 
 

@@ -6,7 +6,9 @@ haversine, the cost oracle integrates minute by minute instead of by band
 overlap, the station scorer is an explicit exhaustive loop, and the queue
 oracle is a minute-stepping FIFO simulation rather than greedy pile
 reservation. The memory oracles scan a store's whole record list and
-filter it record by record, where the store bisects indexes kept on append.
+filter it record by record, where the store bisects indexes kept on append;
+the request-history oracle assembles a decision request's history with them
+at once, where the request builds it on first read.
 The export oracle parses every line of a run's behavior.log and reads the
 parsed action of each, where the map exporters skip unwanted lines by their
 text.
@@ -183,6 +185,19 @@ def oracle_daily_aggregates(records: list, now: int) -> list[dict]:
             }
         )
     return out
+
+
+def oracle_request_history(records: list, pending, now: int) -> tuple[tuple, tuple, tuple]:
+    """A decision request's (plan_events, short_records, long_aggregates) at
+    time now, assembled eagerly: the day's events filtered from the whole
+    (day, PlanEvent) backlog, then full scans of the agent's records for the
+    3-day window and the 7-day daily aggregates."""
+    today = now // MINUTES_PER_DAY
+    return (
+        tuple(event for day, event in pending if day == today),
+        tuple(oracle_memory_window(records, now, 3)),
+        tuple(oracle_daily_aggregates(records, now)),
+    )
 
 
 def read_log(path: Path | str) -> list[dict]:

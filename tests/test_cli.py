@@ -81,6 +81,26 @@ def test_validate_rejects_plan_template_routing_keys(tmp_path, capsys):
         "plan_template: {shifts: [[420, noon]]}",
         "plan_template: {trip_km_range: [5]}",
         "plan_template: {gap_minutes_range: [4.5, 15]}",
+        # well typed, but outside a bound validate_persona or a plan event sets
+        "persona_template: {target_soc_range: [1.5, 2]}",
+        "persona_template: {target_soc_range: [0, 0.9]}",
+        "persona_template: {price_sensitivity_range: [0.2, 1.2]}",
+        "persona_template: {risk_aversion_range: [-0.1, 0.5]}",
+        "persona_template: {range_anxiety_range: [0, 0.3]}",
+        "persona_template: {range_anxiety_range: [0.2, 1]}",
+        "persona_template: {patience_range: [0.3, .nan]}",
+        "persona_template: {consumption_range: [0, 0.2]}",
+        "persona_template: {battery_capacity_choices: [75, 0]}",
+        "persona_template: {max_charge_power_choices: [-60]}",
+        "persona_template: {age_range: [0, 30]}",
+        "persona_template: {preferred_windows: [[1500, 100]]}",
+        "persona_template: {preferred_windows: [[600, 600]]}",
+        "persona_template: {preferred_windows: [[0, 1500]]}",
+        "persona_template: {preferred_windows: [[0, .inf]]}",
+        "plan_template: {shifts: [[420, 3000]]}",
+        "plan_template: {shifts: [[-10, 720]]}",
+        "plan_template: {evening_shift: [1290, 1500]}",
+        "plan_template: {gap_minutes_range: [-100, -50]}",
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -94,6 +114,28 @@ def test_wrongly_typed_config_is_a_config_error(tmp_path, capsys, text, command)
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def test_template_bounds_admit_their_edge_values(tmp_path):
+    config = ScenarioConfig()
+    config.num_agents = 2
+    config.horizon_days = 1
+    config.persona_template = {
+        "age_range": [1, 1],
+        "price_sensitivity_range": [0, 1],
+        "range_anxiety_range": [0.01, 0.99],
+        "target_soc_range": [1, 1],
+        "preferred_windows": [[0, 1440], [1439, 1440]],
+    }
+    config.plan_template = {
+        "shifts": [[0, 1440]],
+        "evening_shift": [1440, 1440],
+        "gap_minutes_range": [0, 0],
+    }
+    path = tmp_path / "edges.yaml"
+    path.write_text(config.to_yaml(), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
 
 
 @pytest.mark.parametrize("loader", [

@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import chargesim
 from chargesim.domain import (
     ActionType,
     BehaviorRecord,
@@ -223,7 +228,51 @@ personas = st.builds(
 )
 
 
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**200) | st.integers(max_value=-(2**63)),
+    st.floats(),  # NaN and the infinities included
+    st.sampled_from([-0.0, 5e-324, 1e22, 1e16, float("nan"), float("inf"), float("-inf")]),
+    awkward_text,
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(awkward_text, children, max_size=4),
+    max_leaves=20,
+)
+
+
 class TestCanonicalWriters:
+    @given(json_trees)
+    @example({"é": ["ü", -0.0, float("nan"), 2**64, {"b": float("-inf"), "a": None}]})
+    def test_canonical_json_matches_json_dumps(self, tree):
+        assert canonical_json(tree) == json.dumps(tree, sort_keys=True, separators=(",", ":"))
+
+    def test_canonical_json_without_the_c_encoder(self):
+        # json.encoder.c_make_encoder is None where the _json accelerator is missing
+        code = (
+            "import json, json.encoder; json.encoder.c_make_encoder = None\n"
+            "from chargesim.domain import canonical_json\n"
+            "tree = {'\u00e9': [float('nan'), -0.0, 2**70, {'b': 1, 'a': None}]}\n"
+            "assert canonical_json(tree) == json.dumps(tree, sort_keys=True, separators=(',', ':'))\n"
+            "assert canonical_json.__self__.__class__ is json.JSONEncoder\n"
+        )
+        paths = [str(Path(chargesim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize("value", [object(), {"a": {1, 2}}, [b"bytes"], {("t",): 1}])
+    def test_canonical_json_rejects_what_json_cannot_write(self, value):
+        with pytest.raises(TypeError):
+            canonical_json(value)
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, separators=(",", ":"))
+
     @given(personas)
     def test_persona_dict_matches_the_asdict_oracle(self, persona):
         expected = oracle_persona_dict(persona)

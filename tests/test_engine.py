@@ -23,6 +23,7 @@ from chargesim.domain import (
     canonical_json,
 )
 from chargesim.engine import EventQueue, RunTotals, Simulation, build_summary, run
+from chargesim.memory import MemoryStore
 from chargesim.providers import (
     CognitionProvider,
     DecisionRequest,
@@ -31,6 +32,14 @@ from chargesim.providers import (
     MockProvider,
 )
 from chargesim.providers.mock import home_point_for
+from oracles import oracle_request_history
+
+
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "config" / "default.yaml"
+# sha256 of the seed-42 default run's logs, unchanged since the first
+# benchmark; a deliberate behaviour change re-pins these and says why
+DEFAULT_BEHAVIOR_PIN = "62adca69be63b23f0289da02cf477c8412af84aa34d2e91c95b8b1f4f21a351c"
+DEFAULT_REFLECTIONS_PIN = "82d6babe1c88cc36322c8a8b067b3d0dcc3c86c8b1ce37a46a81fa150400f40c"
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -111,17 +120,11 @@ class TestRun:
         assert run_files(tmp_path / "a") == run_files(tmp_path / "b")
 
     def test_default_run_matches_its_pinned_digests(self, tmp_path):
-        # sha256 of the seed-42 default run's logs, unchanged since the first
-        # benchmark; a deliberate behaviour change re-pins these and says why
-        config = load_config(Path(__file__).resolve().parent.parent / "config" / "default.yaml")
+        config = load_config(DEFAULT_CONFIG)
         assert (config.num_agents, config.horizon_days, config.seed) == (10, 7, 42)
         artifacts = run(config, tmp_path / "run")
-        assert artifacts.behavior_digest == (
-            "62adca69be63b23f0289da02cf477c8412af84aa34d2e91c95b8b1f4f21a351c"
-        )
-        assert artifacts.reflections_digest == (
-            "82d6babe1c88cc36322c8a8b067b3d0dcc3c86c8b1ce37a46a81fa150400f40c"
-        )
+        assert artifacts.behavior_digest == DEFAULT_BEHAVIOR_PIN
+        assert artifacts.reflections_digest == DEFAULT_REFLECTIONS_PIN
 
     def test_different_seeds_differ(self, tmp_path):
         first = run(small_config(seed=1), tmp_path / "a")
@@ -566,6 +569,69 @@ def test_memory_holds_what_the_logs_hold(tmp_path):
         assert [report.to_dict() for report in agent.memory.reflections] == [
             e["report"] for e in reflections if e["agent_id"] == agent_id
         ]
+
+
+class HistoryCheckingProvider(MockProvider):
+    """The mock, plus a check of every request's history against the eager oracle.
+
+    For each request it assembles the expected text from the agent's memory
+    and plan backlog at the moment of the call. It reads every other
+    request's text inside decide() and leaves the rest unread until the run
+    has appended and advanced past them.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.sim: Simulation | None = None
+        self.requests: list[tuple[DecisionRequest, str]] = []
+
+    def decide(self, request):
+        agent = self.sim.agents[request.persona.id]
+        plan_events, short, aggregates = oracle_request_history(
+            agent.memory.records, agent.pending, request.clock.sim_time
+        )
+        expected = DecisionRequest(
+            persona=request.persona,
+            plan_events=plan_events,
+            snapshot=request.snapshot,
+            short_records=short,
+            long_aggregates=aggregates,
+            clock=request.clock,
+        ).to_json()
+        if len(self.requests) % 2 == 0:
+            assert request.to_json() == expected
+        self.requests.append((request, expected))
+        return super().decide(request)
+
+
+@pytest.mark.parametrize("make_config", [charge_and_strand_config, ScenarioConfig])
+def test_request_history_is_the_history_when_the_request_was_made(tmp_path, make_config):
+    config = make_config()
+    provider = HistoryCheckingProvider(plan_template=config.effective_plan_template())
+    sim = Simulation(config, tmp_path / "run", provider=provider)
+    provider.sim = sim
+    sim.run()
+    for request, expected in provider.requests:
+        assert request.to_json() == expected
+    requests = [request for request, _ in provider.requests]
+    # every part of the history is exercised, the windows over more than a day
+    assert sum(1 for r in requests if r.plan_events) > len(requests) // 2
+    assert any(
+        r.short_records and r.short_records[0].timestamp // 1440 < r.clock.day_index
+        for r in requests
+    )
+    assert any(r.long_aggregates for r in requests)
+
+
+def test_a_mock_run_retrieves_no_memory(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the mock provider reads no memory")
+
+    monkeypatch.setattr(MemoryStore, "retrieve", refuse)
+    monkeypatch.setattr(MemoryStore, "daily_aggregates", refuse)
+    artifacts = run(load_config(DEFAULT_CONFIG), tmp_path / "run")
+    assert artifacts.behavior_digest == DEFAULT_BEHAVIOR_PIN
+    assert artifacts.reflections_digest == DEFAULT_REFLECTIONS_PIN
 
 
 def test_fault_injected_run_writes_canonical_lines_and_matches_its_pins(tmp_path):
