@@ -7,6 +7,12 @@ checks its own invariants on construction, with one deliberate exception:
 (useful when the persona came from an external generator) instead of
 failing on the first bad field.
 
+A run keeps millions of these records alive, so every frozen value type in
+the package is declared ``@dataclass(frozen=True, slots=True)``: no
+per-instance ``__dict__``, hence no ad-hoc attributes and no weak
+references. A new one is declared the same way; tests/test_domain.py
+checks that every frozen dataclass has its ``__slots__``.
+
 Time is integer minutes since scenario start; currency is CNY per kWh
 with four fractional digits by convention.
 """
@@ -98,7 +104,7 @@ class PlanEventKind(str, Enum):
     LEISURE = "leisure"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SimClock:
     """Simulation time in whole minutes since scenario start.
 
@@ -123,7 +129,7 @@ class SimClock:
         return self.sim_time % MINUTES_PER_DAY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """A WGS84 coordinate; bounds are validated on construction."""
 
@@ -142,41 +148,41 @@ class GeoPoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Demographics:
     age: int
     gender: Gender
     occupation: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Economics:
     income_level: IncomeLevel
     price_sensitivity: float  # 0 (indifferent) .. 1 (highly price driven)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Psychology:
     risk_aversion: float
     range_anxiety_threshold: float  # SoC fraction below which charging is sought
     patience: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VehicleSpec:
     battery_capacity_kwh: float
     consumption_kwh_per_km: float
     max_charge_power_kw: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChargingHabits:
     preferred_window: tuple[int, int]  # time-of-day minutes, half-open
     preferred_scenario: ChargeScenario
     typical_target_soc: float  # fraction in (0, 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Persona:
     """Profile driving an agent's prompts and baseline decisions.
 
@@ -332,7 +338,7 @@ def validate_persona(persona: Persona) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionQuintuple:
     """The labeled bundle of decision outputs attached to every record.
 
@@ -380,7 +386,7 @@ class DecisionQuintuple:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BehaviorRecord:
     """One logged behavior: the action taken, its object, and when.
 
@@ -417,7 +423,7 @@ class BehaviorRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanEvent:
     kind: PlanEventKind
     origin: GeoPoint
@@ -446,7 +452,7 @@ class PlanEvent:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DailyPlan:
     """An ordered, non-overlapping schedule of events for one simulated day."""
 
@@ -472,7 +478,7 @@ class DailyPlan:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredNote:
     """A [0, 1] score with the explanatory text that justifies it."""
 
@@ -487,7 +493,7 @@ class ScoredNote:
         return {"score": self.score, "text": self.text}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReflectionReport:
     """End-of-day self evaluation: plan adherence, satisfaction, consistency."""
 

@@ -31,6 +31,7 @@ import time as _time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from sys import intern
 from typing import IO
 
 from .config import ScenarioConfig
@@ -405,6 +406,10 @@ class Simulation:
             raise
 
     # -- record emission -----------------------------------------------------------
+    # The records built here take their object_id and reason through intern:
+    # a few hundred texts ("completed planned trip of 3.4 km", "route-d0-0480")
+    # recur across agents and days, and today_records and the memory stores
+    # then keep one copy of each.
 
     def _emit(
         self,
@@ -437,7 +442,8 @@ class Simulation:
     ) -> None:
         """Emit a travel or idle record: it charges nothing and stays out of memory."""
         quintuple = DecisionQuintuple.no_charge(agent.persona.habits.preferred_scenario, now)
-        self._emit(agent, BehaviorRecord(action, object_id, now, quintuple, reason), extras=extras)
+        record = BehaviorRecord(action, intern(object_id), now, quintuple, intern(reason))
+        self._emit(agent, record, extras=extras)
 
     # -- plan scheduling --------------------------------------------------------
 
@@ -543,10 +549,10 @@ class Simulation:
             )
             record = BehaviorRecord(
                 action=ActionType.START_CHARGING,
-                object_id=station_entry.station_id,
+                object_id=intern(station_entry.station_id),
                 timestamp=now,
                 quintuple=response.quintuple,
-                reason=response.reason,
+                reason=intern(response.reason),
             )
             self._emit(agent, record, fallback=fallback, extras=extras, to_memory=True)
             agent.busy = True
@@ -567,7 +573,7 @@ class Simulation:
                 object_id="",
                 timestamp=now,
                 quintuple=response.quintuple,
-                reason=response.reason,
+                reason=intern(response.reason),
             )
             self._emit(agent, record, fallback=fallback, extras=extras, to_memory=True)
             self._advance(agent, now)
@@ -642,7 +648,7 @@ class Simulation:
         effective_price = round_currency(ticket.cost / ticket.energy_kwh) if ticket.energy_kwh else 0.0
         record = BehaviorRecord(
             action=ActionType.STOP_CHARGING,
-            object_id=station.station_id,
+            object_id=intern(station.station_id),
             timestamp=now,
             quintuple=DecisionQuintuple(
                 decision=True,
@@ -653,7 +659,7 @@ class Simulation:
                 power_kw=ticket.power_kw,
                 price_per_kwh=effective_price,
             ),
-            reason=f"delivered {ticket.energy_kwh:.2f} kWh in {duration} min",
+            reason=intern(f"delivered {ticket.energy_kwh:.2f} kWh in {duration} min"),
         )
         approach = payload["approach"]
         self._emit(

@@ -113,7 +113,7 @@ def consume_energy(ev: EvState, distance_km: float, rate_kwh_per_km: float) -> f
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TariffBand:
     start: int  # time-of-day minutes, inclusive
     end: int  # exclusive
@@ -127,7 +127,7 @@ class TariffBand:
             raise ValueError("price_per_kwh must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TariffSchedule:
     """Time-of-use prices; the bands must partition [0, 1440) exactly."""
 
@@ -228,7 +228,7 @@ class ChargingStation:
         return max(0, min(self.busy_until) - now)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChargeTicket:
     """The committed outcome of one accepted charge request."""
 
@@ -292,7 +292,7 @@ def begin_charge(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpeedBand:
     start: int
     end: int
@@ -305,7 +305,7 @@ class SpeedBand:
             raise ValueError("speed multiplier must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CongestionSchedule:
     """Per-time-of-day speed multipliers standing in for live traffic data."""
 

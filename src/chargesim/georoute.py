@@ -22,7 +22,7 @@ from .domain import GeoPoint
 EARTH_RADIUS_KM = 6371.0088
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RouteEstimate:
     distance_km: float
     travel_minutes: int
@@ -103,7 +103,7 @@ def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
     return haversine_km(a.latitude, a.longitude, b.latitude, b.longitude)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OfflineRouter:
     """Great-circle-times-detour routing at a constant mean urban speed.
 

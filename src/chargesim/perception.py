@@ -39,7 +39,7 @@ class PerceivingAgent(Protocol):
     def next_destination(self) -> GeoPoint | None: ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StationPerception:
     station_id: str
     free_piles: int  # scenario: availability right now
@@ -65,7 +65,7 @@ class StationPerception:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TravelPerception:
     congestion_multiplier: float  # scenario
     now: int  # time
@@ -97,7 +97,7 @@ def _point_json(point: GeoPoint | None) -> str:
     return f"[{json_number(point.latitude)},{json_number(point.longitude)}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerceptionSnapshot:
     travel: TravelPerception
     stations: tuple[StationPerception, ...]

@@ -118,7 +118,7 @@ class DecisionRequest:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionResponse:
     """A charging decision: the quintuple fields plus the stated reason."""
 

@@ -20,7 +20,7 @@ from .base import DecisionRequest, DecisionResponse
 IDLE_WINDOW_MINUTES = 45
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BaselineWeights:
     distance: float = 0.5
     price: float = 0.3

@@ -89,7 +89,7 @@ DEFAULT_PROMPTS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiveSettings:
     base_url: str = "https://api.openai.com/v1"
     model: str = "gpt-4o-mini"

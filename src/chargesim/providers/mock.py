@@ -33,7 +33,7 @@ from ..domain import (
     VehicleSpec,
     validate_persona,
 )
-from ..georoute import bounding_box_deg, great_circle_km, haversine_km
+from ..georoute import EARTH_RADIUS_KM, bounding_box_deg, great_circle_km, haversine_km
 from .base import CognitionProvider, DecisionRequest, DecisionResponse, SchemaError
 from .baseline import BaselineWeights, baseline_decision
 
@@ -156,7 +156,7 @@ PLAN_TEMPLATE_SHAPES: dict = {
     "shifts": ("pairs", "minute"),
     "evening_shift": ("pair", "minute"),
     "evening_shift_probability": "number",
-    "trip_km_range": "pair",
+    "trip_km_range": ("pair", "non_negative"),
     "gap_minutes_range": ("int_range", "non_negative"),
     "detour_factor": "number",
     "speed_kmh": "number",
@@ -172,7 +172,8 @@ def _numbers(value) -> list:
 
 def template_problems(template: dict, shapes: dict) -> dict[str, str]:
     """Each entry of template that is not of its shape or out of its bound,
-    mapped to the problem."""
+    mapped to the problem; for a plan template, also a centre too close to a
+    pole or the antimeridian for the planner's reach (_reach_problem)."""
     problems = {}
     for key, shape in shapes.items():
         if key not in template:
@@ -192,7 +193,49 @@ def template_problems(template: dict, shapes: dict) -> dict[str, str]:
             within, text = _BOUNDS[bound]
             if not all(map(within, _numbers(value))):
                 problems[key] = f"must hold numbers {text}, got {value!r}"
+    reach_keys = {"center", "area_radius_km", "trip_km_range"}
+    if shapes is PLAN_TEMPLATE_SHAPES and not problems.keys() & reach_keys:
+        reach = _reach_problem({**DEFAULT_PLAN_TEMPLATE, **template})
+        if reach is not None:
+            problems["center"] = reach
     return problems
+
+
+def _reach_problem(template: dict) -> str | None:
+    """Why plan_day could step off [-90, 90] x [-180, 180] around the
+    template's centre, or None.
+
+    plan_day hops from the home point (within 0.6 * area_radius_km of the
+    centre), from accepted destinations (within area_radius_km of it) and
+    from fallback points (a hop toward the centre, which ends no farther out
+    than the hop or its origin in each coordinate, as hops are never
+    negative), and tries candidates one hop further out.
+    A hop of k km moves k * DEG_PER_KM degrees of latitude and at most that
+    over cos(latitude) of longitude; a point within the radius lies inside
+    the meridians tangent to its circle (see georoute.bounding_box_deg).
+    Both reaches are widened by a relative 1e-9 for rounding. A candidate
+    past a pole or the +-180 meridian would be measured at its wrapped
+    position by haversine_km and could be accepted, and no GeoPoint holds it.
+    """
+    lat, lon = template["center"]
+    angle = abs(template["area_radius_km"]) / EARTH_RADIUS_KM
+    hop = max(template["trip_km_range"]) * DEG_PER_KM
+    lat_reach = (max(math.degrees(angle), hop) + hop) * (1.0 + 1e-9)
+    if not abs(lat) + lat_reach < 90.0:
+        return (
+            f"leaves the planner no room: with area_radius_km and trip_km_range its hops "
+            f"reach {lat_reach:.4g} degrees of latitude from {lat}, past a pole"
+        )
+    cos_lat = math.cos(math.radians(lat))
+    lon_hop = hop / math.cos(math.radians(abs(lat) + lat_reach))
+    circle = math.degrees(math.asin(math.sin(angle) / cos_lat))
+    lon_reach = (max(circle, lon_hop) + lon_hop) * (1.0 + 1e-9)
+    if not abs(lon) + lon_reach < 180.0:
+        return (
+            f"leaves the planner no room: with area_radius_km and trip_km_range its hops "
+            f"reach {lon_reach:.4g} degrees of longitude from {lon}, past the +-180 meridian"
+        )
+    return None
 
 
 def home_point_for(persona_id: str, center: GeoPoint, area_radius_km: float) -> GeoPoint:

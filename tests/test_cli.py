@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chargesim.cli import main
 from chargesim.config import ScenarioConfig
-from chargesim.engine import Simulation
+from chargesim.engine import Simulation, run
 from chargesim.providers import MockProvider
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -101,6 +104,10 @@ def test_validate_rejects_plan_template_routing_keys(tmp_path, capsys):
         "plan_template: {shifts: [[-10, 720]]}",
         "plan_template: {evening_shift: [1290, 1500]}",
         "plan_template: {gap_minutes_range: [-100, -50]}",
+        "plan_template: {trip_km_range: [-5, 18]}",
+        # the planner's hops around the centre would cross a pole or the antimeridian
+        "plan_template: {center: [89.9, 0]}",
+        "plan_template: {center: [0, 179.99]}",
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -136,6 +143,37 @@ def test_template_bounds_admit_their_edge_values(tmp_path):
     path.write_text(config.to_yaml(), encoding="utf-8")
     assert main(["validate", "--config", str(path)]) == 0
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+
+
+def _edge_centres():
+    near_pole = st.tuples(
+        st.floats(85.0, 90.0) | st.floats(-90.0, -85.0), st.floats(-180.0, 180.0)
+    )
+    near_antimeridian = st.tuples(
+        st.floats(-89.0, 89.0), st.floats(175.0, 180.0) | st.floats(-180.0, -175.0)
+    )
+    return near_pole | near_antimeridian
+
+
+@settings(max_examples=60, deadline=None)
+@given(centre=_edge_centres(), radius=st.sampled_from([0.5, 8.0, 40.0]))
+@example(centre=(89.9, 0.0), radius=8.0)
+@example(centre=(0.0, 179.99), radius=8.0)
+@example(centre=(89.0, 0.0), radius=8.0)
+@example(centre=(0.0, -179.6), radius=8.0)
+def test_a_centre_near_a_pole_or_the_antimeridian_that_validates_runs(centre, radius):
+    # a centre is either rejected for the planner's reach or runs to completion
+    config = ScenarioConfig()
+    config.num_agents = 2
+    config.horizon_days = 1
+    config.plan_template = {"center": list(centre), "area_radius_km": radius}
+    problems = config.validate()
+    if problems:
+        assert len(problems) == 1 and problems[0].startswith("plan_template.center leaves")
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        artifacts = run(config, Path(tmp) / "run")  # raises if the run fails
+    assert artifacts.summary["num_agents"] == 2
 
 
 @pytest.mark.parametrize("loader", [

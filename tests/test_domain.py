@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import importlib
 import json
 import math
 import os
+import pickle
+import pkgutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -29,12 +34,15 @@ from chargesim.domain import (
     PlanEvent,
     PlanEventKind,
     Psychology,
+    ReflectionReport,
     ScoredNote,
     SimClock,
     VehicleSpec,
     canonical_json,
     validate_persona,
 )
+from chargesim.perception import PerceptionSnapshot, StationPerception, TravelPerception
+from chargesim.providers.base import DecisionResponse
 from oracles import (
     oracle_persona_dict,
     oracle_quintuple_dict,
@@ -326,3 +334,63 @@ class TestReflectionReport:
             ScoredNote(1.2, "too good")
         with pytest.raises(ValueError):
             ScoredNote(-0.1, "too bad")
+
+
+def _frozen_dataclasses():
+    """Every frozen dataclass defined in a chargesim module."""
+    found = []
+    for info in pkgutil.walk_packages(chargesim.__path__, "chargesim."):
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            if (
+                isinstance(value, type)
+                and value.__module__ == module.__name__
+                and dataclasses.is_dataclass(value)
+                and value.__dataclass_params__.frozen
+            ):
+                found.append(value)
+    return found
+
+
+def _hot_values():
+    station = StationPerception("st-01", 1, 12, 0, 40, 5.5, 60.0, 1.2, False)
+    travel = TravelPerception(1.0, 480, 600, SHANGHAI, PUDONG, 41.0, 30.0, 0.4)
+    quintuple = DecisionQuintuple(True, ChargeScenario.PUBLIC, 492, "st-01", 20.0, 60.0, 1.2)
+    note = ScoredNote(0.8, "fine")
+    trip = PlanEvent(PlanEventKind.TRIP, SHANGHAI, PUDONG, start=420, expected_distance_km=43.0)
+    return [
+        SHANGHAI,
+        _persona(),
+        quintuple,
+        BehaviorRecord(ActionType.START_CHARGING, "st-01", 480, quintuple, "close and cheap"),
+        trip,
+        DailyPlan(0, (trip,)),
+        ReflectionReport(0, note, note, note),
+        PerceptionSnapshot(travel, (station,)),
+        DecisionResponse(quintuple, "close and cheap"),
+    ]
+
+
+class TestSlottedValueTypes:
+    """The value types are frozen and slotted: no per-instance __dict__, and
+    equality, hashing, replace, deepcopy and pickling still hold."""
+
+    def test_every_frozen_dataclass_declares_slots(self):
+        types = _frozen_dataclasses()
+        assert len(types) >= 27
+        assert [cls.__qualname__ for cls in types if "__slots__" not in cls.__dict__] == []
+
+    @pytest.mark.parametrize("value", _hot_values(), ids=lambda value: type(value).__name__)
+    def test_copies_round_trips_and_hashes(self, value):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, dataclasses.fields(value)[0].name, None)
+        for twin in (
+            copy.deepcopy(value),
+            pickle.loads(pickle.dumps(value)),
+            replace(value),
+        ):
+            assert twin == value and twin is not value
+            assert hash(twin) == hash(value)
+        first = dataclasses.fields(value)[0].name
+        assert replace(value, **{first: getattr(value, first)}) == value

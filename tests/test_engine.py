@@ -12,6 +12,7 @@ import pytest
 import chargesim
 from chargesim.config import ScenarioConfig, load_config
 from chargesim.domain import (
+    ActionType,
     ChargeScenario,
     DailyPlan,
     DecisionQuintuple,
@@ -632,6 +633,40 @@ def test_a_mock_run_retrieves_no_memory(tmp_path, monkeypatch):
     artifacts = run(load_config(DEFAULT_CONFIG), tmp_path / "run")
     assert artifacts.behavior_digest == DEFAULT_BEHAVIOR_PIN
     assert artifacts.reflections_digest == DEFAULT_REFLECTIONS_PIN
+
+
+class ReflectionRecorder(MockProvider):
+    """The mock, keeping every record that reflect receives."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.day_records: list = []
+
+    def reflect(self, day_records, persona, plans):
+        self.day_records.extend(day_records)
+        return super().reflect(day_records, persona, plans)
+
+
+def _one_copy_of_each(texts) -> bool:
+    texts = list(texts)
+    return len({id(text) for text in texts}) == len(set(texts))
+
+
+def test_kept_records_share_one_copy_of_each_text(tmp_path):
+    config = load_config(DEFAULT_CONFIG)
+    provider = ReflectionRecorder(plan_template=config.effective_plan_template())
+    sim = Simulation(config, tmp_path / "run", provider=provider)
+    assert sim.run().behavior_digest == DEFAULT_BEHAVIOR_PIN
+
+    memories = [agent.memory.records for agent in sim.agents.values()]
+    assert any(len(records) > len({r.reason for r in records}) for records in memories)
+    for records in memories:
+        assert _one_copy_of_each(r.reason for r in records)
+    travel = [r for r in provider.day_records if r.action is ActionType.TRAVEL]
+    assert len(travel) > len({r.reason for r in travel}) > 1
+    assert len(travel) > len({r.object_id for r in travel}) > 1
+    assert _one_copy_of_each(r.reason for r in travel)
+    assert _one_copy_of_each(r.object_id for r in travel)
 
 
 def test_fault_injected_run_writes_canonical_lines_and_matches_its_pins(tmp_path):
