@@ -21,7 +21,7 @@ from .domain import (
     SimClock,
     validate_persona,
 )
-from .engine import EventQueue, RunArtifacts, Simulation, run
+from .engine import RunArtifacts, Simulation, run
 from .environment import (
     ChargeTicket,
     ChargingStation,
@@ -70,7 +70,6 @@ __all__ = [
     "Environment",
     "EvState",
     "EvStatus",
-    "EventQueue",
     "FaultInjectingProvider",
     "GeoPoint",
     "LiveProvider",

@@ -9,6 +9,7 @@ starting at 60 of 75 kWh.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -187,18 +188,19 @@ class ScenarioConfig:
             problems.append("horizon_days must be >= 1")
         if self.provider not in ("mock", "live"):
             problems.append(f"provider must be 'mock' or 'live', got {self.provider!r}")
-        if self.station_radius_km <= 0:
+        # each bound is written so that NaN fails it; an infinite radius means no limit
+        if not self.station_radius_km > 0:
             problems.append("station_radius_km must be > 0")
-        if self.detour_factor < 1.0:
-            problems.append("detour_factor must be >= 1")
-        if self.base_speed_kmh <= 0:
-            problems.append("base_speed_kmh must be > 0")
+        if not 1.0 <= self.detour_factor < math.inf:
+            problems.append("detour_factor must be finite and >= 1")
+        if not 0 < self.base_speed_kmh < math.inf:
+            problems.append("base_speed_kmh must be finite and > 0")
         for key, setting in _ROUTING_KEYS.items():
             if key in self.plan_template:
                 problems.append(f"plan_template.{key} has no effect; set {setting} instead")
         for key in ("distance", "price", "wait"):
             try:
-                if float(self.baseline_weights.get(key, -1.0)) < 0.0:
+                if not float(self.baseline_weights.get(key, -1.0)) >= 0.0:
                     problems.append(f"baseline_weights.{key} must be >= 0")
             except (TypeError, ValueError) as exc:
                 problems.append(f"baseline_weights.{key} invalid: {exc}")

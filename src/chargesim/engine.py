@@ -10,11 +10,13 @@ agent's memory windows and the day's remaining plan, but builds each only
 when it is read, as of the moment the request was made; the mock provider
 reads none of them, so a mock run does no retrieval.
 
-Everything is single-threaded and totally ordered by (time, push sequence),
-so a (config, seed) pair maps to byte-identical logs under the mock
-provider. Provider responses are validated before they can touch the
-environment; invalid ones are replaced by the rule-based baseline and the
-resulting records carry fallback=true.
+An event is a scheduled call: Simulation.queue is a heap of
+(time, push sequence, handler, args) tuples, and step() pops the earliest
+and calls handler(time, *args). Everything is single-threaded and totally
+ordered by (time, push sequence), so a (config, seed) pair maps to
+byte-identical logs under the mock provider. Provider responses are
+validated before they can touch the environment; invalid ones are replaced
+by the rule-based baseline and the resulting records carry fallback=true.
 
 The engine also owns the run's accounting: RunTotals sums each log entry as
 it is written, build_summary turns the sums into summary.json (which
@@ -30,9 +32,10 @@ import json
 import time as _time
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import count
 from pathlib import Path
 from sys import intern
-from typing import IO
+from typing import IO, Callable
 
 from .config import ScenarioConfig
 from .domain import (
@@ -54,6 +57,7 @@ from .domain import (
 )
 from .environment import (
     ChargeTicket,
+    ChargingStation,
     Environment,
     EvState,
     EvStatus,
@@ -62,6 +66,7 @@ from .environment import (
     begin_charge,
     consume_energy,
 )
+from .georoute import RouteEstimate
 from .memory import MemoryStore
 from .perception import perceive
 from .providers.base import (
@@ -163,24 +168,6 @@ def build_summary(totals: RunTotals, final_states: dict, horizon_days: int) -> d
         "horizon_days": horizon_days,
         "num_agents": len(agents),
     }
-
-
-class EventQueue:
-    """Min-ordered event queue; pop order is strictly (time, push sequence)."""
-
-    def __init__(self) -> None:
-        self._heap: list[tuple] = []
-        self._seq = 0
-
-    def push(self, time: int, agent_id: str, kind: str, payload: dict | None = None) -> None:
-        heapq.heappush(self._heap, (time, self._seq, agent_id, kind, payload or {}))
-        self._seq += 1
-
-    def pop(self) -> tuple[int, int, str, str, dict]:
-        return heapq.heappop(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 @dataclass
@@ -289,7 +276,8 @@ class Simulation:
             router=config.build_router(),
             congestion=config.build_congestion(),
         )
-        self.queue = EventQueue()
+        self.queue: list[tuple] = []  # heap of (time, push sequence, handler, args)
+        self._sequence = count()
         self.now = 0
         self.fallback_decisions = 0
         self.fallback_plans = 0
@@ -341,7 +329,7 @@ class Simulation:
             self._plan_day(0)
             for agent in self._agents_in_order():
                 self._advance(agent, 0)
-            self.queue.push(MINUTES_PER_DAY, "", "day_boundary", {})
+            self._push(MINUTES_PER_DAY, self._on_day_boundary)
         except BaseException as exc:
             self._fail(exc)
             raise
@@ -365,29 +353,21 @@ class Simulation:
 
     # -- event plumbing ---------------------------------------------------------
 
-    def _push(self, when: int, agent_id: str, kind: str, payload: dict | None = None) -> None:
+    def _push(self, when: int, handler: Callable[..., None], *args) -> None:
+        """Schedule handler(when, *args); calls due at the same minute run in push order."""
         if when < self.now:
-            raise AssertionError(f"event {kind} scheduled in the past: {when} < {self.now}")
-        self.queue.push(when, agent_id, kind, payload)
+            raise AssertionError(
+                f"event {handler.__name__} scheduled in the past: {when} < {self.now}"
+            )
+        heapq.heappush(self.queue, (when, next(self._sequence), handler, args))
 
     def step(self) -> None:
         """Process exactly one event; simulation time never moves backward."""
-        when, _seq, agent_id, kind, payload = self.queue.pop()
+        when, _sequence, handler, args = heapq.heappop(self.queue)
         if when < self.now:
             raise AssertionError(f"event queue yielded a past event: {when} < {self.now}")
         self.now = when
-        if kind == "day_boundary":
-            self._on_day_boundary(when)
-        elif kind == "trip_start":
-            self._on_trip_start(self.agents[agent_id], when, payload)
-        elif kind == "trip_end":
-            self._on_trip_end(self.agents[agent_id], when, payload)
-        elif kind == "station_arrival":
-            self._on_station_arrival(self.agents[agent_id], when, payload)
-        elif kind == "charge_end":
-            self._on_charge_end(self.agents[agent_id], when, payload)
-        else:
-            raise AssertionError(f"unknown event kind {kind!r}")
+        handler(when, *args)
 
     def run(self) -> RunArtifacts:
         """Step to the end and write the summary.
@@ -397,7 +377,7 @@ class Simulation:
         """
         started = _time.perf_counter()
         try:
-            while len(self.queue):
+            while self.queue:
                 self.step()
             self.close()
             return self._finalize(_time.perf_counter() - started)
@@ -468,32 +448,29 @@ class Simulation:
         day, event = agent.pending.popleft()
         start = max(now, day * MINUTES_PER_DAY + event.start)
         agent.busy = True
-        self._push(start, agent.agent_id, "trip_start", {"day": day, "event": event})
+        self._push(start, self._on_trip_start, agent, day, event)
 
     # -- event handlers ---------------------------------------------------------------
 
-    def _on_trip_start(self, agent: AgentRuntime, now: int, payload: dict) -> None:
-        event: PlanEvent = payload["event"]
+    def _on_trip_start(self, now: int, agent: AgentRuntime, day: int, event: PlanEvent) -> None:
         origin = agent.state.location
         multiplier = self.env.congestion.multiplier_at(now % MINUTES_PER_DAY)
         estimate = self.env.router.route(origin, event.destination, multiplier)
         agent.state.status = EvStatus.DRIVING
         self._push(
-            now + estimate.travel_minutes,
-            agent.agent_id,
-            "trip_end",
-            {
-                "day": payload["day"],
-                "event": event,
-                "origin": origin,
-                "distance_km": estimate.distance_km,
-                "travel_minutes": estimate.travel_minutes,
-            },
+            now + estimate.travel_minutes, self._on_trip_end, agent, day, event, origin, estimate
         )
 
-    def _on_trip_end(self, agent: AgentRuntime, now: int, payload: dict) -> None:
-        event: PlanEvent = payload["event"]
-        distance_km = payload["distance_km"]
+    def _on_trip_end(
+        self,
+        now: int,
+        agent: AgentRuntime,
+        day: int,
+        event: PlanEvent,
+        origin: GeoPoint,
+        estimate: RouteEstimate,
+    ) -> None:
+        distance_km = estimate.distance_km
         rate = agent.persona.vehicle.consumption_kwh_per_km
         try:
             energy_kwh = consume_energy(agent.state, distance_km, rate)
@@ -503,14 +480,13 @@ class Simulation:
         agent.consumed_kwh += energy_kwh
         agent.state.location = event.destination
         agent.state.status = EvStatus.IDLE
-        minutes = payload["travel_minutes"]
         self._emit_no_charge(
             agent,
             now,
             ActionType.TRAVEL,
-            f"route-d{payload['day']}-{event.start:04d}",
+            f"route-d{day}-{event.start:04d}",
             f"completed planned trip of {distance_km:.1f} km",
-            _leg(payload["origin"], event.destination, distance_km, energy_kwh, minutes),
+            _leg(origin, event.destination, distance_km, energy_kwh, estimate.travel_minutes),
         )
         agent.busy = False
         self._decision_pipeline(agent, now)
@@ -559,13 +535,11 @@ class Simulation:
             agent.state.status = EvStatus.DRIVING
             self._push(
                 now + station_entry.travel_minutes,
-                agent.agent_id,
-                "station_arrival",
-                {
-                    "station_id": station_entry.station_id,
-                    "response": response,
-                    "distance_km": station_entry.distance_km,
-                },
+                self._on_station_arrival,
+                agent,
+                self.env.stations[station_entry.station_id],
+                response,
+                station_entry.distance_km,
             )
         else:
             record = BehaviorRecord(
@@ -578,10 +552,14 @@ class Simulation:
             self._emit(agent, record, fallback=fallback, extras=extras, to_memory=True)
             self._advance(agent, now)
 
-    def _on_station_arrival(self, agent: AgentRuntime, now: int, payload: dict) -> None:
-        station = self.env.stations[payload["station_id"]]
-        response: DecisionResponse = payload["response"]
-        distance_km = payload["distance_km"]
+    def _on_station_arrival(
+        self,
+        now: int,
+        agent: AgentRuntime,
+        station: ChargingStation,
+        response: DecisionResponse,
+        distance_km: float,
+    ) -> None:
         origin = agent.state.location
         rate = agent.persona.vehicle.consumption_kwh_per_km
         try:
@@ -619,23 +597,27 @@ class Simulation:
             agent.state.status = EvStatus.IDLE
             self._advance(agent, now)
             return
-        approach = {"distance_km": distance_km, "energy_kwh": approach_energy}
         self._push(
             ticket.end_charge,
-            agent.agent_id,
-            "charge_end",
-            {
-                "station_id": station.station_id,
-                "ticket": ticket,
-                "response": response,
-                "approach": approach,
-            },
+            self._on_charge_end,
+            agent,
+            station,
+            ticket,
+            response,
+            distance_km,
+            approach_energy,
         )
 
-    def _on_charge_end(self, agent: AgentRuntime, now: int, payload: dict) -> None:
-        ticket: ChargeTicket = payload["ticket"]
-        response: DecisionResponse = payload["response"]
-        station = self.env.stations[payload["station_id"]]
+    def _on_charge_end(
+        self,
+        now: int,
+        agent: AgentRuntime,
+        station: ChargingStation,
+        ticket: ChargeTicket,
+        response: DecisionResponse,
+        approach_km: float,
+        approach_kwh: float,
+    ) -> None:
         new_soc = agent.state.soc_kwh + ticket.energy_kwh
         if new_soc > agent.state.capacity_kwh:  # float headroom round-off only
             if new_soc - agent.state.capacity_kwh > 1e-6:
@@ -661,7 +643,6 @@ class Simulation:
             ),
             reason=intern(f"delivered {ticket.energy_kwh:.2f} kWh in {duration} min"),
         )
-        approach = payload["approach"]
         self._emit(
             agent,
             record,
@@ -673,8 +654,8 @@ class Simulation:
                 "start_charge": ticket.start_charge,
                 "end_charge": ticket.end_charge,
                 "wait_minutes": ticket.start_charge - ticket.start_wait,
-                "approach_distance_km": approach["distance_km"],
-                "approach_energy_kwh": approach["energy_kwh"],
+                "approach_distance_km": approach_km,
+                "approach_energy_kwh": approach_kwh,
             },
             to_memory=True,
         )
@@ -728,7 +709,7 @@ class Simulation:
             self._plan_day(next_day)
             for agent in self._agents_in_order():
                 self._advance(agent, now)
-            self.queue.push(now + MINUTES_PER_DAY, "", "day_boundary", {})
+            self._push(now + MINUTES_PER_DAY, self._on_day_boundary)
 
     # -- helpers ------------------------------------------------------------------
 

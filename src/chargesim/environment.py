@@ -123,8 +123,8 @@ class TariffBand:
     def __post_init__(self) -> None:
         if not 0 <= self.start < self.end <= MINUTES_PER_DAY:
             raise ValueError(f"band [{self.start}, {self.end}) must sit within [0, 1440)")
-        if self.price_per_kwh < 0.0:
-            raise ValueError("price_per_kwh must be >= 0")
+        if not 0.0 <= self.price_per_kwh < math.inf:
+            raise ValueError(f"price_per_kwh must be finite and >= 0, got {self.price_per_kwh}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,8 +209,8 @@ class ChargingStation:
     def __post_init__(self) -> None:
         if self.pile_count < 1:
             raise ValueError("pile_count must be >= 1")
-        if self.pile_power_kw <= 0.0:
-            raise ValueError("pile_power_kw must be > 0")
+        if not 0.0 < self.pile_power_kw < math.inf:
+            raise ValueError(f"pile_power_kw must be finite and > 0, got {self.pile_power_kw}")
         if not self.busy_until:
             self.busy_until = [0] * self.pile_count
         if len(self.busy_until) != self.pile_count:
@@ -301,8 +301,8 @@ class SpeedBand:
     def __post_init__(self) -> None:
         if not 0 <= self.start < self.end <= MINUTES_PER_DAY:
             raise ValueError("speed band must sit within [0, 1440)")
-        if self.multiplier <= 0.0:
-            raise ValueError("speed multiplier must be > 0")
+        if not 0.0 < self.multiplier < math.inf:
+            raise ValueError(f"speed multiplier must be finite and > 0, got {self.multiplier}")
 
 
 @dataclass(frozen=True, slots=True)

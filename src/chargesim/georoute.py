@@ -117,10 +117,10 @@ class OfflineRouter:
     speed_kmh: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.detour_factor < 1.0:
-            raise ValueError(f"detour_factor must be >= 1, got {self.detour_factor}")
-        if self.speed_kmh <= 0.0:
-            raise ValueError(f"speed_kmh must be > 0, got {self.speed_kmh}")
+        if not 1.0 <= self.detour_factor < math.inf:
+            raise ValueError(f"detour_factor must be finite and >= 1, got {self.detour_factor}")
+        if not 0.0 < self.speed_kmh < math.inf:
+            raise ValueError(f"speed_kmh must be finite and > 0, got {self.speed_kmh}")
 
     def distance_km(self, a: GeoPoint, b: GeoPoint) -> float:
         return great_circle_km(a, b) * self.detour_factor

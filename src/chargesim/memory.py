@@ -8,21 +8,19 @@ three days, the long horizon the last seven, both as half-open intervals
 behavior.log, and every reflection is the `report` of a reflections.log
 entry, so those two logs are the durable record of what an agent remembered.
 
-Records arrive in timestamp order, so the store keeps two sorted indexes
-as it appends: the timestamps of all records, and the positions and
-timestamps of the completed charging decisions (start_charging records
-whose decision is true). A window is then two bisections and a slice, and
-the daily aggregates walk only the charges inside the long window. Both
-cost O(log n + k) for a history of n records and a window of k, so the
-cost of a read does not grow with the simulated horizon. Both take an
-optional record count, hi, and then read the store as it was when it held
-that many records, which is how a decision request reads its history
-after later records have arrived.
+Records arrive in timestamp order, so a window is two bisections of the
+record list by timestamp and a slice, and the daily aggregates walk only
+the records inside the long window. Both cost O(log n + k) for a history
+of n records and a window of k, so the cost of a read does not grow with
+the simulated horizon. Both take an optional record count, hi, and then
+read the store as it was when it held that many records, which is how a
+decision request reads its history after later records have arrived.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from operator import attrgetter
 from typing import Literal
 
 from .domain import MINUTES_PER_DAY, ActionType, BehaviorRecord, ReflectionReport, SimClock
@@ -33,6 +31,7 @@ _WINDOW_MINUTES = {
     "short": SHORT_WINDOW_DAYS * MINUTES_PER_DAY,
     "long": LONG_WINDOW_DAYS * MINUTES_PER_DAY,
 }
+_timestamp = attrgetter("timestamp")
 
 
 class OutOfOrderError(ValueError):
@@ -45,20 +44,13 @@ class MemoryStore:
     def __init__(self):
         self.records: list[BehaviorRecord] = []
         self.reflections: list[ReflectionReport] = []
-        self._times: list[int] = []  # records[i].timestamp, kept for bisection
-        self._charge_at: list[int] = []  # positions of start_charging records with decision true
-        self._charge_times: list[int] = []
 
     def append(self, record: BehaviorRecord) -> None:
         """Add a record; timestamps must be non-decreasing, ties keep insertion order."""
-        timestamp = record.timestamp
-        if self._times and timestamp < self._times[-1]:
-            raise OutOfOrderError(f"record at t={timestamp} after t={self._times[-1]}")
-        self.records.append(record)
-        self._times.append(timestamp)
-        if record.action is ActionType.START_CHARGING and record.quintuple.decision:
-            self._charge_at.append(len(self._times) - 1)
-            self._charge_times.append(timestamp)
+        records = self.records
+        if records and record.timestamp < records[-1].timestamp:
+            raise OutOfOrderError(f"record at t={record.timestamp} after t={records[-1].timestamp}")
+        records.append(record)
 
     def append_reflection(self, report: ReflectionReport) -> None:
         if self.reflections and report.day_index < self.reflections[-1].day_index:
@@ -76,30 +68,25 @@ class MemoryStore:
         if window is None:
             raise ValueError(f"horizon must be 'short' or 'long', got {horizon!r}")
         now = clock.sim_time
-        times = self._times
+        records = self.records
         if hi is None:
-            hi = len(times)
-        first = bisect_right(times, now - window, 0, hi)
-        return self.records[first : bisect_right(times, now, 0, hi)]
+            hi = len(records)
+        first = bisect_right(records, now - window, 0, hi, key=_timestamp)
+        return records[first : bisect_right(records, now, first, hi, key=_timestamp)]
 
     def daily_aggregates(self, clock: SimClock, hi: int | None = None) -> list[dict]:
         """Per-day charging summaries over the long window: count, kWh, mean price,
         among the first hi records (all of them when hi is None).
 
-        Derived on demand from the charge index, never stored; meant to keep
-        long-horizon prompt payloads compact. The oldest day is usually only
-        partly inside the window, so days are summed per call, in record
-        order, rather than cached.
+        Derived on demand from the start_charging decisions inside the long
+        window, never stored; meant to keep long-horizon prompt payloads
+        compact. The oldest day is usually only partly inside the window, so
+        days are summed per call, in record order, rather than cached.
         """
-        now = clock.sim_time
-        times = self._charge_times
-        charges = len(times) if hi is None else bisect_left(self._charge_at, hi)
-        first = bisect_right(times, now - _WINDOW_MINUTES["long"], 0, charges)
-        last = bisect_right(times, now, 0, charges)
-        records = self.records
         buckets: dict[int, dict] = {}
-        for position in self._charge_at[first:last]:
-            record = records[position]
+        for record in self.retrieve(clock, "long", hi):
+            if record.action is not ActionType.START_CHARGING or not record.quintuple.decision:
+                continue
             day = record.timestamp // MINUTES_PER_DAY
             bucket = buckets.setdefault(
                 day, {"day_index": day, "charge_count": 0, "total_kwh": 0.0, "_price_sum": 0.0}

@@ -191,13 +191,14 @@ def validate_decision(
         raise SchemaError("positive decision must name a station")
     if snapshot.station(q.station_id) is None:
         raise SchemaError(f"station {q.station_id!r} is not in the perceived candidate list")
+    # written so that a NaN amount fails both bounds
+    if not q.amount_kwh > 0.0:
+        raise SchemaError(f"positive decision must request a positive amount, got {q.amount_kwh}")
     headroom = ev.capacity_kwh - ev.soc_kwh
-    if q.amount_kwh > headroom + 1e-9:
+    if not q.amount_kwh <= headroom + 1e-9:
         raise SchemaError(
             f"amount {q.amount_kwh:.3f} kWh exceeds remaining capacity {headroom:.3f} kWh"
         )
-    if q.amount_kwh <= 0.0:
-        raise SchemaError("positive decision must request a positive amount")
     if q.time_minutes < snapshot.travel.now:
         raise SchemaError("charging time may not lie in the past")
 

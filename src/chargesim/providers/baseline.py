@@ -27,7 +27,7 @@ class BaselineWeights:
     wait: float = 0.2
 
     def __post_init__(self) -> None:
-        if min(self.distance, self.price, self.wait) < 0.0:
+        if not all(weight >= 0.0 for weight in (self.distance, self.price, self.wait)):
             raise ValueError("baseline weights must be >= 0")
 
 

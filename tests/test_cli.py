@@ -108,6 +108,21 @@ def test_validate_rejects_plan_template_routing_keys(tmp_path, capsys):
         # the planner's hops around the centre would cross a pole or the antimeridian
         "plan_template: {center: [89.9, 0]}",
         "plan_template: {center: [0, 179.99]}",
+        # NaN fails every range check; infinity fails every finite one
+        "detour_factor: .nan",
+        "detour_factor: .inf",
+        "base_speed_kmh: .nan",
+        "base_speed_kmh: .inf",
+        "station_radius_km: .nan",
+        "congestion_bands: [{start: 0, end: 1440, multiplier: .nan}]",
+        "congestion_bands: [{start: 0, end: 1440, multiplier: .inf}]",
+        "tariffs: {shanghai-tou: [{start: 0, end: 1440, price_per_kwh: .nan}]}",
+        "tariffs: {shanghai-tou: [{start: 0, end: 1440, price_per_kwh: .inf}]}",
+        "baseline_weights: {distance: .nan, price: 0.3, wait: 0.2}",
+        "stations: [{station_id: a, latitude: 31.2, longitude: 121.4, pile_count: 1, "
+        "pile_power_kw: .nan, tariff_id: shanghai-tou}]",
+        "stations: [{station_id: a, latitude: 31.2, longitude: 121.4, pile_count: 1, "
+        "pile_power_kw: .inf, tariff_id: shanghai-tou}]",
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -127,6 +142,7 @@ def test_template_bounds_admit_their_edge_values(tmp_path):
     config = ScenarioConfig()
     config.num_agents = 2
     config.horizon_days = 1
+    config.station_radius_km = float("inf")  # no radius limit
     config.persona_template = {
         "age_range": [1, 1],
         "price_sensitivity_range": [0, 1],

@@ -23,7 +23,7 @@ from chargesim.domain import (
     ReflectionReport,
     canonical_json,
 )
-from chargesim.engine import EventQueue, RunTotals, Simulation, build_summary, run
+from chargesim.engine import RunTotals, Simulation, build_summary, run
 from chargesim.memory import MemoryStore
 from chargesim.providers import (
     CognitionProvider,
@@ -61,36 +61,74 @@ def run_files(root):
 
 
 # ---------------------------------------------------------------------------
-# Event queue ordering
+# Event loop ordering: an event is a scheduled call
 # ---------------------------------------------------------------------------
 
 
-class TestEventQueue:
-    def test_pop_order_is_time_then_sequence(self):
-        queue = EventQueue()
-        queue.push(10, "b", "x")
-        queue.push(5, "a", "x")
-        queue.push(10, "a", "x")
-        popped = [queue.pop() for _ in range(3)]
-        assert [(e[0], e[2]) for e in popped] == [(5, "a"), (10, "b"), (10, "a")]
+class TestEventLoop:
+    @staticmethod
+    def _bare_simulation(run_dir):
+        """A set-up simulation whose queue holds nothing, at minute 0."""
+        sim = Simulation(small_config(num_agents=1, horizon_days=1), run_dir)
+        sim.queue.clear()
+        return sim
 
-    def test_same_minute_replay_is_identical(self):
-        def trace(seed):
+    def test_pop_order_is_time_then_push_order(self, tmp_path):
+        calls = []
+
+        def handler(when, *args):
+            calls.append((when, *args))
+
+        sim = self._bare_simulation(tmp_path / "run")
+        try:
+            sim._push(10, handler, "b")
+            sim._push(5, handler, "a")
+            sim._push(10, handler, "a", 1)
+            while sim.queue:
+                sim.step()
+        finally:
+            sim.close()
+        assert calls == [(5, "a"), (10, "b"), (10, "a", 1)]
+        assert sim.now == 10
+
+    def test_same_minute_replay_is_identical(self, tmp_path):
+        def trace(seed, run_dir):
             rng = random.Random(seed)
-            queue = EventQueue()
-            pushes = [(rng.randint(0, 20), f"agent-{i % 4}") for i in range(60)]
-            for when, agent in pushes:
-                queue.push(when, agent, "evt")
             order = []
-            while len(queue):
-                when, seq, agent, _kind, _payload = queue.pop()
-                order.append((when, seq, agent))
+
+            def handler(when, index, agent):
+                order.append((when, index, agent))
+
+            sim = self._bare_simulation(run_dir)
+            try:
+                for index in range(60):
+                    sim._push(rng.randint(0, 20), handler, index, f"agent-{index % 4}")
+                while sim.queue:
+                    sim.step()
+            finally:
+                sim.close()
             return order
 
-        first = trace(11)
-        second = trace(11)
+        first = trace(11, tmp_path / "first")
+        second = trace(11, tmp_path / "second")
         assert first == second
+        assert len(first) == 60
         assert [(e[0], e[1]) for e in first] == sorted((e[0], e[1]) for e in first)
+
+    def test_scheduling_in_the_past_is_rejected(self, tmp_path):
+        def handler(when):
+            pass
+
+        sim = self._bare_simulation(tmp_path / "run")
+        try:
+            sim._push(30, handler)
+            sim.step()
+            sim._push(30, handler)  # the current minute is not the past
+            with pytest.raises(AssertionError, match="handler scheduled in the past: 29 < 30"):
+                sim._push(29, handler)
+            assert len(sim.queue) == 1
+        finally:
+            sim.close()
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +236,9 @@ class TestRun:
             sim._decision_pipeline = spy
             # first two events: trip_start then trip_end of the first leg
             sim.step()
-            trip_end = sim.queue._heap[0]
-            distance = trip_end[4]["distance_km"]
+            _when, _sequence, handler, args = sim.queue[0]
+            assert handler == sim._on_trip_end
+            distance = args[-1].distance_km
             soc_before = agent.state.soc_kwh
             sim.step()
             assert seen, "trip end must run the decision pipeline"
@@ -364,6 +403,36 @@ def test_full_battery_arrival_logs_the_approach_as_travel(tmp_path):
     assert not approach["fallback"]
     assert artifacts.summary["fleet"]["charge_count"] == 0
     assert artifacts.final_states["agent-00"]["soc_kwh"] == 40.0
+
+
+class NanAmountProvider(MockProvider):
+    """Decides to charge NaN kWh at the nearest perceived station, whenever there is one."""
+
+    def decide(self, request):
+        if not request.snapshot.stations:
+            return super().decide(request)
+        station = request.snapshot.stations[0]
+        quintuple = DecisionQuintuple(
+            True, ChargeScenario.PUBLIC, request.clock.sim_time, station.station_id,
+            float("nan"), station.pile_power_kw, station.price_per_kwh,
+        )
+        return DecisionResponse(quintuple=quintuple, reason="charge nan kWh")
+
+
+def test_nan_charge_amount_falls_back_to_the_baseline(tmp_path):
+    config = small_config(initial_soc_kwh=20.0)
+    provider = NanAmountProvider(plan_template=config.effective_plan_template())
+    artifacts = run(config, tmp_path / "run", provider=provider)
+
+    decisions = [
+        e for e in read_entries(artifacts.behavior_log)
+        if e["record"]["action"] in ("start_charging", "skip_charging")
+    ]
+    fallbacks = [e for e in decisions if e["fallback"]]
+    assert fallbacks
+    assert all(e["record"]["quintuple"]["amount_kwh"] >= 0.0 for e in decisions)
+    summary = json.loads((artifacts.run_dir / "summary.json").read_text(encoding="utf-8"))
+    assert summary["fallbacks"]["decisions"] == len(fallbacks)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from chargesim.domain import GeoPoint, SimClock
 from chargesim.environment import (
     ChargingStation,
+    SpeedBand,
     EvState,
     EvStatus,
     StrandedError,
@@ -132,6 +133,14 @@ class TestPriceAt:
     def test_off_peak_is_cheapest_band(self, two_band_tariff):
         assert two_band_tariff.is_off_peak(100)
         assert not two_band_tariff.is_off_peak(1000)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+def test_band_numbers_must_be_finite_and_in_range(bad):
+    with pytest.raises(ValueError, match="finite"):
+        TariffBand(0, 1440, bad)
+    with pytest.raises(ValueError, match="finite"):
+        SpeedBand(0, 1440, bad)
 
 
 class TestBeginCharge:

@@ -61,6 +61,11 @@ def test_invalid_parameters_rejected():
         OfflineRouter(speed_kmh=0.0)
     with pytest.raises(ValueError):
         OfflineRouter().route(SHANGHAI, PUDONG_AIRPORT, speed_multiplier=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            OfflineRouter(detour_factor=bad)
+        with pytest.raises(ValueError, match="finite"):
+            OfflineRouter(speed_kmh=bad)
 
 
 def test_route_estimate_invariant():

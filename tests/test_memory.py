@@ -126,6 +126,7 @@ def _mixed_record(timestamp, action, decision, amount, price):
     _memory_entries,
     st.integers(min_value=0, max_value=10 * 1440),  # first timestamp
     st.integers(min_value=-2 * 1440, max_value=8 * 1440),  # clock offset from the last record
+    st.integers(min_value=0, max_value=60),  # hi, taken modulo len(records) + 1
 )
 @example(
     entries=[
@@ -137,14 +138,16 @@ def _mixed_record(timestamp, action, decision, amount, price):
     ],
     first=100,
     offset=-1,  # before the last record, cutoff not day-aligned
+    hi_draw=4,  # the last charge is not yet in the store
 )
 @example(
     entries=[(0, ActionType.START_CHARGING, True, 1.0, 1.0)],
     first=0,
     offset=7 * 1440,  # the only charge sits exactly on the long cutoff
+    hi_draw=0,
 )
 @settings(max_examples=150, deadline=None)
-def test_short_is_subset_of_long_and_windows_are_half_open(entries, first, offset):
+def test_short_is_subset_of_long_and_windows_are_half_open(entries, first, offset, hi_draw):
     store = MemoryStore()
     timestamp = first
     for gap, action, decision, amount, price in entries:
@@ -162,6 +165,13 @@ def test_short_is_subset_of_long_and_windows_are_half_open(entries, first, offse
     for record in long:
         assert now - 7 * 1440 < record.timestamp <= now
     assert store.daily_aggregates(clock) == oracle_daily_aggregates(store.records, now)
+
+    # read as of an earlier record count: the same answers over records[:hi]
+    hi = hi_draw % (len(store.records) + 1)
+    prefix = store.records[:hi]
+    assert store.retrieve(clock, "short", hi) == oracle_memory_window(prefix, now, 3)
+    assert store.retrieve(clock, "long", hi) == oracle_memory_window(prefix, now, 7)
+    assert store.daily_aggregates(clock, hi) == oracle_daily_aggregates(prefix, now)
 
 
 def test_daily_aggregates_only_cover_charges():

@@ -308,6 +308,12 @@ class TestBaselineDecision:
         response = MockProvider().decide(request)
         assert response.quintuple.amount_kwh == pytest.approx(0.85 * 75.0 - 45.0)
 
+    @pytest.mark.parametrize("weight", ["distance", "price", "wait"])
+    def test_nan_or_negative_weight_rejected(self, weight):
+        for bad in (math.nan, -0.1):
+            with pytest.raises(ValueError):
+                BaselineWeights(**{weight: bad})
+
     def test_station_choice_matches_exhaustive_oracle(self, persona):
         rng = random.Random(99)
         weights = BaselineWeights()
@@ -512,6 +518,13 @@ class TestDecisionValidation:
         response = parse_decision_payload({**VALID_PAYLOAD, "amount_kwh": 20.0})
         with pytest.raises(SchemaError, match="exceeds remaining capacity"):
             validate_decision(response, request.snapshot, make_ev(persona, 70.0))
+
+    @pytest.mark.parametrize("amount", ["nan", float("nan")])
+    def test_nan_amount_rejected(self, persona, amount):
+        request = make_request(persona, soc_kwh=30.0, stations=[make_station()])
+        response = parse_decision_payload({**VALID_PAYLOAD, "amount_kwh": amount})
+        with pytest.raises(SchemaError, match="positive amount"):
+            validate_decision(response, request.snapshot, make_ev(persona, 30.0))
 
     def test_valid_decision_passes_semantic_gate(self, persona):
         request = make_request(persona, soc_kwh=30.0, stations=[make_station()])
