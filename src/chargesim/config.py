@@ -36,7 +36,8 @@ from .providers.mock import (
 # plan_template keys the scenario's routing settings always overwrite
 _ROUTING_KEYS = {"detour_factor": "detour_factor", "speed_kmh": "base_speed_kmh"}
 # the values each field annotation accepts; an int is a float too, a bool is neither
-_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict, "list": list}
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict, "list": list,
+                "str | None": (str, type(None))}
 # libyaml's classes where this PyYAML build has them: the same text and data
 # as the pure-Python ones, several times faster
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -154,14 +155,7 @@ class ScenarioConfig:
         return OfflineRouter(detour_factor=self.detour_factor, speed_kmh=self.base_speed_kmh)
 
     def build_live_settings(self) -> LiveSettings:
-        return LiveSettings(
-            base_url=str(self.live.get("base_url", "https://api.openai.com/v1")),
-            model=str(self.live.get("model", "gpt-4o-mini")),
-            api_key=self.live.get("api_key"),
-            temperature=float(self.live.get("temperature", 0.0)),
-            timeout_s=float(self.live.get("timeout_s", 60.0)),
-            prompts_dir=self.live.get("prompts_dir"),
-        )
+        return LiveSettings(**self.live)
 
     def effective_plan_template(self) -> dict:
         """Plan template with routing parameters kept in sync with the scenario."""
@@ -175,13 +169,10 @@ class ScenarioConfig:
 
     def validate(self) -> list[str]:
         """Collect every configuration problem; an empty list means runnable."""
-        problems: list[str] = []
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[spec.type]):
-                problems.append(f"{spec.name} must be of type {spec.type}, got {value!r}")
+        problems = _type_problems("", vars(self), fields(self))
         if problems:  # the range checks below assume the annotated types
             return problems
+        problems.extend(_type_problems("live.", self.live, fields(LiveSettings)))
         if self.num_agents < 1:
             problems.append("num_agents must be >= 1")
         if self.horizon_days < 1:
@@ -256,6 +247,19 @@ class ScenarioConfig:
 
     def to_yaml(self) -> str:
         return yaml.dump(self.to_dict(), Dumper=_Dumper, sort_keys=True, default_flow_style=False)
+
+
+def _type_problems(prefix: str, values: dict, specs) -> list[str]:
+    """Each entry of values that names none of the fields specs, or is not of
+    its field's annotated type."""
+    types = {spec.name: spec.type for spec in specs}
+    problems = []
+    for key, value in values.items():
+        if key not in types:
+            problems.append(f"{prefix}{key} is not a setting; expected one of {sorted(types)}")
+        elif isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[types[key]]):
+            problems.append(f"{prefix}{key} must be of type {types[key]}, got {value!r}")
+    return problems
 
 
 def load_config(path: Path | str) -> ScenarioConfig:

@@ -179,7 +179,7 @@ class AgentRuntime:
     state: EvState
     memory: MemoryStore
     home: GeoPoint
-    plans: list[DailyPlan] = field(default_factory=list)
+    plan: DailyPlan | None = None  # today's; at the day boundary, the completed day's
     pending: deque = field(default_factory=deque)  # (day_index, PlanEvent)
     today_records: list[BehaviorRecord] = field(default_factory=list)
     busy: bool = False  # a trip or charging chain is in flight
@@ -438,7 +438,7 @@ class Simulation:
             except (SchemaError, ProviderError):
                 plan = self._mock.plan_day(agent.persona, day_index, self.config.seed)
                 self.fallback_plans += 1
-            agent.plans.append(plan)
+            agent.plan = plan
             agent.pending.extend((day_index, event) for event in plan.events)
 
     def _advance(self, agent: AgentRuntime, now: int) -> None:
@@ -678,7 +678,7 @@ class Simulation:
             day_records = agent.today_records
             agent.today_records = []
             try:
-                report = self.provider.reflect(day_records, agent.persona, agent.plans)
+                report = self.provider.reflect(day_records, agent.persona, agent.plan)
                 if report.day_index != completed:
                     raise SchemaError(
                         f"reflection for day {report.day_index}, expected {completed}"

@@ -8,7 +8,6 @@ from .base import (
     validate_decision,
 )
 from .baseline import BaselineWeights, baseline_decision, choose_station, score_station
-from .faulty import FaultInjectingProvider
 from .live import LiveProvider, LiveSettings
 from .mock import MockProvider
 
@@ -17,7 +16,6 @@ __all__ = [
     "CognitionProvider",
     "DecisionRequest",
     "DecisionResponse",
-    "FaultInjectingProvider",
     "LiveProvider",
     "LiveSettings",
     "MockProvider",

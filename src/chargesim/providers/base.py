@@ -11,6 +11,7 @@ semantic check against the snapshot the decision was made from
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -180,9 +181,10 @@ def validate_decision(
 ) -> None:
     """Check a parsed decision against the snapshot it was made from.
 
-    A positive decision must name a station present in the snapshot and may
-    not request more energy than the battery can still take. Raises
-    SchemaError so the caller's fallback path handles both gates uniformly.
+    A positive decision must name a station present in the snapshot, may
+    not request more energy than the battery can still take, and must state
+    a finite, non-negative power and price. Raises SchemaError so the
+    caller's fallback path handles both gates uniformly.
     """
     q = response.quintuple
     if not q.decision:
@@ -199,6 +201,11 @@ def validate_decision(
         raise SchemaError(
             f"amount {q.amount_kwh:.3f} kWh exceeds remaining capacity {headroom:.3f} kWh"
         )
+    # each written so that NaN fails it
+    if not 0.0 <= q.power_kw < math.inf:
+        raise SchemaError(f"power_kw must be finite and at least 0, got {q.power_kw}")
+    if not 0.0 <= q.price_per_kwh < math.inf:
+        raise SchemaError(f"price_per_kwh must be finite and at least 0, got {q.price_per_kwh}")
     if q.time_minutes < snapshot.travel.now:
         raise SchemaError("charging time may not lie in the past")
 
@@ -223,6 +230,7 @@ class CognitionProvider(ABC):
         self,
         day_records: list[BehaviorRecord],
         persona: Persona,
-        plans: list[DailyPlan],
+        plan: DailyPlan,
     ) -> ReflectionReport:
-        """Evaluate one completed day; called exactly once per agent per day."""
+        """Evaluate one completed day against its plan; called exactly once per
+        agent per day."""

@@ -46,6 +46,7 @@ from .base import (
 )
 
 TRANSPORT_RETRIES = 2
+MAX_TOKENS = 2048  # the reply budget of every call
 BACKOFF_BASE_S = 0.5
 
 DEFAULT_PROMPTS = {
@@ -96,7 +97,6 @@ class LiveSettings:
     api_key: str | None = None  # falls back to the LLM_API_KEY environment variable
     temperature: float = 0.0
     timeout_s: float = 60.0
-    max_tokens: int = 2048
     prompts_dir: str | None = None
 
     def resolved_key(self) -> str:
@@ -134,7 +134,7 @@ class LiveProvider(CognitionProvider):
             "model": self.settings.model,
             "messages": messages,
             "temperature": self.settings.temperature,
-            "max_tokens": self.settings.max_tokens,
+            "max_tokens": MAX_TOKENS,
             "response_format": {"type": "json_object"},
         }
         last_error: Exception | None = None
@@ -258,12 +258,12 @@ class LiveProvider(CognitionProvider):
         self,
         day_records: list[BehaviorRecord],
         persona: Persona,
-        plans: list[DailyPlan],
+        plan: DailyPlan,
     ) -> ReflectionReport:
         payload = json.dumps(
             {
                 "persona": persona.to_dict(),
-                "plans": [plan.to_dict() for plan in plans[-1:]],
+                "plans": [plan.to_dict()],
                 "records": [record.to_dict() for record in day_records],
             },
             sort_keys=True,

@@ -125,12 +125,13 @@ _SHAPES = {
 # range validate_persona accepts for the persona field the entry samples
 # (rng.uniform returns a value between a pair's ends, rng.choice one of the
 # items), or what keeps a plan's event starts ascending within the day.
+# NaN and infinity fail every bound.
 _BOUNDS = {
     "unit": (lambda x: 0.0 <= x <= 1.0, "within [0, 1]"),
     "open_unit": (lambda x: 0.0 < x < 1.0, "within (0, 1)"),
     "soc": (lambda x: 0.0 < x <= 1.0, "within (0, 1]"),
-    "positive": (lambda x: x > 0, "above 0"),
-    "non_negative": (lambda x: x >= 0, "at least 0"),
+    "positive": (lambda x: 0 < x < math.inf, "finite and above 0"),
+    "non_negative": (lambda x: 0 <= x < math.inf, "finite and at least 0"),
     "minute": (lambda x: 0 <= x <= MINUTES_PER_DAY, "within [0, 1440]"),
 }
 PERSONA_TEMPLATE_SHAPES: dict = {
@@ -418,17 +419,9 @@ class MockProvider(CognitionProvider):
         self,
         day_records: list[BehaviorRecord],
         persona: Persona,
-        plans: list[DailyPlan],
+        plan: DailyPlan,
     ) -> ReflectionReport:
-        day_plan = plans[-1] if plans else None
-        if day_plan is not None:
-            day_index = day_plan.day_index
-        elif day_records:
-            day_index = day_records[0].timestamp // MINUTES_PER_DAY
-        else:
-            day_index = 0
-
-        trips_planned = len(day_plan.events) if day_plan is not None else 0
+        trips_planned = len(plan.events)
         trips_done = sum(1 for r in day_records if r.action is ActionType.TRAVEL)
         stranded = any(
             r.action is ActionType.IDLE and "strand" in r.reason.lower() for r in day_records
@@ -500,7 +493,7 @@ class MockProvider(CognitionProvider):
             consistency_text = "no charges to weigh against stated habits"
 
         return ReflectionReport(
-            day_index=day_index,
+            day_index=plan.day_index,
             plan_adherence=ScoredNote(adherence, adherence_text),
             satisfaction=ScoredNote(satisfaction, satisfaction_text),
             persona_consistency=ScoredNote(consistency, consistency_text),

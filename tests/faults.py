@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from ..domain import BehaviorRecord, DailyPlan, Persona, ReflectionReport
-from .base import CognitionProvider, DecisionRequest, DecisionResponse, SchemaError
+from chargesim.domain import BehaviorRecord, DailyPlan, Persona, ReflectionReport
+from chargesim.providers import CognitionProvider, DecisionRequest, DecisionResponse, SchemaError
 
 
 class FaultInjectingProvider(CognitionProvider):
@@ -65,6 +65,6 @@ class FaultInjectingProvider(CognitionProvider):
         self,
         day_records: list[BehaviorRecord],
         persona: Persona,
-        plans: list[DailyPlan],
+        plan: DailyPlan,
     ) -> ReflectionReport:
-        return self.inner.reflect(day_records, persona, plans)
+        return self.inner.reflect(day_records, persona, plan)

@@ -30,7 +30,8 @@ from chargesim.environment import (
 from chargesim.export import export_csv, export_geojson
 from chargesim.georoute import great_circle_km
 from chargesim.memory import MemoryStore
-from chargesim.providers import FaultInjectingProvider, MockProvider
+from chargesim.providers import MockProvider
+from faults import FaultInjectingProvider
 from geojson_schema import validate_geojson
 from oracles import oracle_cost, oracle_fifo_starts, oracle_great_circle_km, read_log
 from test_memory import _record

@@ -100,6 +100,9 @@ def test_validate_rejects_plan_template_routing_keys(tmp_path, capsys):
         "persona_template: {preferred_windows: [[600, 600]]}",
         "persona_template: {preferred_windows: [[0, 1500]]}",
         "persona_template: {preferred_windows: [[0, .inf]]}",
+        "persona_template: {battery_capacity_choices: [.inf]}",
+        "persona_template: {max_charge_power_choices: [.inf]}",
+        "persona_template: {consumption_range: [0.1, .inf]}",
         "plan_template: {shifts: [[420, 3000]]}",
         "plan_template: {shifts: [[-10, 720]]}",
         "plan_template: {evening_shift: [1290, 1500]}",
@@ -123,6 +126,12 @@ def test_validate_rejects_plan_template_routing_keys(tmp_path, capsys):
         "pile_power_kw: .nan, tariff_id: shanghai-tou}]",
         "stations: [{station_id: a, latitude: 31.2, longitude: 121.4, pile_count: 1, "
         "pile_power_kw: .inf, tariff_id: shanghai-tou}]",
+        # the live section holds LiveSettings fields of their annotated types
+        "live: {temperature: hot}",
+        "live: {timeout_s: true}",
+        "live: {prompts_dir: 3}",
+        "live: {modle: x}",
+        "live: {max_tokens: 100}",
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])

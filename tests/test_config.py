@@ -11,6 +11,7 @@ import yaml
 
 from chargesim import config as config_module
 from chargesim.config import ScenarioConfig, load_config
+from chargesim.providers.live import LiveSettings
 from chargesim.providers.mock import (
     DEFAULT_PERSONA_TEMPLATE,
     DEFAULT_PLAN_TEMPLATE,
@@ -115,3 +116,14 @@ def test_every_template_key_has_a_shape():
     assert PERSONA_TEMPLATE_SHAPES.keys() == DEFAULT_PERSONA_TEMPLATE.keys()
     assert PLAN_TEMPLATE_SHAPES.keys() == DEFAULT_PLAN_TEMPLATE.keys()
     assert ScenarioConfig().validate() == []
+
+
+def test_the_live_section_builds_live_settings_with_their_own_defaults():
+    # the default section spells out the LiveSettings defaults, and an omitted
+    # key keeps its LiveSettings default
+    assert ScenarioConfig().build_live_settings() == LiveSettings()
+    config = ScenarioConfig()
+    config.live = {"model": "m", "api_key": None, "temperature": 1}
+    assert config.validate() == []
+    assert config.build_live_settings() == LiveSettings(model="m", temperature=1)
+

@@ -12,6 +12,7 @@ import pytest
 import chargesim
 from chargesim.config import ScenarioConfig, load_config
 from chargesim.domain import (
+    MINUTES_PER_DAY,
     ActionType,
     ChargeScenario,
     DailyPlan,
@@ -29,10 +30,10 @@ from chargesim.providers import (
     CognitionProvider,
     DecisionRequest,
     DecisionResponse,
-    FaultInjectingProvider,
     MockProvider,
 )
 from chargesim.providers.mock import home_point_for
+from faults import FaultInjectingProvider
 from oracles import oracle_request_history
 
 
@@ -539,6 +540,25 @@ def test_engine_does_not_import_the_exporter():
     assert result.returncode == 0, result.stderr or "chargesim.engine loaded chargesim.export"
 
 
+# what running a scenario or writing a provider needs; the rest stays in its module
+PUBLIC_NAMES = {
+    "ScenarioConfig", "load_config", "run", "Simulation", "RunArtifacts",
+    "CognitionProvider", "DecisionRequest", "DecisionResponse", "DecisionQuintuple",
+    "BehaviorRecord", "DailyPlan", "PlanEvent", "Persona", "ReflectionReport", "ActionType",
+    "ChargeScenario", "GeoPoint", "SimClock", "validate_persona", "SchemaError",
+    "ProviderError",
+    "MockProvider", "LiveProvider", "BaselineWeights", "baseline_decision",
+}
+
+
+def test_the_package_root_exports_the_run_and_provider_apis():
+    assert len(chargesim.__all__) == len(PUBLIC_NAMES) == 25
+    assert set(chargesim.__all__) == PUBLIC_NAMES
+    namespace: dict = {}
+    exec("from chargesim import *", namespace)
+    assert PUBLIC_NAMES <= namespace.keys()
+
+
 # ---------------------------------------------------------------------------
 # A provider that raises mid-run
 # ---------------------------------------------------------------------------
@@ -711,9 +731,9 @@ class ReflectionRecorder(MockProvider):
         super().__init__(**kwargs)
         self.day_records: list = []
 
-    def reflect(self, day_records, persona, plans):
+    def reflect(self, day_records, persona, plan):
         self.day_records.extend(day_records)
-        return super().reflect(day_records, persona, plans)
+        return super().reflect(day_records, persona, plan)
 
 
 def _one_copy_of_each(texts) -> bool:
@@ -821,8 +841,8 @@ class RecordingProvider(CognitionProvider):
         self.decisions.append(response)
         return response
 
-    def reflect(self, day_records, persona, plans):
-        report = self.inner.reflect(day_records, persona, plans)
+    def reflect(self, day_records, persona, plan):
+        report = self.inner.reflect(day_records, persona, plan)
         self.reflections.append(report)
         return report
 
@@ -845,7 +865,7 @@ class ReplayProvider(CognitionProvider):
     def decide(self, request):
         return next(self._decisions)
 
-    def reflect(self, day_records, persona, plans):
+    def reflect(self, day_records, persona, plan):
         return next(self._reflections)
 
 
@@ -856,6 +876,49 @@ def test_identical_response_stream_gives_identical_behavior(tmp_path):
     second = run(config, tmp_path / "replayed", provider=ReplayProvider(recorder))
     assert first.behavior_digest == second.behavior_digest
     assert first.reflections_digest == second.reflections_digest
+
+
+class PlanTrackingProvider(MockProvider):
+    """The mock, keeping each persona's plans as planned, and each reflection's
+    plan with the day the simulation had just completed when it was asked."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.sim: Simulation | None = None
+        self.planned: dict[str, list[DailyPlan]] = {}
+        self.reflected: dict[str, list[tuple[int, DailyPlan]]] = {}
+
+    def plan_day(self, persona, day_index, seed):
+        plan = super().plan_day(persona, day_index, seed)
+        self.planned.setdefault(persona.id, []).append(plan)
+        return plan
+
+    def reflect(self, day_records, persona, plan):
+        completed = self.sim.now // MINUTES_PER_DAY - 1
+        self.reflected.setdefault(persona.id, []).append((completed, plan))
+        return super().reflect(day_records, persona, plan)
+
+
+def test_each_reflection_takes_the_completed_days_plan(tmp_path):
+    config = charge_and_strand_config()  # three days, with strands that drop plan events
+    provider = PlanTrackingProvider(plan_template=config.effective_plan_template())
+    sim = Simulation(config, tmp_path / "run", provider=provider)
+    provider.sim = sim
+    sim.run()
+
+    days = list(range(config.horizon_days))
+    assert len(provider.planned) == config.num_agents
+    assert provider.reflected.keys() == provider.planned.keys()
+    for persona_id, plans in provider.planned.items():
+        assert [plan.day_index for plan in plans] == days
+        reflected = provider.reflected[persona_id]
+        assert [completed for completed, _ in reflected] == days
+        for completed, plan in reflected:
+            assert plan is plans[completed] and plan.day_index == completed
+    # an agent keeps only its latest plan, not one per day
+    for agent in sim.agents.values():
+        assert agent.plan is provider.planned[agent.persona.id][-1]
+        assert not hasattr(agent, "plans")
 
 
 # ---------------------------------------------------------------------------

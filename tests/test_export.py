@@ -16,7 +16,8 @@ from chargesim.config import ScenarioConfig
 from chargesim.domain import canonical_json
 from chargesim.engine import RunTotals, Simulation, build_summary, run
 from chargesim.export import _geojson_text, build_geojson, export_csv, export_geojson, export_html
-from chargesim.providers import FaultInjectingProvider, MockProvider
+from chargesim.providers import MockProvider
+from faults import FaultInjectingProvider
 from geojson_schema import validate_geojson
 from oracles import oracle_exports, read_log, same_json_tree
 from test_engine import charge_and_strand_config

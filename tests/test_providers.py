@@ -13,6 +13,7 @@ from chargesim.domain import (
     ActionType,
     BehaviorRecord,
     ChargeScenario,
+    DailyPlan,
     DecisionQuintuple,
     GeoPoint,
     PlanEvent,
@@ -26,7 +27,6 @@ from chargesim.perception import PerceptionSnapshot, StationPerception, TravelPe
 from chargesim.providers import (
     BaselineWeights,
     DecisionRequest,
-    FaultInjectingProvider,
     LiveProvider,
     MockProvider,
     ProviderError,
@@ -38,6 +38,7 @@ from chargesim.providers import (
 )
 from chargesim.providers.live import LiveSettings
 from chargesim.providers.mock import _random_point_near
+from faults import FaultInjectingProvider
 from oracles import NoCandidateError, oracle_random_point_near, oracle_station_choice
 
 CENTER = GeoPoint(31.2304, 121.4737)
@@ -384,15 +385,13 @@ class TestMockReflect:
             )
             for i in range(len(plan.events))
         ]
-        report = provider.reflect(records, persona, [plan])
+        report = provider.reflect(records, persona, plan)
         assert report.day_index == 0
         assert report.plan_adherence.score == 1.0
         assert not report.fallback
 
     def test_empty_day_with_empty_plan(self, persona):
-        from chargesim.domain import DailyPlan
-
-        report = MockProvider().reflect([], persona, [DailyPlan(3, ())])
+        report = MockProvider().reflect([], persona, DailyPlan(3, ()))
         assert report.day_index == 3
         assert report.plan_adherence.score == 1.0
 
@@ -437,7 +436,7 @@ class TestMockReflect:
                         )
                     )
             plan = provider.plan_day(persona, trial, trial)
-            report = provider.reflect(records, persona, [plan])
+            report = provider.reflect(records, persona, plan)
             for note in (report.plan_adherence, report.satisfaction, report.persona_consistency):
                 assert 0.0 <= note.score <= 1.0
 
@@ -453,7 +452,7 @@ class TestMockReflect:
             ),
             reason="r",
         )
-        report = MockProvider().reflect([record], persona, [])
+        report = MockProvider().reflect([record], persona, DailyPlan(0, ()))
         text = report.satisfaction.text
         for aspect in ("time", "station", "amount", "power", "price"):
             assert aspect in text
@@ -525,6 +524,22 @@ class TestDecisionValidation:
         response = parse_decision_payload({**VALID_PAYLOAD, "amount_kwh": amount})
         with pytest.raises(SchemaError, match="positive amount"):
             validate_decision(response, request.snapshot, make_ev(persona, 30.0))
+
+    @pytest.mark.parametrize("key", ["power_kw", "price_per_kwh"])
+    @pytest.mark.parametrize("value", [float("nan"), "nan", float("inf"), "Infinity"])
+    def test_non_finite_power_and_price_rejected(self, persona, key, value):
+        # such a value would otherwise reach behavior.log as NaN or Infinity;
+        # a negative one fails the quintuple's own check when parsed
+        request = make_request(persona, soc_kwh=30.0, stations=[make_station()])
+        response = parse_decision_payload({**VALID_PAYLOAD, key: value})
+        with pytest.raises(SchemaError, match=f"{key} must be finite and at least 0"):
+            validate_decision(response, request.snapshot, make_ev(persona, 30.0))
+
+    @pytest.mark.parametrize("key", ["power_kw", "price_per_kwh"])
+    def test_zero_power_and_price_pass(self, persona, key):
+        request = make_request(persona, soc_kwh=30.0, stations=[make_station()])
+        response = parse_decision_payload({**VALID_PAYLOAD, key: 0.0})
+        validate_decision(response, request.snapshot, make_ev(persona, 30.0))
 
     def test_valid_decision_passes_semantic_gate(self, persona):
         request = make_request(persona, soc_kwh=30.0, stations=[make_station()])
