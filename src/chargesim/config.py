@@ -173,6 +173,9 @@ class ScenarioConfig:
         if problems:  # the range checks below assume the annotated types
             return problems
         problems.extend(_type_problems("live.", self.live, fields(LiveSettings)))
+        prompts_dir = self.live.get("prompts_dir")
+        if isinstance(prompts_dir, str) and not Path(prompts_dir).is_dir():
+            problems.append(f"live.prompts_dir {prompts_dir!r} is not an existing directory")
         if self.num_agents < 1:
             problems.append("num_agents must be >= 1")
         if self.horizon_days < 1:

@@ -21,7 +21,9 @@ by the rule-based baseline and the resulting records carry fallback=true.
 The engine also owns the run's accounting: RunTotals sums each log entry as
 it is written, build_summary turns the sums into summary.json (which
 export_csv renders as summary.csv), and final_states.json takes each agent's
-km and cost from the same sums.
+km and cost from the same sums. RunTotals also traces what the maps draw,
+each agent's waypoints and charge decisions, and writes it to routes.json,
+which the map exporters render without reading behavior.log.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ import hashlib
 import heapq
 import json
 import time as _time
-from collections import deque
+from array import array
+from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import count
 from pathlib import Path
 from sys import intern
@@ -89,6 +93,14 @@ def _zero_bucket() -> dict:
     return {"total_km": 0.0, "total_kwh_charged": 0.0, "total_cost": 0.0, "charge_count": 0}
 
 
+def _push_point(route: array, point: list[float]) -> None:
+    """Append a [lat, lon] point as lon, lat unless it repeats the last waypoint."""
+    lat, lon = point
+    if not route or route[-2] != lon or route[-1] != lat:
+        route.append(lon)
+        route.append(lat)
+
+
 class RunTotals:
     """The run's accounting, fed each behavior.log entry as the engine writes it.
 
@@ -97,6 +109,12 @@ class RunTotals:
     plus charging detours; energy, cost, charge counts and the hourly load
     come from completed charges (stop_charging entries). summary.json and
     final_states.json's km_total and cost_total are read from these sums.
+
+    The same feed traces each agent's route, a flat array of lon, lat
+    pairs: a travel leg's origin and destination, then a completed charge's
+    station, each skipped when it repeats the last waypoint. add_charge
+    keeps each start_charging decision's (timestamp, station_id, reason);
+    write_routes writes both as routes.json.
     """
 
     def __init__(self) -> None:
@@ -104,11 +122,16 @@ class RunTotals:
         self.satisfaction: dict[str, list[float]] = {}
         # one bucket per hour from minute 0 through the end of the last charge
         self.hourly: list[float] = []
+        self.routes: defaultdict[str, array] = defaultdict(partial(array, "d"))
+        self.charges: defaultdict[str, list[tuple]] = defaultdict(list)
 
     def add(self, agent_id: str, action: str, power_kw: float, extras: dict) -> None:
         """Sum one behavior.log entry: its agent, record action, quintuple power and extras."""
         if action == "travel":
             self._bucket(agent_id)["total_km"] += extras["distance_km"]
+            route = self.routes[agent_id]
+            _push_point(route, extras["origin"])
+            _push_point(route, extras["destination"])
         elif action == "stop_charging":
             bucket = self._bucket(agent_id)
             bucket["total_km"] += extras["approach_distance_km"]
@@ -116,6 +139,25 @@ class RunTotals:
             bucket["total_cost"] += extras["cost"]
             bucket["charge_count"] += 1
             self._add_load(extras["start_charge"], extras["end_charge"], power_kw)
+            _push_point(self.routes[agent_id], extras["station"])
+
+    def add_charge(self, agent_id: str, timestamp: int, station_id: str, reason: str) -> None:
+        """Keep one start_charging decision: its record's timestamp, object_id and reason."""
+        self.charges[agent_id].append((timestamp, station_id, reason))
+
+    def write_routes(self, fh: IO[str], agent_ids: list[str]) -> None:
+        """Write routes.json for agent_ids, in their order, one agent at a time:
+        {agent_id: {"charges": [[timestamp, station_id, reason], ...],
+        "route": [lon, lat, lon, lat, ...]}} in compact JSON."""
+        fh.write("{")
+        for index, agent_id in enumerate(agent_ids):
+            charges = canonical_json(self.charges.get(agent_id, []))
+            route = canonical_json(list(self.routes.get(agent_id, ())))
+            fh.write(
+                f'{"," if index else ""}{json_string(agent_id)}:'
+                f'{{"charges":{charges},"route":{route}}}'
+            )
+        fh.write("}")
 
     def add_reflection(self, entry: dict) -> None:
         self.satisfaction.setdefault(entry["agent_id"], []).append(
@@ -263,12 +305,6 @@ class Simulation:
         )
         plan_template = config.effective_plan_template()
         self._mock = MockProvider(weights=self.weights, plan_template=plan_template)
-        if provider is not None:
-            self.provider = provider
-        elif config.provider == "live":
-            self.provider = LiveProvider(config.build_live_settings())
-        else:
-            self.provider = self._mock
 
         self.env = Environment(
             stations=config.build_stations(),
@@ -295,9 +331,16 @@ class Simulation:
         except BaseException:
             self._behavior_fh.close()
             raise
-        # a provider that raises must not leave both logs to the garbage collector,
-        # nor the run directory without a summary.json that records the failure
+        # a provider that raises, or a live provider whose prompt files cannot be
+        # read, must not leave both logs to the garbage collector, nor the run
+        # directory without a summary.json that records the failure
         try:
+            if provider is not None:
+                self.provider = provider
+            elif config.provider == "live":
+                self.provider = LiveProvider(config.build_live_settings())
+            else:
+                self.provider = self._mock
             center = GeoPoint(*plan_template["center"])
             area_radius = float(plan_template["area_radius_km"])
             for index in range(config.num_agents):
@@ -531,6 +574,7 @@ class Simulation:
                 reason=intern(response.reason),
             )
             self._emit(agent, record, fallback=fallback, extras=extras, to_memory=True)
+            self.totals.add_charge(agent.agent_id, now, record.object_id, record.reason)
             agent.busy = True
             agent.state.status = EvStatus.DRIVING
             self._push(
@@ -755,6 +799,8 @@ class Simulation:
         }
         self._write_json("summary.json", summary)
         self._write_json("final_states.json", final_states)
+        with (self.run_dir / "routes.json").open("w", encoding="utf-8") as fh:
+            self.totals.write_routes(fh, list(final_states))
         return RunArtifacts(
             run_dir=self.run_dir,
             behavior_log=self.behavior_log_path,

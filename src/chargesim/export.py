@@ -6,16 +6,12 @@ the engine wrote to summary.json, so the two cannot disagree. No export
 renders a run whose summary.json records a failure: each raises ValueError
 naming the recorded error.
 
-The map exporters stream behavior.log once each (_map_entries) and decode
-only what the map draws: a travel leg's extras, a completed charge's
-extras, a start_charging decision's record. The engine writes every line
-in one layout, sorted keys and compact separators, with the action near
-the end (Simulation._emit). About half the log is skip_charging decisions
-that no map uses; such a line is known by its `"record":{"action":"..."`
-text and skipped before any decoding. A kept line in the engine's layout
-is read by prefix: its agent id, extras and action are decoded in place,
-and its record only when the action is start_charging. A line in any
-other layout is parsed whole and then filtered by its parsed action.
+The maps render routes.json, which the engine traced as it wrote
+behavior.log (RunTotals): per agent, its waypoints as a flat list of lon,
+lat pairs and its start_charging decisions as (timestamp, station_id,
+reason). No exporter reads behavior.log, so a run directory without
+routes.json, such as one left by a crash before the run finished, cannot
+be mapped.
 
 map.geojson is json.dumps(collection, sort_keys=True, indent=2) byte for
 byte, written by a direct writer for the five feature kinds instead of the
@@ -25,7 +21,6 @@ pure-Python indenting encoder; map.html embeds the compact, C-encoded form.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from html import escape
 from pathlib import Path
 
@@ -65,119 +60,8 @@ def _read_summary(run_dir: Path, required: bool) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# Reading behavior.log
-# ---------------------------------------------------------------------------
-
-# the actions the maps read: routes from travel legs and completed charges,
-# charge markers from start_charging decisions
-_MAP_ACTIONS = frozenset({"travel", "stop_charging", "start_charging"})
-
-# the compact text of an engine-written entry's action (sort_keys, (",", ":"))
-_ACTION_MARKER = '"record":{"action":"'
-
-
-def _skippable(line: str) -> bool:
-    """True when the line's text alone shows its action is not one the maps read.
-
-    Only a plain action named by the one marker in the line counts; a line
-    with no marker, two markers or an escape in the name is parsed instead.
-    A skipped line is never parsed, so it is not checked for valid JSON.
-    """
-    at = line.find(_ACTION_MARKER)
-    if at < 0:
-        return False
-    start = at + len(_ACTION_MARKER)
-    end = line.find('"', start)
-    if end < 0:
-        return False
-    action = line[start:end]
-    return (
-        action not in _MAP_ACTIONS
-        and "\\" not in action
-        and line.find(_ACTION_MARKER, end) < 0
-    )
-
-
-_decode = json.JSONDecoder().raw_decode
-
-# the engine's line layout, {"agent_id","extras","fallback","record"}, piece
-# by piece; the id's opening quote is at _ID_AT
-_LINE_HEAD = '{"agent_id":"'
-_ID_AT = len(_LINE_HEAD) - 1
-_EXTRAS_HEAD = ',"extras":{'
-_FALLBACK_FALSE = ',"fallback":false'
-_FALLBACK_TRUE = ',"fallback":true'
-_RECORD_HEAD = ',"record":{"action":"'
-
-
-def _prefix_fields(text: str) -> tuple[str, str, dict, dict | None]:
-    """(agent_id, action, extras, record) of a stripped line in the engine's
-    layout, decoded in place; record is None unless the action is
-    start_charging. Raises ValueError for a line in any other layout.
-
-    What this does not do, unlike json.loads of the whole line:
-    - it does not validate a travel or stop_charging line past its action
-      (an unwanted line is skipped unparsed in any case, see _skippable);
-    - it reads a key given twice by its first occurrence.
-    A line that does not end in "}}", such as one cut short by a crash, is
-    left to json.loads, which parses it whole and so raises on a cut line.
-    """
-    if not (text.startswith(_LINE_HEAD) and text.endswith("}}")):
-        raise ValueError("not the engine's line layout")
-    agent_id, at = _decode(text, _ID_AT)
-    if not text.startswith(_EXTRAS_HEAD, at):
-        raise ValueError("no extras after the agent id")
-    extras, at = _decode(text, at + len(_EXTRAS_HEAD) - 1)
-    if text.startswith(_FALLBACK_FALSE, at):
-        at += len(_FALLBACK_FALSE)
-    elif text.startswith(_FALLBACK_TRUE, at):
-        at += len(_FALLBACK_TRUE)
-    else:
-        raise ValueError("no fallback flag after the extras")
-    if not text.startswith(_RECORD_HEAD, at):
-        raise ValueError("no record action after the fallback flag")
-    action, _ = _decode(text, at + len(_RECORD_HEAD) - 1)
-    if action != "start_charging":
-        return agent_id, action, extras, None
-    record, end = _decode(text, at + len(',"record":'))
-    if end != len(text) - 1:
-        raise ValueError("text after the record")
-    return agent_id, action, extras, record
-
-
-def _map_entries(path: Path) -> Iterator[tuple[str, str, dict, dict | None]]:
-    """(agent_id, action, extras, record) of each behavior.log line whose
-    action the maps read, in file order; record is None for a travel or
-    stop_charging line read by prefix. Blank lines are skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if _skippable(line):
-                continue
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                fields = _prefix_fields(text)
-            except ValueError:
-                entry = json.loads(text)
-                record = entry["record"]
-                if record["action"] not in _MAP_ACTIONS:
-                    continue
-                fields = (entry["agent_id"], record["action"], entry.get("extras", {}), record)
-            if fields[1] in _MAP_ACTIONS:
-                yield fields
-
-
-# ---------------------------------------------------------------------------
 # GeoJSON
 # ---------------------------------------------------------------------------
-
-
-def _push_point(points: list[list[float]], lat: float, lon: float) -> None:
-    """Append [lon, lat] unless it repeats the last waypoint."""
-    coordinate = [lon, lat]
-    if not points or points[-1] != coordinate:
-        points.append(coordinate)
 
 
 def build_geojson(run_dir: Path | str) -> dict:
@@ -189,7 +73,6 @@ def build_geojson(run_dir: Path | str) -> dict:
     """
     run_dir = Path(run_dir)
     _read_summary(run_dir, required=False)
-    behavior_log = _require(run_dir / "behavior.log")
     final_states = json.loads(_require(run_dir / "final_states.json").read_text(encoding="utf-8"))
     config = load_config(_require(run_dir / "config.yaml"))
 
@@ -213,42 +96,14 @@ def build_geojson(run_dir: Path | str) -> dict:
             }
         )
 
-    # per agent, its chronological [lon, lat] waypoints and its charge markers
-    routes: dict[str, list[list[float]]] = {agent_id: [] for agent_id in final_states}
-    charges: dict[str, list[dict]] = {}
-    for agent_id, action, extras, record in _map_entries(behavior_log):
-        points = routes.setdefault(agent_id, [])
-        if action == "travel":
-            _push_point(points, *extras["origin"])
-            _push_point(points, *extras["destination"])
-        elif action == "stop_charging":
-            _push_point(points, *extras["station"])
-        else:
-            station = stations.get(record["object_id"])
-            if station is None:
-                continue
-            charges.setdefault(agent_id, []).append(
-                {
-                    "type": "Feature",
-                    "geometry": {
-                        "type": "Point",
-                        "coordinates": [station["longitude"], station["latitude"]],
-                    },
-                    "properties": {
-                        "kind": "charge",
-                        "agent_id": agent_id,
-                        "time": record["timestamp"],
-                        "reason": record["reason"],
-                        "station_id": record["object_id"],
-                    },
-                }
-            )
-
+    # per agent, its chronological waypoints and its charge decisions
+    routes = json.loads(_require(run_dir / "routes.json").read_text(encoding="utf-8"))
     for agent_id in sorted(routes):
-        points = routes[agent_id]
-        fallback = final_states.get(agent_id, {}).get("location", [0.0, 0.0])
-        while len(points) < 2:
-            points.append([fallback[1], fallback[0]])
+        flat = routes[agent_id]["route"]
+        points = [flat[i : i + 2] for i in range(0, len(flat), 2)]
+        # an agent that never moved is drawn as a route of two points where it stands
+        lat, lon = final_states[agent_id]["location"]
+        points += [[lon, lat]] * (2 - len(points))
         features.append(
             {
                 "type": "Feature",
@@ -270,7 +125,24 @@ def build_geojson(run_dir: Path | str) -> dict:
                 "properties": {"kind": "end", "agent_id": agent_id},
             }
         )
-        features.extend(charges.get(agent_id, ()))
+        for timestamp, station_id, reason in routes[agent_id]["charges"]:
+            station = stations[station_id]
+            features.append(
+                {
+                    "type": "Feature",
+                    "geometry": {
+                        "type": "Point",
+                        "coordinates": [station["longitude"], station["latitude"]],
+                    },
+                    "properties": {
+                        "kind": "charge",
+                        "agent_id": agent_id,
+                        "time": timestamp,
+                        "reason": reason,
+                        "station_id": station_id,
+                    },
+                }
+            )
 
     return {"type": "FeatureCollection", "features": features}
 
@@ -284,8 +156,9 @@ def _indented(value, depth: int) -> str:
     if kind is str:
         return json_string(value)
     # anything else (true, false, null or a container, which only a
-    # hand-written log puts in a property) through the encoder itself; it
-    # escapes newlines in strings, so each newline in its text starts a line
+    # hand-written config.yaml or routes.json puts in a property) through the
+    # encoder itself; it escapes newlines in strings, so each newline in its
+    # text starts a line
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
 
 
@@ -305,7 +178,7 @@ def _geojson_text(collection: dict) -> str:
     {"geometry", "properties", "type"}: a Point's [lon, lat] or a
     LineString's list of them, and properties that always hold "kind".
     Property keys are sorted and each value is written at its depth, so a
-    property read from a hand-written log is written as the encoder would.
+    property read from a hand-written file is written as the encoder would.
     """
     parts = []
     for feature in collection["features"]:

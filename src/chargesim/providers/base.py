@@ -181,12 +181,18 @@ def validate_decision(
 ) -> None:
     """Check a parsed decision against the snapshot it was made from.
 
-    A positive decision must name a station present in the snapshot, may
-    not request more energy than the battery can still take, and must state
-    a finite, non-negative power and price. Raises SchemaError so the
-    caller's fallback path handles both gates uniformly.
+    Any decision, a skip too, must state a finite, non-negative power and
+    price, so that behavior.log holds no NaN or Infinity. A positive
+    decision must also name a station present in the snapshot and may not
+    request more energy than the battery can still take. Raises SchemaError
+    so the caller's fallback path handles both gates uniformly.
     """
     q = response.quintuple
+    # each written so that NaN fails it
+    if not 0.0 <= q.power_kw < math.inf:
+        raise SchemaError(f"power_kw must be finite and at least 0, got {q.power_kw}")
+    if not 0.0 <= q.price_per_kwh < math.inf:
+        raise SchemaError(f"price_per_kwh must be finite and at least 0, got {q.price_per_kwh}")
     if not q.decision:
         return
     if q.station_id is None:
@@ -201,11 +207,6 @@ def validate_decision(
         raise SchemaError(
             f"amount {q.amount_kwh:.3f} kWh exceeds remaining capacity {headroom:.3f} kWh"
         )
-    # each written so that NaN fails it
-    if not 0.0 <= q.power_kw < math.inf:
-        raise SchemaError(f"power_kw must be finite and at least 0, got {q.power_kw}")
-    if not 0.0 <= q.price_per_kwh < math.inf:
-        raise SchemaError(f"price_per_kwh must be finite and at least 0, got {q.price_per_kwh}")
     if q.time_minutes < snapshot.travel.now:
         raise SchemaError("charging time may not lie in the past")
 

@@ -9,9 +9,8 @@ reservation. The memory oracles scan a store's whole record list and
 filter it record by record, where the store bisects indexes kept on append;
 the request-history oracle assembles a decision request's history with them
 at once, where the request builds it on first read.
-The export oracle parses every line of a run's behavior.log and reads the
-parsed action of each, where the map exporters skip unwanted lines by their
-text.
+The export oracle parses every line of a run's behavior.log, where the map
+exporters render routes.json, the trace the engine kept as it wrote the log.
 The serialization oracles build each record's dict field by field, in the
 layout the to_json writers spell out key by key in text; the persona
 oracle is the other way round: dataclasses.asdict, where Persona.to_dict

@@ -130,6 +130,7 @@ def test_validate_rejects_plan_template_routing_keys(tmp_path, capsys):
         "live: {temperature: hot}",
         "live: {timeout_s: true}",
         "live: {prompts_dir: 3}",
+        "live: {prompts_dir: no-such-prompts-dir}",
         "live: {modle: x}",
         "live: {max_tokens: 100}",
     ],
@@ -245,6 +246,7 @@ def test_run_writes_artifacts(tmp_path, small_config_file, capsys):
         "reflections.log",
         "summary.json",
         "final_states.json",
+        "routes.json",
         "config.yaml",
         "personas.json",
     ):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -436,6 +439,43 @@ def test_nan_charge_amount_falls_back_to_the_baseline(tmp_path):
     assert summary["fallbacks"]["decisions"] == len(fallbacks)
 
 
+class NanSkipProvider(MockProvider):
+    """The mock policy, except that each skip states a NaN power and an infinite price."""
+
+    def decide(self, request):
+        response = super().decide(request)
+        if response.decision:
+            return response
+        quintuple = replace(response.quintuple, power_kw=float("nan"), price_per_kwh=math.inf)
+        return DecisionResponse(quintuple=quintuple, reason=response.reason)
+
+
+def test_non_finite_skip_falls_back_and_never_reaches_the_log(tmp_path):
+    config = small_config(initial_soc_kwh=20.0)
+    provider = NanSkipProvider(plan_template=config.effective_plan_template())
+    artifacts = run(config, tmp_path / "run", provider=provider)
+
+    text = artifacts.behavior_log.read_text(encoding="utf-8")
+    assert "NaN" not in text and "Infinity" not in text
+    entries = read_entries(artifacts.behavior_log)
+    fallbacks = [e for e in entries if e["fallback"]]
+    assert any(e["record"]["action"] == "skip_charging" for e in fallbacks)
+    assert artifacts.summary["fallbacks"]["decisions"] == len(fallbacks)
+
+
+def test_unreadable_live_prompts_leave_a_failed_summary(tmp_path):
+    prompts_dir = tmp_path / "prompts"
+    (prompts_dir / "decide.txt").mkdir(parents=True)  # a directory where a file belongs
+    config = small_config(provider="live")
+    config.live = {**config.live, "prompts_dir": str(prompts_dir)}
+    assert config.validate() == []
+    with pytest.raises(IsADirectoryError):
+        run(config, tmp_path / "run")
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text(encoding="utf-8"))
+    assert summary["status"] == "failed"
+    assert summary["error"]["type"] == "IsADirectoryError"
+
+
 # ---------------------------------------------------------------------------
 # Charges spanning midnight and the horizon edge
 # ---------------------------------------------------------------------------
@@ -510,8 +550,10 @@ def test_engine_summary_equals_summary_rebuilt_from_the_logs(tmp_path, make_conf
 
     totals = RunTotals()
     for entry in entries:
-        power_kw = entry["record"]["quintuple"]["power_kw"]
-        totals.add(entry["agent_id"], entry["record"]["action"], power_kw, entry["extras"])
+        agent_id, record = entry["agent_id"], entry["record"]
+        totals.add(agent_id, record["action"], record["quintuple"]["power_kw"], entry["extras"])
+        if record["action"] == "start_charging":
+            totals.add_charge(agent_id, record["timestamp"], record["object_id"], record["reason"])
     for entry in read_entries(artifacts.reflections_log):
         totals.add_reflection(entry)
     rebuilt = build_summary(totals, artifacts.final_states, config.horizon_days)
@@ -519,6 +561,11 @@ def test_engine_summary_equals_summary_rebuilt_from_the_logs(tmp_path, make_conf
     written = json.loads((artifacts.run_dir / "summary.json").read_text(encoding="utf-8"))
     del written["fallbacks"]
     assert written == rebuilt  # exact float equality, term for term
+
+    # routes.json, the maps' input, is the same feed's trace of the log
+    routes = io.StringIO()
+    totals.write_routes(routes, sorted(artifacts.final_states))
+    assert (artifacts.run_dir / "routes.json").read_text(encoding="utf-8") == routes.getvalue()
 
 
 def test_final_states_take_km_and_cost_from_the_summary_totals(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import html
 import json
+import math
 import re
 import shutil
 import tempfile
@@ -13,14 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chargesim.config import ScenarioConfig
-from chargesim.domain import canonical_json
 from chargesim.engine import RunTotals, Simulation, build_summary, run
-from chargesim.export import _geojson_text, build_geojson, export_csv, export_geojson, export_html
-from chargesim.providers import MockProvider
+from chargesim.export import _geojson_text, export_csv, export_geojson, export_html
+from chargesim.providers import DecisionResponse, MockProvider
 from faults import FaultInjectingProvider
 from geojson_schema import validate_geojson
 from oracles import oracle_exports, read_log, same_json_tree
-from test_engine import charge_and_strand_config
+from test_engine import charge_and_strand_config, overnight_charge_config, stranding_config
 
 
 @pytest.fixture(scope="module")
@@ -87,21 +87,18 @@ class TestGeojson:
         with pytest.raises(FileNotFoundError):
             export_geojson(tmp_path / "nope")
 
-    @pytest.mark.parametrize("share", [0.25, 0.5, 0.75, None])
-    def test_a_truncated_final_line_still_raises(self, finished_run, tmp_path, share):
-        # a crash can cut the last line short; the map must not be drawn from
-        # what is left of it. The cut line is a travel leg, which the map reads.
+    @pytest.mark.parametrize("export", [export_geojson, export_html])
+    def test_a_run_without_routes_json_raises(self, finished_run, tmp_path, export):
+        # a run stopped before it finished has no routes.json; its maps are not
+        # drawn from behavior.log instead
         _config, artifacts = finished_run
         run_dir = tmp_path / "run"
         shutil.copytree(artifacts.run_dir, run_dir)
-        lines = (run_dir / "behavior.log").read_text(encoding="utf-8").splitlines()
-        last = max(i for i, line in enumerate(lines) if '"record":{"action":"travel"' in line)
-        line = lines[last]
-        cut = line[: int(len(line) * share)] if share else line[:-1]
-        assert not cut.endswith("}}")
-        (run_dir / "behavior.log").write_text("\n".join(lines[:last] + [cut]), encoding="utf-8")
-        with pytest.raises(json.JSONDecodeError):
-            export_geojson(run_dir)
+        (run_dir / "routes.json").unlink()
+        out = tmp_path / "map"
+        with pytest.raises(FileNotFoundError, match="missing run artifact: .*routes.json"):
+            export(run_dir, out)
+        assert not out.exists()
 
 
 class PlannerDown(MockProvider):
@@ -252,6 +249,7 @@ def _stop_charging(start: int, end: int, power_kw: float) -> dict:
         "agent_id": "agent-00",
         "record": {"action": "stop_charging", "quintuple": {"power_kw": power_kw}},
         "extras": {
+            "station": [31.233, 121.469],
             "start_charge": start,
             "end_charge": end,
             "approach_distance_km": 0.0,
@@ -309,118 +307,8 @@ class TestHtml:
 # Every exporter against the full-parse oracle, and pinned bytes
 # ---------------------------------------------------------------------------
 
-MARKER_TEXT = '"record":{"action":"skip_charging"'
-QUOTED_AGENT = 'agent-"03"'
 # markup in a free-text reason; map.html must show it as text
 MARKUP_REASON = "cheap </script><b>&"
-
-
-def _entry(agent_id, action, timestamp, extras=None, object_id="", reason="", power_kw=0.0):
-    return {
-        "agent_id": agent_id,
-        "extras": extras or {},
-        "fallback": False,
-        "record": {
-            "action": action,
-            "object_id": object_id,
-            "quintuple": {"decision": action == "start_charging", "power_kw": power_kw},
-            "reason": reason,
-            "timestamp": timestamp,
-        },
-    }
-
-
-def _compact(entry):
-    return json.dumps(entry, sort_keys=True, separators=(",", ":"))
-
-
-def _travel(agent_id, timestamp, origin, destination, km, **extras):
-    return _entry(
-        agent_id,
-        "travel",
-        timestamp,
-        {"origin": origin, "destination": destination, "distance_km": km, **extras},
-    )
-
-
-def _hand_written_behavior_log() -> str:
-    station = [31.233, 121.469]  # st-01 of the default config
-    home = [31.2, 121.4]
-    work = [31.25, 121.45]
-    stop = _entry(
-        "agent-00",
-        "stop_charging",
-        700,
-        {
-            "station": station,
-            "approach_distance_km": 0.7,
-            "energy_kwh": 20.5,
-            "cost": 24.6,
-            "start_charge": 650,
-            "end_charge": 700,
-        },
-        object_id="st-01",
-        power_kw=60.0,
-    )
-    # keys in reverse order: "action" comes last, so no marker follows "record"
-    unsorted_skip = _entry("agent-01", "skip_charging", 800, object_id="st-01")
-    unsorted_skip["record"] = dict(reversed(list(unsorted_skip["record"].items())))
-    record_first = _travel("agent-01", 900, work, home, 5.25)
-    record_first = {"record": record_first.pop("record"), **record_first}
-    decoy = {"record": {"action": "skip_charging"}}
-    nested = _travel("agent-01", 950, home, station, 1.5, note=decoy)
-    escaped = _compact(_travel("agent-01", 990, station, work, 2.75)).replace(
-        '"action":"travel"', '"action":"\\u0074ravel"'
-    )
-    # a fallback decision by an agent whose id holds a quote
-    fallback = {**_travel(QUOTED_AGENT, 620, work, station, 1.25), "fallback": True}
-    lines = [
-        # the engine's layout, with the marker text escaped inside strings
-        _compact(_travel("agent-00", 600, home, work, 3.5, note=MARKER_TEXT)),
-        _compact(fallback),
-        _compact(_entry("agent-00", "skip_charging", 600, object_id="st-01")),
-        _compact(
-            _entry(
-                "agent-00",
-                "start_charging",
-                650,
-                object_id="st-01",
-                reason="chose to charge; did not log " + MARKER_TEXT,
-            )
-        ),
-        "",
-        # spaces after separators: parsed, then filtered by the parsed action
-        json.dumps(stop, sort_keys=True),
-        json.dumps(_entry("agent-01", "skip_charging", 700, object_id="st-01"), sort_keys=True),
-        json.dumps(_entry("agent-01", "teleport", 750, object_id="st-01"), sort_keys=True),
-        "   ",
-        # unsorted keys
-        json.dumps(unsorted_skip, separators=(",", ":")),
-        json.dumps(record_first, separators=(",", ":")),
-        # a second marker inside extras, and an escaped action name
-        _compact(nested),
-        _compact(
-            _entry("agent-01", "start_charging", 960, object_id="st-01", reason=MARKUP_REASON)
-        ),
-        escaped,
-        # an unknown action in the engine's layout
-        _compact(_entry("agent-01", "teleport", 1000, object_id="st-01")),
-    ]
-    return "\n".join(lines) + "\n\n"
-
-
-@pytest.fixture
-def hand_written_run(tmp_path):
-    run_dir = tmp_path / "run"
-    run_dir.mkdir()
-    (run_dir / "config.yaml").write_text(ScenarioConfig().to_yaml(), encoding="utf-8")
-    (run_dir / "behavior.log").write_text(_hand_written_behavior_log(), encoding="utf-8")
-    final_states = {
-        agent_id: {"location": [31.22, 121.41], "strand_count": 0}
-        for agent_id in ("agent-00", "agent-01", "agent-02")
-    }
-    (run_dir / "final_states.json").write_text(json.dumps(final_states), encoding="utf-8")
-    return run_dir
 
 
 def _maps_match_the_oracle(run_dir) -> str:
@@ -437,24 +325,47 @@ def _maps_match_the_oracle(run_dir) -> str:
     return page
 
 
-def test_exporters_match_the_full_parse_oracle_on_a_hand_written_log(hand_written_run):
-    run_dir = hand_written_run
-    expected = oracle_exports(run_dir)
-    # the lines the pre-parse filter must not drop all count: agent-01's travel
-    # legs are record-first, carry a second marker and escape their action
-    routes = {
-        f["properties"]["agent_id"]: f["geometry"]["coordinates"]
-        for f in expected["geojson"]["features"]
-        if f["properties"]["kind"] == "route"
-    }
-    work, home, station = [121.45, 31.25], [121.4, 31.2], [121.469, 31.233]
-    assert routes["agent-01"] == [work, home, station, work]
-    assert routes[QUOTED_AGENT] == [work, station]
-    assert len(expected["decisions"]) == 2
-    assert MARKER_TEXT in expected["decisions"][0][3]
-    assert expected["decisions"][1][3] == MARKUP_REASON
+@st.composite
+def small_configs(draw) -> ScenarioConfig:
+    """A small valid scenario: 1-6 agents over 1-3 days, any perception
+    radius (an infinite one is no limit), initial charge and seed."""
+    config = ScenarioConfig()
+    config.num_agents = draw(st.integers(1, 6))
+    config.horizon_days = draw(st.integers(1, 3))
+    config.station_radius_km = draw(st.one_of(st.floats(0.1, 30.0), st.just(math.inf)))
+    config.initial_soc_kwh = draw(st.floats(0.0, 75.0))  # the default battery is 75 kWh
+    config.seed = draw(st.integers(0, 2**32 - 1))
+    return config
 
-    page = _maps_match_the_oracle(run_dir)
+
+@settings(max_examples=25, deadline=None)
+@given(small_configs())
+@example(overnight_charge_config())
+@example(stranding_config())
+def test_maps_of_an_engine_run_match_the_full_parse_oracle(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        artifacts = run(config, Path(tmp) / "run")
+        _maps_match_the_oracle(artifacts.run_dir)
+
+
+class MarkupReasonProvider(MockProvider):
+    """The mock policy, except that every charge decision's reason holds markup."""
+
+    def decide(self, request):
+        response = super().decide(request)
+        if not response.decision:
+            return response
+        return DecisionResponse(quintuple=response.quintuple, reason=MARKUP_REASON)
+
+
+def test_a_reason_with_markup_renders_as_text(tmp_path):
+    config = charge_and_strand_config()
+    provider = MarkupReasonProvider(plan_template=config.effective_plan_template())
+    artifacts = run(config, tmp_path / "run", provider=provider)
+    assert artifacts.summary["fallbacks"]["decisions"] == 0
+    decisions = oracle_exports(artifacts.run_dir)["decisions"]
+    assert decisions and all(reason == MARKUP_REASON for *_, reason in decisions)
+    page = _maps_match_the_oracle(artifacts.run_dir)
     # the reason's markup is text: one closing script tag, no bold element
     assert page.count("</script>") == 1 and "<b>" not in page
 
@@ -470,11 +381,11 @@ def test_maps_match_the_oracle_on_a_fault_injected_run(tmp_path):
     _maps_match_the_oracle(artifacts.run_dir)
 
 
-# text the prefix reader must decode in place rather than find by position:
-# quotes, backslashes, non-ASCII text, lone surrogates and the layout's own
-# separators. Code points are drawn directly (see test_domain.awkward_text).
-LAYOUT_TEXT = [
-    MARKER_TEXT,
+# text the GeoJSON writer must escape as the encoder does: quotes,
+# backslashes, non-ASCII text, lone surrogates and JSON's own separators.
+# Code points are drawn directly (see test_domain.awkward_text).
+AWKWARD_TEXT = [
+    '"record":{"action":"skip_charging"',
     '","extras":{',
     ',"fallback":false,"record":{"action":"',
     ',"fallback":true}}',
@@ -485,61 +396,11 @@ LAYOUT_TEXT = [
     "",
 ]
 tricky_text = st.one_of(
-    st.sampled_from(LAYOUT_TEXT),
+    st.sampled_from(AWKWARD_TEXT),
     st.lists(
         st.one_of(st.integers(0, 0x7F), st.integers(0x80, 0x10FFFF)).map(chr), max_size=6
     ).map("".join),
 )
-STATION_IDS = [spec["station_id"] for spec in ScenarioConfig().stations]
-MAP_ACTIONS = ["start_charging", "stop_charging", "skip_charging", "travel", "idle"]
-position = st.lists(st.floats(), min_size=2, max_size=2)
-
-
-@st.composite
-def engine_lines(draw) -> str:
-    """One behavior.log line in Simulation._emit's layout."""
-    action = draw(st.sampled_from(MAP_ACTIONS))
-    extras = draw(
-        st.dictionaries(
-            tricky_text,
-            st.one_of(tricky_text, st.integers(), st.just({"record": {"action": "travel"}})),
-            max_size=3,
-        )
-    )
-    if action == "travel":
-        extras.update(origin=draw(position), destination=draw(position))
-    elif action == "stop_charging":
-        extras["station"] = draw(position)
-    record = {
-        "action": action,
-        "object_id": draw(st.one_of(st.sampled_from(STATION_IDS), tricky_text)),
-        "quintuple": {"decision": action == "start_charging", "power_kw": draw(st.floats())},
-        "reason": draw(tricky_text),
-        "timestamp": draw(st.integers(0, 10**7)),
-    }
-    agent_id = draw(st.one_of(st.sampled_from(["agent-00", "agent-01"]), tricky_text))
-    # canonical_json sorts the four keys: the engine's agent_id, extras,
-    # fallback, record
-    return canonical_json(
-        {"agent_id": agent_id, "extras": extras, "fallback": draw(st.booleans()), "record": record}
-    )
-
-
-CONFIG_YAML = ScenarioConfig().to_yaml()
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.lists(engine_lines(), max_size=10), st.lists(tricky_text, max_size=3))
-def test_prefix_reader_matches_the_full_parse_oracle(lines, listed_agents):
-    with tempfile.TemporaryDirectory() as tmp:
-        run_dir = Path(tmp)
-        (run_dir / "config.yaml").write_text(CONFIG_YAML, encoding="utf-8")
-        (run_dir / "behavior.log").write_text(
-            "".join(line + "\n" for line in lines), encoding="utf-8"
-        )
-        final_states = {agent_id: {"location": [31.22, 121.41]} for agent_id in listed_agents}
-        (run_dir / "final_states.json").write_text(json.dumps(final_states), encoding="utf-8")
-        assert same_json_tree(build_geojson(run_dir), oracle_exports(run_dir)["geojson"])
 
 
 # numbers the writer must spell as the encoder does

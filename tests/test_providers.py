@@ -473,6 +473,15 @@ VALID_PAYLOAD = {
     "price_per_kwh": 0.62,
     "reason": "cheap and close",
 }
+SKIP_PAYLOAD = {
+    **VALID_PAYLOAD,
+    "decision": False,
+    "station_id": None,
+    "amount_kwh": 0.0,
+    "power_kw": 0.0,
+    "price_per_kwh": 0.0,
+    "reason": "enough charge for the day",
+}
 
 
 class TestDecisionValidation:
@@ -534,6 +543,20 @@ class TestDecisionValidation:
         response = parse_decision_payload({**VALID_PAYLOAD, key: value})
         with pytest.raises(SchemaError, match=f"{key} must be finite and at least 0"):
             validate_decision(response, request.snapshot, make_ev(persona, 30.0))
+
+    @pytest.mark.parametrize("key", ["power_kw", "price_per_kwh"])
+    @pytest.mark.parametrize("value", [float("nan"), "nan", float("inf"), "Infinity"])
+    def test_non_finite_power_and_price_of_a_skip_rejected(self, persona, key, value):
+        # a skip charges nothing, but its quintuple still reaches behavior.log
+        request = make_request(persona, soc_kwh=30.0, stations=[make_station()])
+        response = parse_decision_payload({**SKIP_PAYLOAD, key: value})
+        with pytest.raises(SchemaError, match=f"{key} must be finite and at least 0"):
+            validate_decision(response, request.snapshot, make_ev(persona, 30.0))
+
+    def test_finite_skip_passes_semantic_gate(self, persona):
+        request = make_request(persona, soc_kwh=30.0, stations=[make_station()])
+        response = parse_decision_payload(SKIP_PAYLOAD)
+        validate_decision(response, request.snapshot, make_ev(persona, 30.0))
 
     @pytest.mark.parametrize("key", ["power_kw", "price_per_kwh"])
     def test_zero_power_and_price_pass(self, persona, key):
