@@ -11,7 +11,9 @@ A run keeps millions of these records alive, so every frozen value type in
 the package is declared ``@dataclass(frozen=True, slots=True)``: no
 per-instance ``__dict__``, hence no ad-hoc attributes and no weak
 references. A new one is declared the same way; tests/test_domain.py
-checks that every frozen dataclass has its ``__slots__``.
+checks that every frozen dataclass has its ``__slots__``. A ``GeoPoint`` keeps
+its JSON text, and ``DecisionQuintuple.no_charge`` shares one instance, text
+included, per scenario within a minute, so recurring values are formatted once.
 
 Time is integer minutes since scenario start; currency is CNY per kWh
 with four fractional digits by convention.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as json_string
@@ -33,6 +35,8 @@ CURRENCY_PLACES = 4
 # log line, snapshot digest and to_json. The per-decision records write it
 # straight from their fields, keys spelled out in sorted order, through
 # json_string and json_number: the same bytes, without building a dict first.
+# A str-valued enum member goes to json_string as itself, since its str data
+# is its value.
 _canonical_encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 if c_make_encoder is None:
     canonical_json = _canonical_encoder.encode
@@ -131,16 +135,29 @@ class SimClock:
 
 @dataclass(frozen=True, slots=True)
 class GeoPoint:
-    """A WGS84 coordinate; bounds are validated on construction."""
+    """A WGS84 coordinate; bounds are validated on construction.
+
+    to_json formats the point once and keeps the text in the private _json
+    slot, which takes no part in __init__, ==, hash or repr.
+    """
 
     latitude: float
     longitude: float
+    _json: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not -90.0 <= self.latitude <= 90.0:
             raise ValueError(f"latitude out of [-90, 90]: {self.latitude}")
         if not -180.0 <= self.longitude <= 180.0:
             raise ValueError(f"longitude out of [-180, 180]: {self.longitude}")
+
+    def to_json(self) -> str:
+        """[latitude, longitude] as canonical_json writes it."""
+        text = self._json
+        if text is None:
+            text = f"[{json_number(self.latitude)},{json_number(self.longitude)}]"
+            object.__setattr__(self, "_json", text)
+        return text
 
 
 # ---------------------------------------------------------------------------
@@ -370,20 +387,49 @@ class DecisionQuintuple:
 
     @classmethod
     def no_charge(cls, scenario: ChargeScenario, time_minutes: int) -> "DecisionQuintuple":
-        """The quintuple of every record that charges nothing: no station, all amounts 0."""
-        return cls(False, scenario, time_minutes, None, 0.0, 0.0, 0.0)
+        """The quintuple of every record that charges nothing: no station, all amounts 0.
+
+        Calls with the same scenario object and the same int minute share one
+        instance, whose JSON text is formatted once. Only the latest minute's
+        instances are kept, one per scenario, since sim time never goes back.
+        """
+        global _shared_minute
+        if type(time_minutes) is not int:
+            return cls(False, scenario, time_minutes, None, 0.0, 0.0, 0.0)
+        key = (id(scenario), time_minutes)
+        shared = _shared_no_charge.get(key)
+        if shared is None:
+            shared = cls(False, scenario, time_minutes, None, 0.0, 0.0, 0.0)
+            if time_minutes != _shared_minute:
+                _shared_no_charge.clear()
+                _shared_texts.clear()
+                _shared_minute = time_minutes
+            _shared_texts[id(shared)] = shared.to_json()
+            _shared_no_charge[key] = shared
+        return shared
 
     def to_json(self) -> str:
+        text = _shared_texts.get(id(self))
+        if text is not None:
+            return text
         station_id = self.station_id
         return (
             f'{{"amount_kwh":{json_number(self.amount_kwh)},'
             f'"decision":{"true" if self.decision else "false"},'
             f'"power_kw":{json_number(self.power_kw)},'
             f'"price_per_kwh":{json_number(self.price_per_kwh)},'
-            f'"scenario":{json_string(self.scenario.value)},'
+            f'"scenario":{json_string(self.scenario)},'
             f'"station_id":{"null" if station_id is None else json_string(station_id)},'
             f'"time_minutes":{json_number(self.time_minutes)}}}'
         )
+
+
+# no_charge's instances for _shared_minute, keyed by (id(scenario), minute), and
+# their to_json texts, keyed by id(instance); no cached id is reused, as each
+# instance holds its scenario and the texts are cleared with the instances
+_shared_minute: int | None = None
+_shared_no_charge: dict[tuple[int, int], DecisionQuintuple] = {}
+_shared_texts: dict[int, str] = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -407,7 +453,7 @@ class BehaviorRecord:
 
     def to_json(self) -> str:
         return (
-            f'{{"action":{json_string(self.action.value)},'
+            f'{{"action":{json_string(self.action)},'
             f'"object_id":{json_string(self.object_id)},'
             f'"quintuple":{self.quintuple.to_json()},'
             f'"reason":{json_string(self.reason)},'

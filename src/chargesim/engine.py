@@ -55,6 +55,7 @@ from .domain import (
     ScoredNote,
     SimClock,
     canonical_json,
+    json_number,
     json_string,
     round_currency,
     validate_persona,
@@ -102,7 +103,7 @@ def _push_point(route: array, point: list[float]) -> None:
 
 
 class RunTotals:
-    """The run's accounting, fed each behavior.log entry as the engine writes it.
+    """The run's accounting, fed each travel and stop_charging entry as it is written.
 
     The terms arrive in behavior.log order, so a reader that sums the log in
     file order gets bit-identical floats. Distance comes from travel legs
@@ -260,14 +261,17 @@ class RunArtifacts:
 
 def _leg(
     origin: GeoPoint, destination: GeoPoint, distance_km: float, energy_kwh: float, minutes: int
-) -> dict:
-    """The extras of a travel record: the leg's ends, length, energy and duration."""
-    return {
+) -> tuple[str, dict]:
+    """A travel record's extras as canonical JSON text, and the entries RunTotals sums."""
+    text = (
+        f'{{"destination":{destination.to_json()},"distance_km":{json_number(distance_km)},'
+        f'"energy_kwh":{json_number(energy_kwh)},"origin":{origin.to_json()},'
+        f'"travel_minutes":{json_number(minutes)}}}'
+    )
+    return text, {
+        "distance_km": distance_km,
         "origin": [origin.latitude, origin.longitude],
         "destination": [destination.latitude, destination.longitude],
-        "distance_km": distance_km,
-        "energy_kwh": energy_kwh,
-        "travel_minutes": minutes,
     }
 
 
@@ -438,18 +442,21 @@ class Simulation:
         self,
         agent: AgentRuntime,
         record: BehaviorRecord,
+        extras: str,
         fallback: bool = False,
-        extras: dict | None = None,
         to_memory: bool = False,
+        sums: dict | None = None,
     ) -> None:
-        extras = extras or {}
+        """Write record's behavior.log line, extras being its extras as canonical JSON
+        text, and feed RunTotals sums, the extras entries a travel or stop line adds."""
         # the canonical layout of {"agent_id", "extras", "fallback", "record"}
         self._behavior_fh.write(
-            f'{{"agent_id":{json_string(agent.agent_id)},"extras":{canonical_json(extras)},'
+            f'{{"agent_id":{json_string(agent.agent_id)},"extras":{extras},'
             f'"fallback":{"true" if fallback else "false"},"record":{record.to_json()}}}\n'
         )
         self._behavior_fh.flush()
-        self.totals.add(agent.agent_id, record.action.value, record.quintuple.power_kw, extras)
+        if sums is not None:
+            self.totals.add(agent.agent_id, record.action.value, record.quintuple.power_kw, sums)
         agent.today_records.append(record)
         if to_memory:
             agent.memory.append(record)
@@ -461,12 +468,13 @@ class Simulation:
         action: ActionType,
         object_id: str,
         reason: str,
-        extras: dict,
+        extras: str,
+        sums: dict | None = None,
     ) -> None:
         """Emit a travel or idle record: it charges nothing and stays out of memory."""
         quintuple = DecisionQuintuple.no_charge(agent.persona.habits.preferred_scenario, now)
         record = BehaviorRecord(action, intern(object_id), now, quintuple, intern(reason))
-        self._emit(agent, record, extras=extras)
+        self._emit(agent, record, extras, sums=sums)
 
     # -- plan scheduling --------------------------------------------------------
 
@@ -529,7 +537,7 @@ class Simulation:
             ActionType.TRAVEL,
             f"route-d{day}-{event.start:04d}",
             f"completed planned trip of {distance_km:.1f} km",
-            _leg(origin, event.destination, distance_km, energy_kwh, estimate.travel_minutes),
+            *_leg(origin, event.destination, distance_km, energy_kwh, estimate.travel_minutes),
         )
         agent.busy = False
         self._decision_pipeline(agent, now)
@@ -556,15 +564,17 @@ class Simulation:
             fallback = True
             self.fallback_decisions += 1
 
-        extras = {"perceived_at": snapshot.travel.now, "snapshot_digest": snapshot.digest()}
+        # the extras' keys in sorted order; a hex digest needs no escaping
+        perceived_at = json_number(snapshot.travel.now)
+        digest = snapshot.digest()
         if response.decision:
             station_entry = snapshot.station(response.quintuple.station_id)
-            extras.update(
-                {
-                    "station_distance_km": station_entry.distance_km,
-                    "station_travel_minutes": station_entry.travel_minutes,
-                    "predicted_queue_minutes": station_entry.predicted_queue_minutes,
-                }
+            extras = (
+                f'{{"perceived_at":{perceived_at},'
+                f'"predicted_queue_minutes":{json_number(station_entry.predicted_queue_minutes)},'
+                f'"snapshot_digest":"{digest}",'
+                f'"station_distance_km":{json_number(station_entry.distance_km)},'
+                f'"station_travel_minutes":{json_number(station_entry.travel_minutes)}}}'
             )
             record = BehaviorRecord(
                 action=ActionType.START_CHARGING,
@@ -573,7 +583,7 @@ class Simulation:
                 quintuple=response.quintuple,
                 reason=intern(response.reason),
             )
-            self._emit(agent, record, fallback=fallback, extras=extras, to_memory=True)
+            self._emit(agent, record, extras, fallback=fallback, to_memory=True)
             self.totals.add_charge(agent.agent_id, now, record.object_id, record.reason)
             agent.busy = True
             agent.state.status = EvStatus.DRIVING
@@ -593,7 +603,8 @@ class Simulation:
                 quintuple=response.quintuple,
                 reason=intern(response.reason),
             )
-            self._emit(agent, record, fallback=fallback, extras=extras, to_memory=True)
+            extras = f'{{"perceived_at":{perceived_at},"snapshot_digest":"{digest}"}}'
+            self._emit(agent, record, extras, fallback=fallback, to_memory=True)
             self._advance(agent, now)
 
     def _on_station_arrival(
@@ -635,7 +646,7 @@ class Simulation:
                 ActionType.TRAVEL,
                 f"approach-{station.station_id}",
                 f"arrived at {station.station_id} with a full battery; nothing to deliver",
-                _leg(origin, station.location, distance_km, approach_energy, 0),
+                *_leg(origin, station.location, distance_km, approach_energy, 0),
             )
             agent.busy = False
             agent.state.status = EvStatus.IDLE
@@ -687,22 +698,18 @@ class Simulation:
             ),
             reason=intern(f"delivered {ticket.energy_kwh:.2f} kWh in {duration} min"),
         )
-        self._emit(
-            agent,
-            record,
-            extras={
-                "station": [station.location.latitude, station.location.longitude],
-                "cost": ticket.cost,
-                "energy_kwh": ticket.energy_kwh,
-                "start_wait": ticket.start_wait,
-                "start_charge": ticket.start_charge,
-                "end_charge": ticket.end_charge,
-                "wait_minutes": ticket.start_charge - ticket.start_wait,
-                "approach_distance_km": approach_km,
-                "approach_energy_kwh": approach_kwh,
-            },
-            to_memory=True,
-        )
+        extras = {
+            "station": [station.location.latitude, station.location.longitude],
+            "cost": ticket.cost,
+            "energy_kwh": ticket.energy_kwh,
+            "start_wait": ticket.start_wait,
+            "start_charge": ticket.start_charge,
+            "end_charge": ticket.end_charge,
+            "wait_minutes": ticket.start_charge - ticket.start_wait,
+            "approach_distance_km": approach_km,
+            "approach_energy_kwh": approach_kwh,
+        }
+        self._emit(agent, record, canonical_json(extras), to_memory=True, sums=extras)
         agent.busy = False
         self._advance(agent, now)
 
@@ -712,7 +719,7 @@ class Simulation:
         agent.busy = False
         agent.state.status = EvStatus.IDLE
         extras = {"attempted_distance_km": attempted_km, "soc_kwh": agent.state.soc_kwh}
-        self._emit_no_charge(agent, now, ActionType.IDLE, "", reason, extras)
+        self._emit_no_charge(agent, now, ActionType.IDLE, "", reason, canonical_json(extras))
         today = now // MINUTES_PER_DAY
         agent.pending = deque(entry for entry in agent.pending if entry[0] > today)
 
@@ -744,7 +751,7 @@ class Simulation:
                 agent.state.location = agent.home
                 agent.state.status = EvStatus.IDLE
                 reason = "towed to home point overnight; battery reset to reserve level"
-                extras = {"tow_energy_delta_kwh": delta}
+                extras = canonical_json({"tow_energy_delta_kwh": delta})
                 self._emit_no_charge(agent, now, ActionType.IDLE, "", reason, extras)
                 agent.stranded_today = False
 

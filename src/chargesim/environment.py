@@ -132,6 +132,7 @@ class TariffSchedule:
     """Time-of-use prices; the bands must partition [0, 1440) exactly."""
 
     bands: tuple[TariffBand, ...]
+    _lowest_price: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.bands:
@@ -148,10 +149,11 @@ class TariffSchedule:
         if ordered[-1].end != MINUTES_PER_DAY:
             raise ValueError("tariff bands must end at minute 1440")
         object.__setattr__(self, "bands", tuple(ordered))
+        object.__setattr__(self, "_lowest_price", min(band.price_per_kwh for band in ordered))
 
     def is_off_peak(self, time_of_day: int) -> bool:
         """Off-peak means the current band has the schedule's lowest price."""
-        return price_at(self, time_of_day) == min(band.price_per_kwh for band in self.bands)
+        return price_at(self, time_of_day) == self._lowest_price
 
 
 def price_at(tariff: TariffSchedule, time_of_day: int) -> float:

@@ -79,22 +79,17 @@ class TravelPerception:
     def to_json(self) -> str:
         next_start = self.next_event_start
         next_start_json = "null" if next_start is None else json_number(next_start)
+        destination = self.next_destination
         return (
             f'{{"energy":{{"soc_fraction":{json_number(self.soc_fraction)},'
             f'"soc_kwh":{json_number(self.soc_kwh)}}},'
             f'"scenario":{{"congestion_multiplier":{json_number(self.congestion_multiplier)}}},'
             f'"space":{{"distance_to_next_km":{json_number(self.distance_to_next_km)},'
-            f'"location":{_point_json(self.location)},'
-            f'"next_destination":{_point_json(self.next_destination)}}},'
+            f'"location":{self.location.to_json()},'
+            f'"next_destination":{"null" if destination is None else destination.to_json()}}},'
             f'"time":{{"next_event_start":{next_start_json},'
             f'"now":{json_number(self.now)}}}}}'
         )
-
-
-def _point_json(point: GeoPoint | None) -> str:
-    if point is None:
-        return "null"
-    return f"[{json_number(point.latitude)},{json_number(point.longitude)}]"
 
 
 @dataclass(frozen=True, slots=True)

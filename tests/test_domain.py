@@ -18,6 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import chargesim
+from chargesim.config import ScenarioConfig
 from chargesim.domain import (
     ActionType,
     BehaviorRecord,
@@ -41,6 +42,7 @@ from chargesim.domain import (
     canonical_json,
     validate_persona,
 )
+from chargesim.engine import run
 from chargesim.perception import PerceptionSnapshot, StationPerception, TravelPerception
 from chargesim.providers.base import DecisionResponse
 from oracles import (
@@ -89,6 +91,49 @@ class TestGeoPoint:
     def test_out_of_range_rejected(self, lat, lon):
         with pytest.raises(ValueError):
             GeoPoint(lat, lon)
+
+
+class TestPointText:
+    """GeoPoint.to_json keeps its text in a private slot that no comparison,
+    hash, repr, copy or replace can tell apart from an unformatted point."""
+
+    @given(
+        st.one_of(
+            st.floats(min_value=-90, max_value=90),
+            st.sampled_from([-0.0, 90.0, -90.0, 5e-324, -5e-324, 1e-310, 0, -90, 45]),
+        ),
+        st.one_of(
+            st.floats(min_value=-180, max_value=180),
+            st.sampled_from([-0.0, 180.0, -180.0, 5e-324, -2.2e-308, 0, 180]),
+        ),
+    )
+    @example(-0.0, -0.0)
+    @example(90.0, 180.0)
+    @example(-90.0, -180.0)
+    @example(5e-324, -5e-324)
+    def test_text_is_the_canonical_pair(self, lat, lon):
+        point = GeoPoint(lat, lon)
+        assert point.to_json() == canonical_json([lat, lon])
+        assert point.to_json() is point.to_json()  # formatted once
+
+    def test_the_text_changes_no_identity(self):
+        plain = GeoPoint(-0.0, 5e-324)
+        formatted = GeoPoint(-0.0, 5e-324)
+        assert formatted.to_json() == "[-0.0,5e-324]"
+        assert plain == formatted and hash(plain) == hash(formatted)
+        assert repr(plain) == repr(formatted) == "GeoPoint(latitude=-0.0, longitude=5e-324)"
+        for twin in (
+            replace(formatted),
+            pickle.loads(pickle.dumps(formatted)),
+            pickle.loads(pickle.dumps(plain)),
+            copy.deepcopy(formatted),
+        ):
+            assert twin == formatted and hash(twin) == hash(formatted)
+            assert repr(twin) == repr(formatted)
+            assert twin.to_json() == "[-0.0,5e-324]"
+        assert replace(formatted, latitude=1.5).to_json() == "[1.5,5e-324]"
+        with pytest.raises(TypeError):
+            GeoPoint(0.0, 0.0, "[9,9]")  # type: ignore[call-arg]
 
 
 class TestValidatePersona:
@@ -175,6 +220,68 @@ class TestDecisionQuintuple:
     def test_negative_amount_rejected(self):
         with pytest.raises(ValueError):
             DecisionQuintuple(True, ChargeScenario.PUBLIC, 0, "st-01", -1.0, 10.0, 0.5)
+
+
+class TestSharedNoChargeQuintuples:
+    """no_charge shares one instance per scenario within the latest int minute."""
+
+    def test_same_scenario_and_minute_give_the_same_object(self):
+        first = DecisionQuintuple.no_charge(ChargeScenario.HOME, 10_001)
+        assert DecisionQuintuple.no_charge(ChargeScenario.HOME, 10_001) is first
+        work = DecisionQuintuple.no_charge(ChargeScenario.WORK, 10_001)
+        assert work is not first and work.scenario is ChargeScenario.WORK
+        assert DecisionQuintuple.no_charge(ChargeScenario.HOME, 10_001) is first
+
+    def test_a_new_minute_gives_a_fresh_instance(self):
+        first = DecisionQuintuple.no_charge(ChargeScenario.HOME, 10_001)
+        later = DecisionQuintuple.no_charge(ChargeScenario.HOME, 10_002)
+        assert later is not first and later.time_minutes == 10_002
+        again = DecisionQuintuple.no_charge(ChargeScenario.HOME, 10_001)
+        assert again == first and again is not first  # only the latest minute is kept
+
+    def test_an_int_minute_is_never_conflated_with_another_type(self):
+        shared = DecisionQuintuple.no_charge(ChargeScenario.PUBLIC, 5)
+        as_float = DecisionQuintuple.no_charge(ChargeScenario.PUBLIC, 5.0)
+        assert as_float == shared and as_float is not shared
+        assert type(as_float.time_minutes) is float
+        assert as_float.to_json() == canonical_json(oracle_quintuple_dict(as_float))
+        assert '"time_minutes":5.0' in as_float.to_json()
+        assert DecisionQuintuple.no_charge(ChargeScenario.PUBLIC, 5) is shared
+        one = DecisionQuintuple.no_charge(ChargeScenario.PUBLIC, 1)
+        assert DecisionQuintuple.no_charge(ChargeScenario.PUBLIC, True) is not one
+
+    @given(st.sampled_from(ChargeScenario), st.integers(min_value=0, max_value=2**63))
+    def test_shared_and_unshared_write_the_same_text(self, scenario, minute):
+        shared = DecisionQuintuple.no_charge(scenario, minute)
+        unshared = DecisionQuintuple(False, scenario, minute, None, 0.0, 0.0, 0.0)
+        assert unshared == shared and unshared is not shared
+        assert shared.to_json() == unshared.to_json()
+        assert shared.to_json() == canonical_json(oracle_quintuple_dict(unshared))
+
+    def test_an_equal_quintuple_writes_its_own_fields(self):
+        shared = DecisionQuintuple.no_charge(ChargeScenario.PUBLIC, 7)
+        negative_zero = DecisionQuintuple(False, ChargeScenario.PUBLIC, 7, None, -0.0, 0.0, 0.0)
+        assert negative_zero == shared
+        assert negative_zero.to_json() == canonical_json(oracle_quintuple_dict(negative_zero))
+        assert '"amount_kwh":-0.0' in negative_zero.to_json()
+        assert '"amount_kwh":0.0' in shared.to_json()
+
+    def test_runs_in_one_process_give_identical_digests(self, tmp_path):
+        """The shared instances live at module level; a run of another config
+        between two runs of one config changes neither's bytes."""
+        config = ScenarioConfig()
+        config.num_agents = 3
+        config.horizon_days = 2
+        other = ScenarioConfig()
+        other.num_agents = 2
+        other.horizon_days = 3
+        other.seed = 7
+        other.initial_soc_kwh = 5.0
+        first = run(config, tmp_path / "first")
+        run(other, tmp_path / "other")
+        second = run(config, tmp_path / "second")
+        assert second.behavior_digest == first.behavior_digest
+        assert second.reflections_digest == first.reflections_digest
 
 
 # text the JSON escaper must handle: quotes, backslashes, control characters,

@@ -374,7 +374,9 @@ class FullBatteryChargeProvider(MockProvider):
         return DecisionResponse(quintuple=quintuple, reason="top up a full battery")
 
 
-def test_full_battery_arrival_logs_the_approach_as_travel(tmp_path):
+def full_battery_approach() -> tuple[ScenarioConfig, FullBatteryChargeProvider]:
+    """One agent on a full 40 kWh battery, a station at its home and the
+    provider that sends it there: the run logs an approach travel line."""
     config = small_config(num_agents=1, horizon_days=1, initial_soc_kwh=40.0)
     config.persona_template = {**config.persona_template, "battery_capacity_choices": [40.0]}
     home = _home(config.effective_plan_template())
@@ -382,7 +384,12 @@ def test_full_battery_arrival_logs_the_approach_as_travel(tmp_path):
         {"station_id": "st-home", "latitude": home.latitude, "longitude": home.longitude,
          "pile_count": 1, "pile_power_kw": 60.0, "tariff_id": "shanghai-tou"},
     ]
-    provider = FullBatteryChargeProvider(plan_template=config.effective_plan_template())
+    return config, FullBatteryChargeProvider(plan_template=config.effective_plan_template())
+
+
+def test_full_battery_arrival_logs_the_approach_as_travel(tmp_path):
+    config, provider = full_battery_approach()
+    home = _home(config.effective_plan_template())
     artifacts = run(config, tmp_path / "run", provider=provider)
 
     entries = read_entries(artifacts.behavior_log)

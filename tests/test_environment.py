@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,19 @@ class TestPriceAt:
     def test_off_peak_is_cheapest_band(self, two_band_tariff):
         assert two_band_tariff.is_off_peak(100)
         assert not two_band_tariff.is_off_peak(1000)
+
+    def test_lowest_price_follows_the_bands(self, two_band_tariff):
+        """The lowest price is computed once, at construction; a replaced or
+        unpickled schedule carries its own bands' lowest."""
+        swapped = replace(
+            two_band_tariff, bands=(TariffBand(720, 1440, 0.5), TariffBand(0, 720, 1.0))
+        )
+        assert not swapped.is_off_peak(100) and swapped.is_off_peak(1000)
+        assert swapped != two_band_tariff
+        twin = pickle.loads(pickle.dumps(two_band_tariff))
+        assert twin == two_band_tariff and hash(twin) == hash(two_band_tariff)
+        assert twin.is_off_peak(100) and not twin.is_off_peak(1000)
+        assert repr(twin) == repr(two_band_tariff) and "_lowest_price" not in repr(twin)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])

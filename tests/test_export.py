@@ -14,13 +14,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chargesim.config import ScenarioConfig
+from chargesim.domain import canonical_json
 from chargesim.engine import RunTotals, Simulation, build_summary, run
 from chargesim.export import _geojson_text, export_csv, export_geojson, export_html
 from chargesim.providers import DecisionResponse, MockProvider
 from faults import FaultInjectingProvider
 from geojson_schema import validate_geojson
 from oracles import oracle_exports, read_log, same_json_tree
-from test_engine import charge_and_strand_config, overnight_charge_config, stranding_config
+from test_engine import (
+    charge_and_strand_config,
+    full_battery_approach,
+    overnight_charge_config,
+    stranding_config,
+)
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +352,23 @@ def test_maps_of_an_engine_run_match_the_full_parse_oracle(config):
     with tempfile.TemporaryDirectory() as tmp:
         artifacts = run(config, Path(tmp) / "run")
         _maps_match_the_oracle(artifacts.run_dir)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_configs(), st.none())
+@example(stranding_config(), None)
+@example(overnight_charge_config(), None)
+@example(charge_and_strand_config(), None)
+@example(*full_battery_approach())
+def test_every_log_line_is_canonical_json(config, provider):
+    """The engine writes its hot lines' extras by hand; every line of both
+    logs must still be the canonical layout of what it parses to. The
+    examples reach the strand, tow and full-battery approach lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        artifacts = run(config, Path(tmp) / "run", provider=provider)
+        for path in (artifacts.behavior_log, artifacts.reflections_log):
+            for line in path.read_text(encoding="utf-8").splitlines():
+                assert line == canonical_json(json.loads(line))
 
 
 class MarkupReasonProvider(MockProvider):
