@@ -119,10 +119,9 @@ class ScenarioConfig:
             tariff_id: TariffSchedule(
                 tuple(
                     TariffBand(
-                        start=int(b["start"]),
-                        end=int(b["end"]),
-                        price_per_kwh=float(b["price_per_kwh"]),
-                        label=str(b.get("label", "")),
+                        start=_num(b, "start", int),
+                        end=_num(b, "end", int),
+                        price_per_kwh=_num(b, "price_per_kwh", float),
                     )
                     for b in bands
                 )
@@ -135,9 +134,9 @@ class ScenarioConfig:
         for spec in self.stations:
             station = ChargingStation(
                 station_id=str(spec["station_id"]),
-                location=GeoPoint(float(spec["latitude"]), float(spec["longitude"])),
-                pile_count=int(spec["pile_count"]),
-                pile_power_kw=float(spec["pile_power_kw"]),
+                location=GeoPoint(_num(spec, "latitude", float), _num(spec, "longitude", float)),
+                pile_count=_num(spec, "pile_count", int),
+                pile_power_kw=_num(spec, "pile_power_kw", float),
                 tariff_id=str(spec["tariff_id"]),
             )
             stations[station.station_id] = station
@@ -146,7 +145,7 @@ class ScenarioConfig:
     def build_congestion(self) -> CongestionSchedule:
         return CongestionSchedule(
             tuple(
-                SpeedBand(int(b["start"]), int(b["end"]), float(b["multiplier"]))
+                SpeedBand(_num(b, "start", int), _num(b, "end", int), _num(b, "multiplier", float))
                 for b in self.congestion_bands
             )
         )
@@ -216,7 +215,7 @@ class ScenarioConfig:
         tariffs: dict[str, TariffSchedule] = {}
         try:
             tariffs = self.build_tariffs()
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             problems.append(f"tariffs invalid: {exc}")
         try:
             stations = self.build_stations()
@@ -228,11 +227,11 @@ class ScenarioConfig:
                         f"station {station.station_id} references unknown tariff "
                         f"{station.tariff_id!r}"
                     )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             problems.append(f"stations invalid: {exc}")
         try:
             self.build_congestion()
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             problems.append(f"congestion_bands invalid: {exc}")
         return problems
 
@@ -263,6 +262,15 @@ def _type_problems(prefix: str, values: dict, specs) -> list[str]:
         elif isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[types[key]]):
             problems.append(f"{prefix}{key} must be of type {types[key]}, got {value!r}")
     return problems
+
+
+def _num(spec: dict, key: str, kind: type) -> int | float:
+    """spec[key] as kind, int or float, by _type_problems' rule: a string or a
+    bool is neither, a float is no int, and an int passes as a float."""
+    value = spec[key]
+    if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind.__name__]):
+        raise TypeError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def load_config(path: Path | str) -> ScenarioConfig:

@@ -360,6 +360,7 @@ class DecisionQuintuple:
     """The labeled bundle of decision outputs attached to every record.
 
     Named "quintuple" by convention even though it carries seven fields.
+    A quintuple shared by no_charge keeps its JSON text in the private _json slot.
     """
 
     decision: bool
@@ -369,8 +370,11 @@ class DecisionQuintuple:
     amount_kwh: float
     power_kw: float
     price_per_kwh: float
+    _json: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.time_minutes, int) or isinstance(self.time_minutes, bool):
+            raise ValueError(f"time_minutes must be an integer, got {self.time_minutes!r}")
         if self.time_minutes < 0:
             raise ValueError(f"time_minutes must be >= 0, got {self.time_minutes}")
         if self.amount_kwh < 0.0:
@@ -389,29 +393,23 @@ class DecisionQuintuple:
     def no_charge(cls, scenario: ChargeScenario, time_minutes: int) -> "DecisionQuintuple":
         """The quintuple of every record that charges nothing: no station, all amounts 0.
 
-        Calls with the same scenario object and the same int minute share one
-        instance, whose JSON text is formatted once. Only the latest minute's
-        instances are kept, one per scenario, since sim time never goes back.
+        Calls with the same scenario object and the same minute share one
+        instance, whose JSON text is formatted once. Each scenario's latest
+        instance is kept, and its text only until another minute replaces it.
         """
-        global _shared_minute
-        if type(time_minutes) is not int:
-            return cls(False, scenario, time_minutes, None, 0.0, 0.0, 0.0)
-        key = (id(scenario), time_minutes)
-        shared = _shared_no_charge.get(key)
-        if shared is None:
-            shared = cls(False, scenario, time_minutes, None, 0.0, 0.0, 0.0)
-            if time_minutes != _shared_minute:
-                _shared_no_charge.clear()
-                _shared_texts.clear()
-                _shared_minute = time_minutes
-            _shared_texts[id(shared)] = shared.to_json()
-            _shared_no_charge[key] = shared
+        shared = _shared_no_charge.get(id(scenario))
+        if shared is None or shared.time_minutes != time_minutes or type(time_minutes) is not int:
+            # an equal minute that is not an int (5.0 == 5) goes to the constructor, which rejects it
+            latest = cls(False, scenario, time_minutes, None, 0.0, 0.0, 0.0)
+            if shared is not None:  # its records keep the quintuple, not its text
+                object.__setattr__(shared, "_json", None)
+            object.__setattr__(latest, "_json", latest.to_json())
+            _shared_no_charge[id(scenario)] = shared = latest
         return shared
 
     def to_json(self) -> str:
-        text = _shared_texts.get(id(self))
-        if text is not None:
-            return text
+        if self._json is not None:
+            return self._json
         station_id = self.station_id
         return (
             f'{{"amount_kwh":{json_number(self.amount_kwh)},'
@@ -424,12 +422,9 @@ class DecisionQuintuple:
         )
 
 
-# no_charge's instances for _shared_minute, keyed by (id(scenario), minute), and
-# their to_json texts, keyed by id(instance); no cached id is reused, as each
-# instance holds its scenario and the texts are cleared with the instances
-_shared_minute: int | None = None
-_shared_no_charge: dict[tuple[int, int], DecisionQuintuple] = {}
-_shared_texts: dict[int, str] = {}
+# no_charge's latest instance per scenario, keyed by id(scenario); no cached id
+# is reused, as each instance holds its scenario
+_shared_no_charge: dict[int, DecisionQuintuple] = {}
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,12 +18,12 @@ byte-identical logs under the mock provider. Provider responses are
 validated before they can touch the environment; invalid ones are replaced
 by the rule-based baseline and the resulting records carry fallback=true.
 
-The engine also owns the run's accounting: RunTotals sums each log entry as
-it is written, build_summary turns the sums into summary.json (which
-export_csv renders as summary.csv), and final_states.json takes each agent's
-km and cost from the same sums. RunTotals also traces what the maps draw,
-each agent's waypoints and charge decisions, and writes it to routes.json,
-which the map exporters render without reading behavior.log.
+The engine also owns the run's accounting: RunTotals sums the values each
+handler has just logged, build_summary turns the sums into summary.json
+(which export_csv renders as summary.csv), and final_states.json takes each
+agent's km and cost from the same sums. RunTotals also traces what the maps
+draw, each agent's waypoints and charge decisions, and writes it to
+routes.json, which the map exporters render without reading behavior.log.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from .environment import (
     ChargingStation,
     Environment,
     EvState,
-    EvStatus,
     StrandedError,
     ZeroChargeError,
     begin_charge,
@@ -94,22 +93,22 @@ def _zero_bucket() -> dict:
     return {"total_km": 0.0, "total_kwh_charged": 0.0, "total_cost": 0.0, "charge_count": 0}
 
 
-def _push_point(route: array, point: list[float]) -> None:
-    """Append a [lat, lon] point as lon, lat unless it repeats the last waypoint."""
-    lat, lon = point
+def _push_point(route: array, point: GeoPoint) -> None:
+    """Append point as lon, lat unless it repeats the last waypoint."""
+    lat, lon = point.latitude, point.longitude
     if not route or route[-2] != lon or route[-1] != lat:
         route.append(lon)
         route.append(lat)
 
 
 class RunTotals:
-    """The run's accounting, fed each travel and stop_charging entry as it is written.
+    """The run's accounting, fed each travel leg and completed charge as it is logged.
 
     The terms arrive in behavior.log order, so a reader that sums the log in
     file order gets bit-identical floats. Distance comes from travel legs
     plus charging detours; energy, cost, charge counts and the hourly load
-    come from completed charges (stop_charging entries). summary.json and
-    final_states.json's km_total and cost_total are read from these sums.
+    come from completed charges. summary.json and final_states.json's
+    km_total and cost_total are read from these sums.
 
     The same feed traces each agent's route, a flat array of lon, lat
     pairs: a travel leg's origin and destination, then a completed charge's
@@ -126,21 +125,26 @@ class RunTotals:
         self.routes: defaultdict[str, array] = defaultdict(partial(array, "d"))
         self.charges: defaultdict[str, list[tuple]] = defaultdict(list)
 
-    def add(self, agent_id: str, action: str, power_kw: float, extras: dict) -> None:
-        """Sum one behavior.log entry: its agent, record action, quintuple power and extras."""
-        if action == "travel":
-            self._bucket(agent_id)["total_km"] += extras["distance_km"]
-            route = self.routes[agent_id]
-            _push_point(route, extras["origin"])
-            _push_point(route, extras["destination"])
-        elif action == "stop_charging":
-            bucket = self._bucket(agent_id)
-            bucket["total_km"] += extras["approach_distance_km"]
-            bucket["total_kwh_charged"] += extras["energy_kwh"]
-            bucket["total_cost"] += extras["cost"]
-            bucket["charge_count"] += 1
-            self._add_load(extras["start_charge"], extras["end_charge"], power_kw)
-            _push_point(self.routes[agent_id], extras["station"])
+    def add_travel(
+        self, agent_id: str, origin: GeoPoint, destination: GeoPoint, distance_km: float
+    ) -> None:
+        """Sum one travel leg: its distance, and its ends as waypoints."""
+        self._bucket(agent_id)["total_km"] += distance_km
+        route = self.routes[agent_id]
+        _push_point(route, origin)
+        _push_point(route, destination)
+
+    def add_stop(
+        self, agent_id: str, station: GeoPoint, ticket: ChargeTicket, approach_km: float
+    ) -> None:
+        """Sum one completed charge: approach distance, ticket and the station as a waypoint."""
+        bucket = self._bucket(agent_id)
+        bucket["total_km"] += approach_km
+        bucket["total_kwh_charged"] += ticket.energy_kwh
+        bucket["total_cost"] += ticket.cost
+        bucket["charge_count"] += 1
+        self._add_load(ticket.start_charge, ticket.end_charge, ticket.power_kw)
+        _push_point(self.routes[agent_id], station)
 
     def add_charge(self, agent_id: str, timestamp: int, station_id: str, reason: str) -> None:
         """Keep one start_charging decision: its record's timestamp, object_id and reason."""
@@ -160,10 +164,8 @@ class RunTotals:
             )
         fh.write("}")
 
-    def add_reflection(self, entry: dict) -> None:
-        self.satisfaction.setdefault(entry["agent_id"], []).append(
-            entry["report"]["satisfaction"]["score"]
-        )
+    def add_reflection(self, agent_id: str, satisfaction: float) -> None:
+        self.satisfaction.setdefault(agent_id, []).append(satisfaction)
 
     def _bucket(self, agent_id: str) -> dict:
         return self.agents.setdefault(agent_id, _zero_bucket())
@@ -228,7 +230,6 @@ class AgentRuntime:
     busy: bool = False  # a trip or charging chain is in flight
     stranded_today: bool = False
     strand_count: int = 0
-    initial_soc_kwh: float = 0.0
     consumed_kwh: float = 0.0
     charged_kwh: float = 0.0
     tow_delta_kwh: float = 0.0
@@ -261,18 +262,13 @@ class RunArtifacts:
 
 def _leg(
     origin: GeoPoint, destination: GeoPoint, distance_km: float, energy_kwh: float, minutes: int
-) -> tuple[str, dict]:
-    """A travel record's extras as canonical JSON text, and the entries RunTotals sums."""
-    text = (
+) -> str:
+    """A travel record's extras as canonical JSON text."""
+    return (
         f'{{"destination":{destination.to_json()},"distance_km":{json_number(distance_km)},'
         f'"energy_kwh":{json_number(energy_kwh)},"origin":{origin.to_json()},'
         f'"travel_minutes":{json_number(minutes)}}}'
     )
-    return text, {
-        "distance_km": distance_km,
-        "origin": [origin.latitude, origin.longitude],
-        "destination": [destination.latitude, destination.longitude],
-    }
 
 
 def _fallback_reflection(day_index: int) -> ReflectionReport:
@@ -319,10 +315,8 @@ class Simulation:
         self.queue: list[tuple] = []  # heap of (time, push sequence, handler, args)
         self._sequence = count()
         self.now = 0
-        self.fallback_decisions = 0
-        self.fallback_plans = 0
-        self.fallback_personas = 0
-        self.fallback_reflections = 0
+        # what each provider call fell back on, keyed as summary.json names it
+        self.fallbacks = {"decisions": 0, "plans": 0, "personas": 0, "reflections": 0}
 
         (self.run_dir / "config.yaml").write_text(config.to_yaml(), encoding="utf-8")
         self.behavior_log_path = self.run_dir / "behavior.log"
@@ -355,7 +349,6 @@ class Simulation:
                     agent_id=agent_id,
                     location=home,
                     soc_kwh=float(config.initial_soc_kwh),
-                    status=EvStatus.IDLE,
                     capacity_kwh=persona.vehicle.battery_capacity_kwh,
                     max_charge_power_kw=persona.vehicle.max_charge_power_kw,
                 )
@@ -365,7 +358,6 @@ class Simulation:
                     state=state,
                     memory=MemoryStore(),
                     home=home,
-                    initial_soc_kwh=float(config.initial_soc_kwh),
                 )
 
             personas = {aid: agent.persona.to_dict() for aid, agent in self.agents.items()}
@@ -392,7 +384,7 @@ class Simulation:
                 raise SchemaError(f"invalid persona: {violations}")
         except (SchemaError, ProviderError):
             persona = self._mock.generate_persona(seed, self.config.persona_template)
-            self.fallback_personas += 1
+            self.fallbacks["personas"] += 1
         return replace(persona, id=agent_id)
 
     def _agents_in_order(self) -> list[AgentRuntime]:
@@ -445,18 +437,14 @@ class Simulation:
         extras: str,
         fallback: bool = False,
         to_memory: bool = False,
-        sums: dict | None = None,
     ) -> None:
-        """Write record's behavior.log line, extras being its extras as canonical JSON
-        text, and feed RunTotals sums, the extras entries a travel or stop line adds."""
+        """Write record's behavior.log line, extras being its extras as canonical JSON text."""
         # the canonical layout of {"agent_id", "extras", "fallback", "record"}
         self._behavior_fh.write(
             f'{{"agent_id":{json_string(agent.agent_id)},"extras":{extras},'
             f'"fallback":{"true" if fallback else "false"},"record":{record.to_json()}}}\n'
         )
         self._behavior_fh.flush()
-        if sums is not None:
-            self.totals.add(agent.agent_id, record.action.value, record.quintuple.power_kw, sums)
         agent.today_records.append(record)
         if to_memory:
             agent.memory.append(record)
@@ -469,12 +457,11 @@ class Simulation:
         object_id: str,
         reason: str,
         extras: str,
-        sums: dict | None = None,
     ) -> None:
         """Emit a travel or idle record: it charges nothing and stays out of memory."""
         quintuple = DecisionQuintuple.no_charge(agent.persona.habits.preferred_scenario, now)
         record = BehaviorRecord(action, intern(object_id), now, quintuple, intern(reason))
-        self._emit(agent, record, extras, sums=sums)
+        self._emit(agent, record, extras)
 
     # -- plan scheduling --------------------------------------------------------
 
@@ -488,7 +475,7 @@ class Simulation:
                     )
             except (SchemaError, ProviderError):
                 plan = self._mock.plan_day(agent.persona, day_index, self.config.seed)
-                self.fallback_plans += 1
+                self.fallbacks["plans"] += 1
             agent.plan = plan
             agent.pending.extend((day_index, event) for event in plan.events)
 
@@ -507,7 +494,6 @@ class Simulation:
         origin = agent.state.location
         multiplier = self.env.congestion.multiplier_at(now % MINUTES_PER_DAY)
         estimate = self.env.router.route(origin, event.destination, multiplier)
-        agent.state.status = EvStatus.DRIVING
         self._push(
             now + estimate.travel_minutes, self._on_trip_end, agent, day, event, origin, estimate
         )
@@ -530,15 +516,15 @@ class Simulation:
             return
         agent.consumed_kwh += energy_kwh
         agent.state.location = event.destination
-        agent.state.status = EvStatus.IDLE
         self._emit_no_charge(
             agent,
             now,
             ActionType.TRAVEL,
             f"route-d{day}-{event.start:04d}",
             f"completed planned trip of {distance_km:.1f} km",
-            *_leg(origin, event.destination, distance_km, energy_kwh, estimate.travel_minutes),
+            _leg(origin, event.destination, distance_km, energy_kwh, estimate.travel_minutes),
         )
+        self.totals.add_travel(agent.agent_id, origin, event.destination, distance_km)
         agent.busy = False
         self._decision_pipeline(agent, now)
 
@@ -562,7 +548,7 @@ class Simulation:
             response = baseline_decision(request, self.weights)
             validate_decision(response, snapshot, agent.state)
             fallback = True
-            self.fallback_decisions += 1
+            self.fallbacks["decisions"] += 1
 
         # the extras' keys in sorted order; a hex digest needs no escaping
         perceived_at = json_number(snapshot.travel.now)
@@ -586,7 +572,6 @@ class Simulation:
             self._emit(agent, record, extras, fallback=fallback, to_memory=True)
             self.totals.add_charge(agent.agent_id, now, record.object_id, record.reason)
             agent.busy = True
-            agent.state.status = EvStatus.DRIVING
             self._push(
                 now + station_entry.travel_minutes,
                 self._on_station_arrival,
@@ -626,7 +611,6 @@ class Simulation:
             return
         agent.consumed_kwh += approach_energy
         agent.state.location = station.location
-        agent.state.status = EvStatus.QUEUED
         try:
             ticket = begin_charge(
                 station,
@@ -646,10 +630,10 @@ class Simulation:
                 ActionType.TRAVEL,
                 f"approach-{station.station_id}",
                 f"arrived at {station.station_id} with a full battery; nothing to deliver",
-                *_leg(origin, station.location, distance_km, approach_energy, 0),
+                _leg(origin, station.location, distance_km, approach_energy, 0),
             )
+            self.totals.add_travel(agent.agent_id, origin, station.location, distance_km)
             agent.busy = False
-            agent.state.status = EvStatus.IDLE
             self._advance(agent, now)
             return
         self._push(
@@ -680,7 +664,6 @@ class Simulation:
             new_soc = agent.state.capacity_kwh
         agent.charged_kwh += new_soc - agent.state.soc_kwh
         agent.state.set_soc(new_soc)
-        agent.state.status = EvStatus.IDLE
         duration = ticket.end_charge - ticket.start_charge
         effective_price = round_currency(ticket.cost / ticket.energy_kwh) if ticket.energy_kwh else 0.0
         record = BehaviorRecord(
@@ -709,7 +692,8 @@ class Simulation:
             "approach_distance_km": approach_km,
             "approach_energy_kwh": approach_kwh,
         }
-        self._emit(agent, record, canonical_json(extras), to_memory=True, sums=extras)
+        self._emit(agent, record, canonical_json(extras), to_memory=True)
+        self.totals.add_stop(agent.agent_id, station.location, ticket, approach_km)
         agent.busy = False
         self._advance(agent, now)
 
@@ -717,7 +701,6 @@ class Simulation:
         agent.strand_count += 1
         agent.stranded_today = True
         agent.busy = False
-        agent.state.status = EvStatus.IDLE
         extras = {"attempted_distance_km": attempted_km, "soc_kwh": agent.state.soc_kwh}
         self._emit_no_charge(agent, now, ActionType.IDLE, "", reason, canonical_json(extras))
         today = now // MINUTES_PER_DAY
@@ -736,12 +719,12 @@ class Simulation:
                     )
             except (SchemaError, ProviderError, ValueError):
                 report = _fallback_reflection(completed)
-                self.fallback_reflections += 1
+                self.fallbacks["reflections"] += 1
             agent.memory.append_reflection(report)
             entry = {"agent_id": agent.agent_id, "timestamp": now, "report": report.to_dict()}
             self._reflections_fh.write(canonical_json(entry) + "\n")
             self._reflections_fh.flush()
-            self.totals.add_reflection(entry)
+            self.totals.add_reflection(agent.agent_id, report.satisfaction.score)
 
             if agent.stranded_today:
                 reserve = TOW_RESERVE_FRACTION * agent.state.capacity_kwh
@@ -749,7 +732,6 @@ class Simulation:
                 agent.tow_delta_kwh += delta
                 agent.state.set_soc(reserve)
                 agent.state.location = agent.home
-                agent.state.status = EvStatus.IDLE
                 reason = "towed to home point overnight; battery reset to reserve level"
                 extras = canonical_json({"tow_energy_delta_kwh": delta})
                 self._emit_no_charge(agent, now, ActionType.IDLE, "", reason, extras)
@@ -786,10 +768,12 @@ class Simulation:
             bucket = self.totals.agents.get(agent.agent_id) or _zero_bucket()
             final_states[agent.agent_id] = {
                 "location": [agent.state.location.latitude, agent.state.location.longitude],
-                "status": agent.state.status.value,
+                # every trip, charge, strand and tow chain has ended once run()
+                # drains the queue, so each vehicle is idle; the key keeps the layout
+                "status": "idle",
                 "soc_kwh": agent.state.soc_kwh,
                 "capacity_kwh": agent.state.capacity_kwh,
-                "initial_soc_kwh": agent.initial_soc_kwh,
+                "initial_soc_kwh": float(self.config.initial_soc_kwh),
                 "consumed_kwh": agent.consumed_kwh,
                 "charged_kwh": agent.charged_kwh,
                 "tow_delta_kwh": agent.tow_delta_kwh,
@@ -798,12 +782,7 @@ class Simulation:
                 "strand_count": agent.strand_count,
             }
         summary = build_summary(self.totals, final_states, horizon_days=self.config.horizon_days)
-        summary["fallbacks"] = {
-            "decisions": self.fallback_decisions,
-            "plans": self.fallback_plans,
-            "personas": self.fallback_personas,
-            "reflections": self.fallback_reflections,
-        }
+        summary["fallbacks"] = self.fallbacks
         self._write_json("summary.json", summary)
         self._write_json("final_states.json", final_states)
         with (self.run_dir / "routes.json").open("w", encoding="utf-8") as fh:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .domain import MINUTES_PER_DAY, GeoPoint, SimClock
 from .georoute import OfflineRouter
@@ -40,29 +39,22 @@ class ZeroChargeError(Exception):
     """Raised when a charge is requested for an already-full battery."""
 
 
-class EvStatus(str, Enum):
-    IDLE = "idle"
-    DRIVING = "driving"
-    QUEUED = "queued"  # at a station, waiting or charging until the charge ends
-
-
 class EvState:
     """Battery and position of one vehicle, updated in place by the engine.
 
     Carries its own capacity and charging limit (copied from the owning
     persona) so the SoC invariant is checkable without a persona lookup.
     soc_kwh is read-only and changes only through set_soc(), which keeps it
-    in [0, capacity]; location and status are assigned directly.
+    in [0, capacity]; location is assigned directly.
     """
 
-    __slots__ = ("agent_id", "location", "status", "capacity_kwh", "max_charge_power_kw", "_soc")
+    __slots__ = ("agent_id", "location", "capacity_kwh", "max_charge_power_kw", "_soc")
 
     def __init__(
         self,
         agent_id: str,
         location: GeoPoint,
         soc_kwh: float,
-        status: EvStatus,
         capacity_kwh: float,
         max_charge_power_kw: float,
     ) -> None:
@@ -70,7 +62,6 @@ class EvState:
             raise ValueError("capacity_kwh and max_charge_power_kw must be > 0")
         self.agent_id = agent_id
         self.location = location
-        self.status = status
         self.capacity_kwh = capacity_kwh
         self.max_charge_power_kw = max_charge_power_kw
         self.set_soc(soc_kwh)
@@ -118,7 +109,6 @@ class TariffBand:
     start: int  # time-of-day minutes, inclusive
     end: int  # exclusive
     price_per_kwh: float
-    label: str = ""
 
     def __post_init__(self) -> None:
         if not 0 <= self.start < self.end <= MINUTES_PER_DAY:
@@ -132,7 +122,8 @@ class TariffSchedule:
     """Time-of-use prices; the bands must partition [0, 1440) exactly."""
 
     bands: tuple[TariffBand, ...]
-    _lowest_price: float = field(init=False, repr=False, compare=False)
+    # the cheapest band's price; a time of day priced at it is off-peak
+    lowest_price: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.bands:
@@ -149,11 +140,7 @@ class TariffSchedule:
         if ordered[-1].end != MINUTES_PER_DAY:
             raise ValueError("tariff bands must end at minute 1440")
         object.__setattr__(self, "bands", tuple(ordered))
-        object.__setattr__(self, "_lowest_price", min(band.price_per_kwh for band in ordered))
-
-    def is_off_peak(self, time_of_day: int) -> bool:
-        """Off-peak means the current band has the schedule's lowest price."""
-        return price_at(self, time_of_day) == self._lowest_price
+        object.__setattr__(self, "lowest_price", min(band.price_per_kwh for band in ordered))
 
 
 def price_at(tariff: TariffSchedule, time_of_day: int) -> float:

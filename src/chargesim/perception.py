@@ -166,6 +166,7 @@ def perceive(
         power_kw = min(station.pile_power_kw, ev.max_charge_power_kw)
         charge_minutes = math.ceil(target_kwh / power_kw * 60.0) if target_kwh > 0.0 else 0
         tariff = env.tariffs[station.tariff_id]
+        price = price_at(tariff, time_of_day)
         entries.append(
             StationPerception(
                 station_id=station.station_id,
@@ -175,8 +176,8 @@ def perceive(
                 charge_minutes=charge_minutes,
                 distance_km=distance_km,
                 pile_power_kw=station.pile_power_kw,
-                price_per_kwh=price_at(tariff, time_of_day),
-                off_peak=tariff.is_off_peak(time_of_day),
+                price_per_kwh=price,
+                off_peak=price == tariff.lowest_price,
             )
         )
     entries.sort(key=lambda entry: (entry.distance_km, entry.station_id))

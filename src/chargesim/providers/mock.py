@@ -33,7 +33,7 @@ from ..domain import (
     VehicleSpec,
     validate_persona,
 )
-from ..georoute import EARTH_RADIUS_KM, bounding_box_deg, great_circle_km, haversine_km
+from ..georoute import EARTH_RADIUS_KM, OfflineRouter, bounding_box_deg, haversine_km
 from .base import CognitionProvider, DecisionRequest, DecisionResponse, SchemaError
 from .baseline import BaselineWeights, baseline_decision
 
@@ -172,10 +172,12 @@ def _numbers(value) -> list:
 
 
 def template_problems(template: dict, shapes: dict) -> dict[str, str]:
-    """Each entry of template that is not of its shape or out of its bound,
-    mapped to the problem; for a plan template, also a centre too close to a
-    pole or the antimeridian for the planner's reach (_reach_problem)."""
-    problems = {}
+    """Each entry of template that names no key of shapes, is not of its shape
+    or is out of its bound, mapped to the problem; for a plan template, also a
+    centre too close to a pole or the antimeridian for the planner's reach
+    (_reach_problem)."""
+    unknown = f"is not a template key; expected one of {sorted(shapes)}"
+    problems = {key: unknown for key in template if key not in shapes}
     for key, shape in shapes.items():
         if key not in template:
             continue
@@ -329,7 +331,8 @@ class MockProvider(CognitionProvider):
         plan_template: dict | None = None,
     ):
         self.weights = weights if weights is not None else BaselineWeights()
-        self.plan_template = {**DEFAULT_PLAN_TEMPLATE, **(plan_template or {})}
+        self.plan_template = template = {**DEFAULT_PLAN_TEMPLATE, **(plan_template or {})}
+        self._router = OfflineRouter(float(template["detour_factor"]), float(template["speed_kmh"]))
 
     # -- persona ------------------------------------------------------------
 
@@ -377,8 +380,6 @@ class MockProvider(CognitionProvider):
         center = GeoPoint(*template["center"])
         area_radius = float(template["area_radius_km"])
         box = bounding_box_deg(center.latitude, center.longitude, area_radius)
-        detour = float(template["detour_factor"])
-        speed = float(template["speed_kmh"])
 
         shifts = [tuple(window) for window in template["shifts"]]
         if rng.random() < float(template["evening_shift_probability"]):
@@ -391,8 +392,8 @@ class MockProvider(CognitionProvider):
             while True:
                 hop_km = rng.uniform(*template["trip_km_range"])
                 destination = _random_point_near(rng, location, hop_km, center, area_radius, box)
-                route_km = great_circle_km(location, destination) * detour
-                travel_minutes = int(round(route_km / speed * 60.0))
+                route_km = self._router.distance_km(location, destination)
+                travel_minutes = self._router.travel_minutes(route_km, 1.0)
                 if t + travel_minutes > shift_end or travel_minutes == 0:
                     break
                 events.append(

@@ -39,9 +39,9 @@ def persona() -> Persona:
 
 @pytest.fixture
 def flat_tariff() -> TariffSchedule:
-    return TariffSchedule((TariffBand(0, 1440, 1.2, "flat"),))
+    return TariffSchedule((TariffBand(0, 1440, 1.2),))
 
 
 @pytest.fixture
 def two_band_tariff() -> TariffSchedule:
-    return TariffSchedule((TariffBand(0, 720, 0.5, "am"), TariffBand(720, 1440, 1.0, "pm")))
+    return TariffSchedule((TariffBand(0, 720, 0.5), TariffBand(720, 1440, 1.0)))

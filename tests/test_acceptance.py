@@ -22,7 +22,6 @@ from chargesim.engine import run
 from chargesim.environment import (
     ChargingStation,
     EvState,
-    EvStatus,
     TariffBand,
     TariffSchedule,
     begin_charge,
@@ -147,7 +146,6 @@ def test_criterion_4_queue_discipline():
             agent_id=f"agent-{i:03d}",
             location=HERE,
             soc_kwh=5.0,
-            status=EvStatus.QUEUED,
             capacity_kwh=80.0,
             max_charge_power_kw=60.0,
         )
@@ -187,7 +185,7 @@ def test_criterion_5_cost_correctness():
         capacity = rng.uniform(40.0, 100.0)
         soc = rng.uniform(0.0, capacity * 0.95)
         ev = EvState(
-            agent_id="a", location=HERE, soc_kwh=soc, status=EvStatus.QUEUED,
+            agent_id="a", location=HERE, soc_kwh=soc,
             capacity_kwh=capacity, max_charge_power_kw=rng.choice([30.0, 60.0, 150.0]),
         )
         ticket = begin_charge(station, ev, rng.uniform(0.5, 80.0), SimClock(rng.randint(0, 2000)), tariff)

@@ -133,6 +133,24 @@ def test_validate_rejects_plan_template_routing_keys(tmp_path, capsys):
         "live: {prompts_dir: no-such-prompts-dir}",
         "live: {modle: x}",
         "live: {max_tokens: 100}",
+        # a template key outside the template's shape table is a misspelling
+        "plan_template: {centre: [0, 0], area_radius: 3}",
+        "persona_template: {age_rang: [1, 2]}",
+        # station, tariff and congestion numbers are of their field's type:
+        # a string, a bool, or a float where an int is due fails
+        "stations: [{station_id: a, latitude: 31.2, longitude: 121.4, pile_count: 4.5, "
+        "pile_power_kw: 60.0, tariff_id: shanghai-tou}]",
+        "stations: [{station_id: a, latitude: 31.2, longitude: 121.4, pile_count: true, "
+        "pile_power_kw: 60.0, tariff_id: shanghai-tou}]",
+        "stations: [{station_id: a, latitude: \"31.2330\", longitude: 121.4, pile_count: 1, "
+        "pile_power_kw: 60.0, tariff_id: shanghai-tou}]",
+        "tariffs: {shanghai-tou: [{start: 0, end: 360.7, price_per_kwh: 0.35}, "
+        "{start: 360.7, end: 1440, price_per_kwh: 0.62}]}",
+        "tariffs: {shanghai-tou: [{start: 0, end: 1440, price_per_kwh: \"0.35\"}]}",
+        "congestion_bands: [{start: 0, end: 1440.0, multiplier: 1.0}]",
+        "congestion_bands: [{start: 0, end: 1440, multiplier: true}]",
+        # an int too large for a float where a float is due
+        "tariffs: {shanghai-tou: [{start: 0, end: 1440, price_per_kwh: 1" + "0" * 400 + "}]}",
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -146,6 +164,23 @@ def test_wrongly_typed_config_is_a_config_error(tmp_path, capsys, text, command)
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def test_an_int_passes_where_a_float_is_due(tmp_path):
+    config = ScenarioConfig()
+    config.num_agents = 2
+    config.horizon_days = 1
+    config.stations = [{"station_id": "a", "latitude": 31, "longitude": 121, "pile_count": 2,
+                        "pile_power_kw": 60, "tariff_id": "flat"}]
+    config.tariffs = {"flat": [{"start": 0, "end": 1440, "price_per_kwh": 1}]}
+    config.congestion_bands = [{"start": 0, "end": 1440, "multiplier": 1}]
+    path = tmp_path / "ints.yaml"
+    path.write_text(config.to_yaml(), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 0
+    location = config.build_stations()["a"].location
+    assert type(location.latitude) is float and type(location.longitude) is float
+    assert type(config.build_tariffs()["flat"].bands[0].price_per_kwh) is float
+    assert type(config.build_congestion().bands[0].multiplier) is float
 
 
 def test_template_bounds_admit_their_edge_values(tmp_path):

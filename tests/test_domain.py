@@ -236,19 +236,24 @@ class TestSharedNoChargeQuintuples:
         first = DecisionQuintuple.no_charge(ChargeScenario.HOME, 10_001)
         later = DecisionQuintuple.no_charge(ChargeScenario.HOME, 10_002)
         assert later is not first and later.time_minutes == 10_002
+        # the replaced instance drops its text and writes its fields again
+        assert first._json is None
+        assert first.to_json() == canonical_json(oracle_quintuple_dict(first))
         again = DecisionQuintuple.no_charge(ChargeScenario.HOME, 10_001)
         assert again == first and again is not first  # only the latest minute is kept
 
     def test_an_int_minute_is_never_conflated_with_another_type(self):
-        shared = DecisionQuintuple.no_charge(ChargeScenario.PUBLIC, 5)
-        as_float = DecisionQuintuple.no_charge(ChargeScenario.PUBLIC, 5.0)
-        assert as_float == shared and as_float is not shared
-        assert type(as_float.time_minutes) is float
-        assert as_float.to_json() == canonical_json(oracle_quintuple_dict(as_float))
-        assert '"time_minutes":5.0' in as_float.to_json()
-        assert DecisionQuintuple.no_charge(ChargeScenario.PUBLIC, 5) is shared
-        one = DecisionQuintuple.no_charge(ChargeScenario.PUBLIC, 1)
-        assert DecisionQuintuple.no_charge(ChargeScenario.PUBLIC, True) is not one
+        """A minute equal to a shared one but not an int (5.0 == 5, True == 1)
+        raises, whether or not that minute's instance is cached."""
+        for minute, equal in ((5.0, 5), (True, 1)):
+            shared = DecisionQuintuple.no_charge(ChargeScenario.PUBLIC, equal)
+            with pytest.raises(ValueError, match="time_minutes must be an integer"):
+                DecisionQuintuple.no_charge(ChargeScenario.PUBLIC, minute)
+            with pytest.raises(ValueError, match="time_minutes must be an integer"):
+                DecisionQuintuple(False, ChargeScenario.PUBLIC, minute, None, 0.0, 0.0, 0.0)
+            assert DecisionQuintuple.no_charge(ChargeScenario.PUBLIC, equal) is shared
+        with pytest.raises(ValueError, match="time_minutes must be an integer"):
+            DecisionQuintuple.no_charge(ChargeScenario.PUBLIC, 2.0)  # nothing cached for 2
 
     @given(st.sampled_from(ChargeScenario), st.integers(min_value=0, max_value=2**63))
     def test_shared_and_unshared_write_the_same_text(self, scenario, minute):

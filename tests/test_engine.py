@@ -28,6 +28,7 @@ from chargesim.domain import (
     canonical_json,
 )
 from chargesim.engine import RunTotals, Simulation, build_summary, run
+from chargesim.environment import ChargeTicket
 from chargesim.memory import MemoryStore
 from chargesim.providers import (
     CognitionProvider,
@@ -545,6 +546,22 @@ def _charges_past_the_horizon(entries, horizon_days):
     )
 
 
+def add_stop_line(totals: RunTotals, entry: dict) -> None:
+    """Feed totals a stop_charging line: the station from its extras, and the
+    ChargeTicket that its extras and its quintuple's power spell out."""
+    extras = entry["extras"]
+    ticket = ChargeTicket(
+        start_wait=extras["start_wait"],
+        start_charge=extras["start_charge"],
+        end_charge=extras["end_charge"],
+        energy_kwh=extras["energy_kwh"],
+        power_kw=entry["record"]["quintuple"]["power_kw"],
+        cost=extras["cost"],
+    )
+    station = GeoPoint(*extras["station"])
+    totals.add_stop(entry["agent_id"], station, ticket, extras["approach_distance_km"])
+
+
 @pytest.mark.parametrize(
     "make_config, reaches",
     [(stranding_config, _strands), (overnight_charge_config, _charges_past_the_horizon)],
@@ -557,12 +574,16 @@ def test_engine_summary_equals_summary_rebuilt_from_the_logs(tmp_path, make_conf
 
     totals = RunTotals()
     for entry in entries:
-        agent_id, record = entry["agent_id"], entry["record"]
-        totals.add(agent_id, record["action"], record["quintuple"]["power_kw"], entry["extras"])
-        if record["action"] == "start_charging":
+        agent_id, record, extras = entry["agent_id"], entry["record"], entry["extras"]
+        if record["action"] == "travel":
+            origin, destination = GeoPoint(*extras["origin"]), GeoPoint(*extras["destination"])
+            totals.add_travel(agent_id, origin, destination, extras["distance_km"])
+        elif record["action"] == "stop_charging":
+            add_stop_line(totals, entry)
+        elif record["action"] == "start_charging":
             totals.add_charge(agent_id, record["timestamp"], record["object_id"], record["reason"])
     for entry in read_entries(artifacts.reflections_log):
-        totals.add_reflection(entry)
+        totals.add_reflection(entry["agent_id"], entry["report"]["satisfaction"]["score"])
     rebuilt = build_summary(totals, artifacts.final_states, config.horizon_days)
 
     written = json.loads((artifacts.run_dir / "summary.json").read_text(encoding="utf-8"))
@@ -694,6 +715,21 @@ def charge_and_strand_config() -> ScenarioConfig:
         "consumption_range": [0.15, 0.5],
     }
     return config
+
+
+@pytest.mark.parametrize(
+    "make_config",
+    [stranding_config, overnight_charge_config, charge_and_strand_config, ScenarioConfig],
+)
+def test_every_chain_has_ended_when_the_run_drains_its_queue(tmp_path, make_config):
+    """No trip or charge is in flight and no planned event is left once run()
+    returns, which is why final_states.json reports every vehicle idle."""
+    sim = Simulation(make_config(), tmp_path / "run")
+    artifacts = sim.run()
+    assert not sim.queue
+    for agent in sim.agents.values():
+        assert agent.busy is False and not agent.pending
+    assert {state["status"] for state in artifacts.final_states.values()} == {"idle"}
 
 
 def test_memory_holds_what_the_logs_hold(tmp_path):

@@ -13,7 +13,6 @@ from chargesim.environment import (
     ChargingStation,
     SpeedBand,
     EvState,
-    EvStatus,
     StrandedError,
     TariffBand,
     TariffSchedule,
@@ -33,14 +32,13 @@ def _ev(soc=60.0, capacity=75.0, max_power=60.0, agent_id="agent-00"):
         agent_id=agent_id,
         location=HERE,
         soc_kwh=soc,
-        status=EvStatus.IDLE,
         capacity_kwh=capacity,
         max_charge_power_kw=max_power,
     )
 
 
 def _fields(ev):
-    return (ev.agent_id, ev.location, ev.soc_kwh, ev.status, ev.capacity_kwh, ev.max_charge_power_kw)
+    return (ev.agent_id, ev.location, ev.soc_kwh, ev.capacity_kwh, ev.max_charge_power_kw)
 
 
 def _station(piles=1, power=60.0, station_id="st-01"):
@@ -133,8 +131,9 @@ class TestPriceAt:
             TariffSchedule((TariffBand(60, 1440, 0.5),))  # late start
 
     def test_off_peak_is_cheapest_band(self, two_band_tariff):
-        assert two_band_tariff.is_off_peak(100)
-        assert not two_band_tariff.is_off_peak(1000)
+        assert two_band_tariff.lowest_price == 0.5
+        assert price_at(two_band_tariff, 100) == two_band_tariff.lowest_price
+        assert price_at(two_band_tariff, 1000) != two_band_tariff.lowest_price
 
     def test_lowest_price_follows_the_bands(self, two_band_tariff):
         """The lowest price is computed once, at construction; a replaced or
@@ -142,12 +141,13 @@ class TestPriceAt:
         swapped = replace(
             two_band_tariff, bands=(TariffBand(720, 1440, 0.5), TariffBand(0, 720, 1.0))
         )
-        assert not swapped.is_off_peak(100) and swapped.is_off_peak(1000)
+        assert price_at(swapped, 100) != swapped.lowest_price
+        assert price_at(swapped, 1000) == swapped.lowest_price
         assert swapped != two_band_tariff
         twin = pickle.loads(pickle.dumps(two_band_tariff))
         assert twin == two_band_tariff and hash(twin) == hash(two_band_tariff)
-        assert twin.is_off_peak(100) and not twin.is_off_peak(1000)
-        assert repr(twin) == repr(two_band_tariff) and "_lowest_price" not in repr(twin)
+        assert twin.lowest_price == 0.5
+        assert repr(twin) == repr(two_band_tariff) and "lowest_price" not in repr(twin)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])

@@ -22,6 +22,7 @@ from faults import FaultInjectingProvider
 from geojson_schema import validate_geojson
 from oracles import oracle_exports, read_log, same_json_tree
 from test_engine import (
+    add_stop_line,
     charge_and_strand_config,
     full_battery_approach,
     overnight_charge_config,
@@ -256,6 +257,7 @@ def _stop_charging(start: int, end: int, power_kw: float) -> dict:
         "record": {"action": "stop_charging", "quintuple": {"power_kw": power_kw}},
         "extras": {
             "station": [31.233, 121.469],
+            "start_wait": start,
             "start_charge": start,
             "end_charge": end,
             "approach_distance_km": 0.0,
@@ -269,8 +271,7 @@ class TestHourlyLoad:
     def _hourly(self, entries, horizon_days):
         totals = RunTotals()
         for entry in entries:
-            power_kw = entry["record"]["quintuple"]["power_kw"]
-            totals.add(entry["agent_id"], entry["record"]["action"], power_kw, entry["extras"])
+            add_stop_line(totals, entry)
         final_states = {"agent-00": {"strand_count": 0}}
         return build_summary(totals, final_states, horizon_days)["hourly_load_kw"]
 

@@ -16,7 +16,6 @@ from chargesim.environment import (
     CongestionSchedule,
     Environment,
     EvState,
-    EvStatus,
     SpeedBand,
     TariffBand,
     TariffSchedule,
@@ -74,7 +73,6 @@ def _agent(persona, soc=30.0):
         agent_id=persona.id,
         location=CENTER,
         soc_kwh=soc,
-        status=EvStatus.IDLE,
         capacity_kwh=persona.vehicle.battery_capacity_kwh,
         max_charge_power_kw=persona.vehicle.max_charge_power_kw,
     )
@@ -248,7 +246,8 @@ def test_perceive_matches_brute_force_filter_sort(
     for entry in snapshot.stations:
         tariff = DEFAULT_TARIFFS[env.stations[entry.station_id].tariff_id]
         assert entry.price_per_kwh == price_at(tariff, minute)
-        assert entry.off_peak == tariff.is_off_peak(minute)
+        cheapest = min(band.price_per_kwh for band in tariff.bands)
+        assert entry.off_peak == (price_at(tariff, minute) == cheapest == tariff.lowest_price)
 
 
 def test_snapshot_is_deterministic(persona):

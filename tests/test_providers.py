@@ -21,7 +21,7 @@ from chargesim.domain import (
     SimClock,
     canonical_json,
 )
-from chargesim.environment import EvState, EvStatus
+from chargesim.environment import EvState
 from chargesim.georoute import EARTH_RADIUS_KM, bounding_box_deg
 from chargesim.perception import PerceptionSnapshot, StationPerception, TravelPerception
 from chargesim.providers import (
@@ -99,7 +99,6 @@ def make_ev(persona, soc_kwh):
         agent_id=persona.id,
         location=CENTER,
         soc_kwh=soc_kwh,
-        status=EvStatus.IDLE,
         capacity_kwh=persona.vehicle.battery_capacity_kwh,
         max_charge_power_kw=persona.vehicle.max_charge_power_kw,
     )
