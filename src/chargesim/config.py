@@ -9,21 +9,15 @@ starting at 60 of 75 kWh.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
 from .domain import GeoPoint
-from .environment import (
-    ChargingStation,
-    CongestionSchedule,
-    SpeedBand,
-    TariffBand,
-    TariffSchedule,
-)
+from .environment import ChargingStation, DaySchedule, Environment
 from .georoute import OfflineRouter
+from .providers.baseline import BaselineWeights
 from .providers.live import LiveSettings
 from .providers.mock import (
     DEFAULT_PERSONA_TEMPLATE,
@@ -114,44 +108,39 @@ class ScenarioConfig:
 
     # -- construction helpers -------------------------------------------------
 
-    def build_tariffs(self) -> dict[str, TariffSchedule]:
-        return {
-            tariff_id: TariffSchedule(
-                tuple(
-                    TariffBand(
-                        start=_num(b, "start", int),
-                        end=_num(b, "end", int),
-                        price_per_kwh=_num(b, "price_per_kwh", float),
-                    )
-                    for b in bands
-                )
-            )
-            for tariff_id, bands in self.tariffs.items()
-        }
+    def build_tariffs(self) -> dict[str, DaySchedule]:
+        return {key: _schedule(bands, "price_per_kwh") for key, bands in self.tariffs.items()}
 
     def build_stations(self) -> dict[str, ChargingStation]:
         stations = {}
         for spec in self.stations:
             station = ChargingStation(
-                station_id=str(spec["station_id"]),
-                location=GeoPoint(_num(spec, "latitude", float), _num(spec, "longitude", float)),
-                pile_count=_num(spec, "pile_count", int),
-                pile_power_kw=_num(spec, "pile_power_kw", float),
-                tariff_id=str(spec["tariff_id"]),
+                station_id=_typed(spec, "station_id", str),
+                location=GeoPoint(
+                    _typed(spec, "latitude", float), _typed(spec, "longitude", float)
+                ),
+                pile_count=_typed(spec, "pile_count", int),
+                pile_power_kw=_typed(spec, "pile_power_kw", float),
+                tariff_id=_typed(spec, "tariff_id", str),
             )
             stations[station.station_id] = station
         return stations
 
-    def build_congestion(self) -> CongestionSchedule:
-        return CongestionSchedule(
-            tuple(
-                SpeedBand(_num(b, "start", int), _num(b, "end", int), _num(b, "multiplier", float))
-                for b in self.congestion_bands
-            )
-        )
+    def build_congestion(self) -> DaySchedule:
+        return _schedule(self.congestion_bands, "multiplier")
 
     def build_router(self) -> OfflineRouter:
-        return OfflineRouter(detour_factor=self.detour_factor, speed_kmh=self.base_speed_kmh)
+        return OfflineRouter(
+            detour_factor=float(self.detour_factor), speed_kmh=float(self.base_speed_kmh)
+        )
+
+    def build_weights(self) -> BaselineWeights:
+        names = [spec.name for spec in fields(BaselineWeights)]
+        for key in self.baseline_weights:
+            if key not in names:
+                raise ValueError(f"{key!r} is not a weight; expected one of {names}")
+        weights = {name: _typed(self.baseline_weights, name, float) for name in names}
+        return BaselineWeights(**weights)
 
     def build_live_settings(self) -> LiveSettings:
         return LiveSettings(**self.live)
@@ -181,22 +170,12 @@ class ScenarioConfig:
             problems.append("horizon_days must be >= 1")
         if self.provider not in ("mock", "live"):
             problems.append(f"provider must be 'mock' or 'live', got {self.provider!r}")
-        # each bound is written so that NaN fails it; an infinite radius means no limit
+        # the bound is written so that NaN fails it; an infinite radius means no limit
         if not self.station_radius_km > 0:
             problems.append("station_radius_km must be > 0")
-        if not 1.0 <= self.detour_factor < math.inf:
-            problems.append("detour_factor must be finite and >= 1")
-        if not 0 < self.base_speed_kmh < math.inf:
-            problems.append("base_speed_kmh must be finite and > 0")
         for key, setting in _ROUTING_KEYS.items():
             if key in self.plan_template:
                 problems.append(f"plan_template.{key} has no effect; set {setting} instead")
-        for key in ("distance", "price", "wait"):
-            try:
-                if not float(self.baseline_weights.get(key, -1.0)) >= 0.0:
-                    problems.append(f"baseline_weights.{key} must be >= 0")
-            except (TypeError, ValueError) as exc:
-                problems.append(f"baseline_weights.{key} invalid: {exc}")
 
         persona_problems = template_problems(self.persona_template, PERSONA_TEMPLATE_SHAPES)
         plan_problems = template_problems(self.plan_template, PLAN_TEMPLATE_SHAPES)
@@ -212,27 +191,31 @@ class ScenarioConfig:
                 f"initial_soc_kwh {self.initial_soc_kwh} outside [0, {min(capacities)}]"
             )
 
-        tariffs: dict[str, TariffSchedule] = {}
-        try:
-            tariffs = self.build_tariffs()
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            problems.append(f"tariffs invalid: {exc}")
-        try:
-            stations = self.build_stations()
-            if len(stations) != len(self.stations):
-                problems.append("station_id values must be unique")
-            for station in stations.values():
-                if tariffs and station.tariff_id not in tariffs:
-                    problems.append(
-                        f"station {station.station_id} references unknown tariff "
-                        f"{station.tariff_id!r}"
-                    )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            problems.append(f"stations invalid: {exc}")
-        try:
-            self.build_congestion()
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            problems.append(f"congestion_bands invalid: {exc}")
+        # build what the run builds; each builder's own checks report its problems
+        built = {}
+        for name, build in (
+            ("router", self.build_router),
+            ("baseline_weights", self.build_weights),
+            ("tariffs", self.build_tariffs),
+            ("stations", self.build_stations),
+            ("congestion_bands", self.build_congestion),
+        ):
+            try:
+                built[name] = build()
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                problems.append(f"{name} invalid: {exc}")
+        if "stations" in built and len(built["stations"]) != len(self.stations):
+            problems.append("station_id values must be unique")
+        if {"tariffs", "stations", "congestion_bands"} <= built.keys():
+            try:  # Environment's checks never read the router, so a stand-in serves
+                Environment(
+                    built["stations"],
+                    built["tariffs"],
+                    built.get("router", OfflineRouter()),
+                    built["congestion_bands"],
+                )
+            except ValueError as exc:
+                problems.append(str(exc))
         return problems
 
     # -- serialization ------------------------------------------------------------
@@ -264,13 +247,24 @@ def _type_problems(prefix: str, values: dict, specs) -> list[str]:
     return problems
 
 
-def _num(spec: dict, key: str, kind: type) -> int | float:
-    """spec[key] as kind, int or float, by _type_problems' rule: a string or a
-    bool is neither, a float is no int, and an int passes as a float."""
+def _typed(spec: dict, key: str, kind: type) -> int | float | str:
+    """spec[key] as kind, int, float or str, by _type_problems' rule: a string
+    or a bool is no number, a number is no string, a float is no int, and an
+    int passes as a float."""
     value = spec[key]
     if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind.__name__]):
         raise TypeError(f"{key} must be of type {kind.__name__}, got {value!r}")
     return kind(value)
+
+
+def _schedule(bands: list, value_key: str) -> DaySchedule:
+    """The day schedule of config bands, each holding start, end and value_key."""
+    return DaySchedule(
+        tuple(
+            (_typed(b, "start", int), _typed(b, "end", int), _typed(b, value_key, float))
+            for b in bands
+        )
+    )
 
 
 def load_config(path: Path | str) -> ScenarioConfig:

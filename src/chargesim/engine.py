@@ -81,7 +81,7 @@ from .providers.base import (
     SchemaError,
     validate_decision,
 )
-from .providers.baseline import BaselineWeights, baseline_decision
+from .providers.baseline import baseline_decision
 from .providers.live import LiveProvider
 from .providers.mock import MockProvider, home_point_for
 
@@ -298,11 +298,7 @@ class Simulation:
         self.run_dir = Path(out_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
 
-        self.weights = BaselineWeights(
-            distance=float(config.baseline_weights["distance"]),
-            price=float(config.baseline_weights["price"]),
-            wait=float(config.baseline_weights["wait"]),
-        )
+        self.weights = config.build_weights()
         plan_template = config.effective_plan_template()
         self._mock = MockProvider(weights=self.weights, plan_template=plan_template)
 
@@ -492,7 +488,7 @@ class Simulation:
 
     def _on_trip_start(self, now: int, agent: AgentRuntime, day: int, event: PlanEvent) -> None:
         origin = agent.state.location
-        multiplier = self.env.congestion.multiplier_at(now % MINUTES_PER_DAY)
+        multiplier = self.env.congestion.at(now % MINUTES_PER_DAY)
         estimate = self.env.router.route(origin, event.destination, multiplier)
         self._push(
             now + estimate.travel_minutes, self._on_trip_end, agent, day, event, origin, estimate

@@ -100,60 +100,47 @@ def consume_energy(ev: EvState, distance_km: float, rate_kwh_per_km: float) -> f
 
 
 # ---------------------------------------------------------------------------
-# Tariffs
+# Day schedules and tariff costs
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
-class TariffBand:
-    start: int  # time-of-day minutes, inclusive
-    end: int  # exclusive
-    price_per_kwh: float
+class DaySchedule:
+    """A value for each minute of the day: time-of-use prices per kWh, or the
+    speed multipliers that stand in for live traffic data.
+
+    bands holds (start, end, value) triples, sorted by start, that tile
+    [0, 1440) exactly; a band holds the minutes start <= t < end. Each value
+    is finite and >= 0.
+    """
+
+    bands: tuple[tuple[int, int, float], ...]
+    # the smallest band value; a time of day priced at a tariff's lowest is off-peak
+    lowest: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.start < self.end <= MINUTES_PER_DAY:
-            raise ValueError(f"band [{self.start}, {self.end}) must sit within [0, 1440)")
-        if not 0.0 <= self.price_per_kwh < math.inf:
-            raise ValueError(f"price_per_kwh must be finite and >= 0, got {self.price_per_kwh}")
+        ordered = tuple(sorted(self.bands, key=lambda band: band[0]))
+        edge = 0
+        for start, end, value in ordered:
+            if not edge == start < end:
+                raise ValueError(f"bands must tile [0, 1440): [{start}, {end}) after minute {edge}")
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"band values must be finite and >= 0, got {value}")
+            edge = end
+        if edge != MINUTES_PER_DAY:
+            raise ValueError(f"bands must tile [0, 1440): they end at minute {edge}")
+        object.__setattr__(self, "bands", ordered)
+        object.__setattr__(self, "lowest", min(value for _, _, value in ordered))
 
-
-@dataclass(frozen=True, slots=True)
-class TariffSchedule:
-    """Time-of-use prices; the bands must partition [0, 1440) exactly."""
-
-    bands: tuple[TariffBand, ...]
-    # the cheapest band's price; a time of day priced at it is off-peak
-    lowest_price: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.bands:
-            raise ValueError("tariff needs at least one band")
-        ordered = sorted(self.bands, key=lambda band: band.start)
-        if ordered[0].start != 0:
-            raise ValueError("tariff bands must start at minute 0")
-        for earlier, later in zip(ordered, ordered[1:]):
-            if earlier.end != later.start:
-                raise ValueError(
-                    f"tariff bands must tile the day: [{earlier.start},{earlier.end}) then "
-                    f"[{later.start},{later.end})"
-                )
-        if ordered[-1].end != MINUTES_PER_DAY:
-            raise ValueError("tariff bands must end at minute 1440")
-        object.__setattr__(self, "bands", tuple(ordered))
-        object.__setattr__(self, "lowest_price", min(band.price_per_kwh for band in ordered))
-
-
-def price_at(tariff: TariffSchedule, time_of_day: int) -> float:
-    """Price of the unique band containing time_of_day (bands are [start, end))."""
-    if not 0 <= time_of_day < MINUTES_PER_DAY:
+    def at(self, time_of_day: int) -> float:
+        """Value of the band holding time_of_day; ValueError outside [0, 1440)."""
+        for start, end, value in self.bands:
+            if start <= time_of_day < end:
+                return value
         raise ValueError(f"time_of_day must be within [0, 1440), got {time_of_day}")
-    for band in tariff.bands:
-        if band.start <= time_of_day < band.end:
-            return band.price_per_kwh
-    raise AssertionError("bands partition the day; unreachable")
 
 
-def charge_cost(start: int, end: int, energy_kwh: float, tariff: TariffSchedule) -> float:
+def charge_cost(start: int, end: int, energy_kwh: float, tariff: DaySchedule) -> float:
     """Cost of delivering energy_kwh uniformly over the window [start, end).
 
     Times are absolute simulation minutes; windows may wrap any number of
@@ -173,11 +160,11 @@ def charge_cost(start: int, end: int, energy_kwh: float, tariff: TariffSchedule)
         base = day * MINUTES_PER_DAY
         window_lo = max(start, base)
         window_hi = min(end, base + MINUTES_PER_DAY)
-        for band in tariff.bands:
-            overlap_lo = max(window_lo, base + band.start)
-            overlap_hi = min(window_hi, base + band.end)
+        for band_start, band_end, price_per_kwh in tariff.bands:
+            overlap_lo = max(window_lo, base + band_start)
+            overlap_hi = min(window_hi, base + band_end)
             if overlap_hi > overlap_lo:
-                total += (overlap_hi - overlap_lo) * kwh_per_minute * band.price_per_kwh
+                total += (overlap_hi - overlap_lo) * kwh_per_minute * price_per_kwh
     return total
 
 
@@ -240,7 +227,7 @@ def begin_charge(
     ev: EvState,
     target_kwh: float,
     clock: SimClock,
-    tariff: TariffSchedule,
+    tariff: DaySchedule,
 ) -> ChargeTicket:
     """Reserve a pile for ev and commit to a charging window.
 
@@ -277,46 +264,11 @@ def begin_charge(
 
 
 # ---------------------------------------------------------------------------
-# Congestion schedule and the aggregate environment
+# The aggregate environment
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class SpeedBand:
-    start: int
-    end: int
-    multiplier: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.start < self.end <= MINUTES_PER_DAY:
-            raise ValueError("speed band must sit within [0, 1440)")
-        if not 0.0 < self.multiplier < math.inf:
-            raise ValueError(f"speed multiplier must be finite and > 0, got {self.multiplier}")
-
-
-@dataclass(frozen=True, slots=True)
-class CongestionSchedule:
-    """Per-time-of-day speed multipliers standing in for live traffic data."""
-
-    bands: tuple[SpeedBand, ...]
-
-    def __post_init__(self) -> None:
-        ordered = sorted(self.bands, key=lambda band: band.start)
-        if not ordered or ordered[0].start != 0 or ordered[-1].end != MINUTES_PER_DAY:
-            raise ValueError("speed bands must tile [0, 1440)")
-        for earlier, later in zip(ordered, ordered[1:]):
-            if earlier.end != later.start:
-                raise ValueError("speed bands must tile [0, 1440) without gaps or overlaps")
-        object.__setattr__(self, "bands", tuple(ordered))
-
-    def multiplier_at(self, time_of_day: int) -> float:
-        for band in self.bands:
-            if band.start <= time_of_day < band.end:
-                return band.multiplier
-        raise AssertionError("speed bands partition the day; unreachable")
-
-
-FREE_FLOW = CongestionSchedule((SpeedBand(0, MINUTES_PER_DAY, 1.0),))
+FREE_FLOW = DaySchedule(((0, MINUTES_PER_DAY, 1.0),))
 
 
 @dataclass
@@ -330,19 +282,23 @@ class Environment:
     """
 
     stations: dict[str, ChargingStation]
-    tariffs: dict[str, TariffSchedule]
+    tariffs: dict[str, DaySchedule]
     router: OfflineRouter
-    congestion: CongestionSchedule = FREE_FLOW
+    congestion: DaySchedule = FREE_FLOW
     sites: tuple[tuple[ChargingStation, float, float, float], ...] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        for station in self.stations.values():
-            if station.tariff_id not in self.tariffs:
-                raise ValueError(
-                    f"station {station.station_id} references unknown tariff {station.tariff_id!r}"
-                )
+        problems = [
+            f"station {station.station_id} references unknown tariff {station.tariff_id!r}"
+            for station in self.stations.values()
+            if station.tariff_id not in self.tariffs
+        ]
+        if not self.congestion.lowest > 0.0:  # the router divides by the multiplier
+            problems.append(f"congestion multipliers must be > 0, got {self.congestion.lowest}")
+        if problems:  # every one, so that validation reports them all
+            raise ValueError("; ".join(problems))
         self.sites = tuple(
             (
                 station,

@@ -18,7 +18,7 @@ from math import asin, cos, radians, sin, sqrt
 from typing import Protocol
 
 from .domain import GeoPoint, Persona, SimClock, json_number, json_string
-from .environment import Environment, EvState, price_at
+from .environment import Environment, EvState
 from .georoute import EARTH_RADIUS_KM
 
 _DIAMETER_KM = 2.0 * EARTH_RADIUS_KM  # haversine_km's leading 2.0 * EARTH_RADIUS_KM
@@ -127,7 +127,7 @@ def perceive(
     persona = agent.persona
     router = env.router
     time_of_day = clock.time_of_day
-    multiplier = env.congestion.multiplier_at(time_of_day)
+    multiplier = env.congestion.at(time_of_day)
 
     next_destination = agent.next_destination
     if next_destination is not None:
@@ -166,7 +166,7 @@ def perceive(
         power_kw = min(station.pile_power_kw, ev.max_charge_power_kw)
         charge_minutes = math.ceil(target_kwh / power_kw * 60.0) if target_kwh > 0.0 else 0
         tariff = env.tariffs[station.tariff_id]
-        price = price_at(tariff, time_of_day)
+        price = tariff.at(time_of_day)
         entries.append(
             StationPerception(
                 station_id=station.station_id,
@@ -177,7 +177,7 @@ def perceive(
                 distance_km=distance_km,
                 pile_power_kw=station.pile_power_kw,
                 price_per_kwh=price,
-                off_peak=price == tariff.lowest_price,
+                off_peak=price == tariff.lowest,
             )
         )
     entries.sort(key=lambda entry: (entry.distance_km, entry.station_id))

@@ -14,7 +14,7 @@ from chargesim.domain import (
     Psychology,
     VehicleSpec,
 )
-from chargesim.environment import TariffBand, TariffSchedule
+from chargesim.environment import DaySchedule
 
 CITY_CENTER = GeoPoint(31.2304, 121.4737)
 
@@ -38,10 +38,10 @@ def persona() -> Persona:
 
 
 @pytest.fixture
-def flat_tariff() -> TariffSchedule:
-    return TariffSchedule((TariffBand(0, 1440, 1.2),))
+def flat_tariff() -> DaySchedule:
+    return DaySchedule(((0, 1440, 1.2),))
 
 
 @pytest.fixture
-def two_band_tariff() -> TariffSchedule:
-    return TariffSchedule((TariffBand(0, 720, 0.5), TariffBand(720, 1440, 1.0)))
+def two_band_tariff() -> DaySchedule:
+    return DaySchedule(((0, 720, 0.5), (720, 1440, 1.0)))

@@ -21,9 +21,8 @@ from chargesim.domain import GeoPoint, SimClock
 from chargesim.engine import run
 from chargesim.environment import (
     ChargingStation,
+    DaySchedule,
     EvState,
-    TariffBand,
-    TariffSchedule,
     begin_charge,
 )
 from chargesim.export import export_csv, export_geojson
@@ -133,7 +132,7 @@ def test_criterion_3_energy_conservation(default_runs):
 @criterion(4, "queue discipline: 200-agent stress, occupancy bound and exact FIFO")
 def test_criterion_4_queue_discipline():
     rng = random.Random(2024)
-    tariff = TariffSchedule((TariffBand(0, 1440, 0.62),))
+    tariff = DaySchedule(((0, 1440, 0.62),))
     station = ChargingStation(
         station_id="st-stress", location=HERE, pile_count=4, pile_power_kw=60.0, tariff_id="t"
     )
@@ -174,10 +173,9 @@ def test_criterion_5_cost_correctness():
         cuts = sorted(rng.sample(range(1, 1440), rng.randint(0, 5)))
         edges = [0] + cuts + [1440]
         bands = tuple(
-            TariffBand(lo, hi, round(rng.uniform(0.0, 3.0), 4))
-            for lo, hi in zip(edges, edges[1:])
+            (lo, hi, round(rng.uniform(0.0, 3.0), 4)) for lo, hi in zip(edges, edges[1:])
         )
-        tariff = TariffSchedule(bands)
+        tariff = DaySchedule(bands)
         station = ChargingStation(
             station_id="st", location=HERE, pile_count=2, pile_power_kw=rng.choice([7.0, 60.0, 120.0]),
             tariff_id="t", busy_until=[rng.randint(0, 200), rng.randint(0, 200)],
@@ -193,7 +191,7 @@ def test_criterion_5_cost_correctness():
             ticket.start_charge,
             ticket.end_charge,
             ticket.energy_kwh,
-            [(b.start, b.end, b.price_per_kwh) for b in bands],
+            list(bands),
         ).value
         assert abs(ticket.cost - want) <= 1e-6, f"trial {trial}: {ticket.cost} vs {want}"
 

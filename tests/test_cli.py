@@ -151,6 +151,20 @@ def test_validate_rejects_plan_template_routing_keys(tmp_path, capsys):
         "congestion_bands: [{start: 0, end: 1440, multiplier: true}]",
         # an int too large for a float where a float is due
         "tariffs: {shanghai-tou: [{start: 0, end: 1440, price_per_kwh: 1" + "0" * 400 + "}]}",
+        "detour_factor: 1" + "0" * 400,
+        "base_speed_kmh: 1" + "0" * 400,
+        # station and tariff ids are strings, as the map exports sort them
+        "stations: [{station_id: 1, latitude: 31.2, longitude: 121.4, pile_count: 1, "
+        "pile_power_kw: 60.0, tariff_id: shanghai-tou}]",
+        "tariffs: {\"5\": [{start: 0, end: 1440, price_per_kwh: 0.5}]}\n"
+        "stations: [{station_id: a, latitude: 31.2, longitude: 121.4, pile_count: 1, "
+        "pile_power_kw: 60.0, tariff_id: 5}]",
+        # the baseline weights are floats, and only the three of them
+        "baseline_weights: {distance: \"0.5\", price: 0.3, wait: 0.2}",
+        "baseline_weights: {distance: true, price: 0.3, wait: 0.2}",
+        "baseline_weights: {distance: 0.5, price: 0.3, wait: 0.2, wiat: 9.0}",
+        # the router divides by the speed multiplier
+        "congestion_bands: [{start: 0, end: 1440, multiplier: 0}]",
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -166,6 +180,24 @@ def test_wrongly_typed_config_is_a_config_error(tmp_path, capsys, text, command)
     assert not (tmp_path / "run").exists()
 
 
+def test_validate_reports_a_router_problem_and_every_environment_problem():
+    config = ScenarioConfig()
+    config.detour_factor = float("nan")
+    config.stations = [
+        {**config.stations[0], "tariff_id": "no-such-tariff"},
+        {**config.stations[1], "tariff_id": "nor-this-one"},
+    ]
+    config.congestion_bands = [{"start": 0, "end": 1440, "multiplier": 0}]
+    problems = config.validate()
+    assert len(problems) == 2
+    assert problems[0].startswith("router invalid: detour_factor must be finite")
+    assert problems[1] == (
+        "station st-01 references unknown tariff 'no-such-tariff'; "
+        "station st-02 references unknown tariff 'nor-this-one'; "
+        "congestion multipliers must be > 0, got 0.0"
+    )
+
+
 def test_an_int_passes_where_a_float_is_due(tmp_path):
     config = ScenarioConfig()
     config.num_agents = 2
@@ -174,13 +206,15 @@ def test_an_int_passes_where_a_float_is_due(tmp_path):
                         "pile_power_kw": 60, "tariff_id": "flat"}]
     config.tariffs = {"flat": [{"start": 0, "end": 1440, "price_per_kwh": 1}]}
     config.congestion_bands = [{"start": 0, "end": 1440, "multiplier": 1}]
+    config.baseline_weights = {"distance": 1, "price": 0, "wait": 0}
     path = tmp_path / "ints.yaml"
     path.write_text(config.to_yaml(), encoding="utf-8")
     assert main(["validate", "--config", str(path)]) == 0
     location = config.build_stations()["a"].location
     assert type(location.latitude) is float and type(location.longitude) is float
-    assert type(config.build_tariffs()["flat"].bands[0].price_per_kwh) is float
-    assert type(config.build_congestion().bands[0].multiplier) is float
+    assert type(config.build_tariffs()["flat"].bands[0][2]) is float
+    assert type(config.build_congestion().bands[0][2]) is float
+    assert type(config.build_weights().distance) is float
 
 
 def test_template_bounds_admit_their_edge_values(tmp_path):

@@ -11,17 +11,16 @@ from hypothesis import strategies as st
 from chargesim.domain import GeoPoint, SimClock
 from chargesim.environment import (
     ChargingStation,
-    SpeedBand,
+    DaySchedule,
+    Environment,
     EvState,
     StrandedError,
-    TariffBand,
-    TariffSchedule,
     ZeroChargeError,
     begin_charge,
     charge_cost,
     consume_energy,
-    price_at,
 )
+from chargesim.georoute import OfflineRouter
 from oracles import oracle_cost
 
 HERE = GeoPoint(31.23, 121.47)
@@ -110,52 +109,78 @@ class TestConsumeEnergy:
         assert ev.soc_kwh == 0.0
 
 
-class TestPriceAt:
+class TestDaySchedule:
     def test_single_band(self, flat_tariff):
         for t in (0, 719, 1439):
-            assert price_at(flat_tariff, t) == 1.2
+            assert flat_tariff.at(t) == 1.2
 
     def test_band_edge_belongs_to_opening_band(self, two_band_tariff):
-        assert price_at(two_band_tariff, 720) == 1.0
-        assert price_at(two_band_tariff, 719) == 0.5
+        assert two_band_tariff.at(720) == 1.0
+        assert two_band_tariff.at(719) == 0.5
 
     def test_last_minute_of_day(self, two_band_tariff):
-        assert price_at(two_band_tariff, 1439) == 1.0
+        assert two_band_tariff.at(1439) == 1.0
 
-    def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            TariffSchedule((TariffBand(0, 700, 0.5), TariffBand(720, 1440, 1.0)))  # gap
-        with pytest.raises(ValueError):
-            TariffSchedule((TariffBand(0, 800, 0.5), TariffBand(720, 1440, 1.0)))  # overlap
-        with pytest.raises(ValueError):
-            TariffSchedule((TariffBand(60, 1440, 0.5),))  # late start
+    @pytest.mark.parametrize("minute", [-1, 1440, 2000])
+    def test_a_minute_outside_the_day_has_no_value(self, two_band_tariff, minute):
+        with pytest.raises(ValueError, match="within"):
+            two_band_tariff.at(minute)
+
+    @pytest.mark.parametrize(
+        "bands",
+        [
+            ((0, 700, 0.5), (720, 1440, 1.0)),  # gap
+            ((0, 800, 0.5), (720, 1440, 1.0)),  # overlap
+            ((60, 1440, 0.5),),  # late start
+            ((0, 1380, 0.5),),  # early end
+            ((0, 1500, 0.5),),  # late end
+            ((0, 0, 0.5), (0, 1440, 1.0)),  # an empty band
+            (),  # no bands
+        ],
+    )
+    def test_bands_must_tile_the_day(self, bands):
+        with pytest.raises(ValueError, match="tile"):
+            DaySchedule(bands)
+
+    def test_bands_are_stored_sorted(self):
+        schedule = DaySchedule(((720, 1440, 1.0), (0, 720, 0.5)))
+        assert schedule.bands == ((0, 720, 0.5), (720, 1440, 1.0))
 
     def test_off_peak_is_cheapest_band(self, two_band_tariff):
-        assert two_band_tariff.lowest_price == 0.5
-        assert price_at(two_band_tariff, 100) == two_band_tariff.lowest_price
-        assert price_at(two_band_tariff, 1000) != two_band_tariff.lowest_price
+        assert two_band_tariff.lowest == 0.5
+        assert two_band_tariff.at(100) == two_band_tariff.lowest
+        assert two_band_tariff.at(1000) != two_band_tariff.lowest
 
-    def test_lowest_price_follows_the_bands(self, two_band_tariff):
-        """The lowest price is computed once, at construction; a replaced or
+    def test_lowest_follows_the_bands(self, two_band_tariff):
+        """The lowest value is computed once, at construction; a replaced or
         unpickled schedule carries its own bands' lowest."""
-        swapped = replace(
-            two_band_tariff, bands=(TariffBand(720, 1440, 0.5), TariffBand(0, 720, 1.0))
-        )
-        assert price_at(swapped, 100) != swapped.lowest_price
-        assert price_at(swapped, 1000) == swapped.lowest_price
+        swapped = replace(two_band_tariff, bands=((720, 1440, 0.5), (0, 720, 1.0)))
+        assert swapped.at(100) != swapped.lowest
+        assert swapped.at(1000) == swapped.lowest
         assert swapped != two_band_tariff
         twin = pickle.loads(pickle.dumps(two_band_tariff))
         assert twin == two_band_tariff and hash(twin) == hash(two_band_tariff)
-        assert twin.lowest_price == 0.5
-        assert repr(twin) == repr(two_band_tariff) and "lowest_price" not in repr(twin)
+        assert twin.lowest == 0.5
+        assert repr(twin) == repr(two_band_tariff) and "lowest" not in repr(twin)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
 def test_band_numbers_must_be_finite_and_in_range(bad):
     with pytest.raises(ValueError, match="finite"):
-        TariffBand(0, 1440, bad)
+        DaySchedule(((0, 1440, bad),))
     with pytest.raises(ValueError, match="finite"):
-        SpeedBand(0, 1440, bad)
+        DaySchedule(((0, 720, 1.0), (720, 1440, bad)))
+
+
+def test_environment_rejects_a_zero_speed_multiplier(flat_tariff):
+    """The router divides by the multiplier, so a congestion band of 0 is refused."""
+    stations = {"st-01": _station()}
+    router = OfflineRouter()
+    congestion = DaySchedule(((0, 600, 1.0), (600, 1440, 0.0)))
+    with pytest.raises(ValueError, match="multipliers must be > 0"):
+        Environment(stations, {"t": flat_tariff}, router, congestion)
+    Environment(stations, {"t": flat_tariff}, router, DaySchedule(((0, 1440, 0.1),)))
+
 
 
 class TestBeginCharge:
@@ -201,7 +226,7 @@ class TestBeginCharge:
 
     def test_cost_matches_minute_oracle_on_band_crossing(self, two_band_tariff):
         got = charge_cost(705, 735, 20.0, two_band_tariff)
-        bands = [(b.start, b.end, b.price_per_kwh) for b in two_band_tariff.bands]
+        bands = list(two_band_tariff.bands)
         assert got == pytest.approx(oracle_cost(705, 735, 20.0, bands).value, abs=1e-9)
 
     def test_midnight_wrap(self, two_band_tariff):
@@ -217,10 +242,10 @@ def random_tariffs(draw):
     )
     edges = [0] + sorted(cuts) + [1440]
     bands = tuple(
-        TariffBand(lo, hi, draw(st.floats(min_value=0.0, max_value=5.0)))
+        (lo, hi, draw(st.floats(min_value=0.0, max_value=5.0)))
         for lo, hi in zip(edges, edges[1:])
     )
-    return TariffSchedule(bands)
+    return DaySchedule(bands)
 
 
 @given(
@@ -232,7 +257,7 @@ def random_tariffs(draw):
 @settings(max_examples=150, deadline=None)
 def test_charge_cost_matches_minute_oracle(tariff, start, duration, energy):
     got = charge_cost(start, start + duration, energy, tariff)
-    bands = [(b.start, b.end, b.price_per_kwh) for b in tariff.bands]
+    bands = list(tariff.bands)
     want = oracle_cost(start, start + duration, energy, bands).value
     assert got == pytest.approx(want, abs=1e-6)
 

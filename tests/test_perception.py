@@ -11,16 +11,7 @@ from hypothesis import strategies as st
 
 from chargesim.config import ScenarioConfig
 from chargesim.domain import GeoPoint, Persona, SimClock, canonical_json
-from chargesim.environment import (
-    ChargingStation,
-    CongestionSchedule,
-    Environment,
-    EvState,
-    SpeedBand,
-    TariffBand,
-    TariffSchedule,
-    price_at,
-)
+from chargesim.environment import ChargingStation, DaySchedule, Environment, EvState
 from chargesim.georoute import OfflineRouter
 from chargesim.perception import (
     PerceptionSnapshot,
@@ -51,10 +42,9 @@ class _Agent:
 def _env(stations, congestion=None, detour_factor=1.0):
     return Environment(
         stations={s.station_id: s for s in stations},
-        tariffs={"t": TariffSchedule((TariffBand(0, 720, 0.5), TariffBand(720, 1440, 1.0)))},
+        tariffs={"t": DaySchedule(((0, 720, 0.5), (720, 1440, 1.0)))},
         router=OfflineRouter(detour_factor=detour_factor, speed_kmh=30.0),
-        congestion=congestion
-        or CongestionSchedule((SpeedBand(0, 1440, 1.0),)),
+        congestion=congestion or DaySchedule(((0, 1440, 1.0),)),
     )
 
 
@@ -134,10 +124,10 @@ def test_stations_sorted_by_distance_then_id(persona):
 DEFAULTS = ScenarioConfig()
 DEFAULT_TARIFFS = {
     **DEFAULTS.build_tariffs(),
-    "t": TariffSchedule((TariffBand(0, 720, 0.5), TariffBand(720, 1440, 1.0))),
+    "t": DaySchedule(((0, 720, 0.5), (720, 1440, 1.0))),
 }
 # one minute inside each band of the default congestion schedule
-BAND_MINUTES = [band.start for band in DEFAULTS.build_congestion().bands]
+BAND_MINUTES = [start for start, _, _ in DEFAULTS.build_congestion().bands]
 
 
 # Agent centres: the default city, anywhere up to +-88 degrees latitude, and
@@ -224,7 +214,7 @@ def test_perceive_matches_brute_force_filter_sort(
         router=OfflineRouter(detour_factor=1.3, speed_kmh=30.0),
         congestion=DEFAULTS.build_congestion(),
     )
-    multiplier = env.congestion.multiplier_at(minute)
+    multiplier = env.congestion.at(minute)
     if on_radius is not None and stations:
         # the radius is exactly one station's distance, which stays in
         edge = stations[on_radius % len(stations)]
@@ -245,9 +235,9 @@ def test_perceive_matches_brute_force_filter_sort(
         assert radius_km in [e.distance_km for e in snapshot.stations]
     for entry in snapshot.stations:
         tariff = DEFAULT_TARIFFS[env.stations[entry.station_id].tariff_id]
-        assert entry.price_per_kwh == price_at(tariff, minute)
-        cheapest = min(band.price_per_kwh for band in tariff.bands)
-        assert entry.off_peak == (price_at(tariff, minute) == cheapest == tariff.lowest_price)
+        assert entry.price_per_kwh == tariff.at(minute)
+        cheapest = min(price for _, _, price in tariff.bands)
+        assert entry.off_peak == (tariff.at(minute) == cheapest == tariff.lowest)
 
 
 def test_snapshot_is_deterministic(persona):
@@ -283,7 +273,7 @@ def test_snapshot_contains_all_dimension_groups(persona):
 
 
 def test_congestion_multiplier_scales_travel_time(persona):
-    rush = CongestionSchedule((SpeedBand(0, 720, 0.5), SpeedBand(720, 1440, 1.0)))
+    rush = DaySchedule(((0, 720, 0.5), (720, 1440, 1.0)))
     env = _env([_station(km_north=5.0)], congestion=rush)
     slow = perceive(_agent(persona), env, SimClock(600), radius_km=10.0)
     fast = perceive(_agent(persona), env, SimClock(800), radius_km=10.0)
