@@ -49,26 +49,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load(config_path: Path | None) -> ScenarioConfig:
-    if config_path is None:
-        return ScenarioConfig()
-    return load_config(config_path)
+def _checked_config(path: Path | None, seed=None, provider=None) -> ScenarioConfig | None:
+    """The config at path (the default one when path is None) with the seed and
+    provider overrides applied, or None after printing each of its problems."""
+    try:
+        config = ScenarioConfig() if path is None else load_config(path)
+    except (OSError, ValueError) as exc:
+        problems = [str(exc)]
+    else:
+        if seed is not None:
+            config.seed = seed
+        if provider is not None:
+            config.provider = provider
+        problems = config.validate()
+    for problem in problems:
+        print(f"config error: {problem}", file=sys.stderr)
+    return None if problems else config
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = _load(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.provider is not None:
-        config.provider = args.provider
-    problems = config.validate()
-    if problems:
-        for problem in problems:
-            print(f"config error: {problem}", file=sys.stderr)
+    config = _checked_config(args.config, args.seed, args.provider)
+    if config is None:
         return EXIT_CONFIG
     try:
         artifacts = run_scenario(config, args.out)
@@ -101,15 +102,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        config = _load(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    problems = config.validate()
-    if problems:
-        for problem in problems:
-            print(f"config error: {problem}", file=sys.stderr)
+    if _checked_config(args.config) is None:
         return EXIT_CONFIG
     print("configuration is valid")
     return EXIT_OK

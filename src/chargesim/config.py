@@ -160,7 +160,10 @@ class ScenarioConfig:
         problems = _type_problems("", vars(self), fields(self))
         if problems:  # the range checks below assume the annotated types
             return problems
-        problems.extend(_type_problems("live.", self.live, fields(LiveSettings)))
+        live_problems = _type_problems("live.", self.live, fields(LiveSettings))
+        problems.extend(live_problems)
+        if "api_key" in self.live:
+            problems.append("live.api_key may not be set in a configuration file; set LLM_API_KEY")
         prompts_dir = self.live.get("prompts_dir")
         if isinstance(prompts_dir, str) and not Path(prompts_dir).is_dir():
             problems.append(f"live.prompts_dir {prompts_dir!r} is not an existing directory")
@@ -192,14 +195,17 @@ class ScenarioConfig:
             )
 
         # build what the run builds; each builder's own checks report its problems
-        built = {}
-        for name, build in (
+        builds = [
             ("router", self.build_router),
             ("baseline_weights", self.build_weights),
             ("tariffs", self.build_tariffs),
             ("stations", self.build_stations),
             ("congestion_bands", self.build_congestion),
-        ):
+        ]
+        if not live_problems:  # its type problems are reported above
+            builds.append(("live", self.build_live_settings))
+        built = {}
+        for name, build in builds:
             try:
                 built[name] = build()
             except (KeyError, TypeError, ValueError, OverflowError) as exc:

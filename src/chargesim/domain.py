@@ -25,7 +25,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as json_string
 
 MINUTES_PER_DAY = 1440
@@ -37,20 +36,7 @@ CURRENCY_PLACES = 4
 # json_string and json_number: the same bytes, without building a dict first.
 # A str-valued enum member goes to json_string as itself, since its str data
 # is its value.
-_canonical_encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-if c_make_encoder is None:
-    canonical_json = _canonical_encoder.encode
-else:
-    # JSONEncoder.encode builds a new C encoder on every call; this one is
-    # built once, with encode's settings but no check for circular
-    # containers (markers=None), which the values written here never are.
-    _canonical_chunks = c_make_encoder(
-        None, _canonical_encoder.default, json_string, None, ":", ",", True, False, True
-    )
-
-    def canonical_json(value) -> str:
-        """value as canonical JSON text, as _canonical_encoder.encode writes it."""
-        return "".join(_canonical_chunks(value, 0))
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 _float_repr = float.__repr__
 _int_repr = int.__repr__

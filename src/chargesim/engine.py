@@ -357,9 +357,7 @@ class Simulation:
                 )
 
             personas = {aid: agent.persona.to_dict() for aid, agent in self.agents.items()}
-            (self.run_dir / "personas.json").write_text(
-                json.dumps(personas, sort_keys=True, indent=2), encoding="utf-8"
-            )
+            self._write_json("personas.json", personas)
 
             self._plan_day(0)
             for agent in self._agents_in_order():

@@ -64,6 +64,14 @@ def _read_summary(run_dir: Path, required: bool) -> dict | None:
 # ---------------------------------------------------------------------------
 
 
+def _feature(geometry_type: str, coordinates: list, **properties) -> dict:
+    return {
+        "type": "Feature",
+        "geometry": {"type": geometry_type, "coordinates": coordinates},
+        "properties": properties,
+    }
+
+
 def build_geojson(run_dir: Path | str) -> dict:
     """The FeatureCollection of a run: its stations, then per agent its
     route, start and end points and charge markers.
@@ -81,19 +89,14 @@ def build_geojson(run_dir: Path | str) -> dict:
     for station_id in sorted(stations):
         spec = stations[station_id]
         features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "Point",
-                    "coordinates": [spec["longitude"], spec["latitude"]],
-                },
-                "properties": {
-                    "kind": "station",
-                    "station_id": station_id,
-                    "pile_count": spec["pile_count"],
-                    "pile_power_kw": spec["pile_power_kw"],
-                },
-            }
+            _feature(
+                "Point",
+                [spec["longitude"], spec["latitude"]],
+                kind="station",
+                station_id=station_id,
+                pile_count=spec["pile_count"],
+                pile_power_kw=spec["pile_power_kw"],
+            )
         )
 
     # per agent, its chronological waypoints and its charge decisions
@@ -104,44 +107,21 @@ def build_geojson(run_dir: Path | str) -> dict:
         # an agent that never moved is drawn as a route of two points where it stands
         lat, lon = final_states[agent_id]["location"]
         points += [[lon, lat]] * (2 - len(points))
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "LineString", "coordinates": points},
-                "properties": {"kind": "route", "agent_id": agent_id},
-            }
-        )
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": points[0]},
-                "properties": {"kind": "start", "agent_id": agent_id},
-            }
-        )
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": points[-1]},
-                "properties": {"kind": "end", "agent_id": agent_id},
-            }
-        )
+        features.append(_feature("LineString", points, kind="route", agent_id=agent_id))
+        features.append(_feature("Point", points[0], kind="start", agent_id=agent_id))
+        features.append(_feature("Point", points[-1], kind="end", agent_id=agent_id))
         for timestamp, station_id, reason in routes[agent_id]["charges"]:
             station = stations[station_id]
             features.append(
-                {
-                    "type": "Feature",
-                    "geometry": {
-                        "type": "Point",
-                        "coordinates": [station["longitude"], station["latitude"]],
-                    },
-                    "properties": {
-                        "kind": "charge",
-                        "agent_id": agent_id,
-                        "time": timestamp,
-                        "reason": reason,
-                        "station_id": station_id,
-                    },
-                }
+                _feature(
+                    "Point",
+                    [station["longitude"], station["latitude"]],
+                    kind="charge",
+                    agent_id=agent_id,
+                    time=timestamp,
+                    reason=reason,
+                    station_id=station_id,
+                )
             )
 
     return {"type": "FeatureCollection", "features": features}

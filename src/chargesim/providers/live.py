@@ -1,14 +1,14 @@
 """Cognition provider backed by an OpenAI-compatible chat-completions API.
 
 Transport: POST {base_url}/chat/completions with a JSON body, bearer auth
-from LLM_API_KEY (or explicit settings), temperature 0 by default so runs
-are as replayable as the backend permits. Every call asks for a JSON object
-response and goes through the same funnel:
+from LLM_API_KEY (or LiveSettings(api_key=...) in code), temperature 0 by
+default so runs are as replayable as the backend permits. Every call asks
+for a JSON object response and goes through the same funnel:
 
     transport error  -> up to 2 retries with exponential backoff,
                         then ProviderError
     unparseable JSON -> one repair round-trip quoting the parse error,
-                        then SchemaError
+    (or no text)        then SchemaError
     schema violation -> same single repair round-trip, then SchemaError
 
 The engine decides what a SchemaError means (for decisions: substitute the
@@ -18,6 +18,7 @@ rule-based baseline and tag the record as a fallback).
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import time
@@ -94,15 +95,22 @@ DEFAULT_PROMPTS = {
 class LiveSettings:
     base_url: str = "https://api.openai.com/v1"
     model: str = "gpt-4o-mini"
-    api_key: str | None = None  # falls back to the LLM_API_KEY environment variable
+    api_key: str | None = None  # set in code only; None reads the LLM_API_KEY variable
     temperature: float = 0.0
     timeout_s: float = 60.0
     prompts_dir: str | None = None
 
+    def __post_init__(self) -> None:
+        # each bound is written so that NaN fails it
+        if not 0 < self.timeout_s < math.inf:
+            raise ValueError(f"timeout_s must be > 0 and finite, got {self.timeout_s!r}")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be >= 0 and finite, got {self.temperature!r}")
+
     def resolved_key(self) -> str:
         key = self.api_key or os.environ.get("LLM_API_KEY", "")
         if not key:
-            raise ProviderError("no API key: set LLM_API_KEY or configure live.api_key")
+            raise ProviderError("no API key: set LLM_API_KEY")
         return key
 
 
@@ -122,7 +130,7 @@ class LiveProvider(CognitionProvider):
 
     # -- transport ------------------------------------------------------------
 
-    def _post_chat(self, messages: list[dict]) -> str:
+    def _post_chat(self, messages: list[dict]) -> str | None:
         import requests
 
         url = self.settings.base_url.rstrip("/") + "/chat/completions"
@@ -151,17 +159,17 @@ class LiveProvider(CognitionProvider):
                     )
                 payload = response.json()
                 return payload["choices"][0]["message"]["content"]
-            except ProviderError as exc:
-                last_error = exc
-            except Exception as exc:  # connection errors, timeouts, bad JSON envelope
+            except Exception as exc:  # status, connection and timeout errors, bad JSON envelope
                 last_error = exc
             if attempt < TRANSPORT_RETRIES:
                 time.sleep(BACKOFF_BASE_S * (2**attempt))
         raise ProviderError(f"transport failed after {TRANSPORT_RETRIES + 1} attempts: {last_error}")
 
     @staticmethod
-    def _extract_json(text: str) -> dict:
+    def _extract_json(text: str | None) -> dict:
         """Parse the first JSON object out of a model reply, fences included."""
+        if not isinstance(text, str):  # a refusal's content is null
+            raise SchemaError(f"reply holds no text, got {text!r}")
         cleaned = re.sub(r"```(?:json)?", "", text).strip()
         try:
             parsed = json.loads(cleaned)

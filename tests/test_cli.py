@@ -133,6 +133,11 @@ def test_validate_rejects_plan_template_routing_keys(tmp_path, capsys):
         "live: {prompts_dir: no-such-prompts-dir}",
         "live: {modle: x}",
         "live: {max_tokens: 100}",
+        # the key comes from the environment only, and LiveSettings checks its numbers
+        "live: {api_key: k}",
+        "live: {timeout_s: 0}",
+        "live: {timeout_s: .nan}",
+        "live: {temperature: -1.0}",
         # a template key outside the template's shape table is a misspelling
         "plan_template: {centre: [0, 0], area_radius: 3}",
         "persona_template: {age_rang: [1, 2]}",
@@ -396,6 +401,24 @@ def test_unknown_format_exits_1(capsys):
     assert exc.value.code == 1
 
 
-def test_missing_config_file_exits_1(tmp_path, capsys):
-    assert main(["validate", "--config", str(tmp_path / "none.yaml")]) == 1
-    assert "config error" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_missing_config_file_exits_1(tmp_path, capsys, command):
+    argv = [command, "--config", str(tmp_path / "none.yaml")]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_applies_its_overrides_before_validating(tmp_path):
+    config = ScenarioConfig()
+    config.num_agents = 1
+    config.horizon_days = 1
+    config.provider = "bogus"
+    path = tmp_path / "bogus.yaml"
+    path.write_text(config.to_yaml(), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 1
+    argv = ["run", "--config", str(path), "--provider", "mock", "--out", str(tmp_path / "run")]
+    assert main(argv) == 0
+    assert "provider: mock" in (tmp_path / "run" / "config.yaml").read_text(encoding="utf-8")

@@ -123,7 +123,7 @@ def test_the_live_section_builds_live_settings_with_their_own_defaults():
     # key keeps its LiveSettings default
     assert ScenarioConfig().build_live_settings() == LiveSettings()
     config = ScenarioConfig()
-    config.live = {"model": "m", "api_key": None, "temperature": 1}
+    config.live = {"model": "m", "temperature": 1}
     assert config.validate() == []
     assert config.build_live_settings() == LiveSettings(model="m", temperature=1)
 

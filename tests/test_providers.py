@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chargesim.config import ScenarioConfig
 from chargesim.domain import (
     ActionType,
     BehaviorRecord,
@@ -21,6 +22,7 @@ from chargesim.domain import (
     SimClock,
     canonical_json,
 )
+from chargesim.engine import run
 from chargesim.environment import EvState
 from chargesim.georoute import EARTH_RADIUS_KM, bounding_box_deg
 from chargesim.perception import PerceptionSnapshot, StationPerception, TravelPerception
@@ -733,6 +735,30 @@ class TestLiveProvider:
         request = make_request(persona, soc_kwh=30.0, stations=[make_station()])
         with pytest.raises(SchemaError):
             self._provider().decide(request)
+
+    def test_a_null_reply_is_repaired(self, persona, monkeypatch):
+        # a refusal answers with null content
+        replies = iter([_FakeResponse(None), _FakeResponse(json.dumps(VALID_PAYLOAD))])
+        monkeypatch.setattr("requests.post", lambda url, **kw: next(replies))
+        request = make_request(persona, soc_kwh=30.0, stations=[make_station()])
+        assert self._provider().decide(request).quintuple.station_id == "st-01"
+
+    def test_two_null_replies_raise_schema_error(self, persona, monkeypatch):
+        monkeypatch.setattr("requests.post", lambda url, **kw: _FakeResponse(None))
+        request = make_request(persona, soc_kwh=30.0, stations=[make_station()])
+        with pytest.raises(SchemaError, match="no text"):
+            self._provider().decide(request)
+
+    def test_a_run_of_null_replies_falls_back(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        monkeypatch.setattr("requests.post", lambda url, **kw: _FakeResponse(None))
+        config = ScenarioConfig()
+        config.num_agents = 1
+        config.horizon_days = 1
+        config.provider = "live"
+        fallbacks = run(config, tmp_path / "run").summary["fallbacks"]
+        assert fallbacks["personas"] == fallbacks["plans"] == fallbacks["reflections"] == 1
+        assert fallbacks["decisions"] >= 1
 
     def test_json_fences_are_tolerated(self, persona, monkeypatch):
         wrapped = f"```json\n{json.dumps(VALID_PAYLOAD)}\n```"
