@@ -160,7 +160,13 @@ class ScenarioConfig:
         problems = _type_problems("", vars(self), fields(self))
         if problems:  # the range checks below assume the annotated types
             return problems
-        live_problems = _type_problems("live.", self.live, fields(LiveSettings))
+        # api_key is a LiveSettings field that only LLM_API_KEY sets, so no
+        # hint names it
+        live_problems = _type_problems(
+            "live.",
+            {key: value for key, value in self.live.items() if key != "api_key"},
+            [spec for spec in fields(LiveSettings) if spec.name != "api_key"],
+        )
         problems.extend(live_problems)
         if "api_key" in self.live:
             problems.append("live.api_key may not be set in a configuration file; set LLM_API_KEY")

@@ -13,15 +13,17 @@ reason). No exporter reads behavior.log, so a run directory without
 routes.json, such as one left by a crash before the run finished, cannot
 be mapped.
 
-map.geojson is json.dumps(collection, sort_keys=True, indent=2) byte for
-byte, written by a direct writer for the five feature kinds instead of the
-pure-Python indenting encoder; map.html embeds the compact, C-encoded form.
+One writer splices each position's number text (a route's as routes.json
+spells it, float.__repr__ as the encoder does) into map.geojson, byte for
+byte json.dumps(collection, sort_keys=True, indent=2), and into map.html's
+compact json.dumps(collection, sort_keys=True); no float is formatted twice.
 """
 
 from __future__ import annotations
 
 import json
 from html import escape
+from itertools import chain
 from pathlib import Path
 
 from .config import load_config
@@ -72,11 +74,36 @@ def _feature(geometry_type: str, coordinates: list, **properties) -> dict:
     }
 
 
+class _NumberText(str):
+    """A number's text as routes.json spells it, told apart from a string."""
+
+    __slots__ = ()
+
+
+def _route_positions(agent_id: str, flat: list) -> list[tuple[str, str]]:
+    """routes.json's flat lon, lat list as (lon, lat) positions of number
+    text; ValueError naming the agent for an odd count or a non-number."""
+    if not set(map(type, flat)) <= {_NumberText}:
+        stray = [value for value in flat if type(value) not in (_NumberText, int, float)]
+        if stray:
+            raise ValueError(
+                f"routes.json: the route of {agent_id!r} holds a non-number: {stray[0]!r}"
+            )
+        # a hand-written route's integers, NaN and infinities, as the encoder writes them
+        flat = [value if type(value) is _NumberText else json_number(value) for value in flat]
+    if len(flat) % 2:
+        raise ValueError(f"routes.json: the route of {agent_id!r} holds an odd count of numbers")
+    pairs = iter(flat)
+    return list(zip(pairs, pairs))
+
+
 def build_geojson(run_dir: Path | str) -> dict:
     """The FeatureCollection of a run: its stations, then per agent its
     route, start and end points and charge markers.
 
-    A run whose summary.json records a failure raises ValueError naming
+    Each position is the (lon, lat) text of its numbers, a route's as
+    routes.json spells them. A malformed route raises ValueError naming its
+    agent, and so does a run whose summary.json records a failure, naming
     the error; a directory without summary.json is read as it stands.
     """
     run_dir = Path(run_dir)
@@ -86,12 +113,14 @@ def build_geojson(run_dir: Path | str) -> dict:
 
     features: list[dict] = []
     stations = {spec["station_id"]: spec for spec in config.stations}
+    positions = {}
     for station_id in sorted(stations):
         spec = stations[station_id]
+        positions[station_id] = (json_number(spec["longitude"]), json_number(spec["latitude"]))
         features.append(
             _feature(
                 "Point",
-                [spec["longitude"], spec["latitude"]],
+                positions[station_id],
                 kind="station",
                 station_id=station_id,
                 pile_count=spec["pile_count"],
@@ -100,22 +129,20 @@ def build_geojson(run_dir: Path | str) -> dict:
         )
 
     # per agent, its chronological waypoints and its charge decisions
-    routes = json.loads(_require(run_dir / "routes.json").read_text(encoding="utf-8"))
+    routes = json.loads(_require(run_dir / "routes.json").read_bytes(), parse_float=_NumberText)
     for agent_id in sorted(routes):
-        flat = routes[agent_id]["route"]
-        points = [flat[i : i + 2] for i in range(0, len(flat), 2)]
+        points = _route_positions(agent_id, routes[agent_id]["route"])
         # an agent that never moved is drawn as a route of two points where it stands
         lat, lon = final_states[agent_id]["location"]
-        points += [[lon, lat]] * (2 - len(points))
+        points += [(json_number(lon), json_number(lat))] * (2 - len(points))
         features.append(_feature("LineString", points, kind="route", agent_id=agent_id))
         features.append(_feature("Point", points[0], kind="start", agent_id=agent_id))
         features.append(_feature("Point", points[-1], kind="end", agent_id=agent_id))
         for timestamp, station_id, reason in routes[agent_id]["charges"]:
-            station = stations[station_id]
             features.append(
                 _feature(
                     "Point",
-                    [station["longitude"], station["latitude"]],
+                    positions[station_id],
                     kind="charge",
                     agent_id=agent_id,
                     time=timestamp,
@@ -127,66 +154,63 @@ def build_geojson(run_dir: Path | str) -> dict:
     return {"type": "FeatureCollection", "features": features}
 
 
-def _indented(value, depth: int) -> str:
-    """`value` as json.dumps(sort_keys=True, indent=2) writes it when it
-    starts on a line indented `depth` levels."""
+def _value_text(value, depth: int, compact: bool) -> str:
+    """A property value as json.dumps(sort_keys=True), compact or with
+    indent=2, writes it when it starts on a line indented `depth` levels."""
     kind = type(value)
     if kind is float or kind is int:
         return json_number(value)
     if kind is str:
         return json_string(value)
+    if kind is _NumberText:  # a hand-written float in routes.json's charges
+        return value
     # anything else (true, false, null or a container, which only a
     # hand-written config.yaml or routes.json puts in a property) through the
     # encoder itself; it escapes newlines in strings, so each newline in its
     # text starts a line
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+    text = json.dumps(value, sort_keys=True, indent=None if compact else 2)
+    return text.replace("\n", "\n" + "  " * depth)
 
 
-def _position(value: list, depth: int) -> str:
-    """A [lon, lat] position, as _indented writes it."""
-    inner = "\n" + "  " * (depth + 1)
-    lon = _indented(value[0], depth + 1)
-    lat = _indented(value[1], depth + 1)
-    return f"[{inner}{lon},{inner}{lat}\n{'  ' * depth}]"
-
-
-def _geojson_text(collection: dict) -> str:
-    """json.dumps(collection, sort_keys=True, indent=2), byte for byte, for a
-    FeatureCollection as build_geojson returns it.
+def _geojson_text(collection: dict, compact: bool = False) -> str:
+    """json.dumps(numeric, sort_keys=True, indent=2), or compact, byte for
+    byte for a FeatureCollection as build_geojson returns it, where numeric
+    reads each position's text as a number the encoder spells that way.
 
     Each of its five feature kinds (station, route, start, end, charge) is
-    {"geometry", "properties", "type"}: a Point's [lon, lat] or a
+    {"geometry", "properties", "type"}: a Point's (lon, lat) or a
     LineString's list of them, and properties that always hold "kind".
     Property keys are sorted and each value is written at its depth, so a
     property read from a hand-written file is written as the encoder would.
     """
+    # per depth, the break before an item that many levels in, and the comma before the next
+    breaks = ["" if compact else "\n" + "  " * depth for depth in range(7)]
+    commas = [", " if compact else "," + brk for brk in breaks]
+    between_positions = f"{breaks[5]}]{commas[5]}[{breaks[6]}"
     parts = []
     for feature in collection["features"]:
         geometry = feature["geometry"]
         if geometry["type"] == "Point":
-            coordinates = _position(geometry["coordinates"], 4)
+            coordinates = f"[{breaks[5]}{commas[5].join(geometry['coordinates'])}{breaks[4]}]"
         else:
-            inner = "\n" + "  " * 5
-            positions = ("," + inner).join(
-                [_position(point, 5) for point in geometry["coordinates"]]
-            )
-            coordinates = f"[{inner}{positions}\n        ]"
+            positions = between_positions.join(map(commas[6].join, geometry["coordinates"]))
+            coordinates = f"[{breaks[5]}[{breaks[6]}{positions}{breaks[5]}]{breaks[4]}]"
         properties = feature["properties"]
-        body = ",\n        ".join(
-            f"{json_string(key)}: {_indented(properties[key], 4)}" for key in sorted(properties)
+        body = commas[4].join(
+            f"{json_string(key)}: {_value_text(properties[key], 4, compact)}"
+            for key in sorted(properties)
         )
         parts.append(
-            "{\n"
-            '      "geometry": {\n'
-            f'        "coordinates": {coordinates},\n'
-            f'        "type": {json_string(geometry["type"])}\n'
-            "      },\n"
-            f'      "properties": {{\n        {body}\n      }},\n'
-            f'      "type": {json_string(feature["type"])}\n'
-            "    }"
+            f'{{{breaks[3]}"geometry": {{{breaks[4]}"coordinates": {coordinates}{commas[4]}'
+            f'"type": {json_string(geometry["type"])}{breaks[3]}}}{commas[3]}'
+            f'"properties": {{{breaks[4]}{body}{breaks[3]}}}{commas[3]}'
+            f'"type": {json_string(feature["type"])}{breaks[2]}}}'
         )
-    features = "[\n    " + ",\n    ".join(parts) + "\n  ]" if parts else "[]"
-    return f'{{\n  "features": {features},\n  "type": {json_string(collection["type"])}\n}}'
+    features = f"[{breaks[2]}{commas[2].join(parts)}{breaks[1]}]" if parts else "[]"
+    return (
+        f'{{{breaks[1]}"features": {features}{commas[1]}'
+        f'"type": {json_string(collection["type"])}{breaks[0]}}}'
+    )
 
 
 def export_geojson(run_dir: Path | str, out_path: Path | str | None = None) -> Path:
@@ -217,19 +241,19 @@ def export_html(run_dir: Path | str, out_path: Path | str | None = None) -> Path
     run_dir = Path(run_dir)
     out = Path(out_path) if out_path else run_dir / "map.html"
     collection = build_geojson(run_dir)
+    features = collection["features"]
 
-    lons = []
-    lats = []
-    for feature in collection["features"]:
+    # per feature, its lons and lats as floats; float(repr(x)) == x
+    shapes = []
+    for feature in features:
         geometry = feature["geometry"]
-        coordinates = (
-            geometry["coordinates"]
-            if geometry["type"] == "LineString"
-            else [geometry["coordinates"]]
-        )
-        for lon, lat in coordinates:
-            lons.append(lon)
-            lats.append(lat)
+        numbers = geometry["coordinates"]
+        if geometry["type"] == "LineString":
+            numbers = chain.from_iterable(numbers)
+        numbers = list(map(float, numbers))
+        shapes.append((numbers[0::2], numbers[1::2]))
+    lons = list(chain.from_iterable(shape[0] for shape in shapes))
+    lats = list(chain.from_iterable(shape[1] for shape in shapes))
     lon_min, lon_max = min(lons), max(lons)
     lat_min, lat_max = min(lats), max(lats)
     pad_lon = (lon_max - lon_min) * 0.05 or 0.01
@@ -239,11 +263,13 @@ def export_html(run_dir: Path | str, out_path: Path | str | None = None) -> Path
     lat_min -= pad_lat
     lat_max += pad_lat
     width, height = 720.0, 640.0
-
-    def project(lon: float, lat: float) -> tuple[float, float]:
-        x = (lon - lon_min) / (lon_max - lon_min) * width
-        y = (lat_max - lat) / (lat_max - lat_min) * height
-        return round(x, 2), round(y, 2)
+    projected = [
+        (
+            [round((lon - lon_min) / (lon_max - lon_min) * width, 2) for lon in lons],
+            [round((lat_max - lat) / (lat_max - lat_min) * height, 2) for lat in lats],
+        )
+        for lons, lats in shapes
+    ]
 
     def text(value: str) -> str:
         """Element text; agent ids, station ids and reasons may hold markup."""
@@ -251,27 +277,23 @@ def export_html(run_dir: Path | str, out_path: Path | str | None = None) -> Path
 
     svg_parts: list[str] = []
     agent_ids = sorted(
-        {f["properties"]["agent_id"] for f in collection["features"] if "agent_id" in f["properties"]}
+        {f["properties"]["agent_id"] for f in features if "agent_id" in f["properties"]}
     )
     color_of = {aid: _AGENT_COLORS[i % len(_AGENT_COLORS)] for i, aid in enumerate(agent_ids)}
-    for feature in collection["features"]:
+    for feature, (xs, ys) in zip(features, projected):
         props = feature["properties"]
-        geometry = feature["geometry"]
         if props["kind"] == "route":
-            path = " ".join(
-                "{},{}".format(*project(lon, lat)) for lon, lat in geometry["coordinates"]
-            )
+            path = " ".join(map("{},{}".format, xs, ys))
             svg_parts.append(
                 f'<polyline points="{path}" fill="none" stroke="{color_of[props["agent_id"]]}" '
                 f'stroke-width="1.4" opacity="0.75">'
                 f'<title>{text(props["agent_id"])}</title></polyline>'
             )
-    for feature in collection["features"]:
+    for feature, (xs, ys) in zip(features, projected):
         props = feature["properties"]
-        geometry = feature["geometry"]
-        if geometry["type"] != "Point":
+        if feature["geometry"]["type"] != "Point":
             continue
-        x, y = project(*geometry["coordinates"])
+        x, y = xs[0], ys[0]
         if props["kind"] == "station":
             svg_parts.append(
                 f'<rect x="{x - 5}" y="{y - 5}" width="10" height="10" fill="#222" '
@@ -294,11 +316,7 @@ def export_html(run_dir: Path | str, out_path: Path | str | None = None) -> Path
                 f'stroke="{color_of.get(props["agent_id"], "#000")}" stroke-width="1.5"/>'
             )
 
-    decisions = [
-        f
-        for f in collection["features"]
-        if f["properties"]["kind"] == "charge"
-    ]
+    decisions = [f for f in features if f["properties"]["kind"] == "charge"]
     rows = "\n".join(
         "<tr><td>{agent}</td><td>{time}</td><td>{station}</td><td>{reason}</td></tr>".format(
             agent=text(f["properties"]["agent_id"]),
@@ -311,7 +329,7 @@ def export_html(run_dir: Path | str, out_path: Path | str | None = None) -> Path
     # "<", ">" and "&" as JSON escapes, so no string in the data can close the
     # script element
     embedded = (
-        json.dumps(collection, sort_keys=True)
+        _geojson_text(collection, compact=True)
         .replace("<", "\\u003c")
         .replace(">", "\\u003e")
         .replace("&", "\\u0026")

@@ -151,16 +151,17 @@ class LiveProvider(CognitionProvider):
                 response = requests.post(
                     url, headers=headers, json=body, timeout=self.settings.timeout_s
                 )
-                if response.status_code >= 500 or response.status_code == 429:
-                    raise ProviderError(f"server answered {response.status_code}")
-                if response.status_code != 200:
-                    raise ProviderError(
-                        f"request rejected with {response.status_code}: {response.text[:200]}"
-                    )
-                payload = response.json()
-                return payload["choices"][0]["message"]["content"]
-            except Exception as exc:  # status, connection and timeout errors, bad JSON envelope
+                status = response.status_code
+                if status == 200:
+                    return response.json()["choices"][0]["message"]["content"]
+            except Exception as exc:  # connection and timeout errors, bad JSON envelope
                 last_error = exc
+            else:
+                # only a throttled or failing server may answer otherwise on a retry; a
+                # rejected request (a bad key's 401, a malformed body's 400) fails again
+                if status != 429 and status < 500:
+                    raise ProviderError(f"request rejected with {status}: {response.text[:200]}")
+                last_error = ProviderError(f"server answered {status}")
             if attempt < TRANSPORT_RETRIES:
                 time.sleep(BACKOFF_BASE_S * (2**attempt))
         raise ProviderError(f"transport failed after {TRANSPORT_RETRIES + 1} attempts: {last_error}")

@@ -383,6 +383,21 @@ def test_map_export_of_a_failed_run_exits_2(tmp_path, capsys, fmt):
     assert sorted(path.name for path in run_dir.iterdir()) == written
 
 
+@pytest.mark.parametrize("fmt", ["geojson", "html"])
+def test_map_export_of_a_malformed_route_exits_2(tmp_path, small_config_file, capsys, fmt):
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", str(small_config_file), "--out", str(run_dir)]) == 0
+    routes = json.loads((run_dir / "routes.json").read_text(encoding="utf-8"))
+    routes["agent-00"]["route"].append(121.47)
+    (run_dir / "routes.json").write_text(json.dumps(routes), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["export", "--run", str(run_dir), "--format", fmt]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("export failed: ") and "'agent-00'" in err
+    assert "Traceback" not in err
+    assert not (run_dir / f"map.{fmt}").exists()
+
+
 def test_export_missing_run_dir_exits_2(tmp_path, capsys):
     assert main(["export", "--run", str(tmp_path / "ghost"), "--format", "csv"]) == 2
     assert "missing run artifact" in capsys.readouterr().err

@@ -118,6 +118,18 @@ def test_every_template_key_has_a_shape():
     assert ScenarioConfig().validate() == []
 
 
+def test_a_misspelt_live_setting_is_named_without_the_api_key():
+    config = ScenarioConfig()
+    config.live = {"modle": "x"}
+    (problem,) = config.validate()
+    assert problem.startswith("live.modle is not a setting; expected one of [")
+    assert "'model'" in problem and "api_key" not in problem
+    config.live = {"api_key": "k"}
+    assert config.validate() == [
+        "live.api_key may not be set in a configuration file; set LLM_API_KEY"
+    ]
+
+
 def test_the_live_section_builds_live_settings_with_their_own_defaults():
     # the default section spells out the LiveSettings defaults, and an omitted
     # key keeps its LiveSettings default

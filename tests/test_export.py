@@ -107,6 +107,52 @@ class TestGeojson:
             export(run_dir, out)
         assert not out.exists()
 
+    @pytest.mark.parametrize("export", [export_geojson, export_html])
+    @pytest.mark.parametrize(
+        "route, problem",
+        [
+            ([121.47, 31.23, 121.48], "odd count of numbers"),
+            ([121.47, "31.23"], "non-number: '31.23'"),
+            ([121.47, None], "non-number: None"),
+            ([True, 31.23], "non-number: True"),
+        ],
+    )
+    def test_a_malformed_route_raises_naming_its_agent(
+        self, finished_run, tmp_path, export, route, problem
+    ):
+        _config, artifacts = finished_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(artifacts.run_dir, run_dir)
+        routes = json.loads((run_dir / "routes.json").read_text(encoding="utf-8"))
+        routes["agent-01"]["route"] = route
+        (run_dir / "routes.json").write_text(json.dumps(routes), encoding="utf-8")
+        out = tmp_path / "map"
+        with pytest.raises(ValueError, match=f"'agent-01' holds an? {re.escape(problem)}"):
+            export(run_dir, out)
+        assert not out.exists()
+
+    def test_a_hand_written_route_keeps_its_number_spelling(self, finished_run, tmp_path):
+        # integers, NaN, spellings the engine never writes and a float charge time
+        config, artifacts = finished_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(artifacts.run_dir, run_dir)
+        routes = json.loads((run_dir / "routes.json").read_text(encoding="utf-8"))
+        station_id = config.stations[0]["station_id"]
+        routes["agent-00"] = {"charges": [[600.0, station_id, "r"]], "route": ["ROUTE"]}
+        text = json.dumps(routes).replace('["ROUTE"]', "[121, 31.50, 121.5E0, NaN]")
+        (run_dir / "routes.json").write_text(text, encoding="utf-8")
+        written = export_geojson(run_dir).read_text(encoding="utf-8")
+        assert "31.50" in written and "121.5E0" in written and "NaN" in written
+        features = json.loads(written)["features"]
+        route, charge = [
+            f
+            for f in features
+            if f["properties"].get("agent_id") == "agent-00"
+            and f["properties"]["kind"] in ("route", "charge")
+        ]
+        assert route["geometry"]["coordinates"][0] == [121, 31.5]
+        assert charge["properties"]["time"] == 600.0
+
 
 class PlannerDown(MockProvider):
     def plan_day(self, persona, day_index, seed):
@@ -322,11 +368,20 @@ def _maps_match_the_oracle(run_dir) -> str:
     """Check map.geojson, map.html's embedded GeoJSON and its decision table
     against the full-parse oracle; return the page."""
     expected = oracle_exports(run_dir)
-    collection = json.loads(export_geojson(run_dir).read_text(encoding="utf-8"))
+    text = export_geojson(run_dir).read_text(encoding="utf-8")
+    collection = json.loads(text)
     assert same_json_tree(collection, expected["geojson"])
+    # the writer splices routes.json's number text, which is the encoder's
+    assert text == json.dumps(collection, sort_keys=True, indent=2) + "\n"
     page = export_html(run_dir).read_text(encoding="utf-8")
     embedded = page.split('<script type="application/json" id="geojson">')[1].split("</script>")[0]
     assert same_json_tree(json.loads(embedded), expected["geojson"])
+    assert embedded.strip() == (
+        json.dumps(collection, sort_keys=True)
+        .replace("<", "\\u003c")
+        .replace(">", "\\u003e")
+        .replace("&", "\\u0026")
+    )
     table = re.findall(r"<tr><td>(.*?)</td><td>(.*?)</td><td>(.*?)</td><td>(.*?)</td></tr>", page)
     assert [[html.unescape(cell) for cell in row] for row in table] == expected["decisions"]
     return page
@@ -486,21 +541,51 @@ charges = st.builds(
 )
 
 
+feature_lists = st.lists(st.one_of(stations, routes, ends, charges), max_size=6)
+EXTREME_STATION = [
+    _feature(
+        "Point",
+        [-0.0, 5e-324],
+        {"kind": "station", "station_id": 'st-"1"', "pile_count": 2**64, "pile_power_kw": 7},
+    )
+]
+
+
+def _as_number_text(features: list[dict]) -> dict:
+    """The FeatureCollection of features as build_geojson gives it: each
+    position's numbers as their canonical_json text, as routes.json holds
+    them."""
+    written = []
+    for feature in features:
+        geometry = feature["geometry"]
+        if geometry["type"] == "Point":
+            coordinates = [canonical_json(number) for number in geometry["coordinates"]]
+        else:
+            coordinates = [
+                [canonical_json(number) for number in point] for point in geometry["coordinates"]
+            ]
+        written.append(_feature(geometry["type"], coordinates, feature["properties"]))
+    return {"type": "FeatureCollection", "features": written}
+
+
 @settings(max_examples=150)
-@given(st.lists(st.one_of(stations, routes, ends, charges), max_size=6))
+@given(feature_lists)
 @example([])
-@example(
-    [
-        _feature(
-            "Point",
-            [-0.0, 5e-324],
-            {"kind": "station", "station_id": 'st-"1"', "pile_count": 2**64, "pile_power_kw": 7},
-        )
-    ]
-)
+@example(EXTREME_STATION)
 def test_geojson_writer_matches_the_indenting_encoder(features):
     collection = {"type": "FeatureCollection", "features": features}
-    assert _geojson_text(collection) == json.dumps(collection, sort_keys=True, indent=2)
+    expected = json.dumps(collection, sort_keys=True, indent=2)
+    assert _geojson_text(_as_number_text(features)) == expected
+
+
+@settings(max_examples=150)
+@given(feature_lists)
+@example([])
+@example(EXTREME_STATION)
+def test_geojson_writer_matches_the_compact_encoder(features):
+    collection = {"type": "FeatureCollection", "features": features}
+    expected = json.dumps(collection, sort_keys=True)
+    assert _geojson_text(_as_number_text(features), compact=True) == expected
 
 
 # sha256 of the exports of the seed-42 default run (10 agents x 7 days),

@@ -708,6 +708,35 @@ class TestLiveProvider:
             self._provider().decide(request)
         assert len(calls) == 3  # first try plus two retries
 
+    def _answering(self, monkeypatch, status_code: int) -> tuple[list, list]:
+        """Make every request answer status_code; return the requests made and
+        the sleeps taken."""
+        calls, sleeps = [], []
+
+        def fake_post(url, **kwargs):
+            calls.append(url)
+            return _FakeResponse("denied", status_code=status_code)
+
+        monkeypatch.setattr("requests.post", fake_post)
+        monkeypatch.setattr("chargesim.providers.live.time.sleep", sleeps.append)
+        return calls, sleeps
+
+    @pytest.mark.parametrize("status_code", [400, 401, 404])
+    def test_a_rejected_request_is_not_retried(self, persona, monkeypatch, status_code):
+        calls, sleeps = self._answering(monkeypatch, status_code)
+        request = make_request(persona, soc_kwh=7.5, stations=[make_station()])
+        with pytest.raises(ProviderError, match=f"request rejected with {status_code}: denied"):
+            self._provider().decide(request)
+        assert len(calls) == 1 and sleeps == []
+
+    @pytest.mark.parametrize("status_code", [429, 503])
+    def test_a_throttled_or_failing_server_is_retried(self, persona, monkeypatch, status_code):
+        calls, sleeps = self._answering(monkeypatch, status_code)
+        request = make_request(persona, soc_kwh=7.5, stations=[make_station()])
+        with pytest.raises(ProviderError, match=f"server answered {status_code}"):
+            self._provider().decide(request)
+        assert len(calls) == 3 and sleeps == [0.5, 1.0]
+
     def test_malformed_then_repaired(self, persona, monkeypatch):
         replies = iter(
             [
