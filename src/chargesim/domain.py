@@ -382,14 +382,20 @@ class DecisionQuintuple:
         Calls with the same scenario object and the same minute share one
         instance, whose JSON text is formatted once. Each scenario's latest
         instance is kept, and its text only until another minute replaces it.
+        A new minute's text is the scenario's fixed text, formatted on its
+        first call, with the minute appended (time_minutes is the last key).
         """
         shared = _shared_no_charge.get(id(scenario))
         if shared is None or shared.time_minutes != time_minutes or type(time_minutes) is not int:
             # an equal minute that is not an int (5.0 == 5) goes to the constructor, which rejects it
             latest = cls(False, scenario, time_minutes, None, 0.0, 0.0, 0.0)
-            if shared is not None:  # its records keep the quintuple, not its text
+            if shared is None:
+                text = latest.to_json()
+                head = _no_charge_head[id(scenario)] = text[: text.rindex(":") + 1]
+            else:  # its records keep the quintuple, not its text
                 object.__setattr__(shared, "_json", None)
-            object.__setattr__(latest, "_json", latest.to_json())
+                head = _no_charge_head[id(scenario)]
+            object.__setattr__(latest, "_json", f"{head}{json_number(time_minutes)}}}")
             _shared_no_charge[id(scenario)] = shared = latest
         return shared
 
@@ -408,9 +414,11 @@ class DecisionQuintuple:
         )
 
 
-# no_charge's latest instance per scenario, keyed by id(scenario); no cached id
-# is reused, as each instance holds its scenario
+# no_charge's latest instance per scenario, and the scenario's text up to the
+# minute, keyed by id(scenario); no cached id is reused, as each instance
+# holds its scenario
 _shared_no_charge: dict[int, DecisionQuintuple] = {}
+_no_charge_head: dict[int, str] = {}
 
 
 @dataclass(frozen=True, slots=True)

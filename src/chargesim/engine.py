@@ -168,7 +168,10 @@ class RunTotals:
         self.satisfaction.setdefault(agent_id, []).append(satisfaction)
 
     def _bucket(self, agent_id: str) -> dict:
-        return self.agents.setdefault(agent_id, _zero_bucket())
+        bucket = self.agents.get(agent_id)
+        if bucket is None:
+            bucket = self.agents[agent_id] = _zero_bucket()
+        return bucket
 
     def _add_load(self, start: int, end: int, power_kw: float) -> None:
         if end <= start:
@@ -299,8 +302,9 @@ class Simulation:
         self.run_dir.mkdir(parents=True, exist_ok=True)
 
         self.weights = config.build_weights()
-        plan_template = config.effective_plan_template()
-        self._mock = MockProvider(weights=self.weights, plan_template=plan_template)
+        self._mock = MockProvider(
+            weights=self.weights, plan_template=config.effective_plan_template()
+        )
 
         self.env = Environment(
             stations=config.build_stations(),
@@ -335,12 +339,10 @@ class Simulation:
                 self.provider = LiveProvider(config.build_live_settings())
             else:
                 self.provider = self._mock
-            center = GeoPoint(*plan_template["center"])
-            area_radius = float(plan_template["area_radius_km"])
             for index in range(config.num_agents):
                 agent_id = f"agent-{index:02d}"
                 persona = self._make_persona(agent_id)
-                home = home_point_for(agent_id, center, area_radius)
+                home = home_point_for(agent_id, self._mock.center, self._mock.area_radius_km)
                 state = EvState(
                     agent_id=agent_id,
                     location=home,
@@ -395,12 +397,17 @@ class Simulation:
         heapq.heappush(self.queue, (when, next(self._sequence), handler, args))
 
     def step(self) -> None:
-        """Process exactly one event; simulation time never moves backward."""
+        """Process exactly one event; simulation time never moves backward.
+
+        The event's behavior.log lines reach the file together, in one flush
+        once its handler returns; if the handler raises, close() flushes them.
+        """
         when, _sequence, handler, args = heapq.heappop(self.queue)
         if when < self.now:
             raise AssertionError(f"event queue yielded a past event: {when} < {self.now}")
         self.now = when
         handler(when, *args)
+        self._behavior_fh.flush()
 
     def run(self) -> RunArtifacts:
         """Step to the end and write the summary.
@@ -432,13 +439,13 @@ class Simulation:
         fallback: bool = False,
         to_memory: bool = False,
     ) -> None:
-        """Write record's behavior.log line, extras being its extras as canonical JSON text."""
+        """Write record's behavior.log line, extras being its extras as canonical
+        JSON text; step() flushes it with the rest of its event's lines."""
         # the canonical layout of {"agent_id", "extras", "fallback", "record"}
         self._behavior_fh.write(
             f'{{"agent_id":{json_string(agent.agent_id)},"extras":{extras},'
             f'"fallback":{"true" if fallback else "false"},"record":{record.to_json()}}}\n'
         )
-        self._behavior_fh.flush()
         agent.today_records.append(record)
         if to_memory:
             agent.memory.append(record)

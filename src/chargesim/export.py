@@ -82,7 +82,10 @@ class _NumberText(str):
 
 def _route_positions(agent_id: str, flat: list) -> list[tuple[str, str]]:
     """routes.json's flat lon, lat list as (lon, lat) positions of number
-    text; ValueError naming the agent for an odd count or a non-number."""
+    text; ValueError naming the agent for a non-list, an odd count or a
+    non-number."""
+    if type(flat) is not list:
+        raise ValueError(f"routes.json: the route of {agent_id!r} is not a list: {flat!r}")
     if not set(map(type, flat)) <= {_NumberText}:
         stray = [value for value in flat if type(value) not in (_NumberText, int, float)]
         if stray:
@@ -97,14 +100,47 @@ def _route_positions(agent_id: str, flat: list) -> list[tuple[str, str]]:
     return list(zip(pairs, pairs))
 
 
+def _is_minute(value) -> bool:
+    """An integer, or a hand-written float of integer value (600.0)."""
+    return type(value) is int or (type(value) is _NumberText and float(value).is_integer())
+
+
+def _checked_charges(agent_id: str, charges: list, stations: dict) -> list:
+    """routes.json's charges of agent_id; ValueError naming the agent for a
+    non-list, a charge that is not an [integer time, station id, reason]
+    triple, or a station config.yaml lacks."""
+    if type(charges) is not list:
+        raise ValueError(f"routes.json: the charges of {agent_id!r} are not a list: {charges!r}")
+    for index, charge in enumerate(charges):
+        if not (
+            type(charge) is list
+            and len(charge) == 3
+            and _is_minute(charge[0])
+            and type(charge[1]) is str
+            and type(charge[2]) is str
+        ):
+            raise ValueError(
+                f"routes.json: charge {index} of {agent_id!r} is not an "
+                f"[integer time, station id, reason] triple"
+            )
+        if charge[1] not in stations:
+            raise ValueError(
+                f"routes.json: charge {index} of {agent_id!r} names station {charge[1]!r}, "
+                f"which config.yaml lacks"
+            )
+    return charges
+
+
 def build_geojson(run_dir: Path | str) -> dict:
     """The FeatureCollection of a run: its stations, then per agent its
     route, start and end points and charge markers.
 
     Each position is the (lon, lat) text of its numbers, a route's as
-    routes.json spells them. A malformed route raises ValueError naming its
-    agent, and so does a run whose summary.json records a failure, naming
-    the error; a directory without summary.json is read as it stands.
+    routes.json spells them. A malformed routes.json entry (an agent that
+    final_states.json lacks, a malformed route or charge, or a charge at a
+    station that config.yaml lacks) raises ValueError naming its agent, and
+    so does a run whose summary.json records a failure, naming the error; a
+    directory without summary.json is read as it stands.
     """
     run_dir = Path(run_dir)
     _read_summary(run_dir, required=False)
@@ -131,14 +167,22 @@ def build_geojson(run_dir: Path | str) -> dict:
     # per agent, its chronological waypoints and its charge decisions
     routes = json.loads(_require(run_dir / "routes.json").read_bytes(), parse_float=_NumberText)
     for agent_id in sorted(routes):
-        points = _route_positions(agent_id, routes[agent_id]["route"])
+        entry = routes[agent_id]
+        if agent_id not in final_states:
+            raise ValueError(f"routes.json: {agent_id!r} is not an agent in final_states.json")
+        if type(entry) is not dict or not {"charges", "route"} <= entry.keys():
+            raise ValueError(
+                f"routes.json: the entry of {agent_id!r} is not an object with a route and charges"
+            )
+        points = _route_positions(agent_id, entry["route"])
+        charges = _checked_charges(agent_id, entry["charges"], stations)
         # an agent that never moved is drawn as a route of two points where it stands
         lat, lon = final_states[agent_id]["location"]
         points += [(json_number(lon), json_number(lat))] * (2 - len(points))
         features.append(_feature("LineString", points, kind="route", agent_id=agent_id))
         features.append(_feature("Point", points[0], kind="start", agent_id=agent_id))
         features.append(_feature("Point", points[-1], kind="end", agent_id=agent_id))
-        for timestamp, station_id, reason in routes[agent_id]["charges"]:
+        for timestamp, station_id, reason in charges:
             features.append(
                 _feature(
                     "Point",

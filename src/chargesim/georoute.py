@@ -8,8 +8,9 @@ within reach is decided in perception.py.
 
 bounding_box_deg bounds the points within a radius of a centre by a
 latitude/longitude box. A point outside it would fail the haversine test
-too, so a caller rejects it with two comparisons and no result changes;
-the mock planner filters its destination candidates this way.
+too, so a caller rejects it with two comparisons and no result changes.
+It has two users: the mock planner filters its destination candidates this
+way, and perception.perceive the stations around an agent.
 """
 
 from __future__ import annotations

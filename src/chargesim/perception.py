@@ -19,7 +19,7 @@ from typing import Protocol
 
 from .domain import GeoPoint, Persona, SimClock, json_number, json_string
 from .environment import Environment, EvState
-from .georoute import EARTH_RADIUS_KM
+from .georoute import EARTH_RADIUS_KM, bounding_box_deg
 
 _DIAMETER_KM = 2.0 * EARTH_RADIUS_KM  # haversine_km's leading 2.0 * EARTH_RADIUS_KM
 
@@ -155,7 +155,21 @@ def perceive(
     lon = ev.location.longitude
     cos_lat = cos(radians(lat))
     detour = router.detour_factor
+    # A station outside the box around the radius before the detour is
+    # farther than radius_km, so it is skipped before its haversine. Both
+    # points are GeoPoints, inside [-90, 90] x [-180, 180], where the box is
+    # sound; without a box every station takes the exact test.
+    box = bounding_box_deg(lat, lon, radius_km / detour)
+    if box is None:
+        lat_lo = lon_lo = -math.inf
+        lat_hi = lon_hi = math.inf
+    else:
+        dlat, dlon = box
+        lat_lo, lat_hi = lat - dlat, lat + dlat
+        lon_lo, lon_hi = lon - dlon, lon + dlon
     for station, station_lat, station_lon, station_cos in env.sites:
+        if not (lat_lo <= station_lat <= lat_hi and lon_lo <= station_lon <= lon_hi):
+            continue
         h = (
             sin(radians(abs(station_lat - lat)) / 2.0) ** 2
             + cos_lat * station_cos * sin(radians(abs(station_lon - lon)) / 2.0) ** 2

@@ -333,6 +333,10 @@ class MockProvider(CognitionProvider):
         self.weights = weights if weights is not None else BaselineWeights()
         self.plan_template = template = {**DEFAULT_PLAN_TEMPLATE, **(plan_template or {})}
         self._router = OfflineRouter(float(template["detour_factor"]), float(template["speed_kmh"]))
+        # the plan area, which every plan_day and the engine's home points read
+        self.center = center = GeoPoint(*template["center"])
+        self.area_radius_km = area_radius = float(template["area_radius_km"])
+        self._box = bounding_box_deg(center.latitude, center.longitude, area_radius)
 
     # -- persona ------------------------------------------------------------
 
@@ -377,9 +381,10 @@ class MockProvider(CognitionProvider):
     def plan_day(self, persona: Persona, day_index: int, seed: int | str) -> DailyPlan:
         template = self.plan_template
         rng = random.Random(f"plan|{seed}|{persona.id}|{day_index}")
-        center = GeoPoint(*template["center"])
-        area_radius = float(template["area_radius_km"])
-        box = bounding_box_deg(center.latitude, center.longitude, area_radius)
+        center, area_radius, box = self.center, self.area_radius_km, self._box
+        router = self._router
+        trip_km_lo, trip_km_hi = template["trip_km_range"]
+        gap_lo, gap_hi = template["gap_minutes_range"]
 
         shifts = [tuple(window) for window in template["shifts"]]
         if rng.random() < float(template["evening_shift_probability"]):
@@ -390,10 +395,10 @@ class MockProvider(CognitionProvider):
         for shift_start, shift_end in shifts:
             t = int(shift_start)
             while True:
-                hop_km = rng.uniform(*template["trip_km_range"])
+                hop_km = rng.uniform(trip_km_lo, trip_km_hi)
                 destination = _random_point_near(rng, location, hop_km, center, area_radius, box)
-                route_km = self._router.distance_km(location, destination)
-                travel_minutes = self._router.travel_minutes(route_km, 1.0)
+                route_km = router.distance_km(location, destination)
+                travel_minutes = router.travel_minutes(route_km, 1.0)
                 if t + travel_minutes > shift_end or travel_minutes == 0:
                     break
                 events.append(
@@ -406,7 +411,7 @@ class MockProvider(CognitionProvider):
                     )
                 )
                 location = destination
-                t += travel_minutes + rng.randint(*template["gap_minutes_range"])
+                t += travel_minutes + rng.randint(gap_lo, gap_hi)
         return DailyPlan(day_index=day_index, events=tuple(events))
 
     # -- deciding -----------------------------------------------------------

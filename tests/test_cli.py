@@ -387,15 +387,21 @@ def test_map_export_of_a_failed_run_exits_2(tmp_path, capsys, fmt):
 def test_map_export_of_a_malformed_route_exits_2(tmp_path, small_config_file, capsys, fmt):
     run_dir = tmp_path / "run"
     assert main(["run", "--config", str(small_config_file), "--out", str(run_dir)]) == 0
-    routes = json.loads((run_dir / "routes.json").read_text(encoding="utf-8"))
+    original = json.loads((run_dir / "routes.json").read_text(encoding="utf-8"))
+    routes = json.loads(json.dumps(original))
     routes["agent-00"]["route"].append(121.47)
-    (run_dir / "routes.json").write_text(json.dumps(routes), encoding="utf-8")
-    capsys.readouterr()
-    assert main(["export", "--run", str(run_dir), "--format", fmt]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("export failed: ") and "'agent-00'" in err
-    assert "Traceback" not in err
-    assert not (run_dir / f"map.{fmt}").exists()
+    # a charge at a station that config.yaml lacks
+    unknown_station = json.loads(json.dumps(original))
+    unknown_station["agent-00"]["charges"].append([600, "st-99", "r"])
+    for edited in (routes, unknown_station):
+        (run_dir / "routes.json").write_text(json.dumps(edited), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["export", "--run", str(run_dir), "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("export failed: routes.json: ") and "'agent-00'" in err
+        assert "Traceback" not in err
+        assert not (run_dir / f"map.{fmt}").exists()
+    assert "'st-99'" in err
 
 
 def test_export_missing_run_dir_exits_2(tmp_path, capsys):

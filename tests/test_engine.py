@@ -697,6 +697,78 @@ def test_setup_crash_closes_every_log_and_propagates(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# An event's behavior.log lines reach the file together
+# ---------------------------------------------------------------------------
+
+
+class LogReadingProvider(MockProvider):
+    """The mock policy; each decide call first reads behavior.log from disk."""
+
+    def __init__(self, log_path: Path, **kwargs):
+        super().__init__(**kwargs)
+        self.log_path = log_path
+        self.seen: list[tuple[str, int, str]] = []  # (agent id, minute, log text)
+
+    def decide(self, request):
+        text = self.log_path.read_text(encoding="utf-8")
+        self.seen.append((request.persona.id, request.clock.sim_time, text))
+        return super().decide(request)
+
+
+def test_a_trip_end_flushes_its_travel_line_with_its_decision(tmp_path):
+    config = small_config()
+    run_dir = tmp_path / "run"
+    provider = LogReadingProvider(
+        run_dir / "behavior.log", plan_template=config.effective_plan_template()
+    )
+    artifacts = Simulation(config, run_dir, provider=provider).run()
+    final = artifacts.behavior_log.read_text(encoding="utf-8")
+    assert len(provider.seen) > 10
+    for agent_id, now, text in provider.seen:
+        # the earlier events' lines, whole; the line after them is this trip's
+        # travel line, which its decision has not been written beside yet
+        assert final.startswith(text) and (not text or text.endswith("\n"))
+        pending = json.loads(final[len(text) :].split("\n", 1)[0])
+        assert pending["agent_id"] == agent_id
+        assert pending["record"]["action"] == "travel"
+        assert pending["record"]["timestamp"] == now
+
+
+class _WriteRecorder:
+    """A file object's proxy that keeps every text written through it."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.written: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.written.append(text)
+        return self.fh.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+def test_after_every_step_the_log_on_disk_holds_every_line_emitted(tmp_path):
+    config = charge_and_strand_config()
+    sim = Simulation(config, tmp_path / "run")
+    recorder = sim._behavior_fh = _WriteRecorder(sim._behavior_fh)
+    steps = 0
+    try:
+        while sim.queue:
+            sim.step()
+            steps += 1
+            on_disk = sim.behavior_log_path.read_text(encoding="utf-8")
+            assert on_disk == "".join(recorder.written)
+            assert not on_disk or on_disk.endswith("\n")
+    finally:
+        sim.close()
+    assert steps > 10 and len(recorder.written) > 10
+    actions = {entry["record"]["action"] for entry in read_entries(sim.behavior_log_path)}
+    assert {"travel", "start_charging", "stop_charging", "idle"} <= actions
+
+
+# ---------------------------------------------------------------------------
 # Agent memory lives in RAM; behavior.log and reflections.log are its record
 # ---------------------------------------------------------------------------
 

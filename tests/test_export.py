@@ -115,6 +115,52 @@ class TestGeojson:
             ([121.47, "31.23"], "non-number: '31.23'"),
             ([121.47, None], "non-number: None"),
             ([True, 31.23], "non-number: True"),
+            # the rest of routes.json: an edit, and the message after "routes.json: "
+            pytest.param(
+                lambda routes: routes["agent-01"].update(route=7),
+                "the route of 'agent-01' is not a list: 7",
+                id="route-not-a-list",
+            ),
+            pytest.param(
+                lambda routes: routes["agent-01"].update(charges={"st-01": 600}),
+                "the charges of 'agent-01' are not a list: {'st-01': 600}",
+                id="charges-not-a-list",
+            ),
+            pytest.param(
+                lambda routes: routes["agent-01"].update(charges=[[600, "st-01"]]),
+                "charge 0 of 'agent-01' is not an [integer time, station id, reason] triple",
+                id="charge-of-two",
+            ),
+            pytest.param(
+                lambda routes: routes["agent-01"].update(charges=[[600.5, "st-01", "r"]]),
+                "charge 0 of 'agent-01' is not an [integer time, station id, reason] triple",
+                id="fractional-time",
+            ),
+            pytest.param(
+                lambda routes: routes["agent-01"].update(charges=[[True, "st-01", "r"]]),
+                "charge 0 of 'agent-01' is not an [integer time, station id, reason] triple",
+                id="bool-time",
+            ),
+            pytest.param(
+                lambda routes: routes["agent-01"].update(charges=[[600, 1, "r"]]),
+                "charge 0 of 'agent-01' is not an [integer time, station id, reason] triple",
+                id="station-not-a-string",
+            ),
+            pytest.param(
+                lambda routes: routes["agent-01"].update(charges=[[600, "st-99", "r"]]),
+                "charge 0 of 'agent-01' names station 'st-99', which config.yaml lacks",
+                id="unknown-station",
+            ),
+            pytest.param(
+                lambda routes: routes.update({"agent-99": routes["agent-01"]}),
+                "'agent-99' is not an agent in final_states.json",
+                id="unknown-agent",
+            ),
+            pytest.param(
+                lambda routes: routes["agent-01"].pop("charges"),
+                "the entry of 'agent-01' is not an object with a route and charges",
+                id="entry-without-charges",
+            ),
         ],
     )
     def test_a_malformed_route_raises_naming_its_agent(
@@ -124,10 +170,15 @@ class TestGeojson:
         run_dir = tmp_path / "run"
         shutil.copytree(artifacts.run_dir, run_dir)
         routes = json.loads((run_dir / "routes.json").read_text(encoding="utf-8"))
-        routes["agent-01"]["route"] = route
+        if callable(route):
+            route(routes)
+            pattern = f"^routes.json: {re.escape(problem)}$"
+        else:
+            routes["agent-01"]["route"] = route
+            pattern = f"'agent-01' holds an? {re.escape(problem)}"
         (run_dir / "routes.json").write_text(json.dumps(routes), encoding="utf-8")
         out = tmp_path / "map"
-        with pytest.raises(ValueError, match=f"'agent-01' holds an? {re.escape(problem)}"):
+        with pytest.raises(ValueError, match=pattern):
             export(run_dir, out)
         assert not out.exists()
 

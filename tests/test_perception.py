@@ -161,6 +161,8 @@ THOUSAND_OFFSETS = [
     st.sampled_from(BAND_MINUTES),
     st.one_of(st.none(), st.integers(min_value=0)),
     CENTRES,
+    # perceive's box bounds radius_km / detour_factor
+    st.sampled_from([1.0, 1.3, 3.0]),
 )
 @example(
     offsets=[(0.03, 0.0, "t"), (0.0, 0.05, "shanghai-tou"), (-0.03, 0.0, "t")],
@@ -168,6 +170,7 @@ THOUSAND_OFFSETS = [
     minute=BAND_MINUTES[1],
     on_radius=0,
     centre=(CENTER.latitude, CENTER.longitude),
+    detour_factor=1.3,
 )
 @example(
     offsets=[(0.0, 0.0, "t"), (1e-12, 0.0, "t"), (0.0, -1e-12, "t")],
@@ -175,6 +178,7 @@ THOUSAND_OFFSETS = [
     minute=BAND_MINUTES[0],
     on_radius=None,
     centre=(CENTER.latitude, CENTER.longitude),
+    detour_factor=1.3,
 )
 @example(
     offsets=THOUSAND_OFFSETS,
@@ -182,6 +186,7 @@ THOUSAND_OFFSETS = [
     minute=BAND_MINUTES[2],
     on_radius=None,
     centre=(CENTER.latitude, CENTER.longitude),
+    detour_factor=1.3,
 )
 @example(
     offsets=THOUSAND_OFFSETS[:50],
@@ -189,9 +194,21 @@ THOUSAND_OFFSETS = [
     minute=BAND_MINUTES[2],
     on_radius=7,
     centre=(-87.9, 179.95),
+    detour_factor=1.3,
+)
+@example(
+    # the box around 1.3 km / 1.3 is about +-0.0090 x +-0.0105 degrees; the
+    # first station sits in its corner but 1.60 km away, the second 0.29 km
+    # away, the third outside the box
+    offsets=[(0.008, 0.009, "t"), (0.002, 0.0, "t"), (0.0, 0.02, "t")],
+    radius_km=1.3,
+    minute=BAND_MINUTES[0],
+    on_radius=None,
+    centre=(CENTER.latitude, CENTER.longitude),
+    detour_factor=1.3,
 )
 def test_perceive_matches_brute_force_filter_sort(
-    persona, offsets, radius_km, minute, on_radius, centre
+    persona, offsets, radius_km, minute, on_radius, centre, detour_factor
 ):
     origin = GeoPoint(*centre)
     stations = [
@@ -211,7 +228,7 @@ def test_perceive_matches_brute_force_filter_sort(
     env = Environment(
         stations={s.station_id: s for s in stations},
         tariffs=DEFAULT_TARIFFS,
-        router=OfflineRouter(detour_factor=1.3, speed_kmh=30.0),
+        router=OfflineRouter(detour_factor=detour_factor, speed_kmh=30.0),
         congestion=DEFAULTS.build_congestion(),
     )
     multiplier = env.congestion.at(minute)
