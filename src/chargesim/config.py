@@ -29,6 +29,8 @@ from .providers.mock import (
 
 # plan_template keys the scenario's routing settings always overwrite
 _ROUTING_KEYS = {"detour_factor": "detour_factor", "speed_kmh": "base_speed_kmh"}
+# the keys of a stations entry, each of which build_stations reads
+_STATION_KEYS = ("station_id", "latitude", "longitude", "pile_count", "pile_power_kw", "tariff_id")
 # the values each field annotation accepts; an int is a float too, a bool is neither
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict, "list": list,
                 "str | None": (str, type(None))}
@@ -109,11 +111,15 @@ class ScenarioConfig:
     # -- construction helpers -------------------------------------------------
 
     def build_tariffs(self) -> dict[str, DaySchedule]:
-        return {key: _schedule(bands, "price_per_kwh") for key, bands in self.tariffs.items()}
+        return {
+            key: _schedule(bands, "price_per_kwh", f"{key!r} band", optional=("label",))
+            for key, bands in self.tariffs.items()
+        }
 
     def build_stations(self) -> dict[str, ChargingStation]:
         stations = {}
-        for spec in self.stations:
+        for index, spec in enumerate(self.stations):
+            _entry(spec, f"station {index}", _STATION_KEYS)
             station = ChargingStation(
                 station_id=_typed(spec, "station_id", str),
                 location=GeoPoint(
@@ -127,7 +133,7 @@ class ScenarioConfig:
         return stations
 
     def build_congestion(self) -> DaySchedule:
-        return _schedule(self.congestion_bands, "multiplier")
+        return _schedule(self.congestion_bands, "multiplier", "band")
 
     def build_router(self) -> OfflineRouter:
         return OfflineRouter(
@@ -135,10 +141,8 @@ class ScenarioConfig:
         )
 
     def build_weights(self) -> BaselineWeights:
-        names = [spec.name for spec in fields(BaselineWeights)]
-        for key in self.baseline_weights:
-            if key not in names:
-                raise ValueError(f"{key!r} is not a weight; expected one of {names}")
+        names = tuple(spec.name for spec in fields(BaselineWeights))
+        _entry(self.baseline_weights, "weights", names)
         weights = {name: _typed(self.baseline_weights, name, float) for name in names}
         return BaselineWeights(**weights)
 
@@ -269,8 +273,26 @@ def _typed(spec: dict, key: str, kind: type) -> int | float | str:
     return kind(value)
 
 
-def _schedule(bands: list, value_key: str) -> DaySchedule:
-    """The day schedule of config bands, each holding start, end and value_key."""
+def _entry(entry, name: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+    """Raise ValueError naming the entry unless it is a mapping that holds
+    each of keys and no key beyond them and optional."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{name} must be a mapping, got {entry!r}")
+    missing = [f"lacks {key!r}" for key in keys if key not in entry]
+    unknown = [f"has unknown key {key!r}" for key in entry if key not in keys + optional]
+    if missing or unknown:
+        expected = sorted(keys + optional)
+        raise ValueError(f"{name} {' and '.join(missing + unknown)}; expected keys {expected}")
+
+
+def _schedule(
+    bands: list, value_key: str, name: str, optional: tuple[str, ...] = ()
+) -> DaySchedule:
+    """The day schedule of config bands, each holding start, end and value_key
+    and no other key but the optional ones; name names a band for an error."""
+    keys = ("start", "end", value_key)
+    for index, band in enumerate(bands):
+        _entry(band, f"{name} {index}", keys, optional)
     return DaySchedule(
         tuple(
             (_typed(b, "start", int), _typed(b, "end", int), _typed(b, value_key, float))

@@ -275,19 +275,13 @@ FREE_FLOW = DaySchedule(((0, MINUTES_PER_DAY, 1.0),))
 class Environment:
     """What the agents share: stations, tariffs, the road model and its congestion.
 
-    Each vehicle's state lives on its agent, not here. The station set and
-    each station's location are fixed once the environment is built: sites
-    holds, per station in stations order, its latitude, longitude and
-    cos(radians(latitude)), which perception's distance loop reads.
+    Each vehicle's state lives on its agent, not here.
     """
 
     stations: dict[str, ChargingStation]
     tariffs: dict[str, DaySchedule]
     router: OfflineRouter
     congestion: DaySchedule = FREE_FLOW
-    sites: tuple[tuple[ChargingStation, float, float, float], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         problems = [
@@ -299,12 +293,3 @@ class Environment:
             problems.append(f"congestion multipliers must be > 0, got {self.congestion.lowest}")
         if problems:  # every one, so that validation reports them all
             raise ValueError("; ".join(problems))
-        self.sites = tuple(
-            (
-                station,
-                station.location.latitude,
-                station.location.longitude,
-                math.cos(math.radians(station.location.latitude)),
-            )
-            for station in self.stations.values()
-        )

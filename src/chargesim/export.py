@@ -136,11 +136,12 @@ def build_geojson(run_dir: Path | str) -> dict:
     route, start and end points and charge markers.
 
     Each position is the (lon, lat) text of its numbers, a route's as
-    routes.json spells them. A malformed routes.json entry (an agent that
-    final_states.json lacks, a malformed route or charge, or a charge at a
-    station that config.yaml lacks) raises ValueError naming its agent, and
-    so does a run whose summary.json records a failure, naming the error; a
-    directory without summary.json is read as it stands.
+    routes.json spells them. A routes.json that is no object raises
+    ValueError, and so does a malformed or missing entry (an agent that
+    final_states.json lacks or that routes.json lacks, a malformed route or
+    charge, or a charge at a station that config.yaml lacks), naming its
+    agent, and a run whose summary.json records a failure, naming the
+    error; a directory without summary.json is read as it stands.
     """
     run_dir = Path(run_dir)
     _read_summary(run_dir, required=False)
@@ -166,6 +167,11 @@ def build_geojson(run_dir: Path | str) -> dict:
 
     # per agent, its chronological waypoints and its charge decisions
     routes = json.loads(_require(run_dir / "routes.json").read_bytes(), parse_float=_NumberText)
+    if type(routes) is not dict:
+        raise ValueError(f"routes.json is not an object of agent entries: {routes!r:.80}")
+    missing = sorted(final_states.keys() - routes.keys())
+    if missing:
+        raise ValueError(f"routes.json: no entry for {missing[0]!r}, an agent in final_states.json")
     for agent_id in sorted(routes):
         entry = routes[agent_id]
         if agent_id not in final_states:

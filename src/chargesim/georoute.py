@@ -8,19 +8,21 @@ within reach is decided in perception.py.
 
 bounding_box_deg bounds the points within a radius of a centre by a
 latitude/longitude box. A point outside it would fail the haversine test
-too, so a caller rejects it with two comparisons and no result changes.
+too, so a caller rejects it with four comparisons and no result changes.
 It has two users: the mock planner filters its destination candidates this
-way, and perception.perceive the stations around an agent.
+way, and perception.perceive the stations it then measures with distance_km.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import asin, cos, radians, sin, sqrt
 
 from .domain import GeoPoint
 
 EARTH_RADIUS_KM = 6371.0088
+_DIAMETER_KM = 2.0 * EARTH_RADIUS_KM
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,23 +43,27 @@ def haversine_km(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> floa
     """Haversine distance in km on a spherical Earth, between raw degrees.
 
     Deltas go through abs() so that swapping the endpoints is bit-exact
-    symmetric, which the routing contract promises. perception.perceive
-    repeats these operations inline for its station loop; change both.
+    symmetric, which the routing contract promises. It runs for each station
+    inside a decision's box and each planner candidate, so it reads the math
+    functions as module names and clamps h with a comparison, which returns
+    what min(1.0, h) would.
     """
-    rad_a = math.radians(lat_a)
-    rad_b = math.radians(lat_b)
-    dlat = math.radians(abs(lat_b - lat_a))
-    dlon = math.radians(abs(lon_b - lon_a))
-    h = math.sin(dlat / 2.0) ** 2 + math.cos(rad_a) * math.cos(rad_b) * math.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(min(1.0, h)))
+    h = (
+        sin(radians(abs(lat_b - lat_a)) / 2.0) ** 2
+        + cos(radians(lat_a)) * cos(radians(lat_b)) * sin(radians(abs(lon_b - lon_a)) / 2.0) ** 2
+    )
+    return _DIAMETER_KM * asin(sqrt(h if h < 1.0 else 1.0))
 
 
-def bounding_box_deg(lat: float, lon: float, radius_km: float) -> tuple[float, float] | None:
-    """Half-widths (dlat, dlon) in degrees of a box around (lat, lon) that
-    holds every point within radius_km of it, or None.
+NO_BOX = (-math.inf, math.inf, -math.inf, math.inf)  # every point takes the exact test
 
-    A point (p_lat, p_lon) with p_lat in [-90, 90] and p_lon in [-180, 180]
-    whose |p_lat - lat| > dlat or |p_lon - lon| > dlon has
+
+def bounding_box_deg(lat: float, lon: float, radius_km: float) -> tuple[float, float, float, float]:
+    """Bounds (lat_lo, lat_hi, lon_lo, lon_hi) in degrees of a box around
+    (lat, lon) that holds every point within radius_km of it, or NO_BOX.
+
+    The bounds are lat -+ dlat and lon -+ dlon. A point (p_lat, p_lon) in
+    [-90, 90] x [-180, 180] outside them has
     haversine_km(p_lat, p_lon, lat, lon) > radius_km, so it can be rejected
     without computing the distance. Why, with the angle d = radius_km / R:
 
@@ -77,7 +83,7 @@ def bounding_box_deg(lat: float, lon: float, radius_km: float) -> tuple[float, f
     (a tiny gap in degrees can underflow to 0 in radians) still go to the
     exact test.
 
-    None means there is no box, and the caller tests every point exactly:
+    NO_BOX, whose bounds are infinite, means the caller tests every point:
     - d is above 1 radian, negative or NaN: toward the antipode
       haversine_km's asin loses more accuracy than the widening covers;
     - the box comes within a degree of a pole: the circle may hold the
@@ -88,20 +94,15 @@ def bounding_box_deg(lat: float, lon: float, radius_km: float) -> tuple[float, f
     """
     angle = radius_km / EARTH_RADIUS_KM
     if not 0.0 <= angle <= 1.0:
-        return None
+        return NO_BOX
     dlat = math.degrees(angle) * (1.0 + 1e-9) + 1e-13
     if not abs(lat) + dlat < 89.0:
-        return None
+        return NO_BOX
     dlon = math.degrees(math.asin(math.sin(angle) / math.cos(math.radians(lat))))
     dlon = dlon * (1.0 + 1e-9) + 1e-13
     if not abs(lon) + dlon < 180.0:
-        return None
-    return dlat, dlon
-
-
-def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Haversine distance in km between two validated points."""
-    return haversine_km(a.latitude, a.longitude, b.latitude, b.longitude)
+        return NO_BOX
+    return lat - dlat, lat + dlat, lon - dlon, lon + dlon
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,7 +125,7 @@ class OfflineRouter:
             raise ValueError(f"speed_kmh must be finite and > 0, got {self.speed_kmh}")
 
     def distance_km(self, a: GeoPoint, b: GeoPoint) -> float:
-        return great_circle_km(a, b) * self.detour_factor
+        return haversine_km(a.latitude, a.longitude, b.latitude, b.longitude) * self.detour_factor
 
     def travel_minutes(self, distance_km: float, speed_multiplier: float) -> int:
         """Whole minutes to drive distance_km at a speed_multiplier > 0, which

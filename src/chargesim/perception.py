@@ -14,14 +14,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from math import asin, cos, radians, sin, sqrt
 from typing import Protocol
 
 from .domain import GeoPoint, Persona, SimClock, json_number, json_string
 from .environment import Environment, EvState
-from .georoute import EARTH_RADIUS_KM, bounding_box_deg
-
-_DIAMETER_KM = 2.0 * EARTH_RADIUS_KM  # haversine_km's leading 2.0 * EARTH_RADIUS_KM
+from .georoute import bounding_box_deg
 
 
 class PerceivingAgent(Protocol):
@@ -148,33 +145,20 @@ def perceive(
 
     target_kwh = max(0.0, persona.habits.typical_target_soc * ev.capacity_kwh - ev.soc_kwh)
     entries: list[StationPerception] = []
-    # router.distance_km(ev.location, station.location), one float operation
-    # for one in georoute.haversine_km, with each cosine computed once: the
-    # station's with the environment, the agent's here.
-    lat = ev.location.latitude
-    lon = ev.location.longitude
-    cos_lat = cos(radians(lat))
-    detour = router.detour_factor
+    location = ev.location
     # A station outside the box around the radius before the detour is
-    # farther than radius_km, so it is skipped before its haversine. Both
+    # farther than radius_km, so it is skipped before its distance (a router
+    # measures at least the great circle times its detour_factor). Both
     # points are GeoPoints, inside [-90, 90] x [-180, 180], where the box is
-    # sound; without a box every station takes the exact test.
-    box = bounding_box_deg(lat, lon, radius_km / detour)
-    if box is None:
-        lat_lo = lon_lo = -math.inf
-        lat_hi = lon_hi = math.inf
-    else:
-        dlat, dlon = box
-        lat_lo, lat_hi = lat - dlat, lat + dlat
-        lon_lo, lon_hi = lon - dlon, lon + dlon
-    for station, station_lat, station_lon, station_cos in env.sites:
-        if not (lat_lo <= station_lat <= lat_hi and lon_lo <= station_lon <= lon_hi):
+    # sound.
+    lat_lo, lat_hi, lon_lo, lon_hi = bounding_box_deg(
+        location.latitude, location.longitude, radius_km / router.detour_factor
+    )
+    for station in env.stations.values():
+        site = station.location
+        if not (lat_lo <= site.latitude <= lat_hi and lon_lo <= site.longitude <= lon_hi):
             continue
-        h = (
-            sin(radians(abs(station_lat - lat)) / 2.0) ** 2
-            + cos_lat * station_cos * sin(radians(abs(station_lon - lon)) / 2.0) ** 2
-        )
-        distance_km = _DIAMETER_KM * asin(sqrt(h if h < 1.0 else 1.0)) * detour
+        distance_km = router.distance_km(location, site)
         if distance_km > radius_km:
             continue
         power_kw = min(station.pile_power_kw, ev.max_charge_power_kw)

@@ -33,14 +33,13 @@ from ..domain import (
     VehicleSpec,
     validate_persona,
 )
-from ..georoute import EARTH_RADIUS_KM, OfflineRouter, bounding_box_deg, haversine_km
+from ..georoute import EARTH_RADIUS_KM, NO_BOX, OfflineRouter, bounding_box_deg, haversine_km
 from .base import CognitionProvider, DecisionRequest, DecisionResponse, SchemaError
 from .baseline import BaselineWeights, baseline_decision
 
 DEG_PER_KM = 0.008993  # degrees of latitude per kilometre
 
 DEFAULT_PERSONA_TEMPLATE: dict = {
-    "id_prefix": "driver",
     "occupations": [
         "day-shift taxi driver",
         "night-shift taxi driver",
@@ -101,7 +100,6 @@ def _is_window(value) -> bool:
 # name (rng.uniform takes a "pair", rng.randint an "int_range", rng.choice a
 # non-empty list), or an enum whose values a non-empty list must hold.
 _SHAPES = {
-    "string": (lambda v: isinstance(v, str), "a string"),
     "number": (_is_number, "a number"),
     "pair": (_is_pair, "a pair of numbers"),
     "int_range": (
@@ -135,7 +133,6 @@ _BOUNDS = {
     "minute": (lambda x: 0 <= x <= MINUTES_PER_DAY, "within [0, 1440]"),
 }
 PERSONA_TEMPLATE_SHAPES: dict = {
-    "id_prefix": "string",
     "occupations": "strings+",
     "age_range": ("int_range", "positive"),
     "genders": Gender,
@@ -267,7 +264,7 @@ def _random_point_near(
     distance_km: float,
     center: GeoPoint,
     max_radius_km: float,
-    box: tuple[float, float] | None,
+    box: tuple[float, float, float, float],
 ) -> GeoPoint:
     """A point distance_km from origin at a random bearing that lies within
     max_radius_km of center, after at most 20 bearings; else the point
@@ -287,18 +284,10 @@ def _random_point_near(
     # can pass a pole or the +-180 meridian (haversine_km then measures its
     # wrapped position), so then every candidate takes the exact test.
     reach = abs(distance_km) * DEG_PER_KM
-    if (
-        box is not None
-        and -90.0 <= olat - reach
-        and olat + reach <= 90.0
-        and abs(olon) + reach / cos_olat <= 180.0
-    ):
-        dlat, dlon = box
-        lat_lo, lat_hi = clat - dlat, clat + dlat
-        lon_lo, lon_hi = clon - dlon, clon + dlon
+    if -90.0 <= olat - reach and olat + reach <= 90.0 and abs(olon) + reach / cos_olat <= 180.0:
+        lat_lo, lat_hi, lon_lo, lon_hi = box
     else:
-        lat_lo = lon_lo = -math.inf
-        lat_hi = lon_hi = math.inf
+        lat_lo, lat_hi, lon_lo, lon_hi = NO_BOX
     for _ in range(20):
         # rng.uniform(0.0, 2.0 * math.pi) inlined: it returns
         # 0.0 + (2.0 * math.pi - 0.0) * rng.random(), the same float
@@ -345,7 +334,9 @@ class MockProvider(CognitionProvider):
         rng = random.Random(f"persona|{seed}")
         window = rng.choice(template["preferred_windows"])
         persona = Persona(
-            id=f"{template['id_prefix']}-{rng.randrange(10**8):08d}",
+            # the engine names each persona after its agent; the draw stays,
+            # as every later draw of the persona follows it
+            id=f"driver-{rng.randrange(10**8):08d}",
             demographics=Demographics(
                 age=rng.randint(*template["age_range"]),
                 gender=Gender(rng.choice(template["genders"])),

@@ -170,6 +170,13 @@ def test_validate_rejects_plan_template_routing_keys(tmp_path, capsys):
         "baseline_weights: {distance: 0.5, price: 0.3, wait: 0.2, wiat: 9.0}",
         # the router divides by the speed multiplier
         "congestion_bands: [{start: 0, end: 1440, multiplier: 0}]",
+        # a station, tariff band or congestion band holds only its own keys
+        "stations: [{station_id: a, latitude: 31.2, longitude: 121.4, pile_count: 1, piles: 9, "
+        "pile_power_kw: 60.0, tariff_id: shanghai-tou}]",
+        "congestion_bands: [{start: 0, end: 1440, multiplier: 1.0, multipler: 0.5}]",
+        "tariffs: {shanghai-tou: [{start: 0, end: 1440, price: 0.35}]}",
+        # the persona id is the agent id, so no template key sets its prefix
+        "persona_template: {id_prefix: driver}",
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -393,7 +400,10 @@ def test_map_export_of_a_malformed_route_exits_2(tmp_path, small_config_file, ca
     # a charge at a station that config.yaml lacks
     unknown_station = json.loads(json.dumps(original))
     unknown_station["agent-00"]["charges"].append([600, "st-99", "r"])
-    for edited in (routes, unknown_station):
+    # an agent of final_states.json without a route
+    missing_agent = json.loads(json.dumps(original))
+    del missing_agent["agent-00"]
+    for edited in (missing_agent, routes, unknown_station):
         (run_dir / "routes.json").write_text(json.dumps(edited), encoding="utf-8")
         capsys.readouterr()
         assert main(["export", "--run", str(run_dir), "--format", fmt]) == 2

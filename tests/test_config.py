@@ -139,3 +139,60 @@ def test_the_live_section_builds_live_settings_with_their_own_defaults():
     assert config.validate() == []
     assert config.build_live_settings() == LiveSettings(model="m", temperature=1)
 
+
+STATION = {"station_id": "a", "latitude": 31.2, "longitude": 121.4, "pile_count": 1,
+           "pile_power_kw": 60.0, "tariff_id": "shanghai-tou"}
+STATION_KEYS = "['latitude', 'longitude', 'pile_count', 'pile_power_kw', 'station_id', 'tariff_id']"
+
+
+@pytest.mark.parametrize(
+    "section, value, problem",
+    [
+        (
+            "stations",
+            [STATION, {**STATION, "station_id": "b", "piles": 9}],
+            f"stations invalid: station 1 has unknown key 'piles'; expected keys {STATION_KEYS}",
+        ),
+        (
+            "stations",
+            [{key: value for key, value in STATION.items() if key != "tariff_id"}],
+            f"stations invalid: station 0 lacks 'tariff_id'; expected keys {STATION_KEYS}",
+        ),
+        (
+            "congestion_bands",
+            [{"start": 0, "end": 1440, "multiplier": 1.0, "multipler": 0.5}],
+            "congestion_bands invalid: band 0 has unknown key 'multipler'; "
+            "expected keys ['end', 'multiplier', 'start']",
+        ),
+        (
+            "congestion_bands",
+            [{"start": 0, "end": 1440, "multiplier": 1.0, "label": "all day"}],
+            "congestion_bands invalid: band 0 has unknown key 'label'; "
+            "expected keys ['end', 'multiplier', 'start']",
+        ),
+        (
+            "congestion_bands",
+            [[0, 1440, 1.0]],
+            "congestion_bands invalid: band 0 must be a mapping, got [0, 1440, 1.0]",
+        ),
+        (
+            "tariffs",
+            {"shanghai-tou": [{"start": 0, "end": 720, "price_per_kwh": 0.35, "label": "a"},
+                              {"start": 720, "end": 1440, "price": 0.62}]},
+            "tariffs invalid: 'shanghai-tou' band 1 lacks 'price_per_kwh' and has unknown key "
+            "'price'; expected keys ['end', 'label', 'price_per_kwh', 'start']",
+        ),
+    ],
+)
+def test_a_config_entry_holds_its_own_keys_and_no_other(section, value, problem):
+    config = ScenarioConfig()
+    setattr(config, section, value)
+    assert config.validate() == [problem]
+
+
+def test_a_tariff_band_may_carry_a_label():
+    config = ScenarioConfig()
+    config.tariffs = {"shanghai-tou": [{"start": 0, "end": 1440, "price_per_kwh": 0.5}]}
+    assert config.validate() == []
+    config.tariffs["shanghai-tou"][0]["label"] = "flat"
+    assert config.validate() == []

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chargesim.config import ScenarioConfig
+from chargesim.config import ScenarioConfig, load_config
 from chargesim.domain import canonical_json
 from chargesim.engine import RunTotals, Simulation, build_summary, run
 from chargesim.export import _geojson_text, export_csv, export_geojson, export_html
@@ -157,6 +157,11 @@ class TestGeojson:
                 id="unknown-agent",
             ),
             pytest.param(
+                lambda routes: routes.pop("agent-01"),
+                "no entry for 'agent-01', an agent in final_states.json",
+                id="missing-agent",
+            ),
+            pytest.param(
                 lambda routes: routes["agent-01"].pop("charges"),
                 "the entry of 'agent-01' is not an object with a route and charges",
                 id="entry-without-charges",
@@ -181,6 +186,16 @@ class TestGeojson:
         with pytest.raises(ValueError, match=pattern):
             export(run_dir, out)
         assert not out.exists()
+
+    @pytest.mark.parametrize("export", [export_geojson, export_html])
+    def test_a_routes_json_that_is_no_object_raises(self, finished_run, tmp_path, export):
+        _config, artifacts = finished_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(artifacts.run_dir, run_dir)
+        (run_dir / "routes.json").write_text("[]", encoding="utf-8")
+        problem = "routes.json is not an object of agent entries: []"
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            export(run_dir, tmp_path / "map")
 
     def test_a_hand_written_route_keeps_its_number_spelling(self, finished_run, tmp_path):
         # integers, NaN, spellings the engine never writes and a float charge time
@@ -661,3 +676,20 @@ def test_default_run_exports_match_their_pins(tmp_path):
         )
     }
     assert written == EXPORT_PINS
+
+
+def test_a_run_whose_config_sets_the_retired_id_prefix_still_exports(finished_run, tmp_path):
+    # a run directory written while persona_template held id_prefix keeps the
+    # key in its config.yaml; the exporters read only its stations
+    _config, artifacts = finished_run
+    old_run = tmp_path / "old-run"
+    shutil.copytree(artifacts.run_dir, old_run)
+    text = (old_run / "config.yaml").read_text(encoding="utf-8")
+    assert "id_prefix" not in text
+    text = text.replace("persona_template:\n", "persona_template:\n  id_prefix: driver\n")
+    (old_run / "config.yaml").write_text(text, encoding="utf-8")
+    assert load_config(old_run / "config.yaml").persona_template["id_prefix"] == "driver"
+    for export in (export_csv, export_geojson, export_html):
+        then = export(old_run, tmp_path / f"old-{export.__name__}").read_bytes()
+        now = export(artifacts.run_dir, tmp_path / f"new-{export.__name__}").read_bytes()
+        assert then == now

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from chargesim.domain import GeoPoint
 from chargesim.georoute import (
     EARTH_RADIUS_KM,
+    NO_BOX,
     OfflineRouter,
     RouteEstimate,
     bounding_box_deg,
-    great_circle_km,
     haversine_km,
 )
 from oracles import oracle_great_circle_km
@@ -28,6 +28,10 @@ points = st.builds(
 
 
 STRAIGHT = OfflineRouter(detour_factor=1.0, speed_kmh=30.0)
+
+
+def km(a: GeoPoint, b: GeoPoint) -> float:
+    return haversine_km(a.latitude, a.longitude, b.latitude, b.longitude)
 
 
 def test_identical_points_are_zero():
@@ -75,18 +79,18 @@ def test_route_estimate_invariant():
 
 @given(points, points)
 def test_symmetry_is_exact(a, b):
-    assert great_circle_km(a, b) == great_circle_km(b, a)
+    assert km(a, b) == km(b, a)
 
 
 @given(points, points, points)
 @settings(max_examples=200)
 def test_triangle_inequality(a, b, c):
-    assert great_circle_km(a, c) <= great_circle_km(a, b) + great_circle_km(b, c) + 1e-6
+    assert km(a, c) <= km(a, b) + km(b, c) + 1e-6
 
 
 @given(points, points)
 def test_distance_against_oracle(a, b):
-    got = great_circle_km(a, b)
+    got = km(a, b)
     want = oracle_great_circle_km(a.latitude, a.longitude, b.latitude, b.longitude).value
     if want > 0.001:
         assert abs(got - want) / want < 0.005
@@ -105,7 +109,7 @@ def test_offline_router_congestion_slows_travel():
 @given(points, points, st.sampled_from([0.5, 0.7, 0.9, 1.0, 1.2]))
 def test_route_is_built_from_distance_then_minutes(a, b, multiplier):
     router = OfflineRouter(detour_factor=1.3, speed_kmh=30.0)
-    distance_km = great_circle_km(a, b) * 1.3
+    distance_km = km(a, b) * 1.3
     assert router.distance_km(a, b) == distance_km
     assert router.route(a, b, multiplier) == RouteEstimate(
         distance_km, int(round(distance_km / (30.0 * multiplier) * 60.0))
@@ -120,17 +124,17 @@ def test_route_is_built_from_distance_then_minutes(a, b, multiplier):
 def rim_extremes_nudged_out(lat, lon, radius_km, box):
     """The points of the radius circle farthest north, south, east and west,
     each moved 1 to 3 ulps past the box edge it is nearest to."""
-    dlat, dlon = box
+    lat_lo, lat_hi, lon_lo, lon_hi = box
     angle = radius_km / EARTH_RADIUS_KM
     # the latitude at which the meridians tangent to the circle touch it
     tangent_lat = math.degrees(
         math.asin(min(1.0, math.sin(math.radians(lat)) / math.cos(angle)))
     )
     edges = [
-        (lat + dlat, lon, 1, 0),
-        (lat - dlat, lon, -1, 0),
-        (tangent_lat, lon + dlon, 0, 1),
-        (tangent_lat, lon - dlon, 0, -1),
+        (lat_hi, lon, 1, 0),
+        (lat_lo, lon, -1, 0),
+        (tangent_lat, lon_hi, 0, 1),
+        (tangent_lat, lon_lo, 0, -1),
     ]
     points = []
     for p_lat, p_lon, up, east in edges:
@@ -163,15 +167,15 @@ def rim_extremes_nudged_out(lat, lon, radius_km, box):
 @example(88.0, 179.0, 10.0, 1.01, 1.01)  # the box would touch a pole and the meridian
 def test_a_point_outside_the_box_is_farther_than_the_radius(lat, lon, radius_km, u, v):
     box = bounding_box_deg(lat, lon, radius_km)
-    if box is None:
+    if box == NO_BOX:
         return
-    dlat, dlon = box
+    lat_lo, lat_hi, lon_lo, lon_hi = box
     candidates = rim_extremes_nudged_out(lat, lon, radius_km, box)
-    candidates.append((lat + u * dlat, lon + v * dlon))
+    candidates.append((lat + u * (lat_hi - lat), lon + v * (lon_hi - lon)))
     for p_lat, p_lon in candidates:
         if not (-90.0 <= p_lat <= 90.0 and -180.0 <= p_lon <= 180.0):
             continue
-        if lat - dlat <= p_lat <= lat + dlat and lon - dlon <= p_lon <= lon + dlon:
+        if lat_lo <= p_lat <= lat_hi and lon_lo <= p_lon <= lon_hi:
             continue
         assert haversine_km(p_lat, p_lon, lat, lon) > radius_km, (p_lat, p_lon)
 
@@ -191,10 +195,13 @@ def test_a_point_outside_the_box_is_farther_than_the_radius(lat, lon, radius_km,
     ],
 )
 def test_no_box_where_it_would_not_be_exact(lat, lon, radius_km):
-    assert bounding_box_deg(lat, lon, radius_km) is None
+    assert bounding_box_deg(lat, lon, radius_km) == NO_BOX
 
 
 def test_box_half_widths_near_shanghai():
-    dlat, dlon = bounding_box_deg(SHANGHAI.latitude, SHANGHAI.longitude, 8.0)
+    lat_lo, lat_hi, lon_lo, lon_hi = bounding_box_deg(SHANGHAI.latitude, SHANGHAI.longitude, 8.0)
+    assert lat_hi - SHANGHAI.latitude == pytest.approx(SHANGHAI.latitude - lat_lo, rel=1e-9)
+    assert lon_hi - SHANGHAI.longitude == pytest.approx(SHANGHAI.longitude - lon_lo, rel=1e-9)
+    dlat, dlon = lat_hi - SHANGHAI.latitude, lon_hi - SHANGHAI.longitude
     assert dlat == pytest.approx(8.0 / EARTH_RADIUS_KM * 180.0 / math.pi, rel=1e-8)
     assert dlon == pytest.approx(dlat / math.cos(math.radians(SHANGHAI.latitude)), rel=1e-5)

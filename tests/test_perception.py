@@ -121,6 +121,27 @@ def test_stations_sorted_by_distance_then_id(persona):
     assert [s.station_id for s in snapshot.stations] == ["st-c", "st-a", "st-b"]
 
 
+class _DoublingRouter(OfflineRouter):
+    """Measures every road twice as long: never shorter than the great circle
+    times detour_factor, which perceive's box assumes."""
+
+    def distance_km(self, a, b):
+        return 2.0 * super().distance_km(a, b)
+
+
+def test_perceive_measures_stations_with_the_router(persona):
+    near, far = _station("st-near", km_north=1.0), _station("st-far", km_north=4.0)
+    env = _env([near, far])
+    env.router = router = _DoublingRouter(detour_factor=1.0, speed_kmh=30.0)
+    snapshot = perceive(_agent(persona), env, SimClock(600), radius_km=6.0)
+    # st-far's 4 km road now reads 8 km, beyond the radius
+    distance_km = router.distance_km(CENTER, near.location)
+    assert distance_km > 1.9
+    assert [(s.station_id, s.distance_km, s.travel_minutes) for s in snapshot.stations] == [
+        ("st-near", distance_km, router.travel_minutes(distance_km, 1.0))
+    ]
+
+
 DEFAULTS = ScenarioConfig()
 DEFAULT_TARIFFS = {
     **DEFAULTS.build_tariffs(),
