@@ -227,7 +227,7 @@ class AgentRuntime:
     state: EvState
     memory: MemoryStore
     home: GeoPoint
-    plan: DailyPlan | None = None  # today's; at the day boundary, the completed day's
+    plan: DailyPlan | None = None  # today's, until the day boundary reflects on it
     pending: deque = field(default_factory=deque)  # (day_index, PlanEvent)
     today_records: list[BehaviorRecord] = field(default_factory=list)
     busy: bool = False  # a trip or charging chain is in flight
@@ -721,6 +721,7 @@ class Simulation:
             except (SchemaError, ProviderError, ValueError):
                 report = _fallback_reflection(completed)
                 self.fallbacks["reflections"] += 1
+            agent.plan = None  # reflected on; _plan_day sets the next day's
             agent.memory.append_reflection(report)
             entry = {"agent_id": agent.agent_id, "timestamp": now, "report": report.to_dict()}
             self._reflections_fh.write(canonical_json(entry) + "\n")

@@ -45,16 +45,10 @@ def _require(path: Path) -> Path:
     return path
 
 
-def _read_summary(run_dir: Path, required: bool) -> dict | None:
-    """summary.json's content, None when it is absent and not `required`.
-
-    A failed run has nothing to export, so its summary raises ValueError
-    naming the recorded error type and message.
-    """
-    path = run_dir / "summary.json"
-    if not required and not path.exists():
-        return None
-    summary = json.loads(_require(path).read_text(encoding="utf-8"))
+def _read_summary(run_dir: Path) -> dict:
+    """summary.json's content, which every run directory holds (else
+    FileNotFoundError); a failed run's raises ValueError naming its error."""
+    summary = json.loads(_require(run_dir / "summary.json").read_text(encoding="utf-8"))
     if summary.get("status") == "failed":
         error = summary["error"]
         raise ValueError(f"run failed, nothing to export: {error['type']}: {error['message']}")
@@ -75,9 +69,10 @@ def _feature(geometry_type: str, coordinates: list, **properties) -> dict:
 
 
 class _NumberText(str):
-    """A number's text as routes.json spells it, told apart from a string."""
+    """A number's text as routes.json spells it; its repr is that text."""
 
     __slots__ = ()
+    __repr__ = str.__str__
 
 
 def _route_positions(agent_id: str, flat: list) -> list[tuple[str, str]]:
@@ -87,13 +82,8 @@ def _route_positions(agent_id: str, flat: list) -> list[tuple[str, str]]:
     if type(flat) is not list:
         raise ValueError(f"routes.json: the route of {agent_id!r} is not a list: {flat!r}")
     if not set(map(type, flat)) <= {_NumberText}:
-        stray = [value for value in flat if type(value) not in (_NumberText, int, float)]
-        if stray:
-            raise ValueError(
-                f"routes.json: the route of {agent_id!r} holds a non-number: {stray[0]!r}"
-            )
-        # a hand-written route's integers, NaN and infinities, as the encoder writes them
-        flat = [value if type(value) is _NumberText else json_number(value) for value in flat]
+        stray = next(value for value in flat if type(value) is not _NumberText)
+        raise ValueError(f"routes.json: the route of {agent_id!r} holds a non-number: {stray!r}")
     if len(flat) % 2:
         raise ValueError(f"routes.json: the route of {agent_id!r} holds an odd count of numbers")
     pairs = iter(flat)
@@ -101,8 +91,8 @@ def _route_positions(agent_id: str, flat: list) -> list[tuple[str, str]]:
 
 
 def _is_minute(value) -> bool:
-    """An integer, or a hand-written float of integer value (600.0)."""
-    return type(value) is int or (type(value) is _NumberText and float(value).is_integer())
+    """Number text of integer value: an integer, or a hand-written 600.0."""
+    return type(value) is _NumberText and float(value).is_integer()
 
 
 def _checked_charges(agent_id: str, charges: list, stations: dict) -> list:
@@ -135,18 +125,20 @@ def build_geojson(run_dir: Path | str) -> dict:
     """The FeatureCollection of a run: its stations, then per agent its
     route, start and end points and charge markers.
 
-    Each position is the (lon, lat) text of its numbers, a route's as
-    routes.json spells them. A routes.json that is no object raises
-    ValueError, and so does a malformed or missing entry (an agent that
+    Each position is the (lon, lat) text of its numbers, each of
+    routes.json's as spelled there. config.yaml's stations pass the run's
+    own reader, build_stations, which names a malformed entry's key, and are
+    drawn as written. A routes.json that is no object raises ValueError,
+    and so does a malformed or missing entry (an agent that
     final_states.json lacks or that routes.json lacks, a malformed route or
     charge, or a charge at a station that config.yaml lacks), naming its
-    agent, and a run whose summary.json records a failure, naming the
-    error; a directory without summary.json is read as it stands.
+    agent, and a run whose summary.json records a failure, naming the error.
     """
     run_dir = Path(run_dir)
-    _read_summary(run_dir, required=False)
+    _read_summary(run_dir)
     final_states = json.loads(_require(run_dir / "final_states.json").read_text(encoding="utf-8"))
     config = load_config(_require(run_dir / "config.yaml"))
+    config.build_stations()
 
     features: list[dict] = []
     stations = {spec["station_id"]: spec for spec in config.stations}
@@ -165,8 +157,13 @@ def build_geojson(run_dir: Path | str) -> dict:
             )
         )
 
-    # per agent, its chronological waypoints and its charge decisions
-    routes = json.loads(_require(run_dir / "routes.json").read_bytes(), parse_float=_NumberText)
+    # per agent, its chronological waypoints and its charge decisions, each number as its text
+    routes = json.loads(
+        _require(run_dir / "routes.json").read_bytes(),
+        parse_float=_NumberText,
+        parse_int=_NumberText,
+        parse_constant=_NumberText,
+    )
     if type(routes) is not dict:
         raise ValueError(f"routes.json is not an object of agent entries: {routes!r:.80}")
     missing = sorted(final_states.keys() - routes.keys())
@@ -204,22 +201,14 @@ def build_geojson(run_dir: Path | str) -> dict:
     return {"type": "FeatureCollection", "features": features}
 
 
-def _value_text(value, depth: int, compact: bool) -> str:
-    """A property value as json.dumps(sort_keys=True), compact or with
-    indent=2, writes it when it starts on a line indented `depth` levels."""
+def _value_text(value) -> str:
+    """A property value (a number, a string or number text) as json.dumps writes it."""
     kind = type(value)
     if kind is float or kind is int:
         return json_number(value)
     if kind is str:
         return json_string(value)
-    if kind is _NumberText:  # a hand-written float in routes.json's charges
-        return value
-    # anything else (true, false, null or a container, which only a
-    # hand-written config.yaml or routes.json puts in a property) through the
-    # encoder itself; it escapes newlines in strings, so each newline in its
-    # text starts a line
-    text = json.dumps(value, sort_keys=True, indent=None if compact else 2)
-    return text.replace("\n", "\n" + "  " * depth)
+    return value  # routes.json's charge time, as routes.json spells it
 
 
 def _geojson_text(collection: dict, compact: bool = False) -> str:
@@ -230,8 +219,8 @@ def _geojson_text(collection: dict, compact: bool = False) -> str:
     Each of its five feature kinds (station, route, start, end, charge) is
     {"geometry", "properties", "type"}: a Point's (lon, lat) or a
     LineString's list of them, and properties that always hold "kind".
-    Property keys are sorted and each value is written at its depth, so a
-    property read from a hand-written file is written as the encoder would.
+    Property keys are sorted and each value is a scalar, written as the
+    encoder would.
     """
     # per depth, the break before an item that many levels in, and the comma before the next
     breaks = ["" if compact else "\n" + "  " * depth for depth in range(7)]
@@ -247,7 +236,7 @@ def _geojson_text(collection: dict, compact: bool = False) -> str:
             coordinates = f"[{breaks[5]}[{breaks[6]}{positions}{breaks[5]}]{breaks[4]}]"
         properties = feature["properties"]
         body = commas[4].join(
-            f"{json_string(key)}: {_value_text(properties[key], 4, compact)}"
+            f"{json_string(key)}: {_value_text(properties[key])}"
             for key in sorted(properties)
         )
         parts.append(
@@ -370,7 +359,7 @@ def export_html(run_dir: Path | str, out_path: Path | str | None = None) -> Path
     rows = "\n".join(
         "<tr><td>{agent}</td><td>{time}</td><td>{station}</td><td>{reason}</td></tr>".format(
             agent=text(f["properties"]["agent_id"]),
-            time=_minutes_label(f["properties"]["time"]),
+            time=_minutes_label(int(float(f["properties"]["time"]))),
             station=text(f["properties"]["station_id"]),
             reason=text(f["properties"]["reason"]),
         )
@@ -436,7 +425,7 @@ def export_csv(run_dir: Path | str, out_path: Path | str | None = None) -> Path:
     """
     run_dir = Path(run_dir)
     out = Path(out_path) if out_path else run_dir / "summary.csv"
-    summary = _read_summary(run_dir, required=True)
+    summary = _read_summary(run_dir)
     agents = summary["agents"]
     rows = [(agent_id, agents[agent_id]) for agent_id in sorted(agents)]
     rows.append(("fleet", summary["fleet"]))

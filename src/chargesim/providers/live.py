@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -168,25 +167,14 @@ class LiveProvider(CognitionProvider):
 
     @staticmethod
     def _extract_json(text: str | None) -> dict:
-        """Parse the first JSON object out of a model reply, fences included."""
+        """The JSON object that starts at a reply's first "{", read whole, so
+        a fence quoted in a string stays; SchemaError when there is none."""
         if not isinstance(text, str):  # a refusal's content is null
             raise SchemaError(f"reply holds no text, got {text!r}")
-        cleaned = re.sub(r"```(?:json)?", "", text).strip()
         try:
-            parsed = json.loads(cleaned)
-            if isinstance(parsed, dict):
-                return parsed
-        except json.JSONDecodeError:
-            pass
-        match = re.search(r"\{.*\}", cleaned, re.DOTALL)
-        if match:
-            try:
-                parsed = json.loads(match.group(0))
-                if isinstance(parsed, dict):
-                    return parsed
-            except json.JSONDecodeError:
-                pass
-        raise SchemaError("reply does not contain a JSON object")
+            return json.JSONDecoder().raw_decode(text, text.index("{"))[0]
+        except ValueError:  # no "{", or no object starts there
+            raise SchemaError("reply does not contain a JSON object") from None
 
     def _json_call(self, prompt_name: str, payload_json: str, parse):
         """One request plus at most one schema-repair round-trip."""

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chargesim.cli import main
-from chargesim.config import ScenarioConfig
+from chargesim.config import ScenarioConfig, load_config
 from chargesim.engine import Simulation, run
 from chargesim.providers import MockProvider
 
@@ -29,6 +29,29 @@ def small_config_file(tmp_path):
 
 def test_validate_default_shipped_config():
     assert main(["validate", "--config", str(REPO_ROOT / "config" / "default.yaml")]) == 0
+
+
+def test_an_empty_config_file_validates_as_the_defaults(tmp_path):
+    path = tmp_path / "empty.yaml"
+    path.write_text("", encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 0
+    assert load_config(path).to_dict() == ScenarioConfig().to_dict()
+
+
+def test_a_setup_failure_exits_with_run_failed(tmp_path, capsys):
+    # a valid live config whose prompt file cannot be read fails before any request
+    prompts_dir = tmp_path / "prompts"
+    (prompts_dir / "decide.txt").mkdir(parents=True)  # a directory where a file belongs
+    config = ScenarioConfig()
+    config.provider = "live"
+    config.live = {**config.live, "prompts_dir": str(prompts_dir)}
+    path = tmp_path / "live.yaml"
+    path.write_text(config.to_yaml(), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failed:") and "decide.txt" in err and "Traceback" not in err
 
 
 def test_validate_rejects_bad_config(tmp_path, capsys):
@@ -69,7 +92,16 @@ def test_validate_rejects_plan_template_routing_keys(tmp_path, capsys):
         "baseline_weights: {distance: null}",
         "persona_template: {battery_capacity_choices: 75}",
         "horizon_days: 1.5",
+        "horizon_days: 0",
         "plan_template: [1]",
+        # the planner's detour factor is the routing model's
+        "plan_template: {detour_factor: 2}",
+        # station ids name one station each
+        "stations: [{station_id: a, latitude: 31.2, longitude: 121.4, pile_count: 1, "
+        "pile_power_kw: 60.0, tariff_id: shanghai-tou}, {station_id: a, latitude: 31.3, "
+        "longitude: 121.5, pile_count: 2, pile_power_kw: 60.0, tariff_id: shanghai-tou}]",
+        # a file that holds no mapping
+        "[num_agents, 10]",
         # each family of nested template entries
         "persona_template: {consumption_range: 3}",
         "persona_template: {age_range: [58, 26]}",

@@ -111,6 +111,12 @@ def test_pure_python_fallback_writes_and_loads_the_same_config(name, tmp_path, m
     assert load_config(path) == config
 
 
+def test_the_shipped_config_is_the_defaults():
+    # its header promises that every key it sets matches the built-in default
+    shipped = load_config(REPO_ROOT / "config" / "default.yaml")
+    assert shipped.to_dict() == ScenarioConfig().to_dict()
+
+
 def test_every_template_key_has_a_shape():
     # a key missing from the shape table would pass validation unchecked
     assert PERSONA_TEMPLATE_SHAPES.keys() == DEFAULT_PERSONA_TEMPLATE.keys()

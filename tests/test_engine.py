@@ -471,6 +471,46 @@ def test_non_finite_skip_falls_back_and_never_reaches_the_log(tmp_path):
     assert artifacts.summary["fallbacks"]["decisions"] == len(fallbacks)
 
 
+class WrongAnswerProvider(MockProvider):
+    """The mock, except that each answer of one kind passes its provider's
+    parse but fails the engine's gate: a plan or a reflection for the wrong
+    day, or a persona that fails validate_persona."""
+
+    def __init__(self, kind: str, **kwargs):
+        super().__init__(**kwargs)
+        self.kind = kind
+
+    def generate_persona(self, seed, template_config):
+        persona = super().generate_persona(seed, template_config)
+        return replace(persona, id="") if self.kind == "personas" else persona
+
+    def plan_day(self, persona, day_index, seed):
+        plan = super().plan_day(persona, day_index, seed)
+        return replace(plan, day_index=day_index + 1) if self.kind == "plans" else plan
+
+    def reflect(self, day_records, persona, plan):
+        report = super().reflect(day_records, persona, plan)
+        wrong_day = replace(report, day_index=report.day_index + 1)
+        return wrong_day if self.kind == "reflections" else report
+
+
+@pytest.mark.parametrize("kind", ["personas", "plans", "reflections"])
+def test_an_answer_the_engine_gates_reject_falls_back_and_is_counted(tmp_path, kind):
+    config = small_config()
+    provider = WrongAnswerProvider(kind, plan_template=config.effective_plan_template())
+    artifacts = run(config, tmp_path / "run", provider=provider)
+    summary = json.loads((artifacts.run_dir / "summary.json").read_text(encoding="utf-8"))
+    calls = {"personas": config.num_agents}.get(kind, config.num_agents * config.horizon_days)
+    expected = {"decisions": 0, "personas": 0, "plans": 0, "reflections": 0, kind: calls}
+    assert summary["fallbacks"] == expected
+    # a persona or a plan falls back on the engine's own mock, which answers
+    # as the provider would have; a reflection on the fallback report
+    plain = run(config, tmp_path / "plain")
+    assert artifacts.behavior_digest == plain.behavior_digest
+    reports = [entry["report"] for entry in read_entries(artifacts.reflections_log)]
+    assert all(report["fallback"] is (kind == "reflections") for report in reports)
+
+
 def test_unreadable_live_prompts_leave_a_failed_summary(tmp_path):
     prompts_dir = tmp_path / "prompts"
     (prompts_dir / "decide.txt").mkdir(parents=True)  # a directory where a file belongs
@@ -1077,9 +1117,10 @@ def test_each_reflection_takes_the_completed_days_plan(tmp_path):
         assert [completed for completed, _ in reflected] == days
         for completed, plan in reflected:
             assert plan is plans[completed] and plan.day_index == completed
-    # an agent keeps only its latest plan, not one per day
+    # an agent keeps no plan once the day boundary has reflected on it, so
+    # none outlives the run
     for agent in sim.agents.values():
-        assert agent.plan is provider.planned[agent.persona.id][-1]
+        assert agent.plan is None
         assert not hasattr(agent, "plans")
 
 

@@ -10,6 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -121,6 +122,13 @@ class TestGeojson:
                 "the route of 'agent-01' is not a list: 7",
                 id="route-not-a-list",
             ),
+            # a hand-written number is printed as routes.json spells it
+            ([121.47, [31.23]], "non-number: [31.23]"),
+            pytest.param(
+                lambda routes: routes["agent-01"].update(route=7.5),
+                "the route of 'agent-01' is not a list: 7.5",
+                id="route-a-float",
+            ),
             pytest.param(
                 lambda routes: routes["agent-01"].update(charges={"st-01": 600}),
                 "the charges of 'agent-01' are not a list: {'st-01': 600}",
@@ -198,26 +206,61 @@ class TestGeojson:
             export(run_dir, tmp_path / "map")
 
     def test_a_hand_written_route_keeps_its_number_spelling(self, finished_run, tmp_path):
-        # integers, NaN, spellings the engine never writes and a float charge time
+        # integers, -0, NaN, spellings the engine never writes and a float charge time
         config, artifacts = finished_run
         run_dir = tmp_path / "run"
         shutil.copytree(artifacts.run_dir, run_dir)
         routes = json.loads((run_dir / "routes.json").read_text(encoding="utf-8"))
         station_id = config.stations[0]["station_id"]
         routes["agent-00"] = {"charges": [[600.0, station_id, "r"]], "route": ["ROUTE"]}
-        text = json.dumps(routes).replace('["ROUTE"]', "[121, 31.50, 121.5E0, NaN]")
+        route_text = "[121, -0, NaN, 31.50, 121.5E0, 31]"
+        text = json.dumps(routes).replace('["ROUTE"]', route_text)
         (run_dir / "routes.json").write_text(text, encoding="utf-8")
         written = export_geojson(run_dir).read_text(encoding="utf-8")
-        assert "31.50" in written and "121.5E0" in written and "NaN" in written
-        features = json.loads(written)["features"]
+        # every number as its text, as routes.json spells it
+        spelled = json.loads(written, parse_int=str, parse_float=str, parse_constant=str)
         route, charge = [
             f
-            for f in features
+            for f in spelled["features"]
             if f["properties"].get("agent_id") == "agent-00"
             and f["properties"]["kind"] in ("route", "charge")
         ]
-        assert route["geometry"]["coordinates"][0] == [121, 31.5]
-        assert charge["properties"]["time"] == 600.0
+        assert route["geometry"]["coordinates"] == [["121", "-0"], ["NaN", "31.50"],
+                                                    ["121.5E0", "31"]]
+        assert charge["properties"]["time"] == "600.0"
+        # the decision table reads the float charge time as its minute
+        page = export_html(run_dir).read_text(encoding="utf-8")
+        row = f"<tr><td>agent-00</td><td>day 0 10:00</td><td>{station_id}</td><td>r</td></tr>"
+        assert row in page
+
+    @pytest.mark.parametrize("export", [export_geojson, export_html])
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            pytest.param(
+                "latitude", "31.2330", "latitude must be of type float, got '31.2330'",
+                id="quoted-latitude",
+            ),
+            pytest.param(
+                "pile_count", [4], "pile_count must be of type int, got [4]",
+                id="listed-pile-count",
+            ),
+        ],
+    )
+    def test_a_malformed_config_station_raises_naming_its_key(
+        self, finished_run, tmp_path, export, key, value, problem
+    ):
+        # the maps check config.yaml's stations as a run does
+        _config, artifacts = finished_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(artifacts.run_dir, run_dir)
+        data = yaml.safe_load((run_dir / "config.yaml").read_text(encoding="utf-8"))
+        data["stations"][0][key] = value
+        (run_dir / "config.yaml").write_text(yaml.safe_dump(data), encoding="utf-8")
+        out = tmp_path / "map"
+        with pytest.raises(TypeError, match=f"^{re.escape(problem)}$"):
+            export(run_dir, out)
+        assert not out.exists()
 
 
 class PlannerDown(MockProvider):

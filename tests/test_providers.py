@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,8 @@ from chargesim.domain import (
     GeoPoint,
     PlanEvent,
     PlanEventKind,
+    ReflectionReport,
+    ScoredNote,
     SimClock,
     canonical_json,
 )
@@ -309,6 +312,19 @@ class TestBaselineDecision:
         request = make_request(persona, soc_kwh=45.0, stations=[make_station()])
         response = MockProvider().decide(request)
         assert response.quintuple.amount_kwh == pytest.approx(0.85 * 75.0 - 45.0)
+
+    def test_a_threshold_above_the_usual_target_tops_up_to_the_threshold(self, persona):
+        # anxious at 60 percent, though already past its usual 50 percent target
+        persona = replace(
+            persona,
+            psychology=replace(persona.psychology, range_anxiety_threshold=0.9),
+            habits=replace(persona.habits, typical_target_soc=0.5),
+        )
+        request = make_request(persona, soc_kwh=45.0, stations=[make_station()])
+        response = baseline_decision(request, BaselineWeights())
+        assert response.decision is True
+        assert response.quintuple.scenario is ChargeScenario.EN_ROUTE
+        assert response.quintuple.amount_kwh == pytest.approx(0.9 * 75.0 - 45.0)
 
     @pytest.mark.parametrize("weight", ["distance", "price", "wait"])
     def test_nan_or_negative_weight_rejected(self, weight):
@@ -794,6 +810,68 @@ class TestLiveProvider:
         monkeypatch.setattr("requests.post", lambda url, **kw: _FakeResponse(wrapped))
         request = make_request(persona, soc_kwh=30.0, stations=[make_station()])
         assert self._provider().decide(request).decision is True
+
+    def test_extract_json_reads_the_object_at_the_first_brace(self):
+        # a reason that quotes a fence is kept whole, prose after the object is
+        # ignored, and a reply with no object at its first "{" has none
+        quoted = {"reason": "see ```json block```"}
+        assert LiveProvider._extract_json(json.dumps(quoted)) == quoted
+        assert LiveProvider._extract_json('{"a": 1} is my answer, not {"b": 2}') == {"a": 1}
+        for reply in ("no object here", '{oops} {"a": 1}'):
+            with pytest.raises(SchemaError, match="does not contain a JSON object"):
+                LiveProvider._extract_json(reply)
+
+    def _reply_always(self, monkeypatch, data) -> None:
+        monkeypatch.setattr("requests.post", lambda url, **kw: _FakeResponse(json.dumps(data)))
+
+    def test_plan_and_reflection_replies_become_their_values(self, persona, monkeypatch):
+        plan = MockProvider().plan_day(persona, 3, 7)
+        self._reply_always(monkeypatch, plan.to_dict())
+        assert self._provider().plan_day(persona, 3, 7) == plan
+        report = ReflectionReport(
+            day_index=3,
+            plan_adherence=ScoredNote(1.0, "kept the plan"),
+            satisfaction=ScoredNote(0.5, "queued at peak price"),
+            persona_consistency=ScoredNote(0.75, "as usual"),
+        )
+        self._reply_always(monkeypatch, report.to_dict())
+        assert self._provider().reflect([], persona, plan) == report
+
+    @pytest.mark.parametrize(
+        "operation, reply, problem",
+        [
+            ("persona", {"id": "agent-00"}, "persona payload malformed"),
+            # the fixture's persona without its id
+            ("persona", lambda p: {**p.to_dict(), "id": ""}, "persona violates constraints"),
+            ("plan", {"day_index": 3, "events": [{"kind": "trip"}]}, "plan payload malformed"),
+            ("plan", {"day_index": 3, "events": [{"kind": "nap"}]}, "plan payload malformed"),
+            ("reflect", {"day_index": 3}, "reflection payload malformed"),
+            (
+                "reflect",
+                {
+                    "day_index": 3,
+                    "plan_adherence": {"score": "high", "text": ""},
+                    "satisfaction": {"score": 1.0, "text": ""},
+                    "persona_consistency": {"score": 1.0, "text": ""},
+                },
+                "reflection payload malformed",
+            ),
+        ],
+    )
+    def test_two_malformed_replies_raise_schema_error(
+        self, persona, monkeypatch, operation, reply, problem
+    ):
+        if callable(reply):
+            reply = reply(persona)
+        self._reply_always(monkeypatch, reply)
+        provider = self._provider()
+        calls = {
+            "persona": lambda: provider.generate_persona(1, {}),
+            "plan": lambda: provider.plan_day(persona, 3, 7),
+            "reflect": lambda: provider.reflect([], persona, DailyPlan(day_index=3, events=())),
+        }
+        with pytest.raises(SchemaError, match=f"still invalid after repair: {problem}"):
+            calls[operation]()
 
     def test_missing_key_raises_provider_error(self, persona, monkeypatch):
         monkeypatch.delenv("LLM_API_KEY", raising=False)
