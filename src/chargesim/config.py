@@ -117,6 +117,9 @@ class ScenarioConfig:
         }
 
     def build_stations(self) -> dict[str, ChargingStation]:
+        """The stations by id; ValueError if stations is no list or repeats an id."""
+        if not isinstance(self.stations, list):
+            raise ValueError(f"stations must be a list, got {self.stations!r}")
         stations = {}
         for index, spec in enumerate(self.stations):
             _entry(spec, f"station {index}", _STATION_KEYS)
@@ -129,6 +132,8 @@ class ScenarioConfig:
                 pile_power_kw=_typed(spec, "pile_power_kw", float),
                 tariff_id=_typed(spec, "tariff_id", str),
             )
+            if station.station_id in stations:
+                raise ValueError(f"station {index} repeats station_id {station.station_id!r}")
             stations[station.station_id] = station
         return stations
 
@@ -220,8 +225,6 @@ class ScenarioConfig:
                 built[name] = build()
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 problems.append(f"{name} invalid: {exc}")
-        if "stations" in built and len(built["stations"]) != len(self.stations):
-            problems.append("station_id values must be unique")
         if {"tariffs", "stations", "congestion_bands"} <= built.keys():
             try:  # Environment's checks never read the router, so a stand-in serves
                 Environment(

@@ -7,11 +7,12 @@ checks its own invariants on construction, with one deliberate exception:
 (useful when the persona came from an external generator) instead of
 failing on the first bad field.
 
-A run keeps millions of these records alive, so every frozen value type in
-the package is declared ``@dataclass(frozen=True, slots=True)``: no
-per-instance ``__dict__``, hence no ad-hoc attributes and no weak
-references. A new one is declared the same way; tests/test_domain.py
-checks that every frozen dataclass has its ``__slots__``. A ``GeoPoint`` keeps
+A run keeps millions of these records alive and builds several per event,
+so every value type in the package is declared with :func:`value_type`: a
+frozen, slotted dataclass (no per-instance ``__dict__``, hence no ad-hoc
+attributes and no weak references) whose ``__init__`` stores its fields
+through the slots. A new one is declared the same way; tests/test_domain.py
+checks that every frozen dataclass is one. A ``GeoPoint`` keeps
 its JSON text, and ``DecisionQuintuple.no_charge`` shares one instance, text
 included, per scenario within a minute, so recurring values are formatted once.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from json.encoder import encode_basestring_ascii as json_string
 
@@ -33,7 +34,8 @@ CURRENCY_PLACES = 4
 # The one canonical layout (sorted keys, compact separators, ASCII) of every
 # log line, snapshot digest and to_json. The per-decision records write it
 # straight from their fields, keys spelled out in sorted order, through
-# json_string and json_number: the same bytes, without building a dict first.
+# json_string, json_number for a float and f"{value}" for an int: the same
+# bytes, without building a dict first.
 # A str-valued enum member goes to json_string as itself, since its str data
 # is its value.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -44,7 +46,14 @@ _isfinite = math.isfinite
 
 
 def json_number(value: float) -> str:
-    """An int or float as canonical_json writes it, NaN and the infinities included."""
+    """An int or float as canonical_json writes it, NaN and the infinities included.
+
+    The per-event writers spell their int fields as f"{value}", so most
+    calls pass a float, and a finite float is tested for first (inf - inf
+    and NaN - NaN are NaN).
+    """
+    if type(value) is float and value - value == 0.0:
+        return _float_repr(value)
     if isinstance(value, float):
         if _isfinite(value):
             return _float_repr(value)
@@ -52,6 +61,68 @@ def json_number(value: float) -> str:
             return "NaN"
         return "Infinity" if value > 0.0 else "-Infinity"
     return _int_repr(value)
+
+
+def value_type(cls=None, /, *, order: bool = False):
+    """Declare a value type: ``@dataclass(frozen=True, slots=True)`` whose
+    ``__init__`` stores each field through its slot's member descriptor,
+    not through ``object.__setattr__`` as a frozen dataclass's does, which
+    costs about twice as much.
+
+    The new ``__init__`` keeps the generated one's signature, defaults and
+    annotations, stores the default of each ``init=False`` field that has
+    one, then calls ``__post_init__`` if the class has one. Equality,
+    hashing, ordering, repr, ``replace``, pickling and
+    ``FrozenInstanceError`` are the dataclass's own. Keyword-only,
+    ``InitVar`` and ``default_factory`` fields are refused.
+    """
+    if cls is None:
+        return lambda cls: value_type(cls, order=order)
+    cls = dataclass(frozen=True, slots=True, order=order)(cls)
+    generated = cls.__init__
+    code = generated.__code__
+    specs = fields(cls)
+    names = [spec.name for spec in specs if spec.init]
+    if (
+        code.co_kwonlyargcount
+        or list(code.co_varnames[1 : code.co_argcount]) != names
+        or any(spec.default_factory is not MISSING for spec in specs)
+    ):
+        raise TypeError(
+            f"value_type {cls.__qualname__}: keyword-only, InitVar and "
+            "default_factory fields are not supported"
+        )
+    # the closure holds field i's bound slot __set__ as __set<i>__, and an
+    # init=False field's default as __default<i>__
+    closure = {}
+    lines = []
+    for index, spec in enumerate(specs):
+        if spec.init:
+            value = spec.name
+        elif spec.default is not MISSING:
+            value = f"__default{index}__"
+            closure[value] = spec.default
+        else:  # __post_init__ sets it
+            continue
+        closure[f"__set{index}__"] = cls.__dict__[spec.name].__set__
+        lines.append(f"        __set{index}__(self, {value})")
+    if hasattr(cls, "__post_init__"):
+        lines.append("        self.__post_init__()")
+    source = (
+        f"def __make__({', '.join(closure)}):\n"
+        f"    def __init__({', '.join(['self', *names])}):\n"
+        + ("\n".join(lines) or "        pass")
+        + "\n    return __init__\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, "<value_type>", "exec"), {}, namespace)
+    init = namespace["__make__"](**closure)
+    init.__defaults__ = generated.__defaults__
+    init.__annotations__ = dict(generated.__annotations__)
+    init.__module__ = cls.__module__
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
 
 
 def round_currency(value: float) -> float:
@@ -94,7 +165,7 @@ class PlanEventKind(str, Enum):
     LEISURE = "leisure"
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@value_type(order=True)
 class SimClock:
     """Simulation time in whole minutes since scenario start.
 
@@ -119,7 +190,7 @@ class SimClock:
         return self.sim_time % MINUTES_PER_DAY
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class GeoPoint:
     """A WGS84 coordinate; bounds are validated on construction.
 
@@ -151,41 +222,41 @@ class GeoPoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class Demographics:
     age: int
     gender: Gender
     occupation: str
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class Economics:
     income_level: IncomeLevel
     price_sensitivity: float  # 0 (indifferent) .. 1 (highly price driven)
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class Psychology:
     risk_aversion: float
     range_anxiety_threshold: float  # SoC fraction below which charging is sought
     patience: float
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class VehicleSpec:
     battery_capacity_kwh: float
     consumption_kwh_per_km: float
     max_charge_power_kw: float
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class ChargingHabits:
     preferred_window: tuple[int, int]  # time-of-day minutes, half-open
     preferred_scenario: ChargeScenario
     typical_target_soc: float  # fraction in (0, 1]
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class Persona:
     """Profile driving an agent's prompts and baseline decisions.
 
@@ -341,7 +412,7 @@ def validate_persona(persona: Persona) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class DecisionQuintuple:
     """The labeled bundle of decision outputs attached to every record.
 
@@ -421,7 +492,7 @@ _shared_no_charge: dict[int, DecisionQuintuple] = {}
 _no_charge_head: dict[int, str] = {}
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class BehaviorRecord:
     """One logged behavior: the action taken, its object, and when.
 
@@ -446,7 +517,7 @@ class BehaviorRecord:
             f'"object_id":{json_string(self.object_id)},'
             f'"quintuple":{self.quintuple.to_json()},'
             f'"reason":{json_string(self.reason)},'
-            f'"timestamp":{json_number(self.timestamp)}}}'
+            f'"timestamp":{self.timestamp}}}'
         )
 
     def to_dict(self) -> dict:
@@ -458,7 +529,7 @@ class BehaviorRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class PlanEvent:
     kind: PlanEventKind
     origin: GeoPoint
@@ -487,7 +558,7 @@ class PlanEvent:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class DailyPlan:
     """An ordered, non-overlapping schedule of events for one simulated day."""
 
@@ -513,7 +584,7 @@ class DailyPlan:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class ScoredNote:
     """A [0, 1] score with the explanatory text that justifies it."""
 
@@ -528,7 +599,7 @@ class ScoredNote:
         return {"score": self.score, "text": self.text}
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class ReflectionReport:
     """End-of-day self evaluation: plan adherence, satisfaction, consistency."""
 

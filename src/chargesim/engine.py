@@ -270,7 +270,7 @@ def _leg(
     return (
         f'{{"destination":{destination.to_json()},"distance_km":{json_number(distance_km)},'
         f'"energy_kwh":{json_number(energy_kwh)},"origin":{origin.to_json()},'
-        f'"travel_minutes":{json_number(minutes)}}}'
+        f'"travel_minutes":{minutes}}}'
     )
 
 
@@ -552,16 +552,16 @@ class Simulation:
             self.fallbacks["decisions"] += 1
 
         # the extras' keys in sorted order; a hex digest needs no escaping
-        perceived_at = json_number(snapshot.travel.now)
+        perceived_at = snapshot.travel.now
         digest = snapshot.digest()
         if response.decision:
             station_entry = snapshot.station(response.quintuple.station_id)
             extras = (
                 f'{{"perceived_at":{perceived_at},'
-                f'"predicted_queue_minutes":{json_number(station_entry.predicted_queue_minutes)},'
+                f'"predicted_queue_minutes":{station_entry.predicted_queue_minutes},'
                 f'"snapshot_digest":"{digest}",'
                 f'"station_distance_km":{json_number(station_entry.distance_km)},'
-                f'"station_travel_minutes":{json_number(station_entry.travel_minutes)}}}'
+                f'"station_travel_minutes":{station_entry.travel_minutes}}}'
             )
             record = BehaviorRecord(
                 action=ActionType.START_CHARGING,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .domain import MINUTES_PER_DAY, GeoPoint, SimClock
+from .domain import MINUTES_PER_DAY, GeoPoint, SimClock, value_type
 from .georoute import OfflineRouter
 
 
@@ -104,7 +104,7 @@ def consume_energy(ev: EvState, distance_km: float, rate_kwh_per_km: float) -> f
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class DaySchedule:
     """A value for each minute of the day: time-of-use prices per kWh, or the
     speed multipliers that stand in for live traffic data.
@@ -204,7 +204,7 @@ class ChargingStation:
         return max(0, min(self.busy_until) - now)
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class ChargeTicket:
     """The committed outcome of one accepted charge request."""
 

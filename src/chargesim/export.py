@@ -127,12 +127,13 @@ def build_geojson(run_dir: Path | str) -> dict:
 
     Each position is the (lon, lat) text of its numbers, each of
     routes.json's as spelled there. config.yaml's stations pass the run's
-    own reader, build_stations, which names a malformed entry's key, and are
-    drawn as written. A routes.json that is no object raises ValueError,
-    and so does a malformed or missing entry (an agent that
-    final_states.json lacks or that routes.json lacks, a malformed route or
-    charge, or a charge at a station that config.yaml lacks), naming its
-    agent, and a run whose summary.json records a failure, naming the error.
+    own reader, build_stations, which names a malformed entry's key or a
+    repeated station_id, and are drawn as written. A routes.json that is no
+    object raises ValueError, and so does a malformed or missing entry (an
+    agent that final_states.json lacks or that routes.json lacks, a
+    malformed route or charge, or a charge at a station that config.yaml
+    lacks), naming its agent, and a run whose summary.json records a
+    failure, naming the error.
     """
     run_dir = Path(run_dir)
     _read_summary(run_dir)

@@ -16,16 +16,15 @@ way, and perception.perceive the stations it then measures with distance_km.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import asin, cos, radians, sin, sqrt
 
-from .domain import GeoPoint
+from .domain import GeoPoint, value_type
 
 EARTH_RADIUS_KM = 6371.0088
 _DIAMETER_KM = 2.0 * EARTH_RADIUS_KM
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class RouteEstimate:
     distance_km: float
     travel_minutes: int
@@ -105,7 +104,7 @@ def bounding_box_deg(lat: float, lon: float, radius_km: float) -> tuple[float, f
     return lat - dlat, lat + dlat, lon - dlon, lon + dlon
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class OfflineRouter:
     """Great-circle-times-detour routing at a constant mean urban speed.
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from typing import Protocol
 
-from .domain import GeoPoint, Persona, SimClock, json_number, json_string
+from .domain import GeoPoint, Persona, SimClock, json_number, json_string, value_type
 from .environment import Environment, EvState
 from .georoute import bounding_box_deg
 
@@ -36,7 +35,7 @@ class PerceivingAgent(Protocol):
     def next_destination(self) -> GeoPoint | None: ...
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class StationPerception:
     station_id: str
     free_piles: int  # scenario: availability right now
@@ -53,16 +52,16 @@ class StationPerception:
             f'{{"energy":{{"pile_power_kw":{json_number(self.pile_power_kw)}}},'
             f'"price":{{"off_peak":{"true" if self.off_peak else "false"},'
             f'"price_per_kwh":{json_number(self.price_per_kwh)}}},'
-            f'"scenario":{{"free_piles":{json_number(self.free_piles)}}},'
+            f'"scenario":{{"free_piles":{self.free_piles}}},'
             f'"space":{{"distance_km":{json_number(self.distance_km)}}},'
             f'"station_id":{json_string(self.station_id)},'
-            f'"time":{{"charge_minutes":{json_number(self.charge_minutes)},'
-            f'"predicted_queue_minutes":{json_number(self.predicted_queue_minutes)},'
-            f'"travel_minutes":{json_number(self.travel_minutes)}}}}}'
+            f'"time":{{"charge_minutes":{self.charge_minutes},'
+            f'"predicted_queue_minutes":{self.predicted_queue_minutes},'
+            f'"travel_minutes":{self.travel_minutes}}}}}'
         )
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class TravelPerception:
     congestion_multiplier: float  # scenario
     now: int  # time
@@ -75,7 +74,6 @@ class TravelPerception:
 
     def to_json(self) -> str:
         next_start = self.next_event_start
-        next_start_json = "null" if next_start is None else json_number(next_start)
         destination = self.next_destination
         return (
             f'{{"energy":{{"soc_fraction":{json_number(self.soc_fraction)},'
@@ -84,12 +82,12 @@ class TravelPerception:
             f'"space":{{"distance_to_next_km":{json_number(self.distance_to_next_km)},'
             f'"location":{self.location.to_json()},'
             f'"next_destination":{"null" if destination is None else destination.to_json()}}},'
-            f'"time":{{"next_event_start":{next_start_json},'
-            f'"now":{json_number(self.now)}}}}}'
+            f'"time":{{"next_event_start":{"null" if next_start is None else next_start},'
+            f'"now":{self.now}}}}}'
         )
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class PerceptionSnapshot:
     travel: TravelPerception
     stations: tuple[StationPerception, ...]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property
 
 from ..domain import (
@@ -27,6 +26,7 @@ from ..domain import (
     ReflectionReport,
     SimClock,
     canonical_json,
+    value_type,
 )
 from ..environment import EvState
 from ..memory import MemoryStore
@@ -119,7 +119,7 @@ class DecisionRequest:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class DecisionResponse:
     """A charging decision: the quintuple fields plus the stated reason."""
 

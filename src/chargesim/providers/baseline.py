@@ -11,16 +11,14 @@ wait, with ties broken by the lower station id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..domain import ChargeScenario, DecisionQuintuple
+from ..domain import ChargeScenario, DecisionQuintuple, value_type
 from ..perception import StationPerception
 from .base import DecisionRequest, DecisionResponse
 
 IDLE_WINDOW_MINUTES = 45
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class BaselineWeights:
     distance: float = 0.5
     price: float = 0.3

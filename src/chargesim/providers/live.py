@@ -21,7 +21,6 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from ..domain import (
@@ -35,6 +34,7 @@ from ..domain import (
     ReflectionReport,
     ScoredNote,
     validate_persona,
+    value_type,
 )
 from .base import (
     CognitionProvider,
@@ -90,7 +90,7 @@ DEFAULT_PROMPTS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class LiveSettings:
     base_url: str = "https://api.openai.com/v1"
     model: str = "gpt-4o-mini"

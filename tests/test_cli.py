@@ -446,6 +446,32 @@ def test_map_export_of_a_malformed_route_exits_2(tmp_path, small_config_file, ca
     assert "'st-99'" in err
 
 
+@pytest.mark.parametrize("fmt", ["geojson", "html"])
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda stations: stations + [{**stations[0], "latitude": 31.3}], "'st-01'"),
+        (lambda stations: 5, "stations must be a list"),
+    ],
+    ids=["repeated-id", "not-a-list"],
+)
+def test_map_export_of_malformed_config_stations_exits_2(
+    tmp_path, small_config_file, capsys, fmt, edit, named
+):
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", str(small_config_file), "--out", str(run_dir)]) == 0
+    path = run_dir / "config.yaml"
+    config = yaml.safe_load(path.read_text(encoding="utf-8"))
+    config["stations"] = edit(config["stations"])
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["export", "--run", str(run_dir), "--format", fmt]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("export failed: ") and named in err
+    assert "Traceback" not in err
+    assert not (run_dir / f"map.{fmt}").exists()
+
+
 def test_export_missing_run_dir_exits_2(tmp_path, capsys):
     assert main(["export", "--run", str(tmp_path / "ghost"), "--format", "csv"]) == 2
     assert "missing run artifact" in capsys.readouterr().err

@@ -165,6 +165,11 @@ STATION_KEYS = "['latitude', 'longitude', 'pile_count', 'pile_power_kw', 'statio
             f"stations invalid: station 0 lacks 'tariff_id'; expected keys {STATION_KEYS}",
         ),
         (
+            "stations",
+            [STATION, {**STATION, "latitude": 31.3}],
+            "stations invalid: station 1 repeats station_id 'a'",
+        ),
+        (
             "congestion_bands",
             [{"start": 0, "end": 1440, "multiplier": 1.0, "multipler": 0.5}],
             "congestion_bands invalid: band 0 has unknown key 'multipler'; "
@@ -194,6 +199,13 @@ def test_a_config_entry_holds_its_own_keys_and_no_other(section, value, problem)
     config = ScenarioConfig()
     setattr(config, section, value)
     assert config.validate() == [problem]
+
+
+def test_build_stations_names_stations_that_are_no_list():
+    config = ScenarioConfig()
+    config.stations = 5
+    with pytest.raises(ValueError, match="^stations must be a list, got 5$"):
+        config.build_stations()
 
 
 def test_a_tariff_band_may_carry_a_label():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import importlib
+import inspect
 import json
 import math
 import os
@@ -41,8 +42,10 @@ from chargesim.domain import (
     VehicleSpec,
     canonical_json,
     validate_persona,
+    value_type,
 )
 from chargesim.engine import run
+from chargesim.environment import DaySchedule
 from chargesim.perception import PerceptionSnapshot, StationPerception, TravelPerception
 from chargesim.providers.base import DecisionResponse
 from oracles import (
@@ -484,13 +487,87 @@ def _hot_values():
 
 
 class TestSlottedValueTypes:
-    """The value types are frozen and slotted: no per-instance __dict__, and
-    equality, hashing, replace, deepcopy and pickling still hold."""
+    """The value types are declared with value_type: frozen and slotted, no
+    per-instance __dict__, an __init__ that stores through the slots with the
+    dataclass's signature and checks, and equality, hashing, replace,
+    deepcopy and pickling still hold."""
 
     def test_every_frozen_dataclass_declares_slots(self):
         types = _frozen_dataclasses()
         assert len(types) >= 24
         assert [cls.__qualname__ for cls in types if "__slots__" not in cls.__dict__] == []
+
+    @pytest.mark.parametrize("cls", _frozen_dataclasses(), ids=lambda cls: cls.__qualname__)
+    def test_every_frozen_dataclass_is_a_value_type(self, cls):
+        init = cls.__init__
+        assert init.__code__.co_filename == "<value_type>"
+        assert init.__qualname__ == f"{cls.__qualname__}.__init__"
+        specs = [spec for spec in dataclasses.fields(cls) if spec.init]
+        parameters = list(inspect.signature(init).parameters.values())[1:]
+        assert [(p.name, p.kind, p.default) for p in parameters] == [
+            (
+                spec.name,
+                inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                inspect.Parameter.empty if spec.default is dataclasses.MISSING else spec.default,
+            )
+            for spec in specs
+        ]
+        with pytest.raises(TypeError):  # one argument too many, checked before any field
+            cls(*[None] * (len(specs) + 1))
+        with pytest.raises(TypeError):
+            cls(no_such_field=None)
+        if any(spec.default is dataclasses.MISSING for spec in specs):
+            with pytest.raises(TypeError):
+                cls()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GeoPoint(91.0, 0.0),
+            lambda: GeoPoint(latitude=0.0, longitude=-180.5),
+            lambda: SimClock(-1),
+            lambda: SimClock(sim_time=1.0),
+            lambda: PlanEvent(PlanEventKind.BREAK, SHANGHAI, SHANGHAI, 1440, 0.0),
+            lambda: DaySchedule(((0, 720, 1.0),)),
+        ],
+    )
+    def test_post_init_still_rejects_bad_values(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_fields_defaults_and_computed_slots_are_set(self):
+        point = GeoPoint(0.0, 0.0)
+        assert point._json is None
+        assert point.to_json() == "[0.0,0.0]" and point._json == "[0.0,0.0]"
+        assert point == GeoPoint(0.0, 0.0) and hash(point) == hash(GeoPoint(0.0, 0.0))
+        assert ReflectionReport(0, *[ScoredNote(1.0, "")] * 3).fallback is False
+        schedule = DaySchedule(((720, 1440, 0.5), (0, 720, 1.5)))
+        assert schedule.bands == ((0, 720, 1.5), (720, 1440, 0.5)) and schedule.lowest == 0.5
+        assert SimClock(sim_time=5) < SimClock(6)
+        assert sorted([SimClock(2), SimClock(1)]) == [SimClock(1), SimClock(2)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            point.latitude = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del schedule.lowest
+
+    def test_value_type_refuses_fields_its_init_cannot_store(self):
+        with pytest.raises(TypeError, match="not supported"):
+
+            @value_type
+            class KeywordOnly:
+                a: int = dataclasses.field(kw_only=True)
+
+        with pytest.raises(TypeError, match="not supported"):
+
+            @value_type
+            class Factory:
+                a: list = dataclasses.field(default_factory=list)
+
+        with pytest.raises(TypeError, match="not supported"):
+
+            @value_type
+            class WithInitVar:
+                a: dataclasses.InitVar[int]
 
     @pytest.mark.parametrize("value", _hot_values(), ids=lambda value: type(value).__name__)
     def test_copies_round_trips_and_hashes(self, value):

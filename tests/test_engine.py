@@ -11,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 import chargesim
 from chargesim.config import ScenarioConfig, load_config
@@ -27,7 +28,7 @@ from chargesim.domain import (
     ReflectionReport,
     canonical_json,
 )
-from chargesim.engine import RunTotals, Simulation, build_summary, run
+from chargesim.engine import RunTotals, Simulation, _leg, build_summary, run
 from chargesim.environment import ChargeTicket
 from chargesim.memory import MemoryStore
 from chargesim.providers import (
@@ -39,6 +40,7 @@ from chargesim.providers import (
 from chargesim.providers.mock import home_point_for
 from faults import FaultInjectingProvider
 from oracles import oracle_request_history
+from test_perception import any_float, coordinates, plain_int
 
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "config" / "default.yaml"
@@ -753,6 +755,19 @@ class LogReadingProvider(MockProvider):
         text = self.log_path.read_text(encoding="utf-8")
         self.seen.append((request.persona.id, request.clock.sim_time, text))
         return super().decide(request)
+
+
+@given(coordinates, coordinates, any_float, any_float, plain_int)
+def test_a_leg_is_written_as_canonical_json(origin, destination, distance_km, energy_kwh, minutes):
+    assert _leg(origin, destination, distance_km, energy_kwh, minutes) == canonical_json(
+        {
+            "origin": [origin.latitude, origin.longitude],
+            "destination": [destination.latitude, destination.longitude],
+            "distance_km": distance_km,
+            "energy_kwh": energy_kwh,
+            "travel_minutes": minutes,
+        }
+    )
 
 
 def test_a_trip_end_flushes_its_travel_line_with_its_decision(tmp_path):
