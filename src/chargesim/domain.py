@@ -23,7 +23,6 @@ with four fractional digits by convention.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from json.encoder import encode_basestring_ascii as json_string
@@ -42,20 +41,17 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 _float_repr = float.__repr__
 _int_repr = int.__repr__
-_isfinite = math.isfinite
 
 
 def json_number(value: float) -> str:
     """An int or float as canonical_json writes it, NaN and the infinities included.
 
     The per-event writers spell their int fields as f"{value}", so most
-    calls pass a float, and a finite float is tested for first (inf - inf
-    and NaN - NaN are NaN).
+    calls pass a float. A float is finite exactly when value - value is 0.0
+    (inf - inf and NaN - NaN are NaN).
     """
-    if type(value) is float and value - value == 0.0:
-        return _float_repr(value)
     if isinstance(value, float):
-        if _isfinite(value):
+        if value - value == 0.0:
             return _float_repr(value)
         if value != value:
             return "NaN"
@@ -466,7 +462,7 @@ class DecisionQuintuple:
             else:  # its records keep the quintuple, not its text
                 object.__setattr__(shared, "_json", None)
                 head = _no_charge_head[id(scenario)]
-            object.__setattr__(latest, "_json", f"{head}{json_number(time_minutes)}}}")
+            object.__setattr__(latest, "_json", f"{head}{time_minutes}}}")
             _shared_no_charge[id(scenario)] = shared = latest
         return shared
 
@@ -481,7 +477,7 @@ class DecisionQuintuple:
             f'"price_per_kwh":{json_number(self.price_per_kwh)},'
             f'"scenario":{json_string(self.scenario)},'
             f'"station_id":{"null" if station_id is None else json_string(station_id)},'
-            f'"time_minutes":{json_number(self.time_minutes)}}}'
+            f'"time_minutes":{self.time_minutes}}}'
         )
 
 
