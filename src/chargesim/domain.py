@@ -59,7 +59,7 @@ def json_number(value: float) -> str:
     return _int_repr(value)
 
 
-def value_type(cls=None, /, *, order: bool = False):
+def value_type(cls):
     """Declare a value type: ``@dataclass(frozen=True, slots=True)`` whose
     ``__init__`` stores each field through its slot's member descriptor,
     not through ``object.__setattr__`` as a frozen dataclass's does, which
@@ -68,13 +68,11 @@ def value_type(cls=None, /, *, order: bool = False):
     The new ``__init__`` keeps the generated one's signature, defaults and
     annotations, stores the default of each ``init=False`` field that has
     one, then calls ``__post_init__`` if the class has one. Equality,
-    hashing, ordering, repr, ``replace``, pickling and
-    ``FrozenInstanceError`` are the dataclass's own. Keyword-only,
-    ``InitVar`` and ``default_factory`` fields are refused.
+    hashing, repr, ``replace``, pickling and ``FrozenInstanceError`` are
+    the dataclass's own. Keyword-only, ``InitVar`` and ``default_factory``
+    fields are refused.
     """
-    if cls is None:
-        return lambda cls: value_type(cls, order=order)
-    cls = dataclass(frozen=True, slots=True, order=order)(cls)
+    cls = dataclass(frozen=True, slots=True)(cls)
     generated = cls.__init__
     code = generated.__code__
     specs = fields(cls)
@@ -161,7 +159,7 @@ class PlanEventKind(str, Enum):
     LEISURE = "leisure"
 
 
-@value_type(order=True)
+@value_type
 class SimClock:
     """Simulation time in whole minutes since scenario start.
 

@@ -538,9 +538,7 @@ class Simulation:
         """
         clock = SimClock(now)
         snapshot = perceive(agent, self.env, clock, self.config.station_radius_km)
-        request = DecisionRequest.from_history(
-            agent.persona, snapshot, clock, agent.memory, agent.pending
-        )
+        request = DecisionRequest(agent.persona, snapshot, clock, agent.memory, agent.pending)
         fallback = False
         try:
             response = self.provider.decide(request)
@@ -718,7 +716,7 @@ class Simulation:
                     raise SchemaError(
                         f"reflection for day {report.day_index}, expected {completed}"
                     )
-            except (SchemaError, ProviderError, ValueError):
+            except (SchemaError, ProviderError):
                 report = _fallback_reflection(completed)
                 self.fallbacks["reflections"] += 1
             agent.plan = None  # reflected on; _plan_day sets the next day's

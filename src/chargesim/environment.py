@@ -180,17 +180,14 @@ class ChargingStation:
     pile_count: int
     pile_power_kw: float
     tariff_id: str
-    busy_until: list[int] = field(default_factory=list)  # absolute minutes, one per pile
+    busy_until: list[int] = field(init=False)  # absolute minutes, one per pile
 
     def __post_init__(self) -> None:
         if self.pile_count < 1:
             raise ValueError("pile_count must be >= 1")
         if not 0.0 < self.pile_power_kw < math.inf:
             raise ValueError(f"pile_power_kw must be finite and > 0, got {self.pile_power_kw}")
-        if not self.busy_until:
-            self.busy_until = [0] * self.pile_count
-        if len(self.busy_until) != self.pile_count:
-            raise ValueError("busy_until must have one entry per pile")
+        self.busy_until = [0] * self.pile_count
 
     def free_piles(self, now: int) -> int:
         return sum(1 for t in self.busy_until if t <= now)
@@ -268,9 +265,6 @@ def begin_charge(
 # ---------------------------------------------------------------------------
 
 
-FREE_FLOW = DaySchedule(((0, MINUTES_PER_DAY, 1.0),))
-
-
 @dataclass
 class Environment:
     """What the agents share: stations, tariffs, the road model and its congestion.
@@ -281,7 +275,7 @@ class Environment:
     stations: dict[str, ChargingStation]
     tariffs: dict[str, DaySchedule]
     router: OfflineRouter
-    congestion: DaySchedule = FREE_FLOW
+    congestion: DaySchedule
 
     def __post_init__(self) -> None:
         problems = [

@@ -47,49 +47,26 @@ class DecisionRequest:
     persona, snapshot and clock are the present. The history is three
     tuples: plan_events (the day's remaining PlanEvents), short_records (the
     short memory window) and long_aggregates (per-day charge summaries over
-    the long window). A caller may pass them in. The engine builds its
-    requests with from_history instead: then each tuple is built the first
-    time something reads it, from the agent's memory and plan backlog as
-    they were when the request was made, and kept. The mock provider reads
-    none of them, so a mock run builds none of them.
+    the long window). Each is built the first time something reads it, from
+    the agent's memory and (day, PlanEvent) backlog as they stood when the
+    request was made, and kept. The mock provider reads none of them, so a
+    mock run builds none of them.
     """
 
     def __init__(
         self,
         persona: Persona,
-        plan_events: tuple,
-        snapshot: PerceptionSnapshot,
-        short_records: tuple[BehaviorRecord, ...],
-        long_aggregates: tuple[dict, ...],
-        clock: SimClock,
-    ) -> None:
-        self.persona = persona
-        self.snapshot = snapshot
-        self.clock = clock
-        # given values shadow the cached properties below, which then never run
-        self.plan_events = plan_events
-        self.short_records = short_records
-        self.long_aggregates = long_aggregates
-
-    @classmethod
-    def from_history(
-        cls,
-        persona: Persona,
         snapshot: PerceptionSnapshot,
         clock: SimClock,
         memory: MemoryStore,
         pending: Iterable[tuple[int, PlanEvent]],
-    ) -> DecisionRequest:
-        """A request whose history is read, when first needed, from memory and
-        the (day, PlanEvent) backlog pending as they stand now."""
-        request = cls.__new__(cls)
-        request.persona = persona
-        request.snapshot = snapshot
-        request.clock = clock
-        request._memory = memory
-        request._memory_size = len(memory.records)
-        request._pending = tuple(pending)
-        return request
+    ) -> None:
+        self.persona = persona
+        self.snapshot = snapshot
+        self.clock = clock
+        self._memory = memory
+        self._memory_size = len(memory.records)
+        self._pending = tuple(pending)
 
     @cached_property
     def plan_events(self) -> tuple:

@@ -150,10 +150,10 @@ PERSONA_TEMPLATE_SHAPES: dict = {
 }
 PLAN_TEMPLATE_SHAPES: dict = {
     "center": "point",
-    "area_radius_km": "number",
+    "area_radius_km": ("number", "positive"),
     "shifts": ("pairs", "minute"),
     "evening_shift": ("pair", "minute"),
-    "evening_shift_probability": "number",
+    "evening_shift_probability": ("number", "unit"),
     "trip_km_range": ("pair", "non_negative"),
     "gap_minutes_range": ("int_range", "non_negative"),
     "detour_factor": "number",
@@ -218,7 +218,7 @@ def _reach_problem(template: dict) -> str | None:
     position by haversine_km and could be accepted, and no GeoPoint holds it.
     """
     lat, lon = template["center"]
-    angle = abs(template["area_radius_km"]) / EARTH_RADIUS_KM
+    angle = template["area_radius_km"] / EARTH_RADIUS_KM
     hop = max(template["trip_km_range"]) * DEG_PER_KM
     lat_reach = (max(math.degrees(angle), hop) + hop) * (1.0 + 1e-9)
     if not abs(lat) + lat_reach < 90.0:

@@ -7,8 +7,9 @@ overlap, the station scorer is an explicit exhaustive loop, and the queue
 oracle is a minute-stepping FIFO simulation rather than greedy pile
 reservation. The memory oracles scan a store's whole record list and
 filter it record by record, where the store bisects indexes kept on append;
-the request-history oracle assembles a decision request's history with them
-at once, where the request builds it on first read.
+the request oracles assemble a decision request's history with them at
+once, where the request builds it on first read, and write its text from
+plain dicts.
 The export oracle parses every line of a run's behavior.log, where the map
 exporters render routes.json, the trace the engine kept as it wrote the log.
 The serialization oracles build each record's dict field by field, in the
@@ -197,6 +198,32 @@ def oracle_request_history(records: list, pending, now: int) -> tuple[tuple, tup
         tuple(oracle_memory_window(records, now, 3)),
         tuple(oracle_daily_aggregates(records, now)),
     )
+
+
+def oracle_plan_event_dict(event) -> dict:
+    return {
+        "kind": event.kind.value,
+        "origin": [event.origin.latitude, event.origin.longitude],
+        "destination": [event.destination.latitude, event.destination.longitude],
+        "start": event.start,
+        "expected_distance_km": event.expected_distance_km,
+    }
+
+
+def oracle_request_text(persona, snapshot, records: list, pending, now: int) -> str:
+    """A decision request's text at time now: oracle_request_history's
+    tuples and the present, each as a plain dict, written by json.dumps."""
+    plan_events, short, aggregates = oracle_request_history(records, pending, now)
+    day_index, time_of_day = divmod(now, MINUTES_PER_DAY)
+    request = {
+        "clock": {"day_index": day_index, "sim_time": now, "time_of_day": time_of_day},
+        "long_memory_daily": list(aggregates),
+        "perception": oracle_snapshot_dict(snapshot),
+        "persona": oracle_persona_dict(persona),
+        "plan_events": [oracle_plan_event_dict(event) for event in plan_events],
+        "short_memory": [oracle_record_dict(record) for record in short],
+    }
+    return json.dumps(request, sort_keys=True, separators=(",", ":"))
 
 
 def read_log(path: Path | str) -> list[dict]:

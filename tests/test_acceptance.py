@@ -178,8 +178,9 @@ def test_criterion_5_cost_correctness():
         tariff = DaySchedule(bands)
         station = ChargingStation(
             station_id="st", location=HERE, pile_count=2, pile_power_kw=rng.choice([7.0, 60.0, 120.0]),
-            tariff_id="t", busy_until=[rng.randint(0, 200), rng.randint(0, 200)],
+            tariff_id="t",
         )
+        station.busy_until = [rng.randint(0, 200), rng.randint(0, 200)]
         capacity = rng.uniform(40.0, 100.0)
         soc = rng.uniform(0.0, capacity * 0.95)
         ev = EvState(

@@ -140,6 +140,10 @@ def test_validate_rejects_plan_template_routing_keys(tmp_path, capsys):
         "plan_template: {evening_shift: [1290, 1500]}",
         "plan_template: {gap_minutes_range: [-100, -50]}",
         "plan_template: {trip_km_range: [-5, 18]}",
+        "plan_template: {area_radius_km: -5}",
+        "plan_template: {area_radius_km: 0}",
+        "plan_template: {evening_shift_probability: 7}",
+        "plan_template: {evening_shift_probability: -1}",
         # the planner's hops around the centre would cross a pole or the antimeridian
         "plan_template: {center: [89.9, 0]}",
         "plan_template: {center: [0, 179.99]}",
@@ -273,15 +277,18 @@ def test_template_bounds_admit_their_edge_values(tmp_path):
         "target_soc_range": [1, 1],
         "preferred_windows": [[0, 1440], [1439, 1440]],
     }
-    config.plan_template = {
-        "shifts": [[0, 1440]],
-        "evening_shift": [1440, 1440],
-        "gap_minutes_range": [0, 0],
-    }
-    path = tmp_path / "edges.yaml"
-    path.write_text(config.to_yaml(), encoding="utf-8")
-    assert main(["validate", "--config", str(path)]) == 0
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    for probability in (0, 1):
+        config.plan_template = {
+            "shifts": [[0, 1440]],
+            "evening_shift": [1440, 1440],
+            "evening_shift_probability": probability,
+            "gap_minutes_range": [0, 0],
+        }
+        path = tmp_path / f"edges-{probability}.yaml"
+        path.write_text(config.to_yaml(), encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 0
+        out = tmp_path / f"run-{probability}"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
 
 
 def _edge_centres():

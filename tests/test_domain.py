@@ -543,8 +543,6 @@ class TestSlottedValueTypes:
         assert ReflectionReport(0, *[ScoredNote(1.0, "")] * 3).fallback is False
         schedule = DaySchedule(((720, 1440, 0.5), (0, 720, 1.5)))
         assert schedule.bands == ((0, 720, 1.5), (720, 1440, 0.5)) and schedule.lowest == 0.5
-        assert SimClock(sim_time=5) < SimClock(6)
-        assert sorted([SimClock(2), SimClock(1)]) == [SimClock(1), SimClock(2)]
         with pytest.raises(dataclasses.FrozenInstanceError):
             point.latitude = 1.0
         with pytest.raises(dataclasses.FrozenInstanceError):

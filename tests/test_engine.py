@@ -39,7 +39,7 @@ from chargesim.providers import (
 )
 from chargesim.providers.mock import home_point_for
 from faults import FaultInjectingProvider
-from oracles import oracle_request_history
+from oracles import oracle_request_text
 from test_perception import any_float, coordinates, plain_int
 
 
@@ -738,6 +738,35 @@ def test_setup_crash_closes_every_log_and_propagates(tmp_path):
     assert not (sim.run_dir / "final_states.json").exists()
 
 
+class BareValueErrorProvider(MockProvider):
+    """The mock, except that one method raises a bare ValueError, not a SchemaError."""
+
+    def __init__(self, method: str, **kwargs):
+        super().__init__(**kwargs)
+
+        def give_up(*args):
+            raise ValueError(f"{method} gave up")
+
+        setattr(self, method, give_up)
+
+
+@pytest.mark.parametrize("method", ["generate_persona", "plan_day", "decide", "reflect"])
+def test_a_bare_value_error_from_any_provider_call_fails_the_run(tmp_path, method):
+    # only SchemaError and ProviderError fall back, at every provider gate
+    config = small_config()
+    provider = BareValueErrorProvider(method, plan_template=config.effective_plan_template())
+    sim = Simulation.__new__(Simulation)
+    with pytest.raises(ValueError, match=f"{method} gave up"):
+        sim.__init__(config, tmp_path / "run", provider=provider)
+        sim.run()
+    assert sim._behavior_fh.closed and sim._reflections_fh.closed
+    summary = json.loads((sim.run_dir / "summary.json").read_text(encoding="utf-8"))
+    assert summary == {
+        "status": "failed",
+        "error": {"type": "ValueError", "message": f"{method} gave up"},
+    }
+
+
 # ---------------------------------------------------------------------------
 # An event's behavior.log lines reach the file together
 # ---------------------------------------------------------------------------
@@ -894,17 +923,13 @@ class HistoryCheckingProvider(MockProvider):
 
     def decide(self, request):
         agent = self.sim.agents[request.persona.id]
-        plan_events, short, aggregates = oracle_request_history(
-            agent.memory.records, agent.pending, request.clock.sim_time
+        expected = oracle_request_text(
+            request.persona,
+            request.snapshot,
+            agent.memory.records,
+            agent.pending,
+            request.clock.sim_time,
         )
-        expected = DecisionRequest(
-            persona=request.persona,
-            plan_events=plan_events,
-            snapshot=request.snapshot,
-            short_records=short,
-            long_aggregates=aggregates,
-            clock=request.clock,
-        ).to_json()
         if len(self.requests) % 2 == 0:
             assert request.to_json() == expected
         self.requests.append((request, expected))

@@ -28,6 +28,7 @@ from chargesim.domain import (
 from chargesim.engine import run
 from chargesim.environment import EvState
 from chargesim.georoute import EARTH_RADIUS_KM, bounding_box_deg
+from chargesim.memory import MemoryStore
 from chargesim.perception import PerceptionSnapshot, StationPerception, TravelPerception
 from chargesim.providers import (
     BaselineWeights,
@@ -44,7 +45,12 @@ from chargesim.providers import (
 from chargesim.providers.live import LiveSettings
 from chargesim.providers.mock import _random_point_near
 from faults import FaultInjectingProvider
-from oracles import NoCandidateError, oracle_random_point_near, oracle_station_choice
+from oracles import (
+    NoCandidateError,
+    oracle_random_point_near,
+    oracle_request_text,
+    oracle_station_choice,
+)
 
 CENTER = GeoPoint(31.2304, 121.4737)
 
@@ -89,14 +95,7 @@ def make_request(
         soc_fraction=soc_kwh / capacity,
     )
     snapshot = PerceptionSnapshot(travel=travel, stations=tuple(stations))
-    return DecisionRequest(
-        persona=persona,
-        plan_events=(),
-        snapshot=snapshot,
-        short_records=(),
-        long_aggregates=(),
-        clock=SimClock(now),
-    )
+    return DecisionRequest(persona, snapshot, SimClock(now), MemoryStore(), ())
 
 
 def make_ev(persona, soc_kwh):
@@ -631,17 +630,17 @@ class TestDecisionRequestSerialization:
             quintuple=DecisionQuintuple(True, ChargeScenario.PUBLIC, 560, "st-01", 12.5, 60.0, 0.35),
             reason='cheap "off-peak" \\ café\n',
         )
-        request = DecisionRequest(
-            persona=persona,
-            plan_events=(PlanEvent(PlanEventKind.TRIP, CENTER, GeoPoint(31.25, 121.5), 720, 3.2),),
-            snapshot=PerceptionSnapshot(travel=travel, stations=stations),
-            short_records=(record,),
-            long_aggregates=(
-                {"day_index": 0, "charge_count": 1, "total_kwh": 12.5, "mean_price_per_kwh": 0.35},
-            ),
-            clock=SimClock(600),
+        memory = MemoryStore()
+        memory.append(record)
+        event = PlanEvent(PlanEventKind.TRIP, CENTER, GeoPoint(31.25, 121.5), 720, 3.2)
+        snapshot = PerceptionSnapshot(travel=travel, stations=stations)
+        request = DecisionRequest(persona, snapshot, SimClock(600), memory, [(0, event)])
+        assert request.plan_events == (event,) and request.short_records == (record,)
+        assert request.long_aggregates == (
+            {"day_index": 0, "charge_count": 1, "total_kwh": 12.5, "mean_price_per_kwh": 0.35},
         )
         text = request.to_json()
+        assert text == oracle_request_text(persona, snapshot, [record], [(0, event)], 600)
         assert f'"perception":{request.snapshot.to_json()},' in text
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == (
