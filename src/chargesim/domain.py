@@ -23,9 +23,11 @@ with four fractional digits by convention.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from json.encoder import encode_basestring_ascii as json_string
+from operator import attrgetter
 
 MINUTES_PER_DAY = 1440
 CURRENCY_PLACES = 4
@@ -326,79 +328,47 @@ class Persona:
         )
 
 
+# Each persona field's rule, as (test, text): the field must be text. Every
+# numeric test fails NaN. validate_persona applies them to a persona, and the
+# mock's template check to every value a persona template can draw.
+UNIT_RULE = (lambda x: 0.0 <= x <= 1.0, "within [0, 1]")
+POSITIVE_RULE = (lambda x: 0 < x < math.inf, "finite and above 0")
+PERSONA_RULES: dict = {
+    "id": (bool, "non-empty"),
+    "demographics.age": POSITIVE_RULE,
+    "demographics.gender": (lambda v: isinstance(v, Gender), "a Gender value"),
+    "demographics.occupation": (bool, "non-empty"),
+    "economics.income_level": (lambda v: isinstance(v, IncomeLevel), "an IncomeLevel value"),
+    "economics.price_sensitivity": UNIT_RULE,
+    "psychology.risk_aversion": UNIT_RULE,
+    "psychology.range_anxiety_threshold": (lambda x: 0.0 < x < 1.0, "within (0, 1)"),
+    "psychology.patience": UNIT_RULE,
+    "vehicle.battery_capacity_kwh": POSITIVE_RULE,
+    "vehicle.consumption_kwh_per_km": POSITIVE_RULE,
+    "vehicle.max_charge_power_kw": POSITIVE_RULE,
+    "habits.preferred_window": (
+        lambda w: 0 <= w[0] < w[1] <= MINUTES_PER_DAY,
+        "an ascending time-of-day range within [0, 1440]",
+    ),
+    "habits.preferred_scenario": (
+        lambda v: isinstance(v, ChargeScenario), "a ChargeScenario value"
+    ),
+    "habits.typical_target_soc": (lambda x: 0.0 < x <= 1.0, "within (0, 1]"),
+}
+# a getter per path, built once: a run validates every agent's persona
+_PERSONA_CHECKS = [
+    (attrgetter(path), test, f"{path}: must be {text}")
+    for path, (test, text) in PERSONA_RULES.items()
+]
+
+
 def validate_persona(persona: Persona) -> list[str]:
-    """Return every violated persona invariant, as "field.path: problem" strings.
+    """Return every PERSONA_RULES rule the persona breaks, as "field.path: must be ..." strings.
 
     An empty list means the persona is valid. This never raises: it is a
     diagnostic, not a constructor guard.
     """
-    violations: list[str] = []
-
-    def check(ok: bool, path: str, problem: str) -> None:
-        if not ok:
-            violations.append(f"{path}: {problem}")
-
-    check(bool(persona.id), "id", "must be non-empty")
-    check(persona.demographics.age > 0, "demographics.age", "must be positive")
-    check(
-        isinstance(persona.demographics.gender, Gender),
-        "demographics.gender",
-        "must be a Gender value",
-    )
-    check(bool(persona.demographics.occupation), "demographics.occupation", "must be non-empty")
-    check(
-        isinstance(persona.economics.income_level, IncomeLevel),
-        "economics.income_level",
-        "must be an IncomeLevel value",
-    )
-    check(
-        0.0 <= persona.economics.price_sensitivity <= 1.0,
-        "economics.price_sensitivity",
-        "must be within [0, 1]",
-    )
-    check(
-        0.0 <= persona.psychology.risk_aversion <= 1.0,
-        "psychology.risk_aversion",
-        "must be within [0, 1]",
-    )
-    check(
-        0.0 < persona.psychology.range_anxiety_threshold < 1.0,
-        "psychology.range_anxiety_threshold",
-        "must be within (0, 1)",
-    )
-    check(0.0 <= persona.psychology.patience <= 1.0, "psychology.patience", "must be within [0, 1]")
-    check(
-        persona.vehicle.battery_capacity_kwh > 0.0,
-        "vehicle.battery_capacity_kwh",
-        "must be strictly positive",
-    )
-    check(
-        persona.vehicle.consumption_kwh_per_km > 0.0,
-        "vehicle.consumption_kwh_per_km",
-        "must be strictly positive",
-    )
-    check(
-        persona.vehicle.max_charge_power_kw > 0.0,
-        "vehicle.max_charge_power_kw",
-        "must be strictly positive",
-    )
-    window = persona.habits.preferred_window
-    check(
-        0 <= window[0] < MINUTES_PER_DAY and 0 < window[1] <= MINUTES_PER_DAY and window[0] < window[1],
-        "habits.preferred_window",
-        "must be an ascending time-of-day range within [0, 1440]",
-    )
-    check(
-        isinstance(persona.habits.preferred_scenario, ChargeScenario),
-        "habits.preferred_scenario",
-        "must be a ChargeScenario value",
-    )
-    check(
-        0.0 < persona.habits.typical_target_soc <= 1.0,
-        "habits.typical_target_soc",
-        "must be within (0, 1]",
-    )
-    return violations
+    return [problem for get, test, problem in _PERSONA_CHECKS if not test(get(persona))]
 
 
 # ---------------------------------------------------------------------------

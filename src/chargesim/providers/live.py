@@ -113,6 +113,14 @@ class LiveSettings:
         return key
 
 
+def _finite(text: str) -> str:
+    """A JSON number's text, or SchemaError for a number no float holds, such
+    as NaN, Infinity, 1e999 or a 400-digit integer."""
+    if not math.isfinite(float(text)):
+        raise SchemaError(f"reply holds {text}, a number no float holds")
+    return text
+
+
 class LiveProvider(CognitionProvider):
     """Live LLM-backed provider; requires network and a key, so it is never
     exercised by the default test suite."""
@@ -171,8 +179,15 @@ class LiveProvider(CognitionProvider):
         a fence quoted in a string stays; SchemaError when there is none."""
         if not isinstance(text, str):  # a refusal's content is null
             raise SchemaError(f"reply holds no text, got {text!r}")
+        decoder = json.JSONDecoder(
+            parse_float=lambda number: float(_finite(number)),
+            parse_int=lambda number: int(_finite(number)),
+            parse_constant=_finite,
+        )
         try:
-            return json.JSONDecoder().raw_decode(text, text.index("{"))[0]
+            return decoder.raw_decode(text, text.index("{"))[0]
+        except SchemaError:  # a number no float holds
+            raise
         except ValueError:  # no "{", or no object starts there
             raise SchemaError("reply does not contain a JSON object") from None
 

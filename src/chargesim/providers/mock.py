@@ -14,6 +14,9 @@ import random
 
 from ..domain import (
     MINUTES_PER_DAY,
+    PERSONA_RULES,
+    POSITIVE_RULE,
+    UNIT_RULE,
     ActionType,
     BehaviorRecord,
     ChargeScenario,
@@ -87,15 +90,6 @@ def _is_list(value, item) -> bool:
     return isinstance(value, (list, tuple)) and all(map(item, value))
 
 
-def _is_window(value) -> bool:
-    return (
-        _is_pair(value)
-        and 0 <= value[0] <= MINUTES_PER_DAY
-        and 0 <= value[1] <= MINUTES_PER_DAY
-        and int(value[0]) < int(value[1])
-    )
-
-
 # What generate_persona and plan_day need of each template entry: a shape
 # name (rng.uniform takes a "pair", rng.randint an "int_range", rng.choice a
 # non-empty list), or an enum whose values a non-empty list must hold.
@@ -111,42 +105,36 @@ _SHAPES = {
         "a [latitude, longitude] pair within [-90, 90] x [-180, 180]",
     ),
     "pairs": (lambda v: _is_list(v, _is_pair), "a list of number pairs"),
+    "pairs+": (lambda v: bool(v) and _is_list(v, _is_pair), "a non-empty list of number pairs"),
     "strings+": (lambda v: bool(v) and _is_list(v, lambda x: isinstance(x, str)),
                  "a non-empty list of strings"),
     "numbers+": (lambda v: bool(v) and _is_list(v, _is_number), "a non-empty list of numbers"),
-    # generate_persona truncates a window's ends to int, and validate_persona
-    # wants them ascending within [0, 1440]
-    "windows+": (lambda v: bool(v) and _is_list(v, _is_window),
-                 "a non-empty list of ascending [start, end] minutes within [0, 1440]"),
 }
-# A shape may carry a bound that every number in the entry must meet: the
-# range validate_persona accepts for the persona field the entry samples
-# (rng.uniform returns a value between a pair's ends, rng.choice one of the
-# items), or what keeps a plan's event starts ascending within the day.
-# NaN and infinity fail every bound.
+# A persona entry names the persona field it samples: every value
+# generate_persona can draw from the entry must meet that field's rule in
+# PERSONA_RULES. A plan entry may carry a bound that every number in it must
+# meet. NaN and infinity fail every bound.
 _BOUNDS = {
-    "unit": (lambda x: 0.0 <= x <= 1.0, "within [0, 1]"),
-    "open_unit": (lambda x: 0.0 < x < 1.0, "within (0, 1)"),
-    "soc": (lambda x: 0.0 < x <= 1.0, "within (0, 1]"),
-    "positive": (lambda x: 0 < x < math.inf, "finite and above 0"),
+    "unit": UNIT_RULE,
+    "positive": POSITIVE_RULE,
     "non_negative": (lambda x: 0 <= x < math.inf, "finite and at least 0"),
     "minute": (lambda x: 0 <= x <= MINUTES_PER_DAY, "within [0, 1440]"),
 }
 PERSONA_TEMPLATE_SHAPES: dict = {
-    "occupations": "strings+",
-    "age_range": ("int_range", "positive"),
-    "genders": Gender,
-    "income_levels": IncomeLevel,
-    "price_sensitivity_range": ("pair", "unit"),
-    "risk_aversion_range": ("pair", "unit"),
-    "range_anxiety_range": ("pair", "open_unit"),
-    "patience_range": ("pair", "unit"),
-    "battery_capacity_choices": ("numbers+", "positive"),
-    "consumption_range": ("pair", "positive"),
-    "max_charge_power_choices": ("numbers+", "positive"),
-    "preferred_windows": "windows+",
-    "preferred_scenarios": ChargeScenario,
-    "target_soc_range": ("pair", "soc"),
+    "occupations": ("strings+", "demographics.occupation"),
+    "age_range": ("int_range", "demographics.age"),
+    "genders": (Gender, "demographics.gender"),
+    "income_levels": (IncomeLevel, "economics.income_level"),
+    "price_sensitivity_range": ("pair", "economics.price_sensitivity"),
+    "risk_aversion_range": ("pair", "psychology.risk_aversion"),
+    "range_anxiety_range": ("pair", "psychology.range_anxiety_threshold"),
+    "patience_range": ("pair", "psychology.patience"),
+    "battery_capacity_choices": ("numbers+", "vehicle.battery_capacity_kwh"),
+    "consumption_range": ("pair", "vehicle.consumption_kwh_per_km"),
+    "max_charge_power_choices": ("numbers+", "vehicle.max_charge_power_kw"),
+    "preferred_windows": ("pairs+", "habits.preferred_window"),
+    "preferred_scenarios": (ChargeScenario, "habits.preferred_scenario"),
+    "target_soc_range": ("pair", "habits.typical_target_soc"),
 }
 PLAN_TEMPLATE_SHAPES: dict = {
     "center": "point",
@@ -168,11 +156,23 @@ def _numbers(value) -> list:
     return [number for item in value for number in _numbers(item)]
 
 
+def _draws(shape, value):
+    """What generate_persona can draw from a persona entry, converted as it
+    converts it: a range's two ends (its rule is an interval), each choice,
+    and each window raw, then, if it passed raw, its ends truncated to int."""
+    if shape == "pairs+":
+        for start, end in value:
+            yield start, end
+            yield int(start), int(end)
+    else:
+        yield from value if isinstance(shape, str) else map(shape, value)
+
+
 def template_problems(template: dict, shapes: dict) -> dict[str, str]:
-    """Each entry of template that names no key of shapes, is not of its shape
-    or is out of its bound, mapped to the problem; for a plan template, also a
-    centre too close to a pole or the antimeridian for the planner's reach
-    (_reach_problem)."""
+    """Each entry of template that names no key of shapes, is not of its shape,
+    or can draw a value its field's rule refuses or holds one out of its bound,
+    mapped to the problem; for a plan template, also shifts out of order and a
+    centre too near a pole or the antimeridian for the planner's reach (_reach_problem)."""
     unknown = f"is not a template key; expected one of {sorted(shapes)}"
     problems = {key: unknown for key in template if key not in shapes}
     for key, shape in shapes.items():
@@ -189,13 +189,27 @@ def template_problems(template: dict, shapes: dict) -> dict[str, str]:
             ok = bool(value) and _is_list(value, lambda v: isinstance(v, str) and v in names)
         if not ok:
             problems[key] = f"must be {expected}, got {value!r}"
+        elif bound in PERSONA_RULES:
+            accepts, text = PERSONA_RULES[bound]
+            if not all(map(accepts, _draws(shape, value))):
+                problems[key] = f"must hold {bound} values that are {text}, got {value!r}"
         elif bound is not None:
             within, text = _BOUNDS[bound]
             if not all(map(within, _numbers(value))):
                 problems[key] = f"must hold numbers {text}, got {value!r}"
-    reach_keys = {"center", "area_radius_km", "trip_km_range"}
-    if shapes is PLAN_TEMPLATE_SHAPES and not problems.keys() & reach_keys:
-        reach = _reach_problem({**DEFAULT_PLAN_TEMPLATE, **template})
+    if shapes is not PLAN_TEMPLATE_SHAPES:
+        return problems
+    plan = {**DEFAULT_PLAN_TEMPLATE, **template}
+    if not problems.keys() & {"shifts", "evening_shift", "evening_shift_probability"}:
+        # plan_day walks the shifts, then the evening shift if its probability is above 0
+        windows = list(plan["shifts"])
+        if plan["evening_shift_probability"] > 0:
+            windows.append(plan["evening_shift"])
+        minutes = _numbers(windows)
+        if minutes != sorted(minutes):
+            problems["shifts"] = f"then evening_shift, if drawn, must never decrease: {windows!r}"
+    if not problems.keys() & {"center", "area_radius_km", "trip_km_range"}:
+        reach = _reach_problem(plan)
         if reach is not None:
             problems["center"] = reach
     return problems

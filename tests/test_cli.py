@@ -135,6 +135,10 @@ def test_validate_rejects_plan_template_routing_keys(tmp_path, capsys):
         "persona_template: {battery_capacity_choices: [.inf]}",
         "persona_template: {max_charge_power_choices: [.inf]}",
         "persona_template: {consumption_range: [0.1, .inf]}",
+        "persona_template: {occupations: [\"\"]}",
+        # the shifts, then a drawable evening shift, must not go back in time
+        "plan_template: {shifts: [[780, 1140], [420, 720]]}",
+        "plan_template: {evening_shift: [600, 700], evening_shift_probability: 1.0}",
         "plan_template: {shifts: [[420, 3000]]}",
         "plan_template: {shifts: [[-10, 720]]}",
         "plan_template: {evening_shift: [1290, 1500]}",
@@ -277,17 +281,24 @@ def test_template_bounds_admit_their_edge_values(tmp_path):
         "target_soc_range": [1, 1],
         "preferred_windows": [[0, 1440], [1439, 1440]],
     }
-    for probability in (0, 1):
-        config.plan_template = {
+    plans = [
+        {
             "shifts": [[0, 1440]],
             "evening_shift": [1440, 1440],
             "evening_shift_probability": probability,
             "gap_minutes_range": [0, 0],
         }
-        path = tmp_path / f"edges-{probability}.yaml"
+        for probability in (0, 1)
+    ]
+    # an evening shift before the shifts is never drawn at probability 0
+    plans.append({"shifts": [[780, 1140]], "evening_shift": [420, 720],
+                  "evening_shift_probability": 0})
+    for index, plan in enumerate(plans):
+        config.plan_template = plan
+        path = tmp_path / f"edges-{index}.yaml"
         path.write_text(config.to_yaml(), encoding="utf-8")
         assert main(["validate", "--config", str(path)]) == 0
-        out = tmp_path / f"run-{probability}"
+        out = tmp_path / f"run-{index}"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
 
 

@@ -4,19 +4,26 @@ knows the shape of every template entry."""
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargesim import config as config_module
 from chargesim.config import ScenarioConfig, load_config
+from chargesim.domain import ChargeScenario, Gender, IncomeLevel, validate_persona
 from chargesim.providers.live import LiveSettings
 from chargesim.providers.mock import (
     DEFAULT_PERSONA_TEMPLATE,
     DEFAULT_PLAN_TEMPLATE,
     PERSONA_TEMPLATE_SHAPES,
     PLAN_TEMPLATE_SHAPES,
+    MockProvider,
+    template_problems,
 )
 from test_engine import (
     charge_and_strand_config,
@@ -122,6 +129,79 @@ def test_every_template_key_has_a_shape():
     assert PERSONA_TEMPLATE_SHAPES.keys() == DEFAULT_PERSONA_TEMPLATE.keys()
     assert PLAN_TEMPLATE_SHAPES.keys() == DEFAULT_PLAN_TEMPLATE.keys()
     assert ScenarioConfig().validate() == []
+
+
+EDGE_NUMBERS = st.sampled_from(
+    [0, 1, -0.0, 0.5, 1e-300, 0.9999999999999999, 2, -1, 1439.5, 1440, 1441,
+     math.nan, math.inf, -math.inf]
+) | st.floats(-2.0, 1500.0) | st.integers(-2, 1500)
+RANGE = st.lists(EDGE_NUMBERS, min_size=2, max_size=2)
+AGE_RANGE = st.tuples(st.integers(-2, 120), st.integers(0, 3)).map(lambda t: [t[0], t[0] + t[1]])
+
+
+def _choices(values):
+    return st.lists(values, min_size=1, max_size=4)
+
+
+def _windows(value):
+    # generate_persona writes a window with its ends truncated to int; the
+    # raw window must pass as well
+    for start, end in value:
+        yield (start, end)
+        if math.isfinite(start) and math.isfinite(end):
+            yield (int(start), int(end))
+
+
+def _enum_entry(enum, path):
+    names = [member.value for member in enum]
+    # generate_persona converts a name to its member; any other string stays as it is
+    return (
+        _choices(st.sampled_from([*names, "robot"])),
+        path,
+        lambda value: [enum(v) if v in names else v for v in value],
+    )
+
+
+# each persona template key: a strategy for its entry, the persona field
+# generate_persona writes it to, and the values it can write there (by
+# default a range's two ends or each choice)
+PERSONA_ENTRIES = {
+    "occupations": (_choices(st.sampled_from(["", "driver"])), "demographics.occupation", list),
+    "age_range": (AGE_RANGE, "demographics.age", list),
+    "genders": _enum_entry(Gender, "demographics.gender"),
+    "income_levels": _enum_entry(IncomeLevel, "economics.income_level"),
+    "price_sensitivity_range": (RANGE, "economics.price_sensitivity", list),
+    "risk_aversion_range": (RANGE, "psychology.risk_aversion", list),
+    "range_anxiety_range": (RANGE, "psychology.range_anxiety_threshold", list),
+    "patience_range": (RANGE, "psychology.patience", list),
+    "battery_capacity_choices": (_choices(EDGE_NUMBERS), "vehicle.battery_capacity_kwh", list),
+    "consumption_range": (RANGE, "vehicle.consumption_kwh_per_km", list),
+    "max_charge_power_choices": (_choices(EDGE_NUMBERS), "vehicle.max_charge_power_kw", list),
+    "preferred_windows": (_choices(RANGE), "habits.preferred_window", _windows),
+    "preferred_scenarios": _enum_entry(ChargeScenario, "habits.preferred_scenario"),
+    "target_soc_range": (RANGE, "habits.typical_target_soc", list),
+}
+VALID_PERSONA = MockProvider().generate_persona(1, {})
+
+
+def _written(persona, path, value):
+    group, name = path.split(".")
+    return replace(persona, **{group: replace(getattr(persona, group), **{name: value})})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({key: entry[0] for key, entry in PERSONA_ENTRIES.items()}))
+def test_the_persona_template_check_refuses_what_validate_persona_would(template):
+    # an entry is refused exactly when some value generate_persona could draw
+    # from it, written into a valid persona, makes validate_persona report its field
+    assert PERSONA_ENTRIES.keys() == PERSONA_TEMPLATE_SHAPES.keys()
+    reported = set()
+    for key, (_, path, draws) in PERSONA_ENTRIES.items():
+        for value in draws(template[key]):
+            problems = validate_persona(_written(VALID_PERSONA, path, value))
+            if any(problem.startswith(f"{path}: ") for problem in problems):
+                reported.add(key)
+    assert set(template_problems(template, PERSONA_TEMPLATE_SHAPES)) == reported
 
 
 def test_a_misspelt_live_setting_is_named_without_the_api_key():

@@ -476,7 +476,8 @@ def test_non_finite_skip_falls_back_and_never_reaches_the_log(tmp_path):
 class WrongAnswerProvider(MockProvider):
     """The mock, except that each answer of one kind passes its provider's
     parse but fails the engine's gate: a plan or a reflection for the wrong
-    day, or a persona that fails validate_persona."""
+    day, or a persona that fails validate_persona (with no id, or with an
+    infinite battery, which no charge could fill)."""
 
     def __init__(self, kind: str, **kwargs):
         super().__init__(**kwargs)
@@ -484,6 +485,8 @@ class WrongAnswerProvider(MockProvider):
 
     def generate_persona(self, seed, template_config):
         persona = super().generate_persona(seed, template_config)
+        if self.kind == "batteries":
+            return replace(persona, vehicle=replace(persona.vehicle, battery_capacity_kwh=math.inf))
         return replace(persona, id="") if self.kind == "personas" else persona
 
     def plan_day(self, persona, day_index, seed):
@@ -496,14 +499,15 @@ class WrongAnswerProvider(MockProvider):
         return wrong_day if self.kind == "reflections" else report
 
 
-@pytest.mark.parametrize("kind", ["personas", "plans", "reflections"])
+@pytest.mark.parametrize("kind", ["personas", "batteries", "plans", "reflections"])
 def test_an_answer_the_engine_gates_reject_falls_back_and_is_counted(tmp_path, kind):
     config = small_config()
     provider = WrongAnswerProvider(kind, plan_template=config.effective_plan_template())
     artifacts = run(config, tmp_path / "run", provider=provider)
     summary = json.loads((artifacts.run_dir / "summary.json").read_text(encoding="utf-8"))
-    calls = {"personas": config.num_agents}.get(kind, config.num_agents * config.horizon_days)
-    expected = {"decisions": 0, "personas": 0, "plans": 0, "reflections": 0, kind: calls}
+    counter = "personas" if kind == "batteries" else kind
+    calls = {"personas": config.num_agents}.get(counter, config.num_agents * config.horizon_days)
+    expected = {"decisions": 0, "personas": 0, "plans": 0, "reflections": 0, counter: calls}
     assert summary["fallbacks"] == expected
     # a persona or a plan falls back on the engine's own mock, which answers
     # as the provider would have; a reflection on the fallback report

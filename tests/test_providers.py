@@ -872,6 +872,43 @@ class TestLiveProvider:
         with pytest.raises(SchemaError, match=f"still invalid after repair: {problem}"):
             calls[operation]()
 
+    @pytest.mark.parametrize("number", ["1e999", "NaN", "1" + "0" * 400])
+    @pytest.mark.parametrize("operation", ["persona", "plan", "decide", "reflect"])
+    def test_a_number_no_float_holds_is_repaired_then_refused(
+        self, persona, monkeypatch, operation, number
+    ):
+        # a valid reply, but for one number that the parse converts with int() or float()
+        plan = MockProvider().plan_day(persona, 3, 7)
+        note = {"score": 0.5, "text": ""}
+        replies = {
+            "persona": {**persona.to_dict(), "demographics": {
+                **persona.to_dict()["demographics"], "age": "NUMBER"}},
+            "plan": {**plan.to_dict(), "day_index": "NUMBER"},
+            "decide": {**VALID_PAYLOAD, "time_minutes": "NUMBER"},
+            "reflect": {"day_index": "NUMBER", "plan_adherence": note, "satisfaction": note,
+                        "persona_consistency": note},
+        }
+        reply = json.dumps(replies[operation]).replace('"NUMBER"', number)
+        sent = []
+
+        def fake_post(url, **kwargs):
+            sent.append(kwargs)
+            return _FakeResponse(reply)
+
+        monkeypatch.setattr("requests.post", fake_post)
+        provider = self._provider()
+        calls = {
+            "persona": lambda: provider.generate_persona(1, {}),
+            "plan": lambda: provider.plan_day(persona, 3, 7),
+            "decide": lambda: provider.decide(
+                make_request(persona, soc_kwh=30.0, stations=[make_station()])
+            ),
+            "reflect": lambda: provider.reflect([], persona, plan),
+        }
+        with pytest.raises(SchemaError, match=f"still invalid after repair: reply holds {number}"):
+            calls[operation]()
+        assert len(sent) == 2  # the request and one repair round-trip
+
     def test_missing_key_raises_provider_error(self, persona, monkeypatch):
         monkeypatch.delenv("LLM_API_KEY", raising=False)
         provider = LiveProvider(LiveSettings(base_url="https://llm.test/v1"))
