@@ -15,6 +15,8 @@ through the slots. A new one is declared the same way; tests/test_domain.py
 checks that every frozen dataclass is one. A ``GeoPoint`` keeps
 its JSON text, and ``DecisionQuintuple.no_charge`` shares one instance, text
 included, per scenario within a minute, so recurring values are formatted once.
+Every value type's JSON shape is written by :func:`to_data` and read by
+:func:`from_data`, both driven by the dataclass fields.
 
 Time is integer minutes since scenario start; currency is CNY per kWh
 with four fractional digits by convention.
@@ -22,8 +24,10 @@ with four fractional digits by convention.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import typing
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from json.encoder import encode_basestring_ascii as json_string
@@ -59,6 +63,10 @@ def json_number(value: float) -> str:
             return "NaN"
         return "Infinity" if value > 0.0 else "-Infinity"
     return _int_repr(value)
+
+
+# each value type's init field names, in declaration order: the keys to_data writes
+_INIT_FIELDS: dict[type, tuple[str, ...]] = {}
 
 
 def value_type(cls):
@@ -118,6 +126,7 @@ def value_type(cls):
     init.__module__ = cls.__module__
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
+    _INIT_FIELDS[cls] = tuple(names)
     return cls
 
 
@@ -267,66 +276,6 @@ class Persona:
     vehicle: VehicleSpec
     habits: ChargingHabits
 
-    def to_dict(self) -> dict:
-        # field by field in declaration order: dataclasses.asdict deep-copies
-        # every leaf and cost about 20 times as much per persona
-        d = self.demographics
-        e = self.economics
-        p = self.psychology
-        v = self.vehicle
-        h = self.habits
-        return {
-            "id": self.id,
-            "demographics": {"age": d.age, "gender": d.gender.value, "occupation": d.occupation},
-            "economics": {
-                "income_level": e.income_level.value,
-                "price_sensitivity": e.price_sensitivity,
-            },
-            "psychology": {
-                "risk_aversion": p.risk_aversion,
-                "range_anxiety_threshold": p.range_anxiety_threshold,
-                "patience": p.patience,
-            },
-            "vehicle": {
-                "battery_capacity_kwh": v.battery_capacity_kwh,
-                "consumption_kwh_per_km": v.consumption_kwh_per_km,
-                "max_charge_power_kw": v.max_charge_power_kw,
-            },
-            "habits": {
-                "preferred_window": list(h.preferred_window),
-                "preferred_scenario": h.preferred_scenario.value,
-                "typical_target_soc": h.typical_target_soc,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Persona":
-        d = data["demographics"]
-        e = data["economics"]
-        p = data["psychology"]
-        v = data["vehicle"]
-        h = data["habits"]
-        return cls(
-            id=str(data["id"]),
-            demographics=Demographics(int(d["age"]), Gender(d["gender"]), str(d["occupation"])),
-            economics=Economics(IncomeLevel(e["income_level"]), float(e["price_sensitivity"])),
-            psychology=Psychology(
-                float(p["risk_aversion"]),
-                float(p["range_anxiety_threshold"]),
-                float(p["patience"]),
-            ),
-            vehicle=VehicleSpec(
-                float(v["battery_capacity_kwh"]),
-                float(v["consumption_kwh_per_km"]),
-                float(v["max_charge_power_kw"]),
-            ),
-            habits=ChargingHabits(
-                (int(h["preferred_window"][0]), int(h["preferred_window"][1])),
-                ChargeScenario(h["preferred_scenario"]),
-                float(h["typical_target_soc"]),
-            ),
-        )
-
 
 # Each persona field's rule, as (test, text): the field must be text. Every
 # numeric test fails NaN. validate_persona applies them to a persona, and the
@@ -368,7 +317,15 @@ def validate_persona(persona: Persona) -> list[str]:
     An empty list means the persona is valid. This never raises: it is a
     diagnostic, not a constructor guard.
     """
-    return [problem for get, test, problem in _PERSONA_CHECKS if not test(get(persona))]
+    problems = []
+    for get, test, problem in _PERSONA_CHECKS:
+        try:
+            if test(get(persona)):
+                continue
+        except (TypeError, ValueError, IndexError):  # a wrongly typed value breaks its rule
+            pass
+        problems.append(problem)
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +441,6 @@ class BehaviorRecord:
             f'"timestamp":{self.timestamp}}}'
         )
 
-    def to_dict(self) -> dict:
-        return json.loads(self.to_json())
-
 
 # ---------------------------------------------------------------------------
 # Daily plans
@@ -512,15 +466,6 @@ class PlanEvent:
         if not same_place and self.expected_distance_km == 0.0:
             raise ValueError("expected_distance_km must be > 0 when origin != destination")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "origin": [self.origin.latitude, self.origin.longitude],
-            "destination": [self.destination.latitude, self.destination.longitude],
-            "start": self.start,
-            "expected_distance_km": self.expected_distance_km,
-        }
-
 
 @value_type
 class DailyPlan:
@@ -535,12 +480,6 @@ class DailyPlan:
         starts = [event.start for event in self.events]
         if any(later <= earlier for earlier, later in zip(starts, starts[1:])):
             raise ValueError("plan events must have strictly increasing start times")
-
-    def to_dict(self) -> dict:
-        return {
-            "day_index": self.day_index,
-            "events": [event.to_dict() for event in self.events],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +498,6 @@ class ScoredNote:
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be within [0, 1], got {self.score}")
 
-    def to_dict(self) -> dict:
-        return {"score": self.score, "text": self.text}
-
 
 @value_type
 class ReflectionReport:
@@ -577,11 +513,83 @@ class ReflectionReport:
         if self.day_index < 0:
             raise ValueError("day_index must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "day_index": self.day_index,
-            "plan_adherence": self.plan_adherence.to_dict(),
-            "satisfaction": self.satisfaction.to_dict(),
-            "persona_consistency": self.persona_consistency.to_dict(),
-            "fallback": self.fallback,
-        }
+
+# ---------------------------------------------------------------------------
+# Wire format
+# ---------------------------------------------------------------------------
+
+
+def to_data(value):
+    """A value as plain JSON data: a value type as a dict of its init fields in
+    declaration order, a GeoPoint as [latitude, longitude], an enum as its
+    value and a tuple as a list; anything else as itself."""
+    names = _INIT_FIELDS.get(type(value))
+    if names is not None:
+        if type(value) is GeoPoint:
+            return [value.latitude, value.longitude]
+        return {name: to_data(getattr(value, name)) for name in names}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [to_data(item) for item in value]
+    return value
+
+
+def from_data(cls, data):
+    """The value of value type cls that to_data wrote as data.
+
+    Each init field without a default is read by its annotation: a number
+    through int() or float(), a str, bool or None only as itself, an enum by
+    its value, a GeoPoint from a pair, a tuple from a list and a value type
+    from an object. Other keys are ignored. Raises KeyError, TypeError or
+    ValueError naming the field path, such as ``events[0].origin``.
+    """
+    return _read(cls, data, "")
+
+
+def _read(hint, data, path: str):
+    """The value that annotation hint takes from data, found at path."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(data, list):
+            raise TypeError(f"{path} must be a list, got {data!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(data)
+        elif len(data) != len(args):
+            raise ValueError(f"{path} must hold {len(args)} items, got {data!r}")
+        return tuple(_read(arg, data[i], f"{path}[{i}]") for i, arg in enumerate(args))
+    if hint in _INIT_FIELDS:
+        if hint is GeoPoint:
+            values = _read(tuple[float, float], data, path)
+        elif not isinstance(data, dict):
+            raise TypeError(f"{path or hint.__name__} must be an object, got {data!r}")
+        else:
+            values = []
+            for name, field_hint in _read_fields(hint):
+                key = f"{path}.{name}" if path else name
+                if name not in data:
+                    raise KeyError(f"{key} is missing")
+                values.append(_read(field_hint, data[name], key))
+    elif hint is int or hint is float or isinstance(hint, type) and issubclass(hint, Enum):
+        values = (data,)
+    elif data is None and type(None) in args:  # X | None
+        return None
+    else:  # str, bool or str | None
+        kind = args[0] if args else hint
+        if not isinstance(data, kind):
+            raise TypeError(f"{path} must be a {kind.__name__}, got {data!r}")
+        return data
+    try:
+        return hint(*values)
+    except (TypeError, ValueError, OverflowError) as exc:  # int() of an infinity overflows
+        if not path:
+            raise
+        error = TypeError if isinstance(exc, TypeError) else ValueError
+        raise error(f"{path}: {exc}") from None
+
+
+@functools.cache
+def _read_fields(cls) -> list[tuple[str, object]]:
+    """cls's (name, annotation) of each init field without a default."""
+    hints = typing.get_type_hints(cls)
+    return [(f.name, hints[f.name]) for f in fields(cls) if f.init and f.default is MISSING]

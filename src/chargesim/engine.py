@@ -58,6 +58,7 @@ from .domain import (
     json_number,
     json_string,
     round_currency,
+    to_data,
     validate_persona,
 )
 from .environment import (
@@ -358,7 +359,7 @@ class Simulation:
                     home=home,
                 )
 
-            personas = {aid: agent.persona.to_dict() for aid, agent in self.agents.items()}
+            personas = {aid: to_data(agent.persona) for aid, agent in self.agents.items()}
             self._write_json("personas.json", personas)
 
             self._plan_day(0)
@@ -721,7 +722,7 @@ class Simulation:
                 self.fallbacks["reflections"] += 1
             agent.plan = None  # reflected on; _plan_day sets the next day's
             agent.memory.append_reflection(report)
-            entry = {"agent_id": agent.agent_id, "timestamp": now, "report": report.to_dict()}
+            entry = {"agent_id": agent.agent_id, "timestamp": now, "report": to_data(report)}
             self._reflections_fh.write(canonical_json(entry) + "\n")
             self._reflections_fh.flush()
             self.totals.add_reflection(agent.agent_id, report.satisfaction.score)

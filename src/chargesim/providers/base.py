@@ -18,7 +18,6 @@ from functools import cached_property
 
 from ..domain import (
     BehaviorRecord,
-    ChargeScenario,
     DailyPlan,
     DecisionQuintuple,
     Persona,
@@ -26,6 +25,8 @@ from ..domain import (
     ReflectionReport,
     SimClock,
     canonical_json,
+    from_data,
+    to_data,
     value_type,
 )
 from ..environment import EvState
@@ -90,8 +91,8 @@ class DecisionRequest:
             f'"time_of_day":{clock.time_of_day}}},'
             f'"long_memory_daily":{canonical_json(list(self.long_aggregates))},'
             f'"perception":{self.snapshot.to_json()},'
-            f'"persona":{canonical_json(self.persona.to_dict())},'
-            f'"plan_events":{canonical_json([event.to_dict() for event in self.plan_events])},'
+            f'"persona":{canonical_json(to_data(self.persona))},'
+            f'"plan_events":{canonical_json(to_data(self.plan_events))},'
             f'"short_memory":[{short_memory}]}}'
         )
 
@@ -108,49 +109,16 @@ class DecisionResponse:
         return self.quintuple.decision
 
 
-_REQUIRED_DECISION_KEYS = (
-    "decision",
-    "scenario",
-    "time_minutes",
-    "station_id",
-    "amount_kwh",
-    "power_kw",
-    "price_per_kwh",
-    "reason",
-)
-
-
 def parse_decision_payload(data: object) -> DecisionResponse:
     """Parse a raw decision payload, raising SchemaError on any malformation."""
-    if not isinstance(data, dict):
-        raise SchemaError(f"decision payload must be an object, got {type(data).__name__}")
-    missing = [key for key in _REQUIRED_DECISION_KEYS if key not in data]
-    if missing:
-        raise SchemaError(f"decision payload missing keys: {', '.join(missing)}")
-    if not isinstance(data["decision"], bool):
-        raise SchemaError("decision must be a boolean")
     try:
-        scenario = ChargeScenario(data["scenario"])
-    except ValueError as exc:
-        raise SchemaError(f"unknown scenario {data['scenario']!r}") from exc
-    station_id = data["station_id"]
-    if station_id is not None and not isinstance(station_id, str):
-        raise SchemaError("station_id must be a string or null")
-    if not isinstance(data["reason"], str):
-        raise SchemaError("reason must be a string")
-    try:
-        quintuple = DecisionQuintuple(
-            decision=data["decision"],
-            scenario=scenario,
-            time_minutes=int(data["time_minutes"]),
-            station_id=station_id,
-            amount_kwh=float(data["amount_kwh"]),
-            power_kw=float(data["power_kw"]),
-            price_per_kwh=float(data["price_per_kwh"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid quintuple: {exc}") from exc
-    return DecisionResponse(quintuple=quintuple, reason=data["reason"])
+        quintuple = from_data(DecisionQuintuple, data)
+        reason = data.get("reason")
+        if not isinstance(reason, str):
+            raise TypeError(f"reason must be a str, got {reason!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"decision payload malformed: {exc}") from exc
+    return DecisionResponse(quintuple, reason)
 
 
 def validate_decision(

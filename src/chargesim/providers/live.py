@@ -25,14 +25,11 @@ from pathlib import Path
 
 from ..domain import (
     BehaviorRecord,
-    ChargeScenario,
     DailyPlan,
-    GeoPoint,
     Persona,
-    PlanEvent,
-    PlanEventKind,
     ReflectionReport,
-    ScoredNote,
+    from_data,
+    to_data,
     validate_persona,
     value_type,
 )
@@ -227,7 +224,7 @@ class LiveProvider(CognitionProvider):
 
         def parse(data: dict) -> Persona:
             try:
-                persona = Persona.from_dict(data)
+                persona = from_data(Persona, data)
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"persona payload malformed: {exc}") from exc
             violations = validate_persona(persona)
@@ -239,26 +236,14 @@ class LiveProvider(CognitionProvider):
 
     def plan_day(self, persona: Persona, day_index: int, seed: int | str) -> DailyPlan:
         payload = json.dumps(
-            {"persona": persona.to_dict(), "day_index": day_index, "seed": str(seed)},
+            {"persona": to_data(persona), "day_index": day_index, "seed": str(seed)},
             sort_keys=True,
         )
 
         def parse(data: dict) -> DailyPlan:
             try:
-                events = tuple(
-                    PlanEvent(
-                        kind=PlanEventKind(e["kind"]),
-                        origin=GeoPoint(float(e["origin"][0]), float(e["origin"][1])),
-                        destination=GeoPoint(
-                            float(e["destination"][0]), float(e["destination"][1])
-                        ),
-                        start=int(e["start"]),
-                        expected_distance_km=float(e["expected_distance_km"]),
-                    )
-                    for e in data["events"]
-                )
-                return DailyPlan(day_index=int(data["day_index"]), events=events)
-            except (KeyError, TypeError, ValueError, IndexError) as exc:
+                return from_data(DailyPlan, data)
+            except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"plan payload malformed: {exc}") from exc
 
         return self._json_call("plan", payload, parse)
@@ -274,26 +259,18 @@ class LiveProvider(CognitionProvider):
     ) -> ReflectionReport:
         payload = json.dumps(
             {
-                "persona": persona.to_dict(),
-                "plans": [plan.to_dict()],
-                "records": [record.to_dict() for record in day_records],
+                "persona": to_data(persona),
+                "plans": [to_data(plan)],
+                "records": [to_data(record) for record in day_records],
             },
             sort_keys=True,
         )
 
         def parse(data: dict) -> ReflectionReport:
             try:
-                return ReflectionReport(
-                    day_index=int(data["day_index"]),
-                    plan_adherence=_note(data["plan_adherence"]),
-                    satisfaction=_note(data["satisfaction"]),
-                    persona_consistency=_note(data["persona_consistency"]),
-                )
+                return from_data(ReflectionReport, data)
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"reflection payload malformed: {exc}") from exc
 
         return self._json_call("reflect", payload, parse)
 
-
-def _note(data: dict) -> ScoredNote:
-    return ScoredNote(score=float(data["score"]), text=str(data["text"]))

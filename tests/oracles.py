@@ -14,8 +14,9 @@ The export oracle parses every line of a run's behavior.log, where the map
 exporters render routes.json, the trace the engine kept as it wrote the log.
 The serialization oracles build each record's dict field by field, in the
 layout the to_json writers spell out key by key in text; the persona
-oracle is the other way round: dataclasses.asdict, where Persona.to_dict
-spells out each field. The sampler
+oracle is the other way round: dataclasses.asdict with the enums and the
+window converted afterwards, where domain.to_data walks the persona's
+fields through the table value_type keeps. The sampler
 oracle is the mock planner's candidate loop without its bounding-box
 prefilter: it haversines every candidate. It shares _offset and
 haversine_km with the production code, since it must reproduce their

@@ -41,6 +41,8 @@ from chargesim.domain import (
     SimClock,
     VehicleSpec,
     canonical_json,
+    from_data,
+    to_data,
     validate_persona,
     value_type,
 )
@@ -48,6 +50,7 @@ from chargesim.engine import run
 from chargesim.environment import DaySchedule
 from chargesim.perception import PerceptionSnapshot, StationPerception, TravelPerception
 from chargesim.providers.base import DecisionResponse
+from chargesim.providers.mock import MockProvider
 from oracles import (
     oracle_persona_dict,
     oracle_quintuple_dict,
@@ -166,6 +169,18 @@ class TestValidatePersona:
         )
         violations = validate_persona(bad)
         assert len(violations) == 3
+
+    @pytest.mark.parametrize(
+        "part, field, value, path",
+        [
+            ("demographics", "age", "30", "demographics.age"),
+            ("habits", "preferred_window", (5,), "habits.preferred_window"),
+            ("economics", "price_sensitivity", None, "economics.price_sensitivity"),
+        ],
+    )
+    def test_a_wrongly_typed_field_is_reported_not_raised(self, persona, part, field, value, path):
+        bad = replace(persona, **{part: replace(getattr(persona, part), **{field: value})})
+        assert [v.split(":")[0] for v in validate_persona(bad)] == [path]
 
     @given(
         st.floats(min_value=-2, max_value=2),
@@ -399,7 +414,7 @@ class TestCanonicalWriters:
     @given(personas)
     def test_persona_dict_matches_the_asdict_oracle(self, persona):
         expected = oracle_persona_dict(persona)
-        got = persona.to_dict()
+        got = to_data(persona)
         assert same_json_tree(got, expected)
         # key order too: personas.json sorts its keys, a payload may not
         assert json.dumps(got) == json.dumps(expected)
@@ -423,7 +438,60 @@ class TestCanonicalWriters:
     def test_record_writer_matches_the_oracle(self, record):
         expected = oracle_record_dict(record)
         assert record.to_json() == canonical_json(expected)
-        assert same_json_tree(record.to_dict(), expected)
+        assert same_json_tree(to_data(record), expected)
+
+
+notes = st.builds(ScoredNote, st.floats(min_value=0.0, max_value=1.0), awkward_text)
+reports = st.builds(ReflectionReport, st.integers(min_value=0), notes, notes, notes)
+mock_plans = st.builds(
+    lambda seed, day: MockProvider().plan_day(_persona(), day, seed),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=0, max_value=400),
+)
+
+
+class TestWireFormat:
+    @given(st.one_of(personas, quintuples(), records, mock_plans, reports))
+    def test_what_to_data_writes_from_data_reads_back(self, value):
+        back = from_data(type(value), json.loads(json.dumps(to_data(value))))
+        # repr, not ==: a NaN read back is another object, and NaN != NaN
+        assert repr(back) == repr(value)
+
+    def test_a_one_number_origin_names_its_path(self):
+        plan = MockProvider().plan_day(_persona(), 0, 7)
+        data = to_data(plan)
+        data["events"][0]["origin"] = [31.2]
+        with pytest.raises(ValueError, match=r"events\[0\]\.origin must hold 2 items"):
+            from_data(DailyPlan, data)
+
+    @pytest.mark.parametrize(
+        "path, value, error",
+        [
+            ("demographics.occupation", None, TypeError),
+            ("id", 5, TypeError),
+            ("economics.income_level", "rich", ValueError),
+            ("demographics.age", "thirty", ValueError),
+            ("demographics.age", math.inf, ValueError),  # json.loads reads Infinity
+            ("habits.preferred_window", [0, 360, 720], ValueError),
+            ("vehicle", [75.0], TypeError),
+        ],
+    )
+    def test_a_wrongly_typed_field_names_its_path(self, persona, path, value, error):
+        data = to_data(persona)
+        *parents, key = path.split(".")
+        target = data
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        with pytest.raises(error, match=f"^{path}"):
+            from_data(Persona, data)
+
+    def test_a_missing_field_names_its_path_and_other_keys_are_ignored(self, persona):
+        data = {**to_data(persona), "nickname": "x"}
+        assert from_data(Persona, data) == persona
+        del data["habits"]["typical_target_soc"]
+        with pytest.raises(KeyError, match="habits.typical_target_soc is missing"):
+            from_data(Persona, data)
 
 
 class TestDailyPlan:

@@ -27,6 +27,7 @@ from chargesim.domain import (
     PlanEventKind,
     ReflectionReport,
     canonical_json,
+    to_data,
 )
 from chargesim.engine import RunTotals, Simulation, _leg, build_summary, run
 from chargesim.environment import ChargeTicket
@@ -517,6 +518,39 @@ def test_an_answer_the_engine_gates_reject_falls_back_and_is_counted(tmp_path, k
     assert all(report["fallback"] is (kind == "reflections") for report in reports)
 
 
+class WronglyTypedPersonaProvider(MockProvider):
+    """The mock, except that each persona holds one field of the wrong type."""
+
+    def __init__(self, part: str, field: str, value, **kwargs):
+        super().__init__(**kwargs)
+        self.part, self.field, self.value = part, field, value
+
+    def generate_persona(self, seed, template_config):
+        persona = super().generate_persona(seed, template_config)
+        wrong = replace(getattr(persona, self.part), **{self.field: self.value})
+        return replace(persona, **{self.part: wrong})
+
+
+@pytest.mark.parametrize(
+    "part, field, value",
+    [
+        ("demographics", "age", "30"),
+        ("habits", "preferred_window", (5,)),
+        ("economics", "price_sensitivity", None),
+    ],
+)
+def test_a_wrongly_typed_persona_falls_back(tmp_path, part, field, value):
+    config = small_config()
+    provider = WronglyTypedPersonaProvider(
+        part, field, value, plan_template=config.effective_plan_template()
+    )
+    artifacts = run(config, tmp_path / "run", provider=provider)
+    assert artifacts.summary["fallbacks"] == {
+        "decisions": 0, "personas": config.num_agents, "plans": 0, "reflections": 0
+    }
+    assert artifacts.behavior_digest == run(config, tmp_path / "plain").behavior_digest
+
+
 def test_unreadable_live_prompts_leave_a_failed_summary(tmp_path):
     prompts_dir = tmp_path / "prompts"
     (prompts_dir / "decide.txt").mkdir(parents=True)  # a directory where a file belongs
@@ -906,7 +940,7 @@ def test_memory_holds_what_the_logs_hold(tmp_path):
             for e in entries
             if e["agent_id"] == agent_id and e["record"]["action"] in MEMORY_ACTIONS
         ]
-        assert [report.to_dict() for report in agent.memory.reflections] == [
+        assert [to_data(report) for report in agent.memory.reflections] == [
             e["report"] for e in reflections if e["agent_id"] == agent_id
         ]
 

@@ -24,6 +24,8 @@ from chargesim.domain import (
     ScoredNote,
     SimClock,
     canonical_json,
+    from_data,
+    to_data,
 )
 from chargesim.engine import run
 from chargesim.environment import EvState
@@ -164,7 +166,7 @@ class TestMockPlan:
             total_km = sum(event.expected_distance_km for event in plan.events)
             assert 100.0 <= total_km <= 400.0, f"seed {seed}: {total_km:.1f} km"
 
-    # sha256 of canonical_json([plan.to_dict()]) for 3 personas x days 0-2, seed 42
+    # sha256 of canonical_json([to_data(plan)]) for 3 personas x days 0-2, seed 42
     @pytest.mark.parametrize(
         "template, digest",
         [
@@ -194,7 +196,7 @@ class TestMockPlan:
         provider = MockProvider(plan_template=template)
         personas = [MockProvider().generate_persona(seed, {}) for seed in range(3)]
         plans = [provider.plan_day(p, day, 42) for p in personas for day in range(3)]
-        text = canonical_json([plan.to_dict() for plan in plans])
+        text = canonical_json([to_data(plan) for plan in plans])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -521,6 +523,21 @@ class TestDecisionValidation:
         with pytest.raises(SchemaError):
             parse_decision_payload(payload)
 
+    @pytest.mark.parametrize(
+        "mutation, message",
+        [
+            ({"decision": "yes"}, "decision must be a bool, got 'yes'"),
+            ({"scenario": "garage"}, "scenario: 'garage' is not a valid ChargeScenario"),
+            ({"time_minutes": "soon"}, "time_minutes: invalid literal for int()"),
+            ({"station_id": 7}, "station_id must be a str, got 7"),
+            ({"reason": None}, "reason must be a str, got None"),
+        ],
+    )
+    def test_a_malformed_payload_names_its_field(self, mutation, message):
+        with pytest.raises(SchemaError) as raised:
+            parse_decision_payload({**VALID_PAYLOAD, **mutation})
+        assert str(raised.value).startswith(f"decision payload malformed: {message}")
+
     def test_missing_key_raises(self):
         payload = dict(VALID_PAYLOAD)
         del payload["power_kw"]
@@ -825,7 +842,7 @@ class TestLiveProvider:
 
     def test_plan_and_reflection_replies_become_their_values(self, persona, monkeypatch):
         plan = MockProvider().plan_day(persona, 3, 7)
-        self._reply_always(monkeypatch, plan.to_dict())
+        self._reply_always(monkeypatch, to_data(plan))
         assert self._provider().plan_day(persona, 3, 7) == plan
         report = ReflectionReport(
             day_index=3,
@@ -833,15 +850,34 @@ class TestLiveProvider:
             satisfaction=ScoredNote(0.5, "queued at peak price"),
             persona_consistency=ScoredNote(0.75, "as usual"),
         )
-        self._reply_always(monkeypatch, report.to_dict())
+        self._reply_always(monkeypatch, to_data(report))
         assert self._provider().reflect([], persona, plan) == report
+
+    def test_a_reflection_reply_cannot_mark_itself_a_fallback(self, persona, monkeypatch):
+        note = ScoredNote(0.5, "as planned")
+        report = ReflectionReport(3, note, note, note)
+        self._reply_always(monkeypatch, {**to_data(report), "fallback": True})
+        got = self._provider().reflect([], persona, DailyPlan(day_index=3, events=()))
+        assert got == report and got.fallback is False
 
     @pytest.mark.parametrize(
         "operation, reply, problem",
         [
             ("persona", {"id": "agent-00"}, "persona payload malformed"),
             # the fixture's persona without its id
-            ("persona", lambda p: {**p.to_dict(), "id": ""}, "persona violates constraints"),
+            ("persona", lambda p: {**to_data(p), "id": ""}, "persona violates constraints"),
+            (
+                "persona",
+                lambda p: {
+                    **to_data(p), "demographics": {**to_data(p.demographics), "occupation": None}
+                },
+                "persona payload malformed: demographics.occupation must be a str",
+            ),
+            (
+                "persona",
+                lambda p: {**to_data(p), "id": 5},
+                "persona payload malformed: id must be a str",
+            ),
             ("plan", {"day_index": 3, "events": [{"kind": "trip"}]}, "plan payload malformed"),
             ("plan", {"day_index": 3, "events": [{"kind": "nap"}]}, "plan payload malformed"),
             ("reflect", {"day_index": 3}, "reflection payload malformed"),
@@ -854,6 +890,16 @@ class TestLiveProvider:
                     "persona_consistency": {"score": 1.0, "text": ""},
                 },
                 "reflection payload malformed",
+            ),
+            (
+                "reflect",
+                {
+                    "day_index": 3,
+                    "plan_adherence": {"score": 1.0, "text": ""},
+                    "satisfaction": {"score": 1.0, "text": 5},
+                    "persona_consistency": {"score": 1.0, "text": ""},
+                },
+                "reflection payload malformed: satisfaction.text must be a str",
             ),
         ],
     )
@@ -881,9 +927,9 @@ class TestLiveProvider:
         plan = MockProvider().plan_day(persona, 3, 7)
         note = {"score": 0.5, "text": ""}
         replies = {
-            "persona": {**persona.to_dict(), "demographics": {
-                **persona.to_dict()["demographics"], "age": "NUMBER"}},
-            "plan": {**plan.to_dict(), "day_index": "NUMBER"},
+            "persona": {**to_data(persona), "demographics": {
+                **to_data(persona)["demographics"], "age": "NUMBER"}},
+            "plan": {**to_data(plan), "day_index": "NUMBER"},
             "decide": {**VALID_PAYLOAD, "time_minutes": "NUMBER"},
             "reflect": {"day_index": "NUMBER", "plan_adherence": note, "satisfaction": note,
                         "persona_consistency": note},
@@ -917,7 +963,7 @@ class TestLiveProvider:
             provider.decide(request)
 
     def test_persona_parse_and_validation(self, persona, monkeypatch):
-        payload = persona.to_dict()
+        payload = to_data(persona)
         monkeypatch.setattr(
             "requests.post", lambda url, **kw: _FakeResponse(json.dumps(payload))
         )
