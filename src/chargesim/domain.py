@@ -282,11 +282,12 @@ class Persona:
 # mock's template check to every value a persona template can draw.
 UNIT_RULE = (lambda x: 0.0 <= x <= 1.0, "within [0, 1]")
 POSITIVE_RULE = (lambda x: 0 < x < math.inf, "finite and above 0")
+NON_EMPTY_STRING_RULE = (lambda v: isinstance(v, str) and v != "", "a non-empty string")
 PERSONA_RULES: dict = {
-    "id": (bool, "non-empty"),
+    "id": NON_EMPTY_STRING_RULE,
     "demographics.age": POSITIVE_RULE,
     "demographics.gender": (lambda v: isinstance(v, Gender), "a Gender value"),
-    "demographics.occupation": (bool, "non-empty"),
+    "demographics.occupation": NON_EMPTY_STRING_RULE,
     "economics.income_level": (lambda v: isinstance(v, IncomeLevel), "an IncomeLevel value"),
     "economics.price_sensitivity": UNIT_RULE,
     "psychology.risk_aversion": UNIT_RULE,

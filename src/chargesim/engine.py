@@ -73,7 +73,7 @@ from .environment import (
 )
 from .georoute import RouteEstimate
 from .memory import MemoryStore
-from .perception import perceive
+from .perception import TravelPerception, perceive
 from .providers.base import (
     CognitionProvider,
     DecisionRequest,
@@ -237,6 +237,9 @@ class AgentRuntime:
     consumed_kwh: float = 0.0
     charged_kwh: float = 0.0
     tow_delta_kwh: float = 0.0
+    # the last decision's travel perception, if it had a next destination,
+    # until the next trip start, which reuses its distance for that leg
+    perceived: TravelPerception | None = None
 
     @property
     def next_event_start(self) -> int | None:
@@ -494,8 +497,17 @@ class Simulation:
 
     def _on_trip_start(self, now: int, agent: AgentRuntime, day: int, event: PlanEvent) -> None:
         origin = agent.state.location
+        router = self.env.router
+        # the distance between the very two points the last decision
+        # perceived is that decision's: the same function of the same points
+        seen, agent.perceived = agent.perceived, None
+        if seen and seen.location is origin and seen.next_destination is event.destination:
+            distance_km = seen.distance_to_next_km
+        else:
+            distance_km = router.distance_km(origin, event.destination)
+        # Environment checks that every congestion multiplier is > 0
         multiplier = self.env.congestion.at(now % MINUTES_PER_DAY)
-        estimate = self.env.router.route(origin, event.destination, multiplier)
+        estimate = RouteEstimate(distance_km, router.travel_minutes(distance_km, multiplier))
         self._push(
             now + estimate.travel_minutes, self._on_trip_end, agent, day, event, origin, estimate
         )
@@ -539,6 +551,8 @@ class Simulation:
         """
         clock = SimClock(now)
         snapshot = perceive(agent, self.env, clock, self.config.station_radius_km)
+        travel = snapshot.travel
+        agent.perceived = None if travel.next_destination is None else travel
         request = DecisionRequest(agent.persona, snapshot, clock, agent.memory, agent.pending)
         fallback = False
         try:
@@ -551,7 +565,7 @@ class Simulation:
             self.fallbacks["decisions"] += 1
 
         # the extras' keys in sorted order; a hex digest needs no escaping
-        perceived_at = snapshot.travel.now
+        perceived_at = travel.now
         digest = snapshot.digest()
         if response.decision:
             station_entry = snapshot.station(response.quintuple.station_id)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .domain import MINUTES_PER_DAY, GeoPoint, SimClock, value_type
-from .georoute import OfflineRouter
+from .georoute import OfflineRouter, bounding_box_deg
 
 
 class StrandedError(Exception):
@@ -111,12 +111,15 @@ class DaySchedule:
 
     bands holds (start, end, value) triples, sorted by start, that tile
     [0, 1440) exactly; a band holds the minutes start <= t < end. Each value
-    is finite and >= 0.
+    is finite and >= 0. at() reads a table of each minute's band value,
+    built once with the schedule.
     """
 
     bands: tuple[tuple[int, int, float], ...]
     # the smallest band value; a time of day priced at a tariff's lowest is off-peak
     lowest: float = field(init=False, repr=False, compare=False)
+    # the band value of each minute of the day, the band's own float
+    _by_minute: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.bands, key=lambda band: band[0]))
@@ -131,13 +134,16 @@ class DaySchedule:
             raise ValueError(f"bands must tile [0, 1440): they end at minute {edge}")
         object.__setattr__(self, "bands", ordered)
         object.__setattr__(self, "lowest", min(value for _, _, value in ordered))
+        by_minute = tuple(value for start, end, value in ordered for _ in range(end - start))
+        object.__setattr__(self, "_by_minute", by_minute)
 
     def at(self, time_of_day: int) -> float:
-        """Value of the band holding time_of_day; ValueError outside [0, 1440)."""
-        for start, end, value in self.bands:
-            if start <= time_of_day < end:
-                return value
-        raise ValueError(f"time_of_day must be within [0, 1440), got {time_of_day}")
+        """Value of the band holding the integer minute time_of_day; ValueError
+        outside [0, 1440), TypeError for a minute that is not an int."""
+        # the range check stays: a negative index would wrap to the day's end
+        if not 0 <= time_of_day < MINUTES_PER_DAY:
+            raise ValueError(f"time_of_day must be within [0, 1440), got {time_of_day}")
+        return self._by_minute[time_of_day]
 
 
 def charge_cost(start: int, end: int, energy_kwh: float, tariff: DaySchedule) -> float:
@@ -190,7 +196,7 @@ class ChargingStation:
         self.busy_until = [0] * self.pile_count
 
     def free_piles(self, now: int) -> int:
-        return sum(1 for t in self.busy_until if t <= now)
+        return len([t for t in self.busy_until if t <= now])
 
     def predicted_wait(self, now: int) -> int:
         """Minutes until a pile frees up for a newcomer, given current commitments.
@@ -269,13 +275,17 @@ def begin_charge(
 class Environment:
     """What the agents share: stations, tariffs, the road model and its congestion.
 
-    Each vehicle's state lives on its agent, not here.
+    Each vehicle's state lives on its agent, not here. The stations, their
+    tariffs and the router are fixed once it is built (only a station's
+    busy_until changes), so reach_rows keeps what it derives from them.
     """
 
     stations: dict[str, ChargingStation]
     tariffs: dict[str, DaySchedule]
     router: OfflineRouter
     congestion: DaySchedule
+    # reach_rows' rows, keyed by radius
+    _reach: dict[float, list] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         problems = [
@@ -287,3 +297,24 @@ class Environment:
             problems.append(f"congestion multipliers must be > 0, got {self.congestion.lowest}")
         if problems:  # every one, so that validation reports them all
             raise ValueError("; ".join(problems))
+
+    def reach_rows(self, radius_km: float) -> list[tuple]:
+        """A (station, lat_lo, lat_hi, lon_lo, lon_hi, tariff) row per station,
+        built on first use at each radius. The bounds are bounding_box_deg
+        around the station for radius_km / detour_factor: a router measures
+        at least the great circle times its detour_factor, and
+        distance_km(location, site) is haversine_km in the order the box
+        bounds, so a location outside them is farther than radius_km from
+        the station. A station near a pole or the +-180 meridian gets NO_BOX."""
+        rows = self._reach.get(radius_km)
+        if rows is None:
+            reach = radius_km / self.router.detour_factor
+            rows = self._reach[radius_km] = [
+                (
+                    station,
+                    *bounding_box_deg(station.location.latitude, station.location.longitude, reach),
+                    self.tariffs[station.tariff_id],
+                )
+                for station in self.stations.values()
+            ]
+        return rows

@@ -10,7 +10,9 @@ bounding_box_deg bounds the points within a radius of a centre by a
 latitude/longitude box. A point outside it would fail the haversine test
 too, so a caller rejects it with four comparisons and no result changes.
 It has two users: the mock planner filters its destination candidates this
-way, and perception.perceive the stations it then measures with distance_km.
+way, and Environment.reach_rows builds one box per station, once per run,
+against which perception.perceive tests the agent's location before it
+measures the station with distance_km.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from typing import Protocol
 
 from .domain import GeoPoint, Persona, SimClock, json_number, json_string, value_type
 from .environment import Environment, EvState
-from .georoute import bounding_box_deg
 
 
 class PerceivingAgent(Protocol):
@@ -123,58 +122,58 @@ def perceive(
     router = env.router
     time_of_day = clock.time_of_day
     multiplier = env.congestion.at(time_of_day)
+    location = ev.location
+    now = clock.sim_time
 
     next_destination = agent.next_destination
     if next_destination is not None:
-        distance_to_next = router.distance_km(ev.location, next_destination)
+        distance_to_next = router.distance_km(location, next_destination)
     else:
         distance_to_next = 0.0
 
+    soc_kwh = ev.soc_kwh
+    # both perceptions are built with positional arguments, in field order
     travel = TravelPerception(
-        congestion_multiplier=multiplier,
-        now=clock.sim_time,
-        next_event_start=agent.next_event_start,
-        location=ev.location,
-        next_destination=next_destination,
-        distance_to_next_km=distance_to_next,
-        soc_kwh=ev.soc_kwh,
-        soc_fraction=ev.soc_kwh / ev.capacity_kwh,
+        multiplier,
+        now,
+        agent.next_event_start,
+        location,
+        next_destination,
+        distance_to_next,
+        soc_kwh,
+        soc_kwh / ev.capacity_kwh,
     )
 
-    target_kwh = max(0.0, persona.habits.typical_target_soc * ev.capacity_kwh - ev.soc_kwh)
+    target_kwh = max(0.0, persona.habits.typical_target_soc * ev.capacity_kwh - soc_kwh)
+    max_power_kw = ev.max_charge_power_kw
     entries: list[StationPerception] = []
-    location = ev.location
-    # A station outside the box around the radius before the detour is
-    # farther than radius_km, so it is skipped before its distance (a router
-    # measures at least the great circle times its detour_factor). Both
-    # points are GeoPoints, inside [-90, 90] x [-180, 180], where the box is
-    # sound.
-    lat_lo, lat_hi, lon_lo, lon_hi = bounding_box_deg(
-        location.latitude, location.longitude, radius_km / router.detour_factor
-    )
-    for station in env.stations.values():
-        site = station.location
-        if not (lat_lo <= site.latitude <= lat_hi and lon_lo <= site.longitude <= lon_hi):
+    lat, lon = location.latitude, location.longitude
+    # A location outside a station's box (built once, by reach_rows) is
+    # farther than radius_km from it, so the station is skipped before its
+    # distance is measured.
+    for station, lat_lo, lat_hi, lon_lo, lon_hi, tariff in env.reach_rows(radius_km):
+        if not (lat_lo <= lat <= lat_hi and lon_lo <= lon <= lon_hi):
             continue
-        distance_km = router.distance_km(location, site)
+        distance_km = router.distance_km(location, station.location)
         if distance_km > radius_km:
             continue
-        power_kw = min(station.pile_power_kw, ev.max_charge_power_kw)
+        pile_power_kw = station.pile_power_kw
+        power_kw = min(pile_power_kw, max_power_kw)
         charge_minutes = math.ceil(target_kwh / power_kw * 60.0) if target_kwh > 0.0 else 0
-        tariff = env.tariffs[station.tariff_id]
         price = tariff.at(time_of_day)
         entries.append(
             StationPerception(
-                station_id=station.station_id,
-                free_piles=station.free_piles(clock.sim_time),
-                travel_minutes=router.travel_minutes(distance_km, multiplier),
-                predicted_queue_minutes=station.predicted_wait(clock.sim_time),
-                charge_minutes=charge_minutes,
-                distance_km=distance_km,
-                pile_power_kw=station.pile_power_kw,
-                price_per_kwh=price,
-                off_peak=price == tariff.lowest,
+                station.station_id,
+                station.free_piles(now),
+                router.travel_minutes(distance_km, multiplier),
+                station.predicted_wait(now),
+                charge_minutes,
+                distance_km,
+                pile_power_kw,
+                price,
+                price == tariff.lowest,
             )
         )
-    entries.sort(key=lambda entry: (entry.distance_km, entry.station_id))
+    if len(entries) > 1:
+        entries.sort(key=lambda entry: (entry.distance_km, entry.station_id))
     return PerceptionSnapshot(travel=travel, stations=tuple(entries))

@@ -182,6 +182,24 @@ class TestValidatePersona:
         bad = replace(persona, **{part: replace(getattr(persona, part), **{field: value})})
         assert [v.split(":")[0] for v in validate_persona(bad)] == [path]
 
+    @pytest.mark.parametrize(
+        "part, field, value, path",
+        [
+            (None, "id", 7, "id"),
+            (None, "id", "", "id"),
+            ("demographics", "occupation", 5, "demographics.occupation"),
+            ("demographics", "occupation", "", "demographics.occupation"),
+        ],
+    )
+    def test_an_id_or_occupation_must_be_a_non_empty_string(
+        self, persona, part, field, value, path
+    ):
+        if part is None:
+            bad = replace(persona, **{field: value})
+        else:
+            bad = replace(persona, **{part: replace(getattr(persona, part), **{field: value})})
+        assert validate_persona(bad) == [f"{path}: must be a non-empty string"]
+
     @given(
         st.floats(min_value=-2, max_value=2),
         st.floats(min_value=-2, max_value=2),

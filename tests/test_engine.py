@@ -27,10 +27,14 @@ from chargesim.domain import (
     PlanEventKind,
     ReflectionReport,
     canonical_json,
+    from_data,
     to_data,
+    validate_persona,
 )
+from chargesim import environment
 from chargesim.engine import RunTotals, Simulation, _leg, build_summary, run
 from chargesim.environment import ChargeTicket
+from chargesim.georoute import OfflineRouter
 from chargesim.memory import MemoryStore
 from chargesim.providers import (
     CognitionProvider,
@@ -172,6 +176,36 @@ class TestRun:
         artifacts = run(config, tmp_path / "run")
         assert artifacts.behavior_digest == DEFAULT_BEHAVIOR_PIN
         assert artifacts.reflections_digest == DEFAULT_REFLECTIONS_PIN
+
+    def test_default_run_measures_a_perceived_leg_once_and_boxes_each_station_once(
+        self, tmp_path, monkeypatch
+    ):
+        """The run phase's exact work counters on the pinned 10x7 run."""
+        sim = Simulation(load_config(DEFAULT_CONFIG), tmp_path / "run")
+        counts = {"distance_km": 0, "bounding_box_deg": 0}
+
+        def counting(name, function):
+            def counted(*args):
+                counts[name] += 1
+                return function(*args)
+
+            return counted
+
+        monkeypatch.setattr(
+            OfflineRouter, "distance_km", counting("distance_km", OfflineRouter.distance_km)
+        )
+        # perception's boxes come from Environment.reach_rows
+        monkeypatch.setattr(
+            environment,
+            "bounding_box_deg",
+            counting("bounding_box_deg", environment.bounding_box_deg),
+        )
+        artifacts = sim.run()
+        assert artifacts.behavior_digest == DEFAULT_BEHAVIOR_PIN
+        # 5,366 and 1,232 when each trip start measured its leg again and
+        # each decision boxed the agent's location
+        assert len(sim.env.stations) == 7
+        assert counts == {"distance_km": 4246, "bounding_box_deg": 7}
 
     def test_different_seeds_differ(self, tmp_path):
         first = run(small_config(seed=1), tmp_path / "a")
@@ -527,6 +561,8 @@ class WronglyTypedPersonaProvider(MockProvider):
 
     def generate_persona(self, seed, template_config):
         persona = super().generate_persona(seed, template_config)
+        if self.part is None:  # a field of the persona itself
+            return replace(persona, **{self.field: self.value})
         wrong = replace(getattr(persona, self.part), **{self.field: self.value})
         return replace(persona, **{self.part: wrong})
 
@@ -537,6 +573,8 @@ class WronglyTypedPersonaProvider(MockProvider):
         ("demographics", "age", "30"),
         ("habits", "preferred_window", (5,)),
         ("economics", "price_sensitivity", None),
+        ("demographics", "occupation", 5),
+        (None, "id", 7),
     ],
 )
 def test_a_wrongly_typed_persona_falls_back(tmp_path, part, field, value):
@@ -549,6 +587,50 @@ def test_a_wrongly_typed_persona_falls_back(tmp_path, part, field, value):
         "decisions": 0, "personas": config.num_agents, "plans": 0, "reflections": 0
     }
     assert artifacts.behavior_digest == run(config, tmp_path / "plain").behavior_digest
+    personas = json.loads((artifacts.run_dir / "personas.json").read_text(encoding="utf-8"))
+    for agent_id, data in personas.items():
+        persona = from_data(Persona, data)
+        assert persona.id == agent_id and validate_persona(persona) == []
+
+
+def test_a_trip_start_reuses_only_the_leg_its_decision_measured(tmp_path, monkeypatch):
+    sim = Simulation(load_config(DEFAULT_CONFIG), tmp_path / "run")
+    measure = OfflineRouter.distance_km
+    calls = []
+
+    def counting(router, a, b):
+        calls.append((a, b))
+        return measure(router, a, b)
+
+    monkeypatch.setattr(OfflineRouter, "distance_km", counting)
+    sites = [station.location for station in sim.env.stations.values()]
+    starts = []  # (reused, after a charge) per trip start
+    original = sim._on_trip_start
+
+    def spy(now, agent, day, event):
+        origin, destination, perceived = agent.state.location, event.destination, agent.perceived
+        before = len(calls)
+        original(now, agent, day, event)
+        assert agent.perceived is None
+        reused = (
+            perceived is not None
+            and perceived.location is origin
+            and perceived.next_destination is destination
+        )
+        assert calls[before:] == ([] if reused else [(origin, destination)])
+        (estimate,) = [
+            args[-1] for _, _, handler, args in sim.queue
+            if handler == sim._on_trip_end and args[0] is agent
+        ]
+        assert estimate.distance_km == measure(sim.env.router, origin, destination)
+        starts.append((reused, any(origin is site for site in sites)))
+
+    sim._on_trip_start = spy  # the first trip of day 0 is already queued
+    artifacts = sim.run()
+    assert artifacts.behavior_digest == DEFAULT_BEHAVIOR_PIN
+    # a leg after a charge starts at the station, which no decision perceived
+    assert (True, False) in starts and (False, True) in starts
+    assert (True, True) not in starts
 
 
 def test_unreadable_live_prompts_leave_a_failed_summary(tmp_path):

@@ -262,6 +262,34 @@ def test_charge_cost_matches_minute_oracle(tariff, start, duration, energy):
     assert got == pytest.approx(want, abs=1e-6)
 
 
+def _band_scan(schedule, minute):
+    """The value of the band holding minute, found by walking the bands."""
+    for start, end, value in schedule.bands:
+        if start <= minute < end:
+            return value
+    raise AssertionError(f"no band holds minute {minute}")
+
+
+@given(random_tariffs())
+@settings(max_examples=100, deadline=None)
+def test_the_minute_table_reads_what_the_band_scan_reads(schedule):
+    # the band's own float, not an equal one
+    assert all(schedule.at(m) is _band_scan(schedule, m) for m in range(1440))
+
+
+@pytest.mark.parametrize("minute", [-1, 1440])
+def test_the_minute_table_keeps_the_range_check(two_band_tariff, minute):
+    # a bare tuple index would wrap -1 to the day's last minute
+    with pytest.raises(ValueError) as err:
+        two_band_tariff.at(minute)
+    assert str(err.value) == f"time_of_day must be within [0, 1440), got {minute}"
+
+
+def test_a_minute_that_is_not_an_int_is_refused(two_band_tariff):
+    with pytest.raises(TypeError):
+        two_band_tariff.at(5.0)
+
+
 def test_fifo_service_order_matches_enqueue_order(flat_tariff):
     rng = random.Random(7)
     station = _station(piles=3, power=60.0)

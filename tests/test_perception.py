@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from chargesim.config import ScenarioConfig
 from chargesim.domain import GeoPoint, Persona, SimClock, canonical_json
 from chargesim.environment import ChargingStation, DaySchedule, Environment, EvState
-from chargesim.georoute import OfflineRouter
+from chargesim.georoute import NO_BOX, OfflineRouter, bounding_box_deg
 from chargesim.perception import (
     PerceptionSnapshot,
     StationPerception,
@@ -228,6 +228,42 @@ THOUSAND_OFFSETS = [
     centre=(CENTER.latitude, CENTER.longitude),
     detour_factor=1.3,
 )
+@example(
+    # the agent's own box stops short of the pole, but the first two
+    # stations' reach it: they get NO_BOX rows and take the exact test
+    offsets=[(0.2, 0.0, "t"), (0.25, 3.0, "t"), (0.1, -2.0, "t"), (-0.3, 0.0, "t")],
+    radius_km=30.0,
+    minute=BAND_MINUTES[1],
+    on_radius=None,
+    centre=(88.6, 10.0),
+    detour_factor=1.0,
+)
+@example(
+    offsets=[(0.2, 0.0, "t"), (0.25, 3.0, "t"), (0.1, -2.0, "t"), (-0.3, 0.0, "t")],
+    radius_km=0.0,
+    minute=BAND_MINUTES[1],
+    on_radius=0,
+    centre=(88.6, 10.0),
+    detour_factor=1.0,
+)
+@example(
+    # the agent's box stops short of the +-180 meridian; the first three
+    # stations' reach it (the third sits across it) and get NO_BOX rows
+    offsets=[(0.0, 0.3, "t"), (0.1, 0.45, "t"), (0.0, 0.6, "t"), (0.0, -0.2, "t")],
+    radius_km=30.0,
+    minute=BAND_MINUTES[2],
+    on_radius=None,
+    centre=(CENTER.latitude, 179.5),
+    detour_factor=1.0,
+)
+@example(
+    offsets=[(0.0, 0.3, "t"), (0.1, 0.45, "t"), (0.0, 0.6, "t"), (0.0, -0.2, "t")],
+    radius_km=0.0,
+    minute=BAND_MINUTES[2],
+    on_radius=1,
+    centre=(CENTER.latitude, 179.5),
+    detour_factor=1.3,
+)
 def test_perceive_matches_brute_force_filter_sort(
     persona, offsets, radius_km, minute, on_radius, centre, detour_factor
 ):
@@ -276,6 +312,24 @@ def test_perceive_matches_brute_force_filter_sort(
         assert entry.price_per_kwh == tariff.at(minute)
         cheapest = min(price for _, _, price in tariff.bands)
         assert entry.off_peak == (tariff.at(minute) == cheapest == tariff.lowest)
+
+
+def test_reach_rows_box_each_station_once():
+    pole = ChargingStation("st-pole", GeoPoint(89.95, 121.47), 1, 60.0, "t")
+    meridian = ChargingStation("st-meridian", GeoPoint(31.23, 179.999), 1, 60.0, "t")
+    near = _station("st-near")
+    env = _env([near, pole, meridian], detour_factor=1.3)
+    rows = env.reach_rows(6.0)
+    assert env.reach_rows(6.0) is rows  # built on first use at a radius
+    assert [row[0] for row in rows] == [near, pole, meridian]
+    assert all(row[5] is env.tariffs["t"] for row in rows)
+    site = near.location
+    assert rows[0][1:5] == bounding_box_deg(site.latitude, site.longitude, 6.0 / 1.3)
+    assert rows[0][1:5] != NO_BOX
+    assert rows[1][1:5] == rows[2][1:5] == NO_BOX
+    assert env.reach_rows(3.0)[0][1:5] == bounding_box_deg(
+        site.latitude, site.longitude, 3.0 / 1.3
+    )
 
 
 def test_snapshot_is_deterministic(persona):

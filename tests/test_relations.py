@@ -4,8 +4,9 @@ Each test changes the config in one way that should not matter, or should
 matter only in a known way, and compares the logs of the two runs. A
 pinned digest checks one run; these check that the behaviour does not
 depend on the list order of the stations, on a station no agent can
-reach, on how long the run goes on afterwards, on how many agents follow,
-or on what the stations are called.
+reach (also one by a pole or the antimeridian), on how long the run goes
+on afterwards, on how many agents follow, or on what the stations are
+called.
 """
 
 from __future__ import annotations
@@ -54,6 +55,17 @@ def test_a_station_no_agent_reaches_does_not_matter(base, tmp_path):
     wider = _run(tmp_path, "wider", stations=[*stations, far])
     for log in LOGS:
         assert _text(wider, log) == _text(base, log)
+
+
+def test_stations_next_to_a_pole_or_the_antimeridian_do_not_matter(base, tmp_path):
+    # neither station has a box to skip it by, so every decision measures both
+    stations = ScenarioConfig().stations
+    first = stations[0]
+    pole = {**first, "station_id": "st-pole", "latitude": 89.95, "longitude": 121.47}
+    meridian = {**first, "station_id": "st-meridian", "latitude": 31.23, "longitude": 179.999}
+    farther = _run(tmp_path, "farther", stations=[*stations, pole, meridian])
+    for log in LOGS:
+        assert _text(farther, log) == _text(base, log)
 
 
 def _lines_before(run_dir, log, minute):
