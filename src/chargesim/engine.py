@@ -71,7 +71,6 @@ from .environment import (
     begin_charge,
     consume_energy,
 )
-from .georoute import RouteEstimate
 from .memory import MemoryStore
 from .perception import TravelPerception, perceive
 from .providers.base import (
@@ -84,7 +83,7 @@ from .providers.base import (
 )
 from .providers.baseline import baseline_decision
 from .providers.live import LiveProvider
-from .providers.mock import MockProvider, home_point_for
+from .providers.mock import MockProvider
 
 TOW_RESERVE_FRACTION = 0.05
 HOURS_PER_DAY = 24
@@ -240,6 +239,11 @@ class AgentRuntime:
     # the last decision's travel perception, if it had a next destination,
     # until the next trip start, which reuses its distance for that leg
     perceived: TravelPerception | None = None
+    # json_string(agent_id), which _emit writes at the head of every line
+    agent_id_json: str = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.agent_id_json = json_string(self.agent_id)
 
     @property
     def next_event_start(self) -> int | None:
@@ -346,7 +350,7 @@ class Simulation:
             for index in range(config.num_agents):
                 agent_id = f"agent-{index:02d}"
                 persona = self._make_persona(agent_id)
-                home = home_point_for(agent_id, self._mock.center, self._mock.area_radius_km)
+                home = self._mock.home(agent_id)
                 state = EvState(
                     agent_id=agent_id,
                     location=home,
@@ -447,7 +451,7 @@ class Simulation:
         JSON text; step() flushes it with the rest of its event's lines."""
         # the canonical layout of {"agent_id", "extras", "fallback", "record"}
         self._behavior_fh.write(
-            f'{{"agent_id":{json_string(agent.agent_id)},"extras":{extras},'
+            f'{{"agent_id":{agent.agent_id_json},"extras":{extras},'
             f'"fallback":{"true" if fallback else "false"},"record":{record.to_json()}}}\n'
         )
         agent.today_records.append(record)
@@ -507,9 +511,9 @@ class Simulation:
             distance_km = router.distance_km(origin, event.destination)
         # Environment checks that every congestion multiplier is > 0
         multiplier = self.env.congestion.at(now % MINUTES_PER_DAY)
-        estimate = RouteEstimate(distance_km, router.travel_minutes(distance_km, multiplier))
+        minutes = router.travel_minutes(distance_km, multiplier)
         self._push(
-            now + estimate.travel_minutes, self._on_trip_end, agent, day, event, origin, estimate
+            now + minutes, self._on_trip_end, agent, day, event, origin, distance_km, minutes
         )
 
     def _on_trip_end(
@@ -519,9 +523,9 @@ class Simulation:
         day: int,
         event: PlanEvent,
         origin: GeoPoint,
-        estimate: RouteEstimate,
+        distance_km: float,
+        minutes: int,
     ) -> None:
-        distance_km = estimate.distance_km
         rate = agent.persona.vehicle.consumption_kwh_per_km
         try:
             energy_kwh = consume_energy(agent.state, distance_km, rate)
@@ -536,7 +540,7 @@ class Simulation:
             ActionType.TRAVEL,
             f"route-d{day}-{event.start:04d}",
             f"completed planned trip of {distance_km:.1f} km",
-            _leg(origin, event.destination, distance_km, energy_kwh, estimate.travel_minutes),
+            _leg(origin, event.destination, distance_km, energy_kwh, minutes),
         )
         self.totals.add_travel(agent.agent_id, origin, event.destination, distance_km)
         agent.busy = False

@@ -130,8 +130,9 @@ class OfflineRouter:
 
     def travel_minutes(self, distance_km: float, speed_multiplier: float) -> int:
         """Whole minutes to drive distance_km at a speed_multiplier > 0, which
-        route() checks and Environment checks for each congestion band (perception's source)."""
-        return int(round(distance_km / (self.speed_kmh * speed_multiplier) * 60.0))
+        route() checks and Environment checks for each congestion band (perception's source).
+        round() of a float returns an int, and raises for NaN and infinity."""
+        return round(distance_km / (self.speed_kmh * speed_multiplier) * 60.0)
 
     def route(self, a: GeoPoint, b: GeoPoint, speed_multiplier: float = 1.0) -> RouteEstimate:
         if speed_multiplier <= 0.0:

@@ -41,9 +41,10 @@ def choose_station(
     stations: tuple[StationPerception, ...] | list[StationPerception],
     weights: BaselineWeights,
 ) -> StationPerception | None:
-    """Weighted argmin over the candidates; None when there are none."""
-    if not stations:
-        return None
+    """Weighted argmin over the candidates; None when there are none, and a
+    lone candidate without scoring it."""
+    if len(stations) < 2:
+        return stations[0] if stations else None
     return min(stations, key=lambda s: (score_station(s, weights), s.station_id))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from math import cos, radians, sin, tau
 
 from ..domain import (
     MINUTES_PER_DAY,
@@ -91,8 +92,9 @@ def _is_list(value, item) -> bool:
 
 
 # What generate_persona and plan_day need of each template entry: a shape
-# name (rng.uniform takes a "pair", rng.randint an "int_range", rng.choice a
-# non-empty list), or an enum whose values a non-empty list must hold.
+# name (a uniform draw takes a "pair", rng.randint or rng.randrange an
+# "int_range", rng.choice a non-empty list), or an enum whose values a
+# non-empty list must hold.
 _SHAPES = {
     "number": (_is_number, "a number"),
     "pair": (_is_pair, "a pair of numbers"),
@@ -255,8 +257,10 @@ def _reach_problem(template: dict) -> str | None:
 def home_point_for(persona_id: str, center: GeoPoint, area_radius_km: float) -> GeoPoint:
     """Deterministic home location near the scenario center.
 
-    Shared between the engine (initial vehicle placement, towing) and the
-    plan generator so both agree on where an agent's day begins.
+    MockProvider.home keeps its result per id for the provider's plan area;
+    the engine places each vehicle there (and tows it back there) and
+    plan_day starts every day from it, so both agree on where an agent's
+    day begins.
     """
     rng = random.Random(f"home|{persona_id}")
     bearing = rng.uniform(0.0, 2.0 * math.pi)
@@ -293,7 +297,7 @@ def _random_point_near(
     """
     olat, olon = origin.latitude, origin.longitude
     clat, clon = center.latitude, center.longitude
-    cos_olat = math.cos(math.radians(olat))
+    cos_olat = cos(radians(olat))
     # The box is sound only for points in [-90, 90] x [-180, 180]; a candidate
     # can pass a pole or the +-180 meridian (haversine_km then measures its
     # wrapped position), so then every candidate takes the exact test.
@@ -305,11 +309,11 @@ def _random_point_near(
     for _ in range(20):
         # rng.uniform(0.0, 2.0 * math.pi) inlined: it returns
         # 0.0 + (2.0 * math.pi - 0.0) * rng.random(), the same float
-        bearing = math.tau * rng.random()
-        lat = olat + distance_km * math.cos(bearing) * DEG_PER_KM
+        bearing = tau * rng.random()
+        lat = olat + distance_km * cos(bearing) * DEG_PER_KM
         if lat < lat_lo or lat > lat_hi:
             continue
-        lon = olon + distance_km * math.sin(bearing) * DEG_PER_KM / cos_olat
+        lon = olon + distance_km * sin(bearing) * DEG_PER_KM / cos_olat
         if lon < lon_lo or lon > lon_hi:
             continue
         if haversine_km(lat, lon, clat, clon) <= max_radius_km:
@@ -340,6 +344,16 @@ class MockProvider(CognitionProvider):
         self.center = center = GeoPoint(*template["center"])
         self.area_radius_km = area_radius = float(template["area_radius_km"])
         self._box = bounding_box_deg(center.latitude, center.longitude, area_radius)
+        self._homes: dict[str, GeoPoint] = {}
+
+    def home(self, persona_id: str) -> GeoPoint:
+        """home_point_for(persona_id) in this provider's plan area, derived
+        once per id: the same GeoPoint for every plan and every caller."""
+        point = self._homes.get(persona_id)
+        if point is None:
+            point = home_point_for(persona_id, self.center, self.area_radius_km)
+            self._homes[persona_id] = point
+        return point
 
     # -- persona ------------------------------------------------------------
 
@@ -396,28 +410,22 @@ class MockProvider(CognitionProvider):
             shifts.append(tuple(template["evening_shift"]))
 
         events: list[PlanEvent] = []
-        location = home_point_for(persona.id, center, area_radius)
+        location = self.home(persona.id)
         for shift_start, shift_end in shifts:
             t = int(shift_start)
             while True:
-                hop_km = rng.uniform(trip_km_lo, trip_km_hi)
+                # rng.uniform(trip_km_lo, trip_km_hi) inlined: its own expression, the same float
+                hop_km = trip_km_lo + (trip_km_hi - trip_km_lo) * rng.random()
                 destination = _random_point_near(rng, location, hop_km, center, area_radius, box)
                 route_km = router.distance_km(location, destination)
                 travel_minutes = router.travel_minutes(route_km, 1.0)
                 if t + travel_minutes > shift_end or travel_minutes == 0:
                     break
-                events.append(
-                    PlanEvent(
-                        kind=PlanEventKind.TRIP,
-                        origin=location,
-                        destination=destination,
-                        start=t,
-                        expected_distance_km=route_km,
-                    )
-                )
+                events.append(PlanEvent(PlanEventKind.TRIP, location, destination, t, route_km))
                 location = destination
-                t += travel_minutes + rng.randint(gap_lo, gap_hi)
-        return DailyPlan(day_index=day_index, events=tuple(events))
+                # rng.randint(gap_lo, gap_hi) returns this call, one frame deeper
+                t += travel_minutes + rng.randrange(gap_lo, gap_hi + 1)
+        return DailyPlan(day_index, tuple(events))
 
     # -- deciding -----------------------------------------------------------
 
@@ -433,10 +441,19 @@ class MockProvider(CognitionProvider):
         plan: DailyPlan,
     ) -> ReflectionReport:
         trips_planned = len(plan.events)
-        trips_done = sum(1 for r in day_records if r.action is ActionType.TRAVEL)
-        stranded = any(
-            r.action is ActionType.IDLE and "strand" in r.reason.lower() for r in day_records
-        )
+        # one pass: trips done, whether a strand was logged, and the charge
+        # decisions in record order, which every mean below sums in
+        trips_done = 0
+        stranded = False
+        charges = []
+        for r in day_records:
+            action = r.action
+            if action is ActionType.TRAVEL:
+                trips_done += 1
+            elif action is ActionType.START_CHARGING and r.quintuple.decision:
+                charges.append(r)
+            elif action is ActionType.IDLE and not stranded:
+                stranded = "strand" in r.reason.lower()
         if trips_planned == 0:
             adherence = 1.0 if not stranded else 0.5
         else:
@@ -446,11 +463,6 @@ class MockProvider(CognitionProvider):
             + ("; ran out of charge mid-plan" if stranded else "")
         )
 
-        charges = [
-            r
-            for r in day_records
-            if r.action is ActionType.START_CHARGING and r.quintuple.decision
-        ]
         if not charges:
             satisfaction = 0.75
             satisfaction_text = (

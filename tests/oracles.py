@@ -20,7 +20,10 @@ fields through the table value_type keeps. The sampler
 oracle is the mock planner's candidate loop without its bounding-box
 prefilter: it haversines every candidate. It shares _offset and
 haversine_km with the production code, since it must reproduce their
-floats bit for bit.
+floats bit for bit. The planner oracle is the mock planner as first
+written: it derives the home on every call, draws with rng.uniform and
+rng.randint, builds its values by keyword and picks destinations with the
+sampler oracle; it shares home_point_for and OfflineRouter.distance_km.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from pathlib import Path
 
 import yaml
 
-from chargesim.domain import GeoPoint
-from chargesim.georoute import haversine_km
-from chargesim.providers.mock import _offset
+from chargesim.domain import DailyPlan, GeoPoint, PlanEvent, PlanEventKind
+from chargesim.georoute import OfflineRouter, haversine_km
+from chargesim.providers.mock import DEFAULT_PLAN_TEMPLATE, _offset, home_point_for
 
 EARTH_RADIUS_KM = 6371.0088
 MINUTES_PER_DAY = 1440
@@ -434,3 +437,40 @@ def oracle_random_point_near(
         center.longitude - origin.longitude, center.latitude - origin.latitude
     )
     return GeoPoint(*_offset(origin, distance_km, bearing))
+
+
+def oracle_plan_day(plan_template: dict, persona, day_index: int, seed) -> DailyPlan:
+    """MockProvider(plan_template=plan_template).plan_day(persona, day_index, seed)."""
+    template = {**DEFAULT_PLAN_TEMPLATE, **plan_template}
+    router = OfflineRouter(float(template["detour_factor"]), float(template["speed_kmh"]))
+    center = GeoPoint(*template["center"])
+    area_radius = float(template["area_radius_km"])
+    rng = random.Random(f"plan|{seed}|{persona.id}|{day_index}")
+
+    shifts = [tuple(window) for window in template["shifts"]]
+    if rng.random() < float(template["evening_shift_probability"]):
+        shifts.append(tuple(template["evening_shift"]))
+
+    events = []
+    location = home_point_for(persona.id, center, area_radius)
+    for shift_start, shift_end in shifts:
+        t = int(shift_start)
+        while True:
+            hop_km = rng.uniform(*template["trip_km_range"])
+            destination = oracle_random_point_near(rng, location, hop_km, center, area_radius)
+            route_km = router.distance_km(location, destination)
+            travel_minutes = int(round(route_km / router.speed_kmh * 60.0))
+            if t + travel_minutes > shift_end or travel_minutes == 0:
+                break
+            events.append(
+                PlanEvent(
+                    kind=PlanEventKind.TRIP,
+                    origin=location,
+                    destination=destination,
+                    start=t,
+                    expected_distance_km=route_km,
+                )
+            )
+            location = destination
+            t += travel_minutes + rng.randint(*template["gap_minutes_range"])
+    return DailyPlan(day_index=day_index, events=tuple(events))

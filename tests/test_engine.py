@@ -34,13 +34,15 @@ from chargesim.domain import (
 from chargesim import environment
 from chargesim.engine import RunTotals, Simulation, _leg, build_summary, run
 from chargesim.environment import ChargeTicket
-from chargesim.georoute import OfflineRouter
+from chargesim.georoute import OfflineRouter, RouteEstimate
 from chargesim.memory import MemoryStore
 from chargesim.providers import (
     CognitionProvider,
     DecisionRequest,
     DecisionResponse,
     MockProvider,
+    baseline,
+    mock,
 )
 from chargesim.providers.mock import home_point_for
 from faults import FaultInjectingProvider
@@ -207,6 +209,80 @@ class TestRun:
         assert len(sim.env.stations) == 7
         assert counts == {"distance_km": 4246, "bounding_box_deg": 7}
 
+    def test_default_run_derives_each_home_once_and_builds_no_route_estimate(
+        self, tmp_path, monkeypatch
+    ):
+        """The pinned 10x7 run's exact counts of the work its plans and trip
+        ends no longer repeat: homes over the whole run, the rest in the run phase."""
+        counts = {"home_point_for": 0, "RouteEstimate": 0, "score_station": 0, "seed": 0}
+
+        def counting(name, function):
+            def counted(*args):
+                counts[name] += 1
+                return function(*args)
+
+            return counted
+
+        # MockProvider.home looks home_point_for up in its module
+        monkeypatch.setattr(
+            mock, "home_point_for", counting("home_point_for", mock.home_point_for)
+        )
+        sim = Simulation(load_config(DEFAULT_CONFIG), tmp_path / "run")
+        # every construction, whoever names the class
+        monkeypatch.setattr(
+            RouteEstimate, "__init__", counting("RouteEstimate", RouteEstimate.__init__)
+        )
+        # choose_station looks score_station up in its module
+        monkeypatch.setattr(
+            baseline, "score_station", counting("score_station", baseline.score_station)
+        )
+        # random.Random(x) seeds itself through Random.seed
+        monkeypatch.setattr(random.Random, "seed", counting("seed", random.Random.seed))
+        artifacts = sim.run()
+        assert artifacts.behavior_digest == DEFAULT_BEHAVIOR_PIN
+        # 80, 1,232, 1,426 and 120 when set-up placed each vehicle with a call
+        # of its own and every plan derived its home again, every trip start
+        # built a RouteEstimate, a lone station in reach was scored and every
+        # plan seeded a generator for its home
+        assert counts == {
+            "home_point_for": 10,
+            "RouteEstimate": 0,
+            "score_station": 885,
+            "seed": 60,
+        }
+
+    def test_every_plan_of_the_engines_planner_starts_at_the_agents_home(self, tmp_path):
+        sim = Simulation(load_config(DEFAULT_CONFIG), tmp_path / "run")
+        starts = []  # per plan: its first event starts at the very GeoPoint of agent.home
+
+        def record_starts():
+            for agent in sim._agents_in_order():
+                assert agent.home is sim._mock.home(agent.agent_id)
+                starts.append(agent.plan.events[0].origin is agent.home)
+
+        record_starts()  # day 0 is planned at set-up
+        plan_day = sim._plan_day
+
+        def spy(day_index):
+            plan_day(day_index)
+            record_starts()
+
+        sim._plan_day = spy
+        assert sim.run().behavior_digest == DEFAULT_BEHAVIOR_PIN
+        assert starts == [True] * (10 * 7)
+
+    def test_a_provider_shared_by_two_runs_writes_what_a_fresh_one_does(self, tmp_path):
+        config = load_config(DEFAULT_CONFIG)
+        shared = MockProvider(
+            weights=config.build_weights(), plan_template=config.effective_plan_template()
+        )
+        fresh = run(config, tmp_path / "fresh")
+        assert fresh.behavior_digest == DEFAULT_BEHAVIOR_PIN
+        for name in ("first", "second"):
+            artifacts = run(config, tmp_path / name, provider=shared)
+            assert artifacts.behavior_log.read_bytes() == fresh.behavior_log.read_bytes()
+            assert artifacts.reflections_log.read_bytes() == fresh.reflections_log.read_bytes()
+
     def test_different_seeds_differ(self, tmp_path):
         first = run(small_config(seed=1), tmp_path / "a")
         second = run(small_config(seed=2), tmp_path / "b")
@@ -280,7 +356,7 @@ class TestRun:
             sim.step()
             _when, _sequence, handler, args = sim.queue[0]
             assert handler == sim._on_trip_end
-            distance = args[-1].distance_km
+            distance = args[-2]  # (..., origin, distance_km, minutes)
             soc_before = agent.state.soc_kwh
             sim.step()
             assert seen, "trip end must run the decision pipeline"
@@ -618,11 +694,11 @@ def test_a_trip_start_reuses_only_the_leg_its_decision_measured(tmp_path, monkey
             and perceived.next_destination is destination
         )
         assert calls[before:] == ([] if reused else [(origin, destination)])
-        (estimate,) = [
-            args[-1] for _, _, handler, args in sim.queue
+        (distance_km,) = [
+            args[-2] for _, _, handler, args in sim.queue
             if handler == sim._on_trip_end and args[0] is agent
         ]
-        assert estimate.distance_km == measure(sim.env.router, origin, destination)
+        assert distance_km == measure(sim.env.router, origin, destination)
         starts.append((reused, any(origin is site for site in sites)))
 
     sim._on_trip_start = spy  # the first trip of day 0 is already queued

@@ -45,10 +45,16 @@ from chargesim.providers import (
     validate_decision,
 )
 from chargesim.providers.live import LiveSettings
-from chargesim.providers.mock import _random_point_near
+from chargesim.providers.mock import (
+    PLAN_TEMPLATE_SHAPES,
+    _random_point_near,
+    home_point_for,
+    template_problems,
+)
 from faults import FaultInjectingProvider
 from oracles import (
     NoCandidateError,
+    oracle_plan_day,
     oracle_random_point_near,
     oracle_request_text,
     oracle_station_choice,
@@ -199,6 +205,14 @@ class TestMockPlan:
         text = canonical_json([to_data(plan) for plan in plans])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("template", [{}, {"center": [69.65, 18.96], "area_radius_km": 60.0}])
+    def test_home_is_home_point_for_in_the_plan_area_once_per_id(self, template):
+        provider = MockProvider(plan_template=template)
+        for persona_id in ("agent-00", "agent-01", "car-1"):
+            home = provider.home(persona_id)
+            assert home == home_point_for(persona_id, provider.center, provider.area_radius_km)
+            assert provider.home(persona_id) is home
+
 
 def _wrap_lon(lon: float) -> float:
     return lon if -180.0 <= lon <= 180.0 else (lon + 180.0) % 360.0 - 180.0
@@ -267,6 +281,67 @@ def test_random_point_near_matches_the_unfiltered_oracle(call, seed):
     haversining every candidate, whatever the box does."""
     boxed = _sample(_boxed_random_point_near, seed, call)
     assert boxed == _sample(oracle_random_point_near, seed, call)
+
+
+@given(
+    st.integers(0, 2**64),
+    st.floats(-1e9, 1e9),
+    st.floats(-1e9, 1e9),
+    st.integers(-(10**9), 10**9),
+    st.one_of(st.integers(0, 30), st.integers(0, 2**70)),
+)
+def test_the_planners_draws_are_the_random_modules_own(seed, a, b, lo, width):
+    """plan_day draws a hop as a + (b - a) * rng.random() and a gap as
+    rng.randrange(lo, hi + 1): on this interpreter, the very floats and ints
+    of rng.uniform(a, b) and rng.randint(lo, hi), leaving the generator in
+    the same state."""
+    by_module, inlined = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert by_module.uniform(a, b).hex() == (a + (b - a) * inlined.random()).hex()
+        assert by_module.randint(lo, lo + width) == inlined.randrange(lo, lo + width + 1)
+    assert by_module.getstate() == inlined.getstate()
+
+
+@st.composite
+def plan_templates(draw):
+    """Plan templates that vary what plan_day draws from: an evening shift
+    never, always or sometimes drawn, gap ranges of one value or wider, trip
+    lengths down to hops too short to take a minute, and the plan area."""
+    gap_lo = draw(st.integers(0, 30))
+    trip_lo = draw(st.one_of(st.just(0.0), st.floats(0.1, 20.0)))
+    return {
+        "evening_shift_probability": draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))),
+        "gap_minutes_range": [gap_lo, gap_lo + draw(st.one_of(st.just(0), st.integers(0, 20)))],
+        "trip_km_range": [trip_lo, trip_lo + draw(st.floats(0.0, 15.0))],
+        "area_radius_km": draw(st.floats(0.5, 30.0)),
+    }
+
+
+PLANNER_PERSONA = MockProvider().generate_persona(0, {})
+
+
+@given(
+    plan_templates(),
+    st.one_of(st.from_regex(r"agent-[0-9]{2,3}", fullmatch=True), st.text(min_size=1)),
+    st.integers(0, 10_000),
+    st.one_of(st.integers(-(2**63), 2**63), st.text(max_size=8)),
+)
+@settings(max_examples=150)
+@example({"evening_shift_probability": 0.0, "gap_minutes_range": [5, 5]}, "agent-00", 0, 42)
+@example({"evening_shift_probability": 1.0, "gap_minutes_range": [5, 5]}, "agent-07", 3, 42)
+@example({"evening_shift_probability": 1.0, "gap_minutes_range": [0, 0]}, "agent-01", 1, 7)
+# a gap range wider than any sequence's length: the draw takes no len() of it
+@example({"gap_minutes_range": [0, 2**64]}, "agent-02", 0, 42)
+def test_plan_day_matches_the_first_written_planner(template, persona_id, day_index, seed):
+    """Same plan as the planner that drew with rng.uniform and rng.randint and
+    derived the home on every call, on a provider's first plan for the
+    persona and on a later one, which reads the home it kept."""
+    assert template_problems(template, PLAN_TEMPLATE_SHAPES) == {}
+    persona = replace(PLANNER_PERSONA, id=persona_id)
+    provider = MockProvider(plan_template=template)
+    expected = oracle_plan_day(template, persona, day_index, seed)
+    assert provider.plan_day(persona, day_index, seed) == expected
+    assert provider.plan_day(persona, day_index, seed) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +445,9 @@ class TestBaselineDecision:
         only = [{"station_id": "st-09", "distance_km": 1.0, "price_per_kwh": 1.0,
                  "predicted_queue_minutes": 0}]
         assert oracle_station_choice(only, (0.5, 0.3, 0.2)) == "st-09"
+        lone = make_station(station_id="st-09")
+        assert choose_station([lone], BaselineWeights()) is lone
+        assert choose_station((lone,), BaselineWeights()) is lone
 
     def test_tie_breaks_by_station_id(self, persona):
         weights = BaselineWeights()
