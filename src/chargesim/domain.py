@@ -16,7 +16,9 @@ checks that every frozen dataclass is one. A ``GeoPoint`` keeps
 its JSON text, and ``DecisionQuintuple.no_charge`` shares one instance, text
 included, per scenario within a minute, so recurring values are formatted once.
 Every value type's JSON shape is written by :func:`to_data` and read by
-:func:`from_data`, both driven by the dataclass fields.
+:func:`from_data`, both driven by the dataclass fields, and
+:func:`write_indented_json` writes JSON data, as ``json.dumps(value,
+sort_keys=True, indent=2)`` would, to a file the caller opened.
 
 Time is integer minutes since scenario start; currency is CNY per kWh
 with four fractional digits by convention.
@@ -63,6 +65,56 @@ def json_number(value: float) -> str:
             return "NaN"
         return "Infinity" if value > 0.0 else "-Infinity"
     return _int_repr(value)
+
+
+def write_indented_json(fh: typing.IO[str], value) -> None:
+    """Write json.dumps(value, sort_keys=True, indent=2) to fh, byte for byte,
+    a dict one top-level entry at a time, so that no more than one entry's
+    text is held at once.
+
+    value is JSON data: str-keyed dicts, lists, tuples, str, int, float,
+    bool and None. Anything else raises TypeError, and the entries before
+    it stay written.
+    """
+    if not isinstance(value, dict) or not value:
+        fh.write(_indented(value, "\n"))
+        return
+    head = "{"
+    for key in sorted(value):
+        fh.write(f"{head}\n  {json_string(key)}: {_indented(value[key], _TOP_LINE)}")
+        head = ","
+    fh.write("\n}")
+
+
+_TOP_LINE = "\n  "  # the break before a top-level entry
+# each scalar's text by its exact type; True is "true" (json_number(True) is "1")
+_SCALAR_TEXT = {
+    str: json_string,
+    float: json_number,
+    int: _int_repr,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _indented(value, newline: str) -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2) writes it on a
+    line that newline, a line break and that line's indent, begins."""
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{json_string(key)}: {_indented(value[key], inner)}" for key in sorted(value)]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_indented(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # each value type's init field names, in declaration order: the keys to_data writes

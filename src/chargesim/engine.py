@@ -30,12 +30,9 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import time as _time
-from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import count
 from pathlib import Path
 from sys import intern
@@ -60,6 +57,7 @@ from .domain import (
     round_currency,
     to_data,
     validate_persona,
+    write_indented_json,
 )
 from .environment import (
     ChargeTicket,
@@ -93,12 +91,12 @@ def _zero_bucket() -> dict:
     return {"total_km": 0.0, "total_kwh_charged": 0.0, "total_cost": 0.0, "charge_count": 0}
 
 
-def _push_point(route: array, point: GeoPoint) -> None:
-    """Append point as lon, lat unless it repeats the last waypoint."""
-    lat, lon = point.latitude, point.longitude
-    if not route or route[-2] != lon or route[-1] != lat:
-        route.append(lon)
-        route.append(lat)
+def _point_text(point: GeoPoint) -> str:
+    """point's to_json text, "[lat,lon]", each coordinate written as the float it is
+    or, if it is not one, converts to."""
+    if isinstance(point.latitude, float) and isinstance(point.longitude, float):
+        return point.to_json()
+    return f"[{json_number(float(point.latitude))},{json_number(float(point.longitude))}]"
 
 
 class RunTotals:
@@ -110,11 +108,15 @@ class RunTotals:
     come from completed charges. summary.json and final_states.json's
     km_total and cost_total are read from these sums.
 
-    The same feed traces each agent's route, a flat array of lon, lat
-    pairs: a travel leg's origin and destination, then a completed charge's
-    station, each skipped when it repeats the last waypoint. add_charge
-    keeps each start_charging decision's (timestamp, station_id, reason);
-    write_routes writes both as routes.json.
+    The same feed traces each agent's route of waypoints: a travel leg's
+    origin and destination, then a completed charge's station, each skipped
+    when it equals the last waypoint. A waypoint is kept as its point's
+    to_json text, which a leg's ends have kept since the travel line wrote
+    it; seal_routes, which the engine calls at every day boundary, flips
+    each agent's waypoints since the last seal to "lon,lat" and joins them
+    into one text. add_charge keeps each start_charging decision's
+    (timestamp, station_id, reason); write_routes writes both as
+    routes.json and formats no float.
     """
 
     def __init__(self) -> None:
@@ -122,7 +124,10 @@ class RunTotals:
         self.satisfaction: dict[str, list[float]] = {}
         # one bucket per hour from minute 0 through the end of the last charge
         self.hourly: list[float] = []
-        self.routes: defaultdict[str, array] = defaultdict(partial(array, "d"))
+        # per agent: the texts seal_routes joined, and the waypoints' texts since
+        self.routes: defaultdict[str, list[str]] = defaultdict(list)
+        self._open: defaultdict[str, list[str]] = defaultdict(list)
+        self._last: dict[str, GeoPoint] = {}  # each agent's last waypoint
         self.charges: defaultdict[str, list[tuple]] = defaultdict(list)
 
     def add_travel(
@@ -130,9 +135,8 @@ class RunTotals:
     ) -> None:
         """Sum one travel leg: its distance, and its ends as waypoints."""
         self._bucket(agent_id)["total_km"] += distance_km
-        route = self.routes[agent_id]
-        _push_point(route, origin)
-        _push_point(route, destination)
+        self._add_waypoint(agent_id, origin)
+        self._add_waypoint(agent_id, destination)
 
     def add_stop(
         self, agent_id: str, station: GeoPoint, ticket: ChargeTicket, approach_km: float
@@ -144,28 +148,49 @@ class RunTotals:
         bucket["total_cost"] += ticket.cost
         bucket["charge_count"] += 1
         self._add_load(ticket.start_charge, ticket.end_charge, ticket.power_kw)
-        _push_point(self.routes[agent_id], station)
+        self._add_waypoint(agent_id, station)
 
     def add_charge(self, agent_id: str, timestamp: int, station_id: str, reason: str) -> None:
         """Keep one start_charging decision: its record's timestamp, object_id and reason."""
         self.charges[agent_id].append((timestamp, station_id, reason))
 
+    def seal_routes(self) -> None:
+        """Join each agent's waypoints since the last seal into one text."""
+        for agent_id, texts in self._open.items():
+            # "[lat,lon],[lat,lon]" -> lat, lon, lat, lon -> "lon,lat,lon,lat"
+            numbers = ",".join(texts).replace("[", "").replace("]", "").split(",")
+            numbers[::2], numbers[1::2] = numbers[1::2], numbers[::2]
+            self.routes[agent_id].append(",".join(numbers))
+        self._open.clear()
+
     def write_routes(self, fh: IO[str], agent_ids: list[str]) -> None:
         """Write routes.json for agent_ids, in their order, one agent at a time:
         {agent_id: {"charges": [[timestamp, station_id, reason], ...],
         "route": [lon, lat, lon, lat, ...]}} in compact JSON."""
+        self.seal_routes()
         fh.write("{")
         for index, agent_id in enumerate(agent_ids):
             charges = canonical_json(self.charges.get(agent_id, []))
-            route = canonical_json(list(self.routes.get(agent_id, ())))
+            route = ",".join(self.routes.get(agent_id, ()))
             fh.write(
                 f'{"," if index else ""}{json_string(agent_id)}:'
-                f'{{"charges":{charges},"route":{route}}}'
+                f'{{"charges":{charges},"route":[{route}]}}'
             )
         fh.write("}")
 
     def add_reflection(self, agent_id: str, satisfaction: float) -> None:
         self.satisfaction.setdefault(agent_id, []).append(satisfaction)
+
+    def _add_waypoint(self, agent_id: str, point: GeoPoint) -> None:
+        last = self._last.get(agent_id)
+        if last is point or (
+            last is not None
+            and last.latitude == point.latitude
+            and last.longitude == point.longitude
+        ):
+            return
+        self._last[agent_id] = point
+        self._open[agent_id].append(_point_text(point))
 
     def _bucket(self, agent_id: str) -> dict:
         bucket = self.agents.get(agent_id)
@@ -755,6 +780,7 @@ class Simulation:
                 extras = canonical_json({"tow_energy_delta_kwh": delta})
                 self._emit_no_charge(agent, now, ActionType.IDLE, "", reason, extras)
                 agent.stranded_today = False
+        self.totals.seal_routes()
 
         next_day = now // MINUTES_PER_DAY
         if next_day < self.config.horizon_days:
@@ -777,8 +803,8 @@ class Simulation:
         self._write_json("summary.json", {"status": "failed", "error": error})
 
     def _write_json(self, name: str, data: dict) -> None:
-        text = json.dumps(data, sort_keys=True, indent=2)
-        (self.run_dir / name).write_text(text, encoding="utf-8")
+        with (self.run_dir / name).open("w", encoding="utf-8") as fh:
+            write_indented_json(fh, data)
 
     def _finalize(self, elapsed_s: float) -> RunArtifacts:
         final_states = {}

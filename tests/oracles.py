@@ -11,7 +11,9 @@ the request oracles assemble a decision request's history with them at
 once, where the request builds it on first read, and write its text from
 plain dicts.
 The export oracle parses every line of a run's behavior.log, where the map
-exporters render routes.json, the trace the engine kept as it wrote the log.
+exporters render routes.json, the trace the engine kept as it wrote the log;
+the routes oracle writes that trace from the same parse, formatting each
+float through the encoder, where the engine splices the points' own text.
 The serialization oracles build each record's dict field by field, in the
 layout the to_json writers spell out key by key in text; the persona
 oracle is the other way round: dataclasses.asdict with the enums and the
@@ -331,6 +333,35 @@ def oracle_exports(run_dir: Path) -> dict:
         "geojson": {"type": "FeatureCollection", "features": features},
         "decisions": decisions,
     }
+
+
+def oracle_routes_json(run_dir: Path) -> str:
+    """What routes.json must hold, from a full parse of behavior.log, written
+    as first written: each agent's route a flat list of lon, lat floats (a
+    travel line's origin and destination, a stop_charging line's station,
+    each skipped when it equals the last waypoint) and its start_charging
+    decisions as [timestamp, object_id, reason], in compact JSON with sorted
+    keys, every float formatted by the encoder as canonical_json does. An
+    agent of final_states.json without lines has empty lists."""
+    final_states = json.loads((run_dir / "final_states.json").read_text(encoding="utf-8"))
+    routes = {agent_id: {"charges": [], "route": []} for agent_id in final_states}
+    for entry in read_log(run_dir / "behavior.log"):
+        own = routes[entry["agent_id"]]
+        record, extras = entry["record"], entry["extras"]
+        if record["action"] == "travel":
+            stops = [extras["origin"], extras["destination"]]
+        elif record["action"] == "stop_charging":
+            stops = [extras["station"]]
+        else:
+            stops = []
+            if record["action"] == "start_charging":
+                own["charges"].append([record["timestamp"], record["object_id"], record["reason"]])
+        route = own["route"]
+        for lat, lon in stops:
+            waypoint = [float(lon), float(lat)]
+            if route[-2:] != waypoint:
+                route += waypoint
+    return json.dumps(routes, sort_keys=True, separators=(",", ":"))
 
 
 def oracle_station_dict(entry) -> dict:

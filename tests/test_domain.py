@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import importlib
 import inspect
+import io
 import json
 import math
 import os
@@ -45,6 +46,7 @@ from chargesim.domain import (
     to_data,
     validate_persona,
     value_type,
+    write_indented_json,
 )
 from chargesim.engine import run
 from chargesim.environment import DaySchedule
@@ -408,6 +410,18 @@ class TestCanonicalWriters:
     def test_canonical_json_matches_json_dumps(self, tree):
         assert canonical_json(tree) == json.dumps(tree, sort_keys=True, separators=(",", ":"))
 
+    @given(st.one_of(json_trees, st.dictionaries(awkward_text, json_trees, max_size=4)))
+    @example({})
+    @example({"a": {}, "b": [], "c": (), "d": [[], {}, ()]})
+    @example({"\u00e9\x00": [True, False, 1, 0, None, -0.0, float("nan"), float("inf"), 2**200]})
+    @example([{"b": (1, True), "a": "\ud800 \u2603"}, [], float("-inf")])
+    @example(True)
+    @example("caf\u00e9")
+    def test_write_indented_json_is_json_dumps_indented(self, value):
+        out = io.StringIO()
+        write_indented_json(out, value)
+        assert out.getvalue() == json.dumps(value, sort_keys=True, indent=2)
+
     def test_canonical_json_without_the_c_encoder(self):
         # json.encoder.c_make_encoder is None where the _json accelerator is missing
         code = (
@@ -428,6 +442,8 @@ class TestCanonicalWriters:
             canonical_json(value)
         with pytest.raises(TypeError):
             json.dumps(value, sort_keys=True, separators=(",", ":"))
+        with pytest.raises(TypeError):
+            write_indented_json(io.StringIO(), value)
 
     @given(personas)
     def test_persona_dict_matches_the_asdict_oracle(self, persona):

@@ -31,7 +31,7 @@ from chargesim.domain import (
     to_data,
     validate_persona,
 )
-from chargesim import environment
+from chargesim import engine, environment
 from chargesim.engine import RunTotals, Simulation, _leg, build_summary, run
 from chargesim.environment import ChargeTicket
 from chargesim.georoute import OfflineRouter, RouteEstimate
@@ -46,7 +46,7 @@ from chargesim.providers import (
 )
 from chargesim.providers.mock import home_point_for
 from faults import FaultInjectingProvider
-from oracles import oracle_request_text
+from oracles import oracle_request_text, oracle_routes_json
 from test_perception import any_float, coordinates, plain_int
 
 
@@ -250,6 +250,55 @@ class TestRun:
             "score_station": 885,
             "seed": 60,
         }
+
+    def test_default_run_skips_the_geometry_of_hops_that_cannot_land_and_formats_no_route_float(
+        self, tmp_path, monkeypatch
+    ):
+        """The pinned 10x7 run phase's exact counts of the planner's cosines and
+        haversines and of the floats write_routes formats."""
+        sim = Simulation(load_config(DEFAULT_CONFIG), tmp_path / "run")
+        counts = {"cos": 0, "haversine_km": 0, "route_floats": 0}
+
+        def counting(name, function):
+            def counted(*args):
+                counts[name] += 1
+                return function(*args)
+
+            return counted
+
+        # the sampler and the planner look both up in their module
+        monkeypatch.setattr(mock, "cos", counting("cos", mock.cos))
+        monkeypatch.setattr(mock, "haversine_km", counting("haversine_km", mock.haversine_km))
+
+        def floats(value) -> int:
+            if isinstance(value, float):
+                return 1
+            if isinstance(value, (list, tuple)):
+                return sum(map(floats, value))
+            return 0
+
+        def formatting(function):
+            def formats(value):
+                counts["route_floats"] += floats(value)
+                return function(value)
+
+            return formats
+
+        write_routes = RunTotals.write_routes
+
+        def counted_write_routes(totals, fh, agent_ids):
+            # every text write_routes builds goes through these two names
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "canonical_json", formatting(engine.canonical_json))
+                patch.setattr(engine, "json_number", formatting(engine.json_number))
+                return write_routes(totals, fh, agent_ids)
+
+        monkeypatch.setattr(RunTotals, "write_routes", counted_write_routes)
+        artifacts = sim.run()
+        assert artifacts.behavior_digest == DEFAULT_BEHAVIOR_PIN
+        # 11,716, 1,329 and 2,632 when every hop drew its 20 bearings' geometry
+        # and write_routes formatted each waypoint's two floats
+        assert counts == {"cos": 5391, "haversine_km": 1379, "route_floats": 0}
 
     def test_every_plan_of_the_engines_planner_starts_at_the_agents_home(self, tmp_path):
         sim = Simulation(load_config(DEFAULT_CONFIG), tmp_path / "run")
@@ -834,6 +883,41 @@ def test_engine_summary_equals_summary_rebuilt_from_the_logs(tmp_path, make_conf
     assert (artifacts.run_dir / "routes.json").read_text(encoding="utf-8") == routes.getvalue()
 
 
+@pytest.mark.parametrize(
+    "make_config",
+    [lambda: load_config(DEFAULT_CONFIG), stranding_config, overnight_charge_config],
+    ids=["default-10x7", "stranding", "overnight-charge"],
+)
+def test_routes_json_is_the_first_written_writers(tmp_path, make_config):
+    """routes.json, spliced from the points' kept text, equals the writer that
+    formatted every float of a route parsed from behavior.log."""
+    artifacts = run(make_config(), tmp_path / "run")
+    written = (artifacts.run_dir / "routes.json").read_text(encoding="utf-8")
+    assert written == oracle_routes_json(artifacts.run_dir)
+
+
+class IntegerPointProvider(MockProvider):
+    """The mock policy, except that each day's plan is a trip to a point of
+    int coordinates and one back home."""
+
+    def plan_day(self, persona, day_index, seed):
+        home, there = self.home(persona.id), GeoPoint(31, 121)
+        trips = (
+            PlanEvent(PlanEventKind.TRIP, home, there, start=480, expected_distance_km=50.0),
+            PlanEvent(PlanEventKind.TRIP, there, home, start=900, expected_distance_km=50.0),
+        )
+        return DailyPlan(day_index, trips)
+
+
+def test_routes_json_writes_an_int_coordinate_as_a_float(tmp_path):
+    config = small_config(num_agents=2)
+    provider = IntegerPointProvider(plan_template=config.effective_plan_template())
+    artifacts = run(config, tmp_path / "run", provider=provider)
+    written = (artifacts.run_dir / "routes.json").read_text(encoding="utf-8")
+    assert "121.0,31.0" in written
+    assert written == oracle_routes_json(artifacts.run_dir)
+
+
 def test_final_states_take_km_and_cost_from_the_summary_totals(tmp_path):
     artifacts = run(charge_and_strand_config(), tmp_path / "run")
     agents = artifacts.summary["agents"]
@@ -932,6 +1016,25 @@ def test_setup_crash_closes_every_log_and_propagates(tmp_path):
         "error": {"type": "RuntimeError", "message": "planner crashed"},
     }
     assert not (sim.run_dir / "final_states.json").exists()
+
+
+class NonAsciiCrashingProvider(MockProvider):
+    """The mock policy, except that plan_day raises with a message of non-ASCII
+    and control characters."""
+
+    def plan_day(self, persona, day_index, seed):
+        raise RuntimeError("plan \u00e9chou\u00e9: \u5145\u7535\u6869 \"st-01\"\n\x00 \U0001d11e")
+
+
+def test_a_failed_runs_summary_is_json_dumps_indented(tmp_path):
+    config = small_config(num_agents=2)
+    provider = NonAsciiCrashingProvider(plan_template=config.effective_plan_template())
+    with pytest.raises(RuntimeError) as err:
+        Simulation(config, tmp_path / "run", provider=provider)
+    expected = {"status": "failed", "error": {"type": "RuntimeError", "message": str(err.value)}}
+    text = (tmp_path / "run" / "summary.json").read_text(encoding="utf-8")
+    assert text == json.dumps(expected, sort_keys=True, indent=2)
+    assert text.isascii()
 
 
 class BareValueErrorProvider(MockProvider):

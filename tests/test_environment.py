@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import math
 import pickle
 import random
+import statistics
 from dataclasses import replace
 
 import pytest
@@ -300,3 +302,45 @@ def test_fifo_service_order_matches_enqueue_order(flat_tariff):
         tickets.append(begin_charge(station, ev, rng.uniform(1.0, 20.0), SimClock(arrival), flat_tariff))
     starts = [t.start_charge for t in tickets]
     assert starts == sorted(starts)  # service order equals enqueue order
+
+
+def _erlang_c_mean_wait(piles: int, load: float, mean_service: float) -> float:
+    """The M/M/c queue's mean wait in line (Erlang C; L. Kleinrock, Queueing
+    Systems, Vol. 1, 1975) at utilisation load per pile."""
+    offered = piles * load
+    queued = offered**piles / math.factorial(piles) / (1.0 - load)
+    idle = sum(offered**k / math.factorial(k) for k in range(piles))
+    return queued / (idle + queued) * mean_service / (piles * (1.0 - load))
+
+
+# Student's t at 0.9995 with 9 degrees of freedom: a two-sided 99.9% interval
+# over 10 batch means
+T_9_999 = 4.781
+
+
+@pytest.mark.parametrize("piles", [1, 4])
+@pytest.mark.parametrize("load", [0.5, 0.8])
+def test_the_queue_waits_as_erlang_c_predicts(flat_tariff, piles, load):
+    """Poisson arrivals at a FIFO station of identical piles, each charge an
+    exponential number of minutes (mean 60) rounded up, wait in line as long
+    on average as the M/M/c queue's Erlang C formula says, within a 99.9%
+    interval from 10 batch means. The arrivals fall on whole minutes, as the
+    clock's do, and the service mean is that of the rounded-up duration."""
+    rng = random.Random(16 + piles * 10 + int(load * 10))
+    station = _station(piles=piles, power=60.0)
+    ev = _ev(soc=0.0, capacity=1e9, max_power=60.0)  # a minute at 60 kW is a kWh
+    minutes = 60.0
+    mean_service = 1.0 / -math.expm1(-1.0 / minutes)  # E[ceil(X)], X exponential
+    rate = piles * load / mean_service
+    arrival = 0.0
+    waits = []
+    for _ in range(40_000):
+        arrival += rng.expovariate(rate)
+        ticket = begin_charge(station, ev, rng.expovariate(1.0 / minutes), SimClock(int(arrival)), flat_tariff)
+        waits.append(ticket.start_charge - ticket.start_wait)
+    kept = waits[2_000:]  # the station starts empty: set the warm-up aside
+    size = len(kept) // 10
+    batch_means = [statistics.fmean(kept[i * size : (i + 1) * size]) for i in range(10)]
+    error = statistics.stdev(batch_means) / math.sqrt(10)
+    expected = _erlang_c_mean_wait(piles, load, mean_service)
+    assert abs(statistics.fmean(batch_means) - expected) <= T_9_999 * error

@@ -7,7 +7,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chargesim.config import ScenarioConfig
@@ -29,7 +29,7 @@ from chargesim.domain import (
 )
 from chargesim.engine import run
 from chargesim.environment import EvState
-from chargesim.georoute import EARTH_RADIUS_KM, bounding_box_deg
+from chargesim.georoute import EARTH_RADIUS_KM, NO_BOX, bounding_box_deg, haversine_km
 from chargesim.memory import MemoryStore
 from chargesim.perception import PerceptionSnapshot, StationPerception, TravelPerception
 from chargesim.providers import (
@@ -45,8 +45,12 @@ from chargesim.providers import (
     validate_decision,
 )
 from chargesim.providers.live import LiveSettings
+from chargesim.providers import mock
 from chargesim.providers.mock import (
+    DEG_PER_KM,
     PLAN_TEMPLATE_SHAPES,
+    _hop_slack_km,
+    _no_bearing_lands,
     _random_point_near,
     home_point_for,
     template_problems,
@@ -248,9 +252,23 @@ def sampler_calls(draw):
 
 
 def _boxed_random_point_near(rng, origin, distance_km, center, max_radius_km):
-    """_random_point_near with the box that plan_day computes once per centre and radius."""
+    """_random_point_near's point, with the box that plan_day computes once per
+    centre and radius."""
     box = bounding_box_deg(center.latitude, center.longitude, max_radius_km)
-    return _random_point_near(rng, origin, distance_km, center, max_radius_km, box)
+    return _random_point_near(rng, origin, distance_km, center, max_radius_km, box)[0]
+
+
+def _placed_random_point_near(rng, origin, distance_km, center, max_radius_km):
+    """_boxed_random_point_near told origin's distance to the centre, as plan_day
+    tells it for an accepted point, and checked to return each accepted
+    point's distance."""
+    box = bounding_box_deg(center.latitude, center.longitude, max_radius_km)
+    origin_km = haversine_km(origin.latitude, origin.longitude, center.latitude, center.longitude)
+    point, km = _random_point_near(rng, origin, distance_km, center, max_radius_km, box, origin_km)
+    if km is not None:
+        assert km == haversine_km(point.latitude, point.longitude, center.latitude, center.longitude)
+        assert km <= max_radius_km
+    return point
 
 
 def _sample(sampler, seed, call):
@@ -276,11 +294,150 @@ SHANGHAI_EDGE = GeoPoint(31.2304 + 7.5 * 0.008993, 121.4737)
 @example((CENTER, 0.0, CENTER, 1e-9), 6)
 @example((SHANGHAI_EDGE, 0.0, CENTER, 1.0), 7)  # hop 0 outside the radius: the fallback
 @example((GeoPoint(-30.0, 100.0), 300.0, GeoPoint(10.0, 20.0), math.pi * EARTH_RADIUS_KM), 8)
+@example((SHANGHAI_EDGE, 17.0, CENTER, 8.0), 9)  # no bearing can land: the shortcut
+@example((GeoPoint(80.05, 30.0), 18.0, GeoPoint(80.0, 30.0), 8.0), 10)  # the shortcut at 80N
 def test_random_point_near_matches_the_unfiltered_oracle(call, seed):
     """Same point (or exception type and message) and same rng state as
-    haversining every candidate, whatever the box does."""
-    boxed = _sample(_boxed_random_point_near, seed, call)
-    assert boxed == _sample(oracle_random_point_near, seed, call)
+    haversining every candidate, whatever the box does, and whether or not the
+    sampler knows the origin's distance and skips hops that cannot land."""
+    expected = _sample(oracle_random_point_near, seed, call)
+    assert _sample(_boxed_random_point_near, seed, call) == expected
+    assert _sample(_placed_random_point_near, seed, call) == expected
+
+
+def _candidate(origin: GeoPoint, hop_km: float, bearing: float) -> tuple[float, float]:
+    """The sampler's candidate at bearing, computed as it computes it."""
+    cos_lat = math.cos(math.radians(origin.latitude))
+    lat = origin.latitude + hop_km * math.cos(bearing) * DEG_PER_KM
+    lon = origin.longitude + hop_km * math.sin(bearing) * DEG_PER_KM / cos_lat
+    return lat, lon
+
+
+def _on_the_globe(origin: GeoPoint, hop_km: float) -> bool:
+    """Where the sampler uses its box: every candidate stays in [-90, 90] x [-180, 180]."""
+    reach = hop_km * DEG_PER_KM
+    cos_lat = math.cos(math.radians(origin.latitude))
+    return (
+        -90.0 <= origin.latitude - reach
+        and origin.latitude + reach <= 90.0
+        and abs(origin.longitude) + reach / cos_lat <= 180.0
+    )
+
+
+def test_the_hop_slack_carries_the_measured_shortfalls():
+    # DEG_PER_KM is short of the degrees of a kilometre of meridian at EARTH_RADIUS_KM
+    assert mock._SPAN_SHORTFALL == pytest.approx(2.264e-5, rel=1e-3)
+    equator = haversine_km(0.0, 0.0, 10.0 * DEG_PER_KM, 0.0)
+    assert 10.0 - equator == pytest.approx(10.0 * mock._SPAN_SHORTFALL, rel=1e-6)
+    # the origin's cosine: at 80N an 18 km hop spans 3.1e-3 of itself less at
+    # its worst bearing, under the tan|lat| * d / (2R) of 8.0e-3 the slack doubles
+    origin = GeoPoint(80.0, 30.0)
+    shortest = min(
+        haversine_km(origin.latitude, origin.longitude, *_candidate(origin, 18.0, bearing))
+        for bearing in (i * math.tau / 3600 for i in range(3600))
+    )
+    assert 1.0 - shortest / 18.0 == pytest.approx(3.1e-3, rel=0.02)
+    assert math.tan(math.radians(80.0)) * 18.0 / (2 * EARTH_RADIUS_KM) == pytest.approx(8.0e-3, rel=0.01)
+    assert 18.0 - shortest < _hop_slack_km(18.0, 80.0)
+
+
+@given(
+    st.floats(-88.0, 88.0),
+    st.floats(-179.0, 179.0),
+    st.one_of(st.floats(0.0, 500.0), st.floats(0.0, 1.0), st.floats(0.0, 20.0)),
+    st.floats(0.0, math.tau),
+)
+@example(0.0, 0.0, 500.0, 0.7)  # the flat offset's own shortfall, largest at large hops
+@example(80.0, 30.0, 18.0, 1.0)
+@example(0.0197, 0.0, 0.0548, 1.5)
+def test_a_hop_spans_at_least_its_length_less_its_slack(lat, lon, hop_km, bearing):
+    origin = GeoPoint(lat, lon)
+    assume(_on_the_globe(origin, hop_km))
+    span = haversine_km(lat, lon, *_candidate(origin, hop_km, bearing))
+    assert span >= hop_km - _hop_slack_km(hop_km, lat)
+
+
+@st.composite
+def hops_past_the_area(draw):
+    """(origin, hop_km, center, radius_km) for the hop shortcut: centres from 0 to
+    80 degrees north or south, area radii from 0.001 to 50 km, origins up to a
+    radius and 500 km from the centre, and hops up to 500 km, many of them
+    within a few metres of the origin's distance plus the radius."""
+    center = GeoPoint(
+        draw(st.floats(0.0, 80.0)) * draw(st.sampled_from([1.0, -1.0])),
+        draw(st.one_of(st.floats(-180.0, 180.0), st.floats(179.0, 180.0))),
+    )
+    radius_km = draw(st.one_of(st.floats(0.001, 50.0), st.sampled_from([0.001, 8.0, 50.0])))
+    spread_km = draw(st.sampled_from([radius_km, radius_km + 30.0, 500.0]))
+    lat, lon = _candidate(center, draw(st.floats(0.0, 1.0)) * spread_km, draw(st.floats(0, math.tau)))
+    assume(-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0)
+    origin = GeoPoint(lat, lon)
+    origin_km = haversine_km(lat, lon, center.latitude, center.longitude)
+    excess_km = draw(st.one_of(st.floats(0.0, 30.0), st.floats(0.0, 0.2), st.floats(0.0, 1e-3)))
+    return origin, min(500.0, origin_km + radius_km + excess_km), center, radius_km
+
+
+@given(hops_past_the_area())
+@settings(max_examples=300)
+def test_no_candidate_lands_where_the_hop_shortcut_fires(call):
+    """Whenever the sampler would skip a hop's geometry, the box or the
+    haversine test rejects the candidate at each of many bearings, the
+    bearing straight toward the centre and those beside it included."""
+    origin, hop_km, center, radius_km = call
+    box = bounding_box_deg(center.latitude, center.longitude, radius_km)
+    origin_km = haversine_km(origin.latitude, origin.longitude, center.latitude, center.longitude)
+    fires = (
+        box is not NO_BOX
+        and _on_the_globe(origin, hop_km)
+        and _no_bearing_lands(origin.latitude, hop_km, origin_km, radius_km)
+    )
+    assume(fires)
+    lat_lo, lat_hi, lon_lo, lon_hi = box
+    toward = math.atan2(center.longitude - origin.longitude, center.latitude - origin.latitude)
+    bearings = [i * math.tau / 720 for i in range(720)]
+    bearings += [toward + i * 1e-3 for i in range(-100, 101)]
+    for bearing in bearings:
+        lat, lon = _candidate(origin, hop_km, bearing)
+        if lat_lo <= lat <= lat_hi and lon_lo <= lon <= lon_hi:
+            assert haversine_km(lat, lon, center.latitude, center.longitude) > radius_km
+
+
+@pytest.mark.parametrize(
+    "origin, hop_km, center, radius_km",
+    [
+        # the plan area's box is NO_BOX: it comes within a degree of the pole
+        (GeoPoint(88.0, 10.0), 120.0, GeoPoint(88.97, 10.0), 5.0),
+        # the area's box reaches the +-180 meridian, and so can the candidates
+        (GeoPoint(0.5, 179.99), 70.0, GeoPoint(0.0, 179.99), 5.0),
+        # the area has a box, but candidates can pass the pole, so the sampler sets it aside
+        (GeoPoint(89.0, -100.0), 300.0, GeoPoint(88.0, -100.0), 30.0),
+    ],
+)
+def test_the_hop_shortcut_applies_only_where_the_sampler_uses_its_box(
+    monkeypatch, origin, hop_km, center, radius_km
+):
+    asked = []
+
+    def spy(*args):
+        asked.append(args)
+        return _no_bearing_lands(*args)
+
+    monkeypatch.setattr(mock, "_no_bearing_lands", spy)
+    origin_km = haversine_km(origin.latitude, origin.longitude, center.latitude, center.longitude)
+    assert hop_km > origin_km + radius_km
+    box = bounding_box_deg(center.latitude, center.longitude, radius_km)
+    placed = _sample(
+        lambda rng, *call: _random_point_near(rng, *call, box, origin_km)[0],
+        3,
+        (origin, hop_km, center, radius_km),
+    )
+    assert placed == _sample(oracle_random_point_near, 3, (origin, hop_km, center, radius_km))
+    assert asked == []
+    # the same hop from as far off, in an area the box serves, asks
+    far = GeoPoint(CENTER.latitude + origin_km * DEG_PER_KM, CENTER.longitude)
+    far_box = bounding_box_deg(CENTER.latitude, CENTER.longitude, radius_km)
+    _random_point_near(random.Random(3), far, hop_km, CENTER, radius_km, far_box, origin_km)
+    assert len(asked) == 1
 
 
 @given(
@@ -332,6 +489,12 @@ PLANNER_PERSONA = MockProvider().generate_persona(0, {})
 @example({"evening_shift_probability": 1.0, "gap_minutes_range": [0, 0]}, "agent-01", 1, 7)
 # a gap range wider than any sequence's length: the draw takes no len() of it
 @example({"gap_minutes_range": [0, 2**64]}, "agent-02", 0, 42)
+# hops that cannot land, which the sampler skips: long trips in the default
+# area, a 1 m area, a centre at 70N and one beside the antimeridian
+@example({"trip_km_range": [5.0, 40.0], "area_radius_km": 8.0}, "agent-03", 2, 42)
+@example({"area_radius_km": 0.001}, "agent-04", 0, 42)
+@example({"center": [70.0, 25.0]}, "agent-05", 1, 7)
+@example({"center": [31.2304, 179.5]}, "agent-06", 0, 42)
 def test_plan_day_matches_the_first_written_planner(template, persona_id, day_index, seed):
     """Same plan as the planner that drew with rng.uniform and rng.randint and
     derived the home on every call, on a provider's first plan for the
