@@ -276,41 +276,6 @@ def _offset(origin: GeoPoint, distance_km: float, bearing_rad: float) -> tuple[f
     return lat, lon
 
 
-# A hop of d km from latitude lat spans at least d - _hop_slack_km(d, lat) km
-# of great circle at every bearing, while its candidate stays on the globe:
-# - DEG_PER_KM is _SPAN_SHORTFALL (2.26e-5) below the degrees of a kilometre
-#   of meridian at EARTH_RADIUS_KM, so even at the equator a hop spans
-#   d * (1 - _SPAN_SHORTFALL);
-# - the longitude step is scaled by the origin's cosine, not the cosine where
-#   the hop ends, and the span falls short by about tan|lat| * d / (2R) more
-#   (0.39 of that at worst, up to d = 500 km and |lat| = 88 degrees: 3.1e-3
-#   of an 18 km hop at 80 degrees); the slack takes the whole tan|lat| * d / R;
-# - at large d the flat offset falls short by a share of up to 0.05 (d / R)**2;
-#   the slack takes (d / R)**2;
-# - 1e-9 km covers haversine_km's rounding.
-_SPAN_SHORTFALL = 1.0 - DEG_PER_KM / math.degrees(1.0 / EARTH_RADIUS_KM)
-
-
-def _hop_slack_km(distance_km: float, lat: float) -> float:
-    tan_lat = math.tan(radians(abs(lat)))
-    per_km = _SPAN_SHORTFALL + distance_km * (
-        tan_lat / EARTH_RADIUS_KM + distance_km / EARTH_RADIUS_KM**2
-    )
-    return distance_km * per_km + 1e-9
-
-
-def _no_bearing_lands(
-    lat: float, distance_km: float, origin_km: float, max_radius_km: float
-) -> bool:
-    """Whether a hop of distance_km from a point at latitude lat that is
-    origin_km from the centre (haversine_km) ends farther than max_radius_km
-    from it at every bearing, by the triangle inequality: the hop, less its
-    slack, is longer than origin_km + max_radius_km. Sound only where the
-    hop's candidates stay on the globe, as where _random_point_near uses its
-    box."""
-    return distance_km - _hop_slack_km(distance_km, lat) > origin_km + max_radius_km
-
-
 def _random_point_near(
     rng: random.Random,
     origin: GeoPoint,
@@ -318,13 +283,10 @@ def _random_point_near(
     center: GeoPoint,
     max_radius_km: float,
     box: tuple[float, float, float, float],
-    origin_km: float | None = None,
-) -> tuple[GeoPoint, float | None]:
+) -> GeoPoint:
     """A point distance_km from origin at a random bearing that lies within
     max_radius_km of center, after at most 20 bearings; else the point
-    distance_km toward center. Returns the point and, for a point the
-    haversine test accepted, its haversine_km to center; None for the
-    fallback point.
+    distance_km toward center.
 
     Candidates stay raw floats, computed as _offset does; only the accepted
     one becomes a (validated) GeoPoint. box is bounding_box_deg(center,
@@ -332,11 +294,6 @@ def _random_point_near(
     candidate outside it is rejected without its haversine, which rejects
     exactly the candidates the haversine test would, so the result and the
     rng draws are those of testing every candidate.
-
-    origin_km, if given, is origin's haversine_km to center. Where the box
-    is in use and no bearing can land (_no_bearing_lands), the sampler
-    draws the 20 bearings and goes straight to the fallback, the same
-    point and draws without the geometry.
     """
     olat, olon = origin.latitude, origin.longitude
     clat, clon = center.latitude, center.longitude
@@ -347,39 +304,26 @@ def _random_point_near(
     reach = abs(distance_km) * DEG_PER_KM
     if -90.0 <= olat - reach and olat + reach <= 90.0 and abs(olon) + reach / cos_olat <= 180.0:
         lat_lo, lat_hi, lon_lo, lon_hi = box
-        lands_nowhere = (
-            origin_km is not None
-            and box is not NO_BOX
-            and distance_km > origin_km + max_radius_km
-            and _no_bearing_lands(olat, distance_km, origin_km, max_radius_km)
-        )
     else:
         lat_lo, lat_hi, lon_lo, lon_hi = NO_BOX
-        lands_nowhere = False
-    if lands_nowhere:
-        draw = rng.random
-        for _ in range(20):
-            draw()
-    else:
-        for _ in range(20):
-            # rng.uniform(0.0, 2.0 * math.pi) inlined: it returns
-            # 0.0 + (2.0 * math.pi - 0.0) * rng.random(), the same float
-            bearing = tau * rng.random()
-            lat = olat + distance_km * cos(bearing) * DEG_PER_KM
-            if lat < lat_lo or lat > lat_hi:
-                continue
-            lon = olon + distance_km * sin(bearing) * DEG_PER_KM / cos_olat
-            if lon < lon_lo or lon > lon_hi:
-                continue
-            km = haversine_km(lat, lon, clat, clon)
-            if km <= max_radius_km:
-                return GeoPoint(lat, lon), km
+    for _ in range(20):
+        # rng.uniform(0.0, 2.0 * math.pi) inlined: it returns
+        # 0.0 + (2.0 * math.pi - 0.0) * rng.random(), the same float
+        bearing = tau * rng.random()
+        lat = olat + distance_km * cos(bearing) * DEG_PER_KM
+        if lat < lat_lo or lat > lat_hi:
+            continue
+        lon = olon + distance_km * sin(bearing) * DEG_PER_KM / cos_olat
+        if lon < lon_lo or lon > lon_hi:
+            continue
+        if haversine_km(lat, lon, clat, clon) <= max_radius_km:
+            return GeoPoint(lat, lon)
     # Deep in a corner of the area: head back toward the center instead,
     # offset as _offset does, with the origin's cosine from above.
     bearing = atan2(clon - olon, clat - olat)
     lat = olat + distance_km * cos(bearing) * DEG_PER_KM
     lon = olon + distance_km * sin(bearing) * DEG_PER_KM / cos_olat
-    return GeoPoint(lat, lon), None
+    return GeoPoint(lat, lon)
 
 
 def _clamp01(value: float) -> float:
@@ -468,26 +412,18 @@ class MockProvider(CognitionProvider):
 
         events: list[PlanEvent] = []
         location = self.home(persona.id)
-        location_km = None  # location's haversine_km to the centre, once known
         for shift_start, shift_end in shifts:
             t = int(shift_start)
             while True:
                 # rng.uniform(trip_km_lo, trip_km_hi) inlined: its own expression, the same float
                 hop_km = trip_km_lo + (trip_km_hi - trip_km_lo) * rng.random()
-                # only a hop longer than the radius can miss the area at every bearing
-                if location_km is None and hop_km > area_radius:
-                    location_km = haversine_km(
-                        location.latitude, location.longitude, center.latitude, center.longitude
-                    )
-                destination, destination_km = _random_point_near(
-                    rng, location, hop_km, center, area_radius, box, location_km
-                )
+                destination = _random_point_near(rng, location, hop_km, center, area_radius, box)
                 route_km = router.distance_km(location, destination)
                 travel_minutes = router.travel_minutes(route_km, 1.0)
                 if t + travel_minutes > shift_end or travel_minutes == 0:
                     break
                 events.append(PlanEvent(PlanEventKind.TRIP, location, destination, t, route_km))
-                location, location_km = destination, destination_km
+                location = destination
                 # rng.randint(gap_lo, gap_hi) returns this call, one frame deeper
                 t += travel_minutes + rng.randrange(gap_lo, gap_hi + 1)
         return DailyPlan(day_index, tuple(events))

@@ -150,6 +150,14 @@ class TestEventLoop:
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def default_run_dir(tmp_path_factory):
+    """The directory of one completed 10x7 default run, shared by read-only tests."""
+    out = tmp_path_factory.mktemp("default") / "run"
+    run(load_config(DEFAULT_CONFIG), out)
+    return out
+
+
 class TestRun:
     def test_small_run_shape(self, tmp_path):
         config = small_config()
@@ -178,6 +186,13 @@ class TestRun:
         artifacts = run(config, tmp_path / "run")
         assert artifacts.behavior_digest == DEFAULT_BEHAVIOR_PIN
         assert artifacts.reflections_digest == DEFAULT_REFLECTIONS_PIN
+
+    @pytest.mark.parametrize("name", ["personas.json", "summary.json", "final_states.json"])
+    def test_default_runs_indented_artifacts_are_json_dumps_of_their_own_parse(
+        self, default_run_dir, name
+    ):
+        text = (default_run_dir / name).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2)
 
     def test_default_run_measures_a_perceived_leg_once_and_boxes_each_station_once(
         self, tmp_path, monkeypatch
@@ -251,7 +266,7 @@ class TestRun:
             "seed": 60,
         }
 
-    def test_default_run_skips_the_geometry_of_hops_that_cannot_land_and_formats_no_route_float(
+    def test_default_run_pins_the_planners_geometry_counts_and_formats_no_route_float(
         self, tmp_path, monkeypatch
     ):
         """The pinned 10x7 run phase's exact counts of the planner's cosines and
@@ -296,9 +311,9 @@ class TestRun:
         monkeypatch.setattr(RunTotals, "write_routes", counted_write_routes)
         artifacts = sim.run()
         assert artifacts.behavior_digest == DEFAULT_BEHAVIOR_PIN
-        # 11,716, 1,329 and 2,632 when every hop drew its 20 bearings' geometry
-        # and write_routes formatted each waypoint's two floats
-        assert counts == {"cos": 5391, "haversine_km": 1379, "route_floats": 0}
+        # cos includes the fallback's cos(bearing), one for each of the 375 hops
+        # that no bearing lands; write_routes splices the travel lines' own text
+        assert counts == {"cos": 12091, "haversine_km": 1329, "route_floats": 0}
 
     def test_every_plan_of_the_engines_planner_starts_at_the_agents_home(self, tmp_path):
         sim = Simulation(load_config(DEFAULT_CONFIG), tmp_path / "run")
