@@ -17,11 +17,15 @@ One writer splices each position's number text (a route's as routes.json
 spells it, float.__repr__ as the encoder does) into map.geojson, byte for
 byte json.dumps(collection, sort_keys=True, indent=2), and into map.html's
 compact json.dumps(collection, sort_keys=True); no float is formatted twice.
+Nor in map.html's SVG: each projected route point is written once with
+"%.2f", and one substitution over the route's text (_two_places) spells
+every number as repr(round(v, 2)) does.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from html import escape
 from itertools import chain
 from pathlib import Path
@@ -90,6 +94,23 @@ def _route_positions(agent_id: str, flat: list) -> list[tuple[str, str]]:
     return list(zip(pairs, pairs))
 
 
+def _final_position(agent_id: str, state: dict) -> tuple[str, str]:
+    """final_states.json's [lat, lon] location of agent_id as a (lon, lat)
+    position of number text; ValueError naming the agent for anything but
+    two numbers."""
+    location = state["location"]
+    if not (
+        type(location) is list
+        and len(location) == 2
+        and set(map(type, location)) <= {int, float}
+    ):
+        raise ValueError(
+            f"final_states.json: the location of {agent_id!r} is not two numbers: {location!r}"
+        )
+    lat, lon = location
+    return json_number(lon), json_number(lat)
+
+
 def _is_minute(value) -> bool:
     """Number text of integer value: an integer, or a hand-written 600.0."""
     return type(value) is _NumberText and float(value).is_integer()
@@ -131,9 +152,10 @@ def build_geojson(run_dir: Path | str) -> dict:
     repeated station_id, and are drawn as written. A routes.json that is no
     object raises ValueError, and so does a malformed or missing entry (an
     agent that final_states.json lacks or that routes.json lacks, a
-    malformed route or charge, or a charge at a station that config.yaml
-    lacks), naming its agent, and a run whose summary.json records a
-    failure, naming the error.
+    malformed route or charge, a charge at a station that config.yaml
+    lacks, or a final_states.json location that is not two numbers), naming
+    its agent, and a run whose summary.json records a failure, naming the
+    error.
     """
     run_dir = Path(run_dir)
     _read_summary(run_dir)
@@ -181,8 +203,7 @@ def build_geojson(run_dir: Path | str) -> dict:
         points = _route_positions(agent_id, entry["route"])
         charges = _checked_charges(agent_id, entry["charges"], stations)
         # an agent that never moved is drawn as a route of two points where it stands
-        lat, lon = final_states[agent_id]["location"]
-        points += [(json_number(lon), json_number(lat))] * (2 - len(points))
+        points += [_final_position(agent_id, final_states[agent_id])] * (2 - len(points))
         features.append(_feature("LineString", points, kind="route", agent_id=agent_id))
         features.append(_feature("Point", points[0], kind="start", agent_id=agent_id))
         features.append(_feature("Point", points[-1], kind="end", agent_id=agent_id))
@@ -276,6 +297,26 @@ def _minutes_label(total_minutes: int) -> str:
     return f"day {day} {rem // 60:02d}:{rem % 60:02d}"
 
 
+# the second of "%.2f"'s two decimals when it is a zero
+_TRAILING_ZERO = re.compile(r"\.(\d)0\b")
+
+
+def _two_places(text: str) -> str:
+    """text with each number "%.2f" wrote in it spelled as repr(round(v, 2)).
+
+    round(v, 2) and "%.2f" % v take their two decimals from the same
+    correctly rounded dtoa call, and repr writes the rounded float's
+    shortest round-trip text: the same digits less a trailing zero. So the
+    two spellings agree for every |v| below about 2**46, NaN and the
+    infinities included; from there repr can need fewer digits than the
+    decimal (70388295542284.4 rounds to 70388295542284.41 under "%.2f").
+    A map coordinate projects into the padded bounding box of every
+    position, so it lies in [0, 720] x [0, 640], or is not finite when a
+    number in routes.json is not.
+    """
+    return _TRAILING_ZERO.sub(r".\1", text)
+
+
 def export_html(run_dir: Path | str, out_path: Path | str | None = None) -> Path:
     """Single-file map: routes, stations, start/end markers and a decision panel."""
     run_dir = Path(run_dir)
@@ -303,13 +344,8 @@ def export_html(run_dir: Path | str, out_path: Path | str | None = None) -> Path
     lat_min -= pad_lat
     lat_max += pad_lat
     width, height = 720.0, 640.0
-    projected = [
-        (
-            [round((lon - lon_min) / (lon_max - lon_min) * width, 2) for lon in lons],
-            [round((lat_max - lat) / (lat_max - lat_min) * height, 2) for lat in lats],
-        )
-        for lons, lats in shapes
-    ]
+    lon_span = lon_max - lon_min
+    lat_span = lat_max - lat_min
 
     def text(value: str) -> str:
         """Element text; agent ids, station ids and reasons may hold markup."""
@@ -320,20 +356,27 @@ def export_html(run_dir: Path | str, out_path: Path | str | None = None) -> Path
         {f["properties"]["agent_id"] for f in features if "agent_id" in f["properties"]}
     )
     color_of = {aid: _AGENT_COLORS[i % len(_AGENT_COLORS)] for i, aid in enumerate(agent_ids)}
-    for feature, (xs, ys) in zip(features, projected):
+    for feature, (route_lons, route_lats) in zip(features, shapes):
         props = feature["properties"]
         if props["kind"] == "route":
-            path = " ".join(map("{},{}".format, xs, ys))
+            points = " ".join(
+                [
+                    "%.2f,%.2f"
+                    % ((lon - lon_min) / lon_span * width, (lat_max - lat) / lat_span * height)
+                    for lon, lat in zip(route_lons, route_lats)
+                ]
+            )
             svg_parts.append(
-                f'<polyline points="{path}" fill="none" stroke="{color_of[props["agent_id"]]}" '
-                f'stroke-width="1.4" opacity="0.75">'
+                f'<polyline points="{_two_places(points)}" fill="none" '
+                f'stroke="{color_of[props["agent_id"]]}" stroke-width="1.4" opacity="0.75">'
                 f'<title>{text(props["agent_id"])}</title></polyline>'
             )
-    for feature, (xs, ys) in zip(features, projected):
+    for feature, (point_lons, point_lats) in zip(features, shapes):
         props = feature["properties"]
         if feature["geometry"]["type"] != "Point":
             continue
-        x, y = xs[0], ys[0]
+        x = round((point_lons[0] - lon_min) / lon_span * width, 2)
+        y = round((lat_max - point_lats[0]) / lat_span * height, 2)
         if props["kind"] == "station":
             svg_parts.append(
                 f'<rect x="{x - 5}" y="{y - 5}" width="10" height="10" fill="#222" '

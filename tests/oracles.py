@@ -14,6 +14,9 @@ The export oracle parses every line of a run's behavior.log, where the map
 exporters render routes.json, the trace the engine kept as it wrote the log;
 the routes oracle writes that trace from the same parse, formatting each
 float through the encoder, where the engine splices the points' own text.
+The SVG oracle projects map.html's drawing from the map's inputs as the
+exporter first did, rounding each coordinate and formatting the rounded
+float, where the exporter writes each with "%.2f" and respells its text.
 The serialization oracles build each record's dict field by field, in the
 layout the to_json writers spell out key by key in text; the persona
 oracle is the other way round: dataclasses.asdict with the enums and the
@@ -362,6 +365,65 @@ def oracle_routes_json(run_dir: Path) -> str:
             if route[-2:] != waypoint:
                 route += waypoint
     return json.dumps(routes, sort_keys=True, separators=(",", ":"))
+
+
+def oracle_svg(run_dir: Path) -> dict:
+    """What map.html's SVG must draw, projected as the exporter first did.
+
+    Reads the map's own inputs (config.yaml's stations, routes.json and
+    final_states.json), lists each feature's (lon, lat) floats in the map's
+    order, takes the bounding box of all of them flattened, pads it by 5%
+    (0.01 where a span is 0) and rounds each projected coordinate with
+    round(v, 2). Returns "polylines" (each route's points, "{},{}".format
+    per point), "circles" ((cx, cy) of each start, end and charge marker,
+    as f"{x}") and "rects" ((x, y) of each station, as x - 5), each in
+    document order.
+    """
+    stations = yaml.safe_load((run_dir / "config.yaml").read_text(encoding="utf-8"))["stations"]
+    by_id = {station["station_id"]: station for station in stations}
+    final_states = json.loads((run_dir / "final_states.json").read_text(encoding="utf-8"))
+    # a number spelled as an integer is read as the float it spells (-0 as -0.0)
+    routes = json.loads((run_dir / "routes.json").read_text(encoding="utf-8"), parse_int=float)
+
+    def at(station_id):
+        station = by_id[station_id]
+        return [(float(station["longitude"]), float(station["latitude"]))]
+
+    shapes = [("station", at(station_id)) for station_id in sorted(by_id)]
+    for agent_id in sorted(routes):
+        flat = routes[agent_id]["route"]
+        points = [(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
+        lat, lon = final_states[agent_id]["location"]
+        points += [(float(lon), float(lat))] * max(0, 2 - len(points))
+        shapes += [("route", points), ("start", points[:1]), ("end", points[-1:])]
+        shapes += [("charge", at(charge[1])) for charge in routes[agent_id]["charges"]]
+
+    lons = [lon for _kind, points in shapes for lon, _lat in points]
+    lats = [lat for _kind, points in shapes for _lon, lat in points]
+    lon_min, lon_max = min(lons), max(lons)
+    lat_min, lat_max = min(lats), max(lats)
+    pad_lon = (lon_max - lon_min) * 0.05 or 0.01
+    pad_lat = (lat_max - lat_min) * 0.05 or 0.01
+    lon_min, lon_max = lon_min - pad_lon, lon_max + pad_lon
+    lat_min, lat_max = lat_min - pad_lat, lat_max + pad_lat
+
+    def project(lon, lat):
+        return (
+            round((lon - lon_min) / (lon_max - lon_min) * 720.0, 2),
+            round((lat_max - lat) / (lat_max - lat_min) * 640.0, 2),
+        )
+
+    polylines, circles, rects = [], [], []
+    for kind, points in shapes:
+        if kind == "route":
+            polylines.append(" ".join("{},{}".format(*project(*point)) for point in points))
+    for kind, points in shapes:
+        x, y = project(*points[0])
+        if kind == "station":
+            rects.append((f"{x - 5}", f"{y - 5}"))
+        elif kind != "route":
+            circles.append((f"{x}", f"{y}"))
+    return {"polylines": polylines, "circles": circles, "rects": rects}
 
 
 def oracle_station_dict(entry) -> dict:

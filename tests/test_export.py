@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from chargesim.config import ScenarioConfig, load_config
 from chargesim.domain import canonical_json
 from chargesim.engine import RunTotals, Simulation, build_summary, run
-from chargesim.export import _geojson_text, export_csv, export_geojson, export_html
+from chargesim.export import _geojson_text, _two_places, export_csv, export_geojson, export_html
 from chargesim.providers import DecisionResponse, MockProvider
 from faults import FaultInjectingProvider
 from geojson_schema import validate_geojson
-from oracles import oracle_exports, read_log, same_json_tree
+from oracles import oracle_exports, oracle_svg, read_log, same_json_tree
 from test_engine import (
     add_stop_line,
     charge_and_strand_config,
@@ -205,17 +205,37 @@ class TestGeojson:
         with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
             export(run_dir, tmp_path / "map")
 
-    def test_a_hand_written_route_keeps_its_number_spelling(self, finished_run, tmp_path):
-        # integers, -0, NaN, spellings the engine never writes and a float charge time
-        config, artifacts = finished_run
+    @pytest.mark.parametrize("export", [export_geojson, export_html])
+    @pytest.mark.parametrize(
+        "location",
+        [[True, False], ["a", "b"], [1]],
+        ids=["bools", "strings", "one-number"],
+    )
+    def test_a_malformed_final_location_raises_naming_its_agent(
+        self, finished_run, tmp_path, export, location
+    ):
+        # an agent whose route has fewer than 2 points is drawn where it stands
+        _config, artifacts = finished_run
         run_dir = tmp_path / "run"
         shutil.copytree(artifacts.run_dir, run_dir)
         routes = json.loads((run_dir / "routes.json").read_text(encoding="utf-8"))
+        routes["agent-00"]["route"] = []
+        (run_dir / "routes.json").write_text(json.dumps(routes), encoding="utf-8")
+        final_states = json.loads((run_dir / "final_states.json").read_text(encoding="utf-8"))
+        final_states["agent-00"]["location"] = location
+        (run_dir / "final_states.json").write_text(json.dumps(final_states), encoding="utf-8")
+        problem = (
+            f"final_states.json: the location of 'agent-00' is not two numbers: {location!r}"
+        )
+        out = tmp_path / "map"
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            export(run_dir, out)
+        assert not out.exists()
+
+    def test_a_hand_written_route_keeps_its_number_spelling(self, finished_run, tmp_path):
+        config, _artifacts = finished_run
+        run_dir = _hand_written_route_run(finished_run, tmp_path)
         station_id = config.stations[0]["station_id"]
-        routes["agent-00"] = {"charges": [[600.0, station_id, "r"]], "route": ["ROUTE"]}
-        route_text = "[121, -0, NaN, 31.50, 121.5E0, 31]"
-        text = json.dumps(routes).replace('["ROUTE"]', route_text)
-        (run_dir / "routes.json").write_text(text, encoding="utf-8")
         written = export_geojson(run_dir).read_text(encoding="utf-8")
         # every number as its text, as routes.json spells it
         spelled = json.loads(written, parse_int=str, parse_float=str, parse_constant=str)
@@ -261,6 +281,22 @@ class TestGeojson:
         with pytest.raises(TypeError, match=f"^{re.escape(problem)}$"):
             export(run_dir, out)
         assert not out.exists()
+
+
+def _hand_written_route_run(finished_run, tmp_path) -> Path:
+    """A copy of the finished run whose agent-00 has a hand-written route:
+    integers, -0, NaN, spellings the engine never writes and a float charge
+    time at the first station."""
+    config, artifacts = finished_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(artifacts.run_dir, run_dir)
+    routes = json.loads((run_dir / "routes.json").read_text(encoding="utf-8"))
+    station_id = config.stations[0]["station_id"]
+    routes["agent-00"] = {"charges": [[600.0, station_id, "r"]], "route": ["ROUTE"]}
+    route_text = "[121, -0, NaN, 31.50, 121.5E0, 31]"
+    text = json.dumps(routes).replace('["ROUTE"]', route_text)
+    (run_dir / "routes.json").write_text(text, encoding="utf-8")
+    return run_dir
 
 
 class PlannerDown(MockProvider):
@@ -463,6 +499,56 @@ class TestHtml:
         first = export_html(artifacts.run_dir, tmp_path / "a.html").read_bytes()
         second = export_html(artifacts.run_dir, tmp_path / "b.html").read_bytes()
         assert first == second
+
+    @pytest.mark.parametrize("case", ["default", "long-routes", "hand-written-route"])
+    def test_the_svg_is_the_first_written_projection(self, finished_run, tmp_path, case):
+        # the 10x7 default run, 20 days of 10 agents (long polylines), and a
+        # route holding 121, -0, NaN and 121.5E0
+        if case == "hand-written-route":
+            run_dir = _hand_written_route_run(finished_run, tmp_path)
+        else:
+            config = ScenarioConfig()
+            if case == "long-routes":
+                config.horizon_days = 20
+            run_dir = run(config, tmp_path / "run").run_dir
+        page = export_html(run_dir).read_text(encoding="utf-8")
+        drawn = {
+            "polylines": re.findall(r'<polyline points="([^"]*)"', page),
+            "circles": re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', page),
+            "rects": re.findall(r'<rect x="([^"]*)" y="([^"]*)"', page),
+        }
+        assert drawn == oracle_svg(run_dir)
+        assert drawn["polylines"] and drawn["circles"] and drawn["rects"]
+
+
+# examples: the signed zeros (-0.004 rounds to -0.0), values written as a
+# half whose floats lie off it (0.005, 0.015, 2.675), the map's right edge
+# and the non-finite values a hand-written routes.json can hold
+@settings(max_examples=500)
+@given(st.floats(-1e6, 1e6))
+@example(0.0)
+@example(-0.0)
+@example(-0.004)
+@example(0.005)
+@example(0.015)
+@example(2.675)
+@example(719.995)
+@example(720.0)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+def test_two_places_spells_a_number_as_repr_of_its_rounding(value):
+    assert _two_places("%.2f" % value) == repr(round(value, 2))
+    pair = _two_places("%.2f,%.2f %.2f,%.2f" % (value, 1.5, -value, 3.0))
+    assert pair == f"{round(value, 2)},1.5 {round(-value, 2)},3.0"
+
+
+def test_two_places_stops_where_repr_needs_fewer_digits():
+    # round(v, 2) keeps 70388295542284.4's shortest repr; "%.2f" writes both decimals
+    value = 70388295542284.4
+    assert repr(round(value, 2)) == "70388295542284.4"
+    assert _two_places("%.2f" % value) == "70388295542284.41"
+    assert _two_places("%.2f" % -value) == "-70388295542284.41"
 
 
 # ---------------------------------------------------------------------------
